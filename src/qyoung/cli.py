@@ -111,6 +111,12 @@ def _cmd_mul(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 # -- the verify command -------------------------------------------------------
 
 
@@ -189,7 +195,7 @@ def _verify(max_n: int, guard: int) -> int:
         if failures:
             break
         for lam in all_partitions(k):
-            started = time.time()
+            started = time.perf_counter()
             qi = symmetrizers.alpha_extract(lam, max_cells=guard)
             check(
                 qi.alpha == symmetrizers.alpha_closed_form(lam),
@@ -220,7 +226,7 @@ def _verify(max_n: int, guard: int) -> int:
                     qi.element.specialize_at_one() == _classical_symmetrizer(lam),
                     f"classical limit vs group-algebra symmetrizer, lambda={lam}",
                 )
-            print(f"ok    lambda={str(lam):12s} ({time.time() - started:.2f}s)")
+            print(f"ok    lambda={str(lam):12s} ({time.perf_counter() - started:.2f}s)")
             if failures:
                 break
 
@@ -256,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--max-strands",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="K",
         help="override the size guards (default: 7 cells, 8 strands per row)",

@@ -14,6 +14,8 @@ with z = s - s^-1, which encodes the quadratic relation g_i^2 = z g_i + 1.
 Inverse generators use g_i^-1 = g_i - z.  A general product expands one
 factor through reduced words, sharing common prefixes so that dense
 products cost one generator step per distinct prefix rather than per term.
+Only the right action is implemented: the anti-involution iota: w_p -> w_{p^-1}
+fixes each g_i and reverses products, so x * y = iota(iota(y) * iota(x)).
 
 Per-strand-count lookup tables for the generator action are built lazily
 and cached; a table row is fully built before it is published, so
@@ -26,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from . import permutations as perms
 from .laurent import LaurentPoly, ONE, ZERO
@@ -47,15 +49,6 @@ def _right_action(n: int, i: int) -> dict[Perm, tuple[Perm, bool]]:
     row: dict[Perm, tuple[Perm, bool]] = {}
     for p in perms.all_permutations(n):
         row[p] = (perms.right_mult_gen(p, i), p[i - 1] < p[i])
-    return row
-
-
-@functools.cache
-def _left_action(n: int, i: int) -> dict[Perm, tuple[Perm, bool]]:
-    """p -> (s_i p, length went up) for all of S_n."""
-    row: dict[Perm, tuple[Perm, bool]] = {}
-    for p in perms.all_permutations(n):
-        row[p] = (perms.left_mult_gen(p, i), p.index(i) < p.index(i + 1))
     return row
 
 
@@ -170,26 +163,10 @@ class HeckeElement:
             raise IndexError(f"generator index {i} out of range for {self.n} strands")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        act = self._action_lookup(_right_action, i, right=True)
-        out: dict[Perm, LaurentPoly] = {}
-        for p, c in self.coeffs.items():
-            q, up = act(p)
-            _acc(out, q, c)
-            if sign == 1:
-                if not up:
-                    _acc(out, p, c * Z)
-            else:
-                if up:
-                    _acc(out, p, c * NEG_Z)
-        return self._wrap(out)
-
-    def lmul_generator(self, i: int, sign: int = 1) -> HeckeElement:
-        """Left multiplication by g_i^(+-1); mirror image of mul_generator."""
-        if not 1 <= i <= self.n - 1:
-            raise IndexError(f"generator index {i} out of range for {self.n} strands")
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        act = self._action_lookup(_left_action, i, right=False)
+        if len(self.coeffs) * _TABLE_THRESHOLD >= math.factorial(self.n):
+            act = _right_action(self.n, i).__getitem__
+        else:
+            act = lambda p: (perms.right_mult_gen(p, i), p[i - 1] < p[i])
         out: dict[Perm, LaurentPoly] = {}
         for p, c in self.coeffs.items():
             q, up = act(p)
@@ -206,7 +183,7 @@ class HeckeElement:
         """
         The algebra product.  Expands whichever factor promises less work
         (sum of word lengths times the other side's support size) through
-        its reduced words.
+        its reduced words, the left one as iota(iota(other) * iota(self)).
         """
         self._check_same_n(other)
         if not self.coeffs or not other.coeffs:
@@ -215,7 +192,7 @@ class HeckeElement:
         work_left = sum(perms.length(p) for p in self.coeffs)
         if work_right * len(self.coeffs) <= work_left * len(other.coeffs):
             return self._mul_expanding_right(other)
-        return self._mul_expanding_left(other)
+        return _iota(_iota(other)._mul_expanding_right(_iota(self)))
 
     def _mul_expanding_right(self, other: HeckeElement) -> HeckeElement:
         items = sorted(
@@ -239,31 +216,6 @@ class HeckeElement:
                 lo = j
 
         descend(0, len(items), 0, self)
-        return self._wrap(out)
-
-    def _mul_expanding_left(self, other: HeckeElement) -> HeckeElement:
-        # w_p * y applies the letters of p's word to y from the last letter
-        # inwards, so prefixes are shared on reversed words.
-        items = sorted(
-            (tuple(reversed(perms.reduced_word(p))), c) for p, c in self.coeffs.items()
-        )
-        out: dict[Perm, LaurentPoly] = {}
-
-        def descend(lo: int, hi: int, depth: int, elem: HeckeElement) -> None:
-            if len(items[lo][0]) == depth:
-                c = items[lo][1]
-                for p, cc in elem.coeffs.items():
-                    _acc(out, p, cc * c)
-                lo += 1
-            while lo < hi:
-                letter = items[lo][0][depth]
-                j = lo
-                while j < hi and items[j][0][depth] == letter:
-                    j += 1
-                descend(lo, j, depth + 1, elem.lmul_generator(letter))
-                lo = j
-
-        descend(0, len(items), 0, other)
         return self._wrap(out)
 
     # -- embeddings and conjugation -------------------------------------------
@@ -291,9 +243,10 @@ class HeckeElement:
         if len(p) != self.n:
             raise ValueError(f"permutation {p} does not act on {self.n} strands")
         word = perms.reduced_word(tuple(p))
-        out = self
+        out = _iota(self)  # w_p x = iota(iota(x) g_{i_k} ... g_{i_1})
         for letter in reversed(word):
-            out = out.lmul_generator(letter)
+            out = out.mul_generator(letter)
+        out = _iota(out)
         for letter in reversed(word):
             out = out.mul_generator(letter, sign=-1)
         return out
@@ -325,14 +278,19 @@ class HeckeElement:
         }
 
     @staticmethod
-    def from_machine(data: dict) -> HeckeElement:
-        n = data["n"]
-        table: dict[Perm, LaurentPoly] = {}
-        for term in data["terms"]:
-            p = perms.as_perm(term["perm"])
-            if p in table:
-                raise ValueError(f"duplicate basis permutation {list(p)}")
-            table[p] = LaurentPoly.from_pairs((e, c) for e, c in term["coeff"])
+    def from_machine(data: object) -> HeckeElement:
+        """The inverse of to_machine; any other shape raises ValueError."""
+        try:
+            n = _machine_int(data["n"])
+            table: dict[Perm, LaurentPoly] = {}
+            for term in data["terms"]:
+                p = perms.as_perm([_machine_int(v) for v in term["perm"]])
+                if p in table:
+                    raise ValueError(f"duplicate basis permutation {list(p)}")
+                pairs = [(_machine_int(e), _machine_int(c)) for e, c in term["coeff"]]
+                table[p] = LaurentPoly.from_pairs(pairs)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed machine-format element ({exc!r})") from None
         return HeckeElement(n, table)
 
     def __str__(self) -> str:
@@ -377,17 +335,16 @@ class HeckeElement:
         if self.n != other.n:
             raise ValueError(f"strand counts differ: {self.n} vs {other.n}")
 
-    def _action_lookup(
-        self,
-        cached: Callable[[int, int], dict[Perm, tuple[Perm, bool]]],
-        i: int,
-        right: bool,
-    ) -> Callable[[Perm], tuple[Perm, bool]]:
-        if len(self.coeffs) * _TABLE_THRESHOLD >= math.factorial(self.n):
-            return cached(self.n, i).__getitem__
-        if right:
-            return lambda p: (perms.right_mult_gen(p, i), p[i - 1] < p[i])
-        return lambda p: (perms.left_mult_gen(p, i), p.index(i) < p.index(i + 1))
+
+def _machine_int(value: object) -> int:
+    if type(value) is not int:  # JSON true and false are Python ints too
+        raise ValueError(f"expected an integer in the machine format, got {value!r}")
+    return value
+
+
+def _iota(x: HeckeElement) -> HeckeElement:
+    """The anti-involution w_p -> w_{p^-1}; it fixes each g_i and reverses products."""
+    return x._wrap({perms.inverse(p): c for p, c in x.coeffs.items()})
 
 
 @dataclass(frozen=True)

@@ -75,15 +75,6 @@ def right_mult_gen(p: Perm, i: int) -> Perm:
     return p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :]
 
 
-def left_mult_gen(p: Perm, i: int) -> Perm:
-    """s_i composed with p on the left: swap the values i, i+1."""
-    a = p.index(i)
-    b = p.index(i + 1)
-    out = list(p)
-    out[a], out[b] = i + 1, i
-    return tuple(out)
-
-
 @functools.cache
 def reduced_word(p: Perm) -> tuple[int, ...]:
     """

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from . import permutations as perms
 from .errors import NotQuasiIdempotent, TooLarge
@@ -73,15 +74,18 @@ def _check_cells(lam: Partition, max_cells: int) -> None:
         )
 
 
+def _block_product(
+    build: Callable[[int], HeckeElement], sizes: Sequence[int], offsets: list[int], n: int
+) -> HeckeElement:
+    """build(k) placed at each offset, multiplied in order from the first block, not 1."""
+    blocks = [build(k).shift_embed(o, n) for k, o in zip(sizes, offsets) if k > 1]
+    return math.prod(blocks[1:], start=blocks[0]) if blocks else HeckeElement.unit(n)
+
+
 def row_element(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> HeckeElement:
     """Product of row symmetrizers placed at the row-reading offsets."""
     _check_cells(lam, max_cells)
-    n = lam.n
-    out = HeckeElement.unit(n)
-    for part, offset in zip(lam.parts, lam.row_reading_offsets()):
-        if part > 1:
-            out = out * symmetrizer(part).shift_embed(offset, n)
-    return out
+    return _block_product(symmetrizer, lam.parts, lam.row_reading_offsets(), lam.n)
 
 
 def column_element(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> HeckeElement:
@@ -90,19 +94,16 @@ def column_element(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> HeckeE
     conjugated to row-reading strand order.
     """
     _check_cells(lam, max_cells)
-    n = lam.n
-    out = HeckeElement.unit(n)
-    columns = lam.conjugate().parts
-    for height, offset in zip(columns, lam.column_reading_offsets()):
-        if height > 1:
-            out = out * antisymmetrizer(height).shift_embed(offset, n)
-    return out.conjugate_by_braid(lam.column_reading_permutation())
+    columns, offsets = lam.conjugate().parts, lam.column_reading_offsets()
+    product = _block_product(antisymmetrizer, columns, offsets, lam.n)
+    return product.conjugate_by_braid(lam.column_reading_permutation())
 
 
 def e_lambda(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> HeckeElement:
     """The q-Young symmetrizer of the diagram, on exactly |diagram| strands."""
     _check_cells(lam, max_cells)
-    return row_element(lam, max_cells) * column_element(lam, max_cells)
+    row, column = row_element(lam, max_cells), column_element(lam, max_cells)
+    return column if lam.parts[0] == 1 else row * column  # one column: row is 1
 
 
 def alpha_closed_form(lam: Partition) -> LaurentPoly:

@@ -19,10 +19,21 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(p[j - 1] for j in q)
 
 
-def sign(p: Perm) -> int:
+def length(p: Perm) -> int:
+    """Number of inversions."""
     n = len(p)
-    inversions = sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
-    return -1 if inversions % 2 else 1
+    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+
+
+def sign(p: Perm) -> int:
+    return -1 if length(p) % 2 else 1
+
+
+def transposition(n: int, i: int) -> Perm:
+    """The adjacent transposition s_i of 1..n, exchanging i and i + 1."""
+    images = list(range(1, n + 1))
+    images[i - 1], images[i] = i + 1, i
+    return tuple(images)
 
 
 def group_algebra_mul(x: dict[Perm, int], y: dict[Perm, int]) -> dict[Perm, int]:

@@ -139,6 +139,27 @@ class TestMulCommand:
         assert "strand" in err
 
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": "2", "terms": []},
+            [{"n": 2, "terms": []}],
+            {"n": 2, "terms": [{"perm": [1, 2], "coeff": [[0.5, 1]]}]},
+            {"n": 2, "terms": [{"perm": [1, 2], "coeff": [[0, True]]}]},
+        ],
+        ids=["string-n", "top-level-list", "float-exponent", "bool-coefficient"],
+    )
+    def test_malformed_element_is_usage_error(self, capsys, tmp_path, payload):
+        bad = tmp_path / "bad.json"
+        good = tmp_path / "good.json"
+        bad.write_text(json.dumps(payload))
+        good.write_text(json.dumps(HeckeElement.unit(2).to_machine()))
+        code, out, err = run(capsys, "mul", str(bad), str(good))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestVerifyCommand:
     def test_small_run_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "3")
@@ -165,3 +186,13 @@ class TestUsage:
 
     def test_non_integer_argument(self, capsys):
         assert run(capsys, "sym", "two")[0] == 2
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command", [["sym", "3"], ["elam", "2,1"], ["verify", "2"]])
+    def test_non_positive_guard_rejected(self, capsys, command, value):
+        code, out, err = run(capsys, *command, f"--max-strands={value}")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].endswith(
+            f"argument --max-strands: expected a positive integer, got '{value}'"
+        )

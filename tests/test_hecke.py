@@ -1,6 +1,7 @@
 """The algebra kernel: rewriting rule, products, embeddings, extraction."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from qyoung.hecke import HeckeElement, Z, extract_scalar
 from qyoung.laurent import LaurentPoly, ONE, S, ZERO
 from qyoung.symmetrizers import symmetrizer
 
+from . import oracles
 from .oracles import group_algebra_mul
 
 
@@ -24,6 +26,12 @@ def gen(n, i):
 
 def basis(n, *one_line):
     return HeckeElement.basis_element(n, tuple(one_line))
+
+
+def rewritten(x, p, q):
+    """w_q, plus z x for x = w_p when q is shorter than p: one rewriting step."""
+    w_q = basis(len(q), *q)
+    return w_q + x.scale(Z) if oracles.length(q) < oracles.length(p) else w_q
 
 
 def random_element(n, max_terms=3):
@@ -69,15 +77,23 @@ class TestGeneratorAction:
         assert x.mul_generator(1, sign=-1) == gen(2, 1)
 
     def test_left_and_right_agree_with_full_product(self):
+        # The reference is the rewriting rule itself, on permutations from the
+        # oracles: g_i w_p = w_{s_i p} and w_p g_i = w_{p s_i}, each plus z w_p
+        # when the new permutation is shorter; and g_i^-1 = g_i - z.
         for n in (2, 3, 4):
-            for p in perms.all_permutations(n):
+            for p in itertools.permutations(range(1, n + 1)):
                 x = basis(n, *p)
                 for i in range(1, n):
-                    g = gen(n, i)
-                    assert x.mul_generator(i) == x * g
-                    assert x.lmul_generator(i) == g * x
-                    assert x.mul_generator(i, -1) * g == x
-                    assert g * x.lmul_generator(i, -1) == x
+                    g, g_inv = gen(n, i), unit(n).mul_generator(i, -1)
+                    assert g_inv == g - unit(n).scale(Z)
+                    s_i = oracles.transposition(n, i)
+                    left = rewritten(x, p, oracles.compose(s_i, p))
+                    right = rewritten(x, p, oracles.compose(p, s_i))
+                    assert g * x == left
+                    assert g_inv * x == left - x.scale(Z)
+                    assert x * g == x.mul_generator(i) == right
+                    assert x * g_inv == x.mul_generator(i, -1) == right - x.scale(Z)
+                    assert g * (g_inv * x) == x == (x * g) * g_inv
 
 
 class TestProducts:
@@ -121,6 +137,66 @@ class TestProducts:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             unit(2) * unit(3)
+
+
+def seeded_element(rng, n, lengths):
+    """One term per entry of lengths: a random w_p of that length, small coefficient."""
+    by_length = {}
+    for p in itertools.permutations(range(1, n + 1)):
+        by_length.setdefault(oracles.length(p), []).append(p)
+    table = {}
+    for ell in lengths:
+        exponent, c = rng.randint(-2, 2), rng.choice((-2, -1, 1, 2))
+        table[rng.choice(by_length[ell])] = LaurentPoly.monomial(exponent, c)
+    return HeckeElement(n, table)
+
+
+def right_only_product(x, y):
+    """Sum of c_q * (x g_{i_1} ... g_{i_k}) over y's terms c_q w_q, one generator at a time."""
+    out = HeckeElement.zero(x.n)
+    for q, c in y.coeffs.items():
+        term = x
+        for letter in perms.reduced_word(q):
+            term = term.mul_generator(letter)
+        out = out + term.scale(c)
+    return out
+
+
+class TestProductBranches:
+    # The cost rule expands the factor with the shorter mean word length:
+    # the right one directly, the left one through iota.  Short words on
+    # the left send a product down the iota branch, long ones down the other.
+    SHORT, LONG = (0, 1, 1, 2, 2, 3), (7, 8, 8, 9, 9, 10)
+
+    def test_both_branches_match_right_only_reference(self, monkeypatch):
+        import qyoung.hecke as hecke_module
+
+        iota_calls = []
+        real_iota = hecke_module._iota
+        monkeypatch.setattr(
+            hecke_module, "_iota", lambda x: iota_calls.append(x) or real_iota(x)
+        )
+        rng = random.Random(2024)
+        for through_iota in (True, False) * 4:
+            short = seeded_element(rng, 5, self.SHORT[: rng.randint(2, 6)])
+            long = seeded_element(rng, 5, self.LONG[: rng.randint(2, 6)])
+            x, y = (short, long) if through_iota else (long, short)
+            iota_calls.clear()
+            product = x * y
+            assert bool(iota_calls) == through_iota
+            assert product == right_only_product(x, y)
+
+    def test_conjugation_matches_explicit_braid_product(self):
+        rng = random.Random(5)
+        for _ in range(8):
+            p = tuple(rng.sample(range(1, 6), 5))
+            x = seeded_element(rng, 5, rng.sample(self.SHORT + self.LONG, 4))
+            braid = basis(5, *p)
+            braid_inverse = unit(5)
+            for letter in reversed(perms.reduced_word(p)):
+                braid_inverse = braid_inverse.mul_generator(letter, sign=-1)
+            assert braid * braid_inverse == unit(5)
+            assert x.conjugate_by_braid(p) == braid * x * braid_inverse
 
 
 class TestClassicalLimit:
@@ -250,7 +326,6 @@ class TestConcurrency:
         import qyoung.hecke as hecke_module
 
         hecke_module._right_action.cache_clear()
-        hecke_module._left_action.cache_clear()
         a4 = symmetrizer(4)
         expected = a4 * a4
 
@@ -277,6 +352,22 @@ class TestSerialization:
                 {"perm": [2, 1], "coeff": [[1, 1]]},
             ],
         }
+        with pytest.raises(ValueError):
+            HeckeElement.from_machine(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": "2", "terms": []},
+            [{"n": 2, "terms": []}],
+            {"n": 2},
+            {"n": 2, "terms": [{"perm": [1, 2], "coeff": [[0.5, 1]]}]},
+            {"n": 2, "terms": [{"perm": [1, 2], "coeff": [[0, True]]}]},
+            {"n": 2, "terms": [{"perm": [True, 2], "coeff": [[0, 1]]}]},
+            {"n": 2, "terms": [{"perm": 3, "coeff": []}]},
+        ],
+    )
+    def test_malformed_input_is_a_value_error(self, data):
         with pytest.raises(ValueError):
             HeckeElement.from_machine(data)
 
