@@ -5,12 +5,15 @@ The half twist is the basis braid of the order-reversing permutation; its
 square, the full twist, is central.  The nested band elements
 m_j = g_{j-1}..g_1 g_1..g_{j-1} (strand j swung around strands 1..j-1)
 commute with one another and multiply out to the full twist, which gives a
-cheap factored route to it.
+cheap factored route to it: right multiplication by m_2 ... m_n takes
+n(n-1) generator steps, where the general product with the full twist
+walks the reduced words of up to n! basis braids.
 
 The full twist acts on every symmetrizer by a monomial.  The exponent has
 the closed form 2 * (sum of cell contents), but ``twist_eigenvalue`` never
-asserts that: it multiplies out the action and extracts the scalar, keeping
-the closed form as a cross-check for callers.
+asserts that: it multiplies out the action along the factored route, which
+centrality makes equal to the twist times the symmetrizer, and extracts the
+scalar, keeping the closed form as a cross-check for callers.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ def full_twist(n: int) -> HeckeElement:
     return ht * ht
 
 
+def _band_word(j: int) -> tuple[int, ...]:
+    """The generator word of the j-th nested band: j-1, ..., 1, 1, ..., j-1."""
+    return tuple(range(j - 1, 0, -1)) + tuple(range(1, j))
+
+
 def murphy(n: int, j: int) -> HeckeElement:
     """
     The j-th nested band element g_{j-1} ... g_1 g_1 ... g_{j-1} on n
@@ -42,21 +50,28 @@ def murphy(n: int, j: int) -> HeckeElement:
     if not 2 <= j <= n:
         raise IndexError(f"band index {j} out of range for {n} strands")
     out = HeckeElement.unit(n)
-    for i in range(j - 1, 0, -1):
-        out = out.mul_generator(i)
-    for i in range(1, j):
+    for i in _band_word(j):
         out = out.mul_generator(i)
     return out
+
+
+def _mul_full_twist(x: HeckeElement) -> HeckeElement:
+    """x times the full twist as the band product m_2 ... m_n: n(n-1) generator steps."""
+    for j in range(2, x.n + 1):
+        for i in _band_word(j):
+            x = x.mul_generator(i)
+    return x
 
 
 def twist_eigenvalue(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> LaurentPoly:
     """
     The scalar by which the full twist multiplies the symmetrizer of the
-    given diagram, obtained by full multiplication and exact extraction.
+    given diagram.  The twist is central, so ft * e = e * ft, and e * ft is
+    multiplied out band by band before the scalar is extracted and checked
+    on every coefficient.
     """
     e = e_lambda(lam, max_cells)
-    product = full_twist(lam.n) * e
-    report = extract_scalar(e, product)
+    report = extract_scalar(e, _mul_full_twist(e))
     if not report.proportional:
         raise NotEigenvector(
             f"full twist does not act on the {lam} symmetrizer by a scalar "

@@ -106,7 +106,11 @@ def _cmd_mul(args: argparse.Namespace) -> int:
     elems = []
     for path in (args.left, args.right):
         with open(path, "r", encoding="utf-8") as fh:
-            elems.append(HeckeElement.from_machine(json.load(fh)))
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{path}: JSON nested too deeply") from None
+        elems.append(HeckeElement.from_machine(data))
     _print_element(elems[0] * elems[1], args.format)
     return 0
 

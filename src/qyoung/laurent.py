@@ -17,6 +17,11 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import NotDivisible
 
+# The widest exponent range from_pairs accepts.  The package's own values
+# span well under a thousand exponents; a dense tuple over 10^8 would not fit
+# in memory.
+MAX_EXPONENT_SPAN = 10_000
+
 
 @dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
 class LaurentPoly:
@@ -75,14 +80,24 @@ class LaurentPoly:
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, int]]) -> LaurentPoly:
-        """Build from (exponent, coefficient) pairs; repeats accumulate."""
+        """
+        Build from (exponent, coefficient) pairs; repeats accumulate.  Pairs
+        whose nonzero terms span more than MAX_EXPONENT_SPAN exponents raise
+        ValueError before the dense tuple is allocated.
+        """
         table: dict[int, int] = {}
         for exp, c in pairs:
             table[exp] = table.get(exp, 0) + c
+        table = {exp: c for exp, c in table.items() if c}
         if not table:
             return LaurentPoly(0, ())
         lo = min(table)
         hi = max(table)
+        if hi - lo > MAX_EXPONENT_SPAN:
+            raise ValueError(
+                f"exponents {lo}..{hi} span more than {MAX_EXPONENT_SPAN}; "
+                "coefficients are stored densely"
+            )
         dense = [table.get(e, 0) for e in range(lo, hi + 1)]
         return LaurentPoly(lo, dense)
 

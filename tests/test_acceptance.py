@@ -158,3 +158,12 @@ def test_performance_gate_six_cells():
         assert qi.alpha == alpha_closed_form(lam)
         assert not qi.alpha.is_zero()
     report("slow suite: quasi-idempotency at 6 cells", started, 900)
+
+
+@pytest.mark.slow
+def test_performance_gate_seven_cells():
+    started = time.monotonic()
+    for lam in all_partitions(7):
+        assert alpha_extract(lam).alpha == alpha_closed_form(lam)
+        assert twist_eigenvalue(lam) == LaurentPoly.monomial(2 * sum(lam.contents()))
+    report("slow suite: quasi-idempotency and twist eigenvalues at 7 cells", started, 300)

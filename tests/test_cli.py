@@ -160,6 +160,29 @@ class TestMulCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        good = tmp_path / "good.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        good.write_text(json.dumps(HeckeElement.unit(2).to_machine()))
+        code, out, err = run(capsys, "mul", str(deep), str(good))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nested" in err
+
+    def test_wide_exponent_span_is_usage_error(self, capsys, tmp_path):
+        wide = tmp_path / "wide.json"
+        good = tmp_path / "good.json"
+        term = {"perm": [1, 2], "coeff": [[100000000, 1], [0, 1]]}
+        wide.write_text(json.dumps({"n": 2, "terms": [term]}))
+        good.write_text(json.dumps(HeckeElement.unit(2).to_machine()))
+        code, out, err = run(capsys, "mul", str(wide), str(good))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestVerifyCommand:
     def test_small_run_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "3")
@@ -170,6 +193,12 @@ class TestVerifyCommand:
     def test_trivial_run(self, capsys):
         code, out, _ = run(capsys, "verify", "1")
         assert code == 0
+
+    @pytest.mark.slow
+    def test_six_cells_pass(self, capsys):
+        code, out, _ = run(capsys, "verify", "6")
+        assert code == 0
+        assert "all invariants verified" in out
 
     def test_guard(self, capsys):
         code, _, err = run(capsys, "verify", "99")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qyoung import permutations as perms
 from qyoung.hecke import HeckeElement, Z, extract_scalar
-from qyoung.laurent import LaurentPoly, ONE, S, ZERO
+from qyoung.laurent import MAX_EXPONENT_SPAN, LaurentPoly, ONE, S, ZERO
 from qyoung.symmetrizers import symmetrizer
 
 from . import oracles
@@ -370,6 +370,14 @@ class TestSerialization:
     def test_malformed_input_is_a_value_error(self, data):
         with pytest.raises(ValueError):
             HeckeElement.from_machine(data)
+
+    def test_wide_exponent_span_is_a_value_error(self):
+        # The narrow case first: without the guard it fails before the wide
+        # one would try to allocate 10^8 coefficients.
+        for top in (MAX_EXPONENT_SPAN + 1, 10**8):
+            data = {"n": 1, "terms": [{"perm": [1], "coeff": [[top, 1], [0, 1]]}]}
+            with pytest.raises(ValueError, match="span"):
+                HeckeElement.from_machine(data)
 
     def test_text_rendering(self):
         assert str(unit(2) + gen(2, 1).scale(S)) == "w[1,2] + s·w[2,1]"

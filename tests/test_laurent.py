@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qyoung.errors import NotDivisible
-from qyoung.laurent import LaurentPoly, ONE, S, ZERO, qint
+from qyoung.laurent import MAX_EXPONENT_SPAN, LaurentPoly, ONE, S, ZERO, qint
 
 
 def lp(*pairs):
@@ -40,6 +40,13 @@ class TestCanonicalForm:
     def test_examples_from_sums(self):
         assert lp((0, 1), (2, 1)) + lp((2, 1)) == lp((0, 1), (2, 2))
         assert lp((-1, 1), (1, -1)) + S == LaurentPoly.monomial(-1)
+
+    def test_from_pairs_exponent_span_guard(self):
+        assert lp((0, 1), (MAX_EXPONENT_SPAN, 1)).max_exp() == MAX_EXPONENT_SPAN
+        with pytest.raises(ValueError, match="span"):
+            lp((0, 1), (MAX_EXPONENT_SPAN + 1, 1))
+        # Cancelled terms do not count towards the span.
+        assert lp((0, 1), (10**8, 1), (10**8, -1)) == ONE
 
 
 class TestMultiplication:
