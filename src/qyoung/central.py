@@ -70,7 +70,15 @@ def twist_eigenvalue(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> Laur
     multiplied out band by band before the scalar is extracted and checked
     on every coefficient.
     """
-    e = e_lambda(lam, max_cells)
+    return twist_scalar(e_lambda(lam, max_cells), lam)
+
+
+def twist_scalar(e: HeckeElement, lam: Partition) -> LaurentPoly:
+    """
+    twist_eigenvalue on an already built symmetrizer e of the diagram lam:
+    e * ft multiplied out band by band, the scalar extracted and checked on
+    every coefficient.
+    """
     report = extract_scalar(e, _mul_full_twist(e))
     if not report.proportional:
         raise NotEigenvector(

@@ -212,7 +212,7 @@ def _verify(max_n: int, guard: int) -> int:
                 qi.alpha.eval_at_one() == hooks,
                 f"alpha at s=1 vs hook product, lambda={lam}",
             )
-            tau = central.twist_eigenvalue(lam, max_cells=guard)
+            tau = central.twist_scalar(qi.element, lam)
             taus[lam.parts] = tau
             check(
                 tau == LaurentPoly.monomial(central.twist_exponent(lam)),

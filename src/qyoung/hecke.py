@@ -11,11 +11,26 @@ one-generator rewriting rule
     w_p * g_i = w_{p s_i} + z * w_p    otherwise,
 
 with z = s - s^-1, which encodes the quadratic relation g_i^2 = z g_i + 1.
-Inverse generators use g_i^-1 = g_i - z.  A general product expands one
-factor through reduced words, sharing common prefixes so that dense
-products cost one generator step per distinct prefix rather than per term.
-Only the right action is implemented: the anti-involution iota: w_p -> w_{p^-1}
-fixes each g_i and reverses products, so x * y = iota(iota(y) * iota(x)).
+Inverse generators use g_i^-1 = g_i - z.
+
+One generator step walks pairs, not terms.  For q = p s_i one length
+longer than p, the rule sends w_p and w_q onto each other, so a support
+holding both coefficients c_p and c_q gives
+
+    times g_i:     c_q at p,   c_p + z c_q at q,
+    times g_i^-1:  c_p at q,   c_q - z c_p at p,
+
+and a term without its partner moves to the partner's place, leaving z c
+(for g_i, when it stepped down) or -z c (for g_i^-1, when it stepped up)
+behind.  Each output coefficient is built once, the sums with z in one
+dense pass (``laurent._add_z_times``); only those sums can cancel, so only
+they are checked for zero, and tables stay zero-free.
+
+A general product expands one factor through reduced words, sharing common
+prefixes so that dense products cost one generator step per distinct
+prefix rather than per term.  Only the right action is implemented: the
+anti-involution iota: w_p -> w_{p^-1} fixes each g_i and reverses
+products, so x * y = iota(iota(y) * iota(x)).
 
 Per-strand-count lookup tables for the generator action are built lazily
 and cached; a table row is fully built before it is published, so
@@ -31,12 +46,11 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from . import permutations as perms
-from .laurent import LaurentPoly, ONE, ZERO
+from .laurent import LaurentPoly, ONE, ZERO, _add_z_times
 from .permutations import Perm
 
 # The quadratic-relation parameter z = s - s^-1.
 Z = LaurentPoly(-1, (-1, 0, 1))
-NEG_Z = LaurentPoly(-1, (1, 0, -1))
 
 # Use the cached action tables only when the support is a sizable fraction
 # of S_n; for sparse elements the direct swap is cheaper than building them.
@@ -156,8 +170,8 @@ class HeckeElement:
 
     def mul_generator(self, i: int, sign: int = 1) -> HeckeElement:
         """
-        Right multiplication by g_i (sign=+1) or g_i^-1 (sign=-1), term by
-        term through the rewriting rule.
+        Right multiplication by g_i (sign=+1) or g_i^-1 (sign=-1), pair by
+        pair through the rewriting rule: see the module docstring.
         """
         if not 1 <= i <= self.n - 1:
             raise IndexError(f"generator index {i} out of range for {self.n} strands")
@@ -167,16 +181,26 @@ class HeckeElement:
             act = _right_action(self.n, i).__getitem__
         else:
             act = lambda p: (perms.right_mult_gen(p, i), p[i - 1] < p[i])
+        coeffs = self.coeffs
         out: dict[Perm, LaurentPoly] = {}
-        for p, c in self.coeffs.items():
+        for p, c in coeffs.items():
             q, up = act(p)
-            _acc(out, q, c)
-            if sign == 1:
-                if not up:
-                    _acc(out, p, c * Z)
-            else:
-                if up:
-                    _acc(out, p, c * NEG_Z)
+            partner = coeffs.get(q)
+            if partner is None:
+                out[q] = c
+                if up != (sign == 1):
+                    out[p] = _add_z_times(ZERO, c, sign)
+            elif up:
+                # p is the shorter member of the pair {p, q}; its partner q
+                # takes neither branch.
+                if sign == 1:
+                    out[p] = partner
+                    moved, at = _add_z_times(c, partner, 1), q
+                else:
+                    out[q] = c
+                    moved, at = _add_z_times(partner, c, -1), p
+                if moved.coeffs:
+                    out[at] = moved
         return self._wrap(out)
 
     def __mul__(self, other: HeckeElement) -> HeckeElement:

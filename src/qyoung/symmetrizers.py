@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from . import permutations as perms
 from .errors import NotQuasiIdempotent, TooLarge
 from .hecke import HeckeElement, extract_scalar
-from .laurent import LaurentPoly, ONE, S, qint
+from .laurent import LaurentPoly, ONE, S, ZERO, _add_monomial_times, qint
 from .partitions import Partition
 
 # H_7 has 5040 basis elements; past that, squaring stops being a desk job.
@@ -99,13 +99,27 @@ def _block_action(x: HeckeElement, k: int, offset: int, u: LaurentPoly) -> Hecke
     first m strands of the block is
 
         a_m = a_{m-1} * sum_{j<m} u^j g_{offset+m-1} .. g_{offset+m-j}.
+
+    u must be a unit monomial (s or -s^-1).  Each sum is accumulated in one
+    coefficient table, copied from a_{m-1} once, and u^j * step is added
+    into it coefficient by coefficient as a shifted, signed copy; the steps
+    themselves are never rescaled.
     """
+    (unit_sign,), unit_exp = u.coeffs, u.val
     for m in range(2, k + 1):
-        step = total = x
+        step = x
+        total = dict(x.coeffs)
         for j in range(1, m):
-            step = step.mul_generator(offset + m - j).scale(u)
-            total = total + step
-        x = total
+            step = step.mul_generator(offset + m - j)
+            exp, sign = unit_exp * j, unit_sign**j
+            for p, c in step.coeffs.items():
+                cur = total.get(p, ZERO)
+                moved = _add_monomial_times(cur, c, exp, sign)
+                if moved.coeffs:
+                    total[p] = moved
+                else:
+                    del total[p]
+        x = x._wrap(total)
     return x
 
 

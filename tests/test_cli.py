@@ -206,6 +206,24 @@ class TestVerifyCommand:
         assert "guard" in err
 
 
+def test_verify_builds_each_symmetrizer_once(capsys, monkeypatch):
+    from qyoung import central, symmetrizers
+
+    builds = []
+    real = symmetrizers.e_lambda
+
+    def counting(lam, *args, **kwargs):
+        builds.append(lam)
+        return real(lam, *args, **kwargs)
+
+    monkeypatch.setattr(symmetrizers, "e_lambda", counting)
+    monkeypatch.setattr(central, "e_lambda", counting)
+    code, _, _ = run(capsys, "verify", "4")
+    assert code == 0
+    # 1 + 2 + 3 + 5 diagrams of at most 4 cells, each built exactly once.
+    assert len(builds) == len(set(builds)) == 11
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

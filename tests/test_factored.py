@@ -12,6 +12,7 @@ from qyoung import central
 from qyoung import symmetrizers as sym
 from qyoung.central import full_twist, twist_eigenvalue
 from qyoung.hecke import HeckeElement
+from qyoung.laurent import S
 from qyoung.partitions import Partition, all_partitions
 from qyoung.symmetrizers import (
     alpha_extract,
@@ -77,6 +78,41 @@ class TestAgainstGeneralProduct:
 def test_six_cell_square_against_general_product(lam):
     e = e_lambda(lam)
     assert square(e, lam) == e * e
+
+
+@pytest.mark.parametrize("lam", list(partitions_up_to(4)), ids=str)
+class TestInputsUnchanged:
+    # Results share coefficient tables with their inputs where nothing
+    # changed, so an accumulator that started from an input's table instead
+    # of a copy would rewrite the input.
+
+    def test_generator_steps(self, lam):
+        e = e_lambda(lam)
+        before = e.to_machine()
+        for i in range(1, lam.n):
+            e.mul_generator(i)
+            e.mul_generator(i, -1)
+        assert e.to_machine() == before
+
+    def test_block_actions(self, lam):
+        e = e_lambda(lam)
+        before = e.to_machine()
+        for u in (S, sym.NEG_S_INV):
+            for k in range(2, lam.n + 1):
+                sym._block_action(e, k, lam.n - k, u)
+        assert e.to_machine() == before
+
+    def test_row_column_and_twist_actions(self, lam):
+        e = e_lambda(lam)
+        before = e.to_machine()
+        sym._mul_row(e, lam)
+        sym._mul_column(e, lam)
+        central._mul_full_twist(e)
+        central.twist_scalar(e, lam)
+        assert e.to_machine() == before
+
+    def test_alpha_extract_returns_the_unsquared_element(self, lam):
+        assert alpha_extract(lam).element.to_machine() == e_lambda(lam).to_machine()
 
 
 @pytest.fixture

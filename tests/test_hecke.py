@@ -96,6 +96,87 @@ class TestGeneratorAction:
                     assert g * (g_inv * x) == x == (x * g) * g_inv
 
 
+def rewritten_term_by_term(x, i, sign):
+    """
+    x g_i (sign=+1) or x g_i^-1 (sign=-1), one basis term at a time: c w_p
+    goes to c w_{p s_i}, plus z c w_p for g_i when p s_i is shorter, minus
+    z c w_p for g_i^-1 when p s_i is longer.  Terms are summed with +.
+    """
+    n = x.n
+    s_i = oracles.transposition(n, i)
+    out = HeckeElement.zero(n)
+    for p, c in x.coeffs.items():
+        q = oracles.compose(p, s_i)
+        out = out + HeckeElement(n, {q: c})
+        shorter = oracles.length(q) < oracles.length(p)
+        if sign == 1 and shorter:
+            out = out + HeckeElement(n, {p: c * Z})
+        elif sign == -1 and not shorter:
+            out = out - HeckeElement(n, {p: c * Z})
+    return out
+
+
+@st.composite
+def paired_elements(draw):
+    """
+    An element of H_3..H_5 with a generator index i, whose support holds
+    both members of several pairs {p, p s_i} besides some lone terms.
+    """
+    n = draw(st.integers(3, 5))
+    i = draw(st.integers(1, n - 1))
+    perm = st.permutations(list(range(1, n + 1))).map(tuple)
+    coeff = st.builds(
+        LaurentPoly.from_pairs,
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=4),
+    )
+    s_i = oracles.transposition(n, i)
+    table = {}
+    for p in draw(st.lists(perm, min_size=1, max_size=12)):
+        table[p] = draw(coeff)
+        if draw(st.integers(0, 3)):
+            table[oracles.compose(p, s_i)] = draw(coeff)
+    return HeckeElement(n, table), i
+
+
+class TestPairedGeneratorKernel:
+    @given(paired_elements(), st.sampled_from((1, -1)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_term_by_term_rewriting(self, x_and_i, sign):
+        x, i = x_and_i
+        out = x.mul_generator(i, sign)
+        assert out == rewritten_term_by_term(x, i, sign)
+        assert all(c.coeffs for c in out.coeffs.values())
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_dense_tables_match_term_by_term_rewriting(self, sign):
+        # Full S_5 support takes the cached action tables, and every term has
+        # its partner.
+        x = HeckeElement(
+            5,
+            {
+                p: LaurentPoly(-1, (1 + k % 3, 0, perms.length(p)))
+                for k, p in enumerate(perms.all_permutations(5))
+            },
+        )
+        for i in range(1, 5):
+            assert x.mul_generator(i, sign) == rewritten_term_by_term(x, i, sign)
+
+    def test_cancelled_pair_leaves_no_zero(self):
+        # c_p + z c_q = 0 in the longer member q = p s_2 for g_2, and
+        # c_q - z c_p = 0 in the shorter member p for g_2^-1.
+        p, q, lone = (2, 1, 3, 4), (2, 3, 1, 4), (1, 2, 4, 3)
+        x = HeckeElement(4, {p: -Z, q: ONE, lone: S})
+        lone_moved = (1, 4, 2, 3)
+        out = x.mul_generator(2)
+        assert out.coeffs == {p: ONE, lone_moved: S}
+        assert out == rewritten_term_by_term(x, 2, 1)
+        y = HeckeElement(4, {p: ONE, q: Z, lone: S})
+        back = y.mul_generator(2, -1)
+        assert back.coeffs == {q: ONE, lone_moved: S, lone: -(Z * S)}
+        assert back == rewritten_term_by_term(y, 2, -1)
+        assert ZERO not in out.coeffs.values() and ZERO not in back.coeffs.values()
+
+
 class TestProducts:
     def test_unit_is_neutral(self):
         x = gen(3, 1) + gen(3, 2).scale(S)

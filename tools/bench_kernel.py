@@ -1,0 +1,74 @@
+"""
+Per-layer timings of the generator kernel, for BENCH_kernel.json.
+
+Measures whatever ``qyoung`` is importable, so one script times two trees:
+
+    PYTHONPATH=src python3 tools/bench_kernel.py --repeat 9
+
+prints one JSON object mapping each layer to its median seconds over the
+repeats (one call per repeat, after one untimed warm-up call that fills
+the lazy caches).  The layers:
+
+- ``mul_generator_s6`` / ``mul_generator_s7``: g_i and g_i^-1 for every i,
+  applied to e_lambda of (3,3) (504 of 720 terms) and of (4,3) (2016 of
+  5040 terms);
+- ``block_action_43``: the first row block of squaring e_lambda (4,3);
+- ``alpha_extract_43`` / ``twist_eigenvalue_43``: the public calls.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import time
+
+from qyoung import central
+from qyoung import symmetrizers as sym
+from qyoung.laurent import S
+from qyoung.partitions import Partition
+
+
+def _every_generator(x):
+    def run():
+        for i in range(1, x.n):
+            x.mul_generator(i)
+            x.mul_generator(i, -1)
+
+    return run
+
+
+def layers() -> dict:
+    lam6, lam7 = Partition((3, 3)), Partition((4, 3))
+    e6, e7 = sym.e_lambda(lam6), sym.e_lambda(lam7)
+    return {
+        "mul_generator_s6": _every_generator(e6),
+        "mul_generator_s7": _every_generator(e7),
+        "block_action_43": lambda: sym._block_action(e7, 4, 0, S),
+        "alpha_extract_43": lambda: sym.alpha_extract(lam7),
+        "twist_eigenvalue_43": lambda: central.twist_eigenvalue(lam7),
+    }
+
+
+def measure(repeat: int) -> dict[str, float]:
+    out = {}
+    for name, run in layers().items():
+        run()
+        times = []
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - t0)
+        out[name] = statistics.median(times)
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeat", type=int, default=9, help="timed calls per layer")
+    args = parser.parse_args()
+    print(json.dumps(measure(args.repeat)))
+
+
+if __name__ == "__main__":
+    main()
