@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from . import permutations as perms
 from .errors import NotEigenvector
-from .hecke import HeckeElement, extract_scalar
+from .hecke import HeckeElement, _decode, _encode, _Packed, extract_scalar
 from .laurent import LaurentPoly
 from .partitions import Partition
 from .symmetrizers import DEFAULT_MAX_CELLS, e_lambda
@@ -49,14 +49,17 @@ def murphy(n: int, j: int) -> HeckeElement:
     """
     if not 2 <= j <= n:
         raise IndexError(f"band index {j} out of range for {n} strands")
-    out = HeckeElement.unit(n)
+    out = _encode(HeckeElement.unit(n))
     for i in _band_word(j):
         out = out.mul_generator(i)
-    return out
+    return _decode(out)
 
 
-def _mul_full_twist(x: HeckeElement) -> HeckeElement:
-    """x times the full twist as the band product m_2 ... m_n: n(n-1) generator steps."""
+def _mul_full_twist(x: _Packed) -> _Packed:
+    """
+    x times the full twist as the band product m_2 ... m_n: n(n-1) generator
+    steps on a packed chain value.
+    """
     for j in range(2, x.n + 1):
         for i in _band_word(j):
             x = x.mul_generator(i)
@@ -79,7 +82,7 @@ def twist_scalar(e: HeckeElement, lam: Partition) -> LaurentPoly:
     e * ft multiplied out band by band, the scalar extracted and checked on
     every coefficient.
     """
-    report = extract_scalar(e, _mul_full_twist(e))
+    report = extract_scalar(e, _decode(_mul_full_twist(_encode(e))))
     if not report.proportional:
         raise NotEigenvector(
             f"full twist does not act on the {lam} symmetrizer by a scalar "

@@ -176,15 +176,16 @@ def _verify(max_n: int, guard: int) -> int:
     for n in range(2, max_n + 1):
         an = symmetrizers.symmetrizer(n)
         bn = symmetrizers.antisymmetrizer(n)
-        neg_sinv = LaurentPoly.monomial(-1, -1)
+        an_s = an.scale(S)
+        bn_neg_sinv = bn.scale(symmetrizers.NEG_S_INV)
         for i in range(1, n):
             g = HeckeElement.generator(n, i)
             check(
-                g * an == an.scale(S) and an * g == an.scale(S),
+                g * an == an_s and an * g == an_s,
                 f"eigen-relation for the row element, n={n}, i={i}",
             )
             check(
-                g * bn == bn.scale(neg_sinv) and bn * g == bn.scale(neg_sinv),
+                g * bn == bn_neg_sinv and bn * g == bn_neg_sinv,
                 f"eigen-relation for the column element, n={n}, i={i}",
             )
         ft = central.full_twist(n)

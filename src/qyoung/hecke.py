@@ -22,9 +22,43 @@ holding both coefficients c_p and c_q gives
 
 and a term without its partner moves to the partner's place, leaving z c
 (for g_i, when it stepped down) or -z c (for g_i^-1, when it stepped up)
-behind.  Each output coefficient is built once, the sums with z in one
-dense pass (``laurent._add_z_times``); only those sums can cancel, so only
-they are checked for zero, and tables stay zero-free.
+behind.  Each output coefficient is built once, and only the sums with z
+can cancel, so only they are checked for zero: tables stay zero-free.
+
+The packed kernel.  Every product path (the trie walk of a general
+product, conjugation, and the chains of generator steps that
+``symmetrizers`` and ``central`` build) runs on packed tables: each
+coefficient is one Python int, the Kronecker substitution s = 2^K of its
+coefficients.  A packed table (``_Packed``, private to this module) maps
+each permutation to an int N = sum of d_k 2^(K k), standing for
+s^V * sum of d_k s^k, and records
+
+- V, the valuation shared by the whole table;
+- K, the digit size in bits, a multiple of 64;
+- B, a bound with |d_k| <= B for every digit of every entry;
+- low, a number of low digits guaranteed to be zero in every entry.
+
+Multiplying by s is a shift left by K bits and by s^-1 a shift right,
+which is exact only while the lowest digit is zero: a step spends one of
+the ``low`` digits, and a table with none left is first rebased, shifted
+so that it has exactly _REBASE zero low digits, with V moved to match.
+So the pair rule for g_i is
+
+    out[p] = N_q,   out[q] = N_p + (N_q << K) - (N_q >> K),
+
+and each step triples B.  A sum of tables adds their bounds, and adding
+c * table for a Laurent polynomial c (a block sum's u^j, a product's leaf
+coefficient) multiplies the bound by the sum of |c|'s coefficients.
+
+The guard.  Digits are signed and carry into their neighbours, so a table
+is readable only while B < 2^(K-1).  Before an operation that would push
+B past that limit, the table is decoded, which is still exact, and
+encoded again with a K large enough for its true largest digit times the
+operation's growth, with room to spare; B is reset to that true value.
+K is derived from the data alone: an encoded table takes the smallest
+multiple of 64 that fits its largest coefficient.  Every chain encodes its
+input once and decodes its result once; ``mul_generator`` is the one-step
+chain.
 
 A general product expands one factor through reduced words, sharing common
 prefixes so that dense products cost one generator step per distinct
@@ -42,11 +76,12 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from . import permutations as perms
-from .laurent import LaurentPoly, ONE, ZERO, _add_z_times
+from .laurent import MAX_EXPONENT_SPAN, LaurentPoly, ONE, ZERO
 from .permutations import Perm
 
 # The quadratic-relation parameter z = s - s^-1.
@@ -171,37 +206,14 @@ class HeckeElement:
     def mul_generator(self, i: int, sign: int = 1) -> HeckeElement:
         """
         Right multiplication by g_i (sign=+1) or g_i^-1 (sign=-1), pair by
-        pair through the rewriting rule: see the module docstring.
+        pair through the rewriting rule: the one-step packed chain, so a
+        lone call pays one encode and one decode.
         """
         if not 1 <= i <= self.n - 1:
             raise IndexError(f"generator index {i} out of range for {self.n} strands")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if len(self.coeffs) * _TABLE_THRESHOLD >= math.factorial(self.n):
-            act = _right_action(self.n, i).__getitem__
-        else:
-            act = lambda p: (perms.right_mult_gen(p, i), p[i - 1] < p[i])
-        coeffs = self.coeffs
-        out: dict[Perm, LaurentPoly] = {}
-        for p, c in coeffs.items():
-            q, up = act(p)
-            partner = coeffs.get(q)
-            if partner is None:
-                out[q] = c
-                if up != (sign == 1):
-                    out[p] = _add_z_times(ZERO, c, sign)
-            elif up:
-                # p is the shorter member of the pair {p, q}; its partner q
-                # takes neither branch.
-                if sign == 1:
-                    out[p] = partner
-                    moved, at = _add_z_times(c, partner, 1), q
-                else:
-                    out[q] = c
-                    moved, at = _add_z_times(partner, c, -1), p
-                if moved.coeffs:
-                    out[at] = moved
-        return self._wrap(out)
+        return _decode(_encode(self).mul_generator(i, sign))
 
     def __mul__(self, other: HeckeElement) -> HeckeElement:
         """
@@ -212,8 +224,8 @@ class HeckeElement:
         self._check_same_n(other)
         if not self.coeffs or not other.coeffs:
             return HeckeElement.zero(self.n)
-        work_right = sum(perms.length(q) for q in other.coeffs)
-        work_left = sum(perms.length(p) for p in self.coeffs)
+        work_right = sum(len(perms.reduced_word(q)) for q in other.coeffs)
+        work_left = sum(len(perms.reduced_word(p)) for p in self.coeffs)
         if work_right * len(self.coeffs) <= work_left * len(other.coeffs):
             return self._mul_expanding_right(other)
         return _iota(_iota(other)._mul_expanding_right(_iota(self)))
@@ -222,14 +234,12 @@ class HeckeElement:
         items = sorted(
             (perms.reduced_word(q), c) for q, c in other.coeffs.items()
         )
-        out: dict[Perm, LaurentPoly] = {}
+        out = _Packed.zero(self.n)
 
-        def descend(lo: int, hi: int, depth: int, elem: HeckeElement) -> None:
+        def descend(lo: int, hi: int, depth: int, elem: _Packed) -> None:
             # items[lo:hi] share a word prefix of size depth; elem = self * w_prefix.
             if len(items[lo][0]) == depth:
-                c = items[lo][1]
-                for p, cc in elem.coeffs.items():
-                    _acc(out, p, cc * c)
+                out.add_times(elem, items[lo][1])
                 lo += 1
             while lo < hi:
                 letter = items[lo][0][depth]
@@ -239,8 +249,8 @@ class HeckeElement:
                 descend(lo, j, depth + 1, elem.mul_generator(letter))
                 lo = j
 
-        descend(0, len(items), 0, self)
-        return self._wrap(out)
+        descend(0, len(items), 0, _encode(self))
+        return _decode(out)
 
     # -- embeddings and conjugation -------------------------------------------
 
@@ -267,13 +277,13 @@ class HeckeElement:
         if len(p) != self.n:
             raise ValueError(f"permutation {p} does not act on {self.n} strands")
         word = perms.reduced_word(tuple(p))
-        out = _iota(self)  # w_p x = iota(iota(x) g_{i_k} ... g_{i_1})
+        out = _encode(_iota(self))  # w_p x = iota(iota(x) g_{i_k} ... g_{i_1})
         for letter in reversed(word):
             out = out.mul_generator(letter)
-        out = _iota(out)
+        out = out.iota()
         for letter in reversed(word):
-            out = out.mul_generator(letter, sign=-1)
-        return out
+            out = out.mul_generator(letter, -1)
+        return _decode(out)
 
     # -- specialization -------------------------------------------------------
 
@@ -303,7 +313,12 @@ class HeckeElement:
 
     @staticmethod
     def from_machine(data: object) -> HeckeElement:
-        """The inverse of to_machine; any other shape raises ValueError."""
+        """
+        The inverse of to_machine; any other shape raises ValueError, and
+        so do terms whose exponents together span more than
+        MAX_EXPONENT_SPAN, since a packed table holds every coefficient
+        densely from the lowest exponent of the whole element.
+        """
         try:
             n = _machine_int(data["n"])
             table: dict[Perm, LaurentPoly] = {}
@@ -315,6 +330,15 @@ class HeckeElement:
                 table[p] = LaurentPoly.from_pairs(pairs)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed machine-format element ({exc!r})") from None
+        nonzero = [c for c in table.values() if c.coeffs]
+        if nonzero:
+            lo = min(c.min_exp() for c in nonzero)
+            hi = max(c.max_exp() for c in nonzero)
+            if hi - lo > MAX_EXPONENT_SPAN:
+                raise ValueError(
+                    f"exponents {lo}..{hi} across the terms span more than "
+                    f"{MAX_EXPONENT_SPAN}; coefficients are stored densely"
+                )
         return HeckeElement(n, table)
 
     def __str__(self) -> str:
@@ -371,6 +395,255 @@ def _iota(x: HeckeElement) -> HeckeElement:
     return x._wrap({perms.inverse(p): c for p, c in x.coeffs.items()})
 
 
+# -- the packed kernel -----------------------------------------------------------
+
+# Zero low digits put under a table when a step finds none left.
+_REBASE = 4
+# Bits a widened table keeps free above its true largest digit times the
+# growth that forced the widening: room for about twenty more steps.
+_SPARE_BITS = 32
+
+
+def _digit_bits(top: int) -> int:
+    """The smallest digit size, a multiple of 64, with top < 2^(K-1)."""
+    return 64 * (top.bit_length() // 64 + 1)
+
+
+def _pack(digits: Sequence[int], k: int) -> int:
+    """The Kronecker value sum of digits[j] * 2^(k j)."""
+    out = 0
+    for d in reversed(digits):
+        out = (out << k) + d
+    return out
+
+
+def _digit_reader(k: int) -> Callable[[int], tuple[int, list[int]]]:
+    """
+    Reads packed ints whose digits are below 2^(k-1) in size: the reader
+    returns (z, digits), z the number of zero low digits, found from the
+    lowest set bit, and digits the balanced digits from the first nonzero
+    one up.  Adding the bias sum of 2^(k-1) 2^(k j) makes every digit
+    nonnegative without a carry, so the digits are the bytes of the sum,
+    read as words, minus 2^(k-1).
+    """
+    half = 1 << (k - 1)
+    size = k // 8
+    order = sys.byteorder
+    biases: dict[int, int] = {}
+
+    def read(n: int) -> tuple[int, list[int]]:
+        z = ((n & -n).bit_length() - 1) // k
+        n >>= k * z
+        if -half < n < half:
+            return z, [n]
+        width = n.bit_length() // k + 1
+        bias = biases.get(width)
+        if bias is None:
+            bias = biases[width] = half * ((1 << (k * width)) - 1) // ((1 << k) - 1)
+        raw = (n + bias).to_bytes(width * size, order)
+        if k == 64:
+            return z, [w - half for w in memoryview(raw).cast("Q")]
+        return z, [
+            int.from_bytes(raw[j : j + size], order) - half
+            for j in range(0, len(raw), size)
+        ]
+
+    return read
+
+
+class _Packed:
+    """
+    A coefficient table in Kronecker form (see the module docstring): a
+    strand count, the table of packed ints, V, K, the digit bound B and the
+    guaranteed zero low digits.  Chains pass these between ``_encode`` and
+    ``_decode``; only this module reads their fields.  Steps return new
+    tables; ``add_times`` accumulates into its own table in place, so an
+    accumulator starts as ``copy()`` or ``zero(n)``.
+    """
+
+    __slots__ = ("n", "table", "val", "k", "bound", "low")
+
+    def __init__(self, n: int, table: dict, val: int, k: int, bound: int, low: int):
+        self.n = n
+        self.table = table
+        self.val = val
+        self.k = k
+        self.bound = bound
+        self.low = low
+
+    @staticmethod
+    def zero(n: int) -> _Packed:
+        return _Packed(n, {}, 0, 64, 0, _REBASE)
+
+    def copy(self) -> _Packed:
+        return _Packed(self.n, dict(self.table), self.val, self.k, self.bound, self.low)
+
+    def iota(self) -> _Packed:
+        """The anti-involution w_p -> w_{p^-1} on a packed table."""
+        table = {perms.inverse(p): c for p, c in self.table.items()}
+        return _Packed(self.n, table, self.val, self.k, self.bound, self.low)
+
+    def mul_generator(self, i: int, sign: int = 1) -> _Packed:
+        """
+        The packed step: right multiplication by g_i (sign=+1) or g_i^-1
+        (sign=-1) through the pair rule, widening first if tripling the
+        bound would pass the digit limit.
+        """
+        pk = self
+        if 3 * pk.bound >= 1 << (pk.k - 1):
+            pk = pk._widened(3)
+        if pk.low < 1 and pk.table:
+            pk = pk._rebased()
+        k, j, coeffs = pk.k, i - 1, pk.table
+        row = None
+        if len(coeffs) * _TABLE_THRESHOLD >= math.factorial(pk.n):
+            row = _right_action(pk.n, i)
+        out: dict[Perm, int] = {}
+        for p, c in coeffs.items():
+            if row is None:
+                q, up = p[:j] + (p[i], p[j]) + p[i + 1 :], p[j] < p[i]
+            else:
+                q, up = row[p]
+            partner = coeffs.get(q)
+            if partner is None:
+                out[q] = c
+                if up != (sign == 1):
+                    zc = (c << k) - (c >> k)
+                    out[p] = zc if sign == 1 else -zc
+            elif up:
+                # p is the shorter member of the pair {p, q}; its partner q
+                # takes neither branch.
+                if sign == 1:
+                    out[p] = partner
+                    moved, at = c + (partner << k) - (partner >> k), q
+                else:
+                    out[q] = c
+                    moved, at = partner - (c << k) + (c >> k), p
+                if moved:
+                    out[at] = moved
+        return _Packed(pk.n, out, pk.val, k, 3 * pk.bound, pk.low - 1)
+
+    def add_times(self, other: _Packed, c: LaurentPoly) -> None:
+        """
+        self += c * other in place, for a nonzero Laurent polynomial c: a
+        block sum's u^j times a step, or a product's leaf coefficient times
+        its prefix.  Both tables are widened to one digit size first when
+        they differ or the summed bound would pass the digit limit.
+        """
+        if not other.table:
+            return
+        weight = sum(map(abs, c.coeffs))
+        if not self.table:
+            self.val, self.k, self.bound, self.low = other.val + c.val, other.k, 0, other.low
+        if self.k != other.k or self.bound + other.bound * weight >= 1 << (self.k - 1):
+            wide = self._widened(1, other.k)
+            other = other._widened(weight, wide.k)
+            if other.k != wide.k:
+                wide = wide._widened(1, other.k)
+            self.table, self.k, self.bound = wide.table, wide.k, wide.bound
+        k, table = self.k, self.table
+        d = other.val + c.val - self.val
+        if d < 0:
+            # Rebase in place: this accumulator owns its table.
+            r = max(-d, _REBASE)
+            for p, n in table.items():
+                table[p] = n << (k * r)
+            self.val, self.low, d = self.val - r, self.low + r, d + r
+        mult, shift = _pack(c.coeffs, k), k * d
+        for p, n in other.table.items():
+            n = n * mult << shift
+            cur = table.get(p)
+            if cur is None:
+                table[p] = n
+            else:
+                cur += n
+                if cur:
+                    table[p] = cur
+                else:
+                    del table[p]
+        self.bound += other.bound * weight
+        self.low = min(self.low, other.low + d)
+
+    def _rebased(self) -> _Packed:
+        """
+        The same values with exactly _REBASE zero low digits, for a step
+        that found none guaranteed.  The true count is read from the lowest
+        set bits, so zero digits the guaranteed count lost track of are
+        dropped, not kept under every entry.
+        """
+        k = self.k
+        true_low = min(((c & -c).bit_length() - 1) // k for c in self.table.values())
+        shift = k * (_REBASE - true_low)
+        if shift >= 0:
+            table = {p: c << shift for p, c in self.table.items()}
+        else:
+            table = {p: c >> -shift for p, c in self.table.items()}
+        return _Packed(self.n, table, self.val + true_low - _REBASE, k, self.bound, _REBASE)
+
+    def _widened(self, growth: int, k: int = 64) -> _Packed:
+        """
+        The guard: the same values with B reset to the true largest digit,
+        read exactly while the old bound still holds, and K the smallest
+        digit size of at least k that fits growth times that digit with
+        _SPARE_BITS to spare.
+        """
+        read = _digit_reader(self.k)
+        digits = {c: read(c) for c in set(self.table.values())}
+        top = max((abs(d) for _, ds in digits.values() for d in ds), default=0)
+        k = max(k, _digit_bits((top * growth) << _SPARE_BITS))
+        table = self.table
+        if k != self.k:
+            recoded = {c: _pack(ds, k) << (k * z) for c, (z, ds) in digits.items()}
+            table = {p: recoded[c] for p, c in table.items()}
+        return _Packed(self.n, table, self.val, k, top, self.low)
+
+
+def _encode(x: HeckeElement) -> _Packed:
+    """
+    The packed table of x, with the smallest digit size that fits its
+    largest coefficient and _REBASE zero low digits.
+    """
+    coeffs = x.coeffs
+    if not coeffs:
+        return _Packed.zero(x.n)
+    top = max(max(map(abs, c.coeffs)) for c in coeffs.values())
+    k = _digit_bits(top)
+    val = min(c.val for c in coeffs.values()) - _REBASE
+    packed: dict[LaurentPoly, int] = {}
+    table: dict[Perm, int] = {}
+    for p, c in coeffs.items():
+        n = packed.get(c)
+        if n is None:
+            n = packed[c] = _pack(c.coeffs, k) << (k * (c.val - val))
+        table[p] = n
+    return _Packed(x.n, table, val, k, top, _REBASE)
+
+
+def _decode(pk: _Packed) -> HeckeElement:
+    """
+    The element a packed table stands for.  Decoding consumes the table:
+    each int is replaced in place by its Laurent polynomial, equal ints by
+    one shared polynomial, and the table becomes the element's.
+    """
+    if pk.bound >= 1 << (pk.k - 1):
+        # The guard widens before any operation that could get here.
+        raise ArithmeticError(f"packed digits may reach {pk.bound}, past 2^{pk.k - 1}")
+    read = _digit_reader(pk.k)
+    polys: dict[int, LaurentPoly] = {}
+    table, val = pk.table, pk.val
+    for p, n in table.items():
+        c = polys.get(n)
+        if c is None:
+            z, digits = read(n)
+            c = polys[n] = LaurentPoly(val + z, digits)
+        table[p] = c
+    pk.table = None
+    elem = object.__new__(HeckeElement)
+    elem.n = pk.n
+    elem.coeffs = table
+    return elem
+
+
 @dataclass(frozen=True)
 class ScalarReport:
     """
@@ -405,7 +678,14 @@ def extract_scalar(reference: HeckeElement, candidate: HeckeElement) -> ScalarRe
         scalar = top.exact_div(reference.coeffs[pinned])
     except ArithmeticError:
         return ScalarReport(ZERO, False, witness=pinned)
-    diff = candidate - reference.scale(scalar)
-    if diff.is_zero():
-        return ScalarReport(scalar, True)
-    return ScalarReport(scalar, False, witness=min(diff.coeffs))
+    # The smallest p in either support where candidate != scalar * reference.
+    witness = None
+    theirs = candidate.coeffs
+    for p, c in reference.coeffs.items():
+        if theirs.get(p) != c * scalar and (witness is None or p < witness):
+            witness = p
+    if witness is not None or len(theirs) != len(reference.coeffs):
+        for p in theirs:
+            if p not in reference.coeffs and (witness is None or p < witness):
+                witness = p
+    return ScalarReport(scalar, witness is None, witness)

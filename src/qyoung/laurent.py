@@ -275,16 +275,15 @@ ONE = LaurentPoly(0, (1,))
 S = LaurentPoly(1, (1,))
 
 
-# -- fused kernels --------------------------------------------------------------
-#
-# The Hecke kernel's inner loops add a multiple of one coefficient to
-# another.  These build the sum in one dense list pass, with no intermediate
-# product polynomial; the result is canonical, and zero when the sum cancels.
-# LaurentPoly.__add__ is _add_dense on a copy of one summand.
+# -- dense sums --------------------------------------------------------------------
 
 
 def _add_dense(val: int, dense: list[int], a: LaurentPoly) -> LaurentPoly:
-    """The polynomial with coefficients ``dense`` from s^val, plus a."""
+    """
+    The polynomial with coefficients ``dense`` from s^val, plus a, built in
+    one dense list pass; the result is canonical.  LaurentPoly.__add__ is
+    this on a copy of one summand.
+    """
     ac = a.coeffs
     if ac:
         lo = a.val - val
@@ -296,44 +295,6 @@ def _add_dense(val: int, dense: list[int], a: LaurentPoly) -> LaurentPoly:
             dense.extend([0] * (hi - len(dense)))
         dense[lo:hi] = [x + y for x, y in zip(dense[lo:hi], ac)]
     return LaurentPoly(val, dense)
-
-
-def _add_z_times(a: LaurentPoly, b: LaurentPoly, sign: int) -> LaurentPoly:
-    """
-    a + sign * (s - s^-1) * b for sign = +1 or -1.
-
-    >>> _add_z_times(ONE, ONE, 1)
-    LaurentPoly('-s^-1 + 1 + s')
-    >>> _add_z_times(LaurentPoly(-1, (1, 0, -1)), ONE, 1)
-    LaurentPoly('0')
-    """
-    bc = b.coeffs
-    if not bc:
-        return a
-    # (s - s^-1) * b has coefficient b[j-2] - b[j] at s^(b.val - 1 + j).
-    up, down = (0, 0) + bc, bc + (0, 0)
-    if sign > 0:
-        dense = [x - y for x, y in zip(up, down)]
-    else:
-        dense = [y - x for x, y in zip(up, down)]
-    return _add_dense(b.val - 1, dense, a)
-
-
-def _add_monomial_times(a: LaurentPoly, b: LaurentPoly, exp: int, sign: int) -> LaurentPoly:
-    """
-    a + sign * s^exp * b for sign = +1 or -1: a sum with a unit monomial
-    multiple, such as a power of s or of -s^-1.
-
-    >>> _add_monomial_times(ONE, ONE, 2, -1)
-    LaurentPoly('1 - s^2')
-    >>> _add_monomial_times(S, ONE, 1, -1)
-    LaurentPoly('0')
-    """
-    bc = b.coeffs
-    if not bc:
-        return a
-    dense = list(bc) if sign > 0 else [-c for c in bc]
-    return _add_dense(b.val + exp, dense, a)
 
 
 def qint(k: int) -> LaurentPoly:

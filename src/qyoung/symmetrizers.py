@@ -25,7 +25,11 @@ column blocks and w_d^-1 for the column-reading permutation d:
     sum of part(part-1)/2 + sum of column(column-1)/2 + 2 length(d)
 
 generator steps.  Building e_lambda is that action on 1 and squaring it is
-that action on e_lambda.  ``symmetrizer`` and ``antisymmetrizer`` stay
+that action on e_lambda.  Each is one chain of the packed kernel in
+``hecke``: the element is encoded once, every step and block sum runs on
+the packed table, whose digit-bound guard keeps it exact, and the result
+is decoded once; this module sees the packed table only through its
+steps and sums.  ``symmetrizer`` and ``antisymmetrizer`` stay
 enumerations: on 8 strands the factored action costs more time and memory
 than listing S_8, because its generator steps build the S_8 action tables.
 """
@@ -37,8 +41,8 @@ from dataclasses import dataclass
 
 from . import permutations as perms
 from .errors import NotQuasiIdempotent, TooLarge
-from .hecke import HeckeElement, extract_scalar
-from .laurent import LaurentPoly, ONE, S, ZERO, _add_monomial_times, qint
+from .hecke import HeckeElement, _decode, _encode, _Packed, extract_scalar
+from .laurent import LaurentPoly, ONE, S, qint
 from .partitions import Partition
 
 # H_7 has 5040 basis elements; past that, squaring stops being a desk job.
@@ -90,7 +94,7 @@ def _check_cells(lam: Partition, max_cells: int) -> None:
         )
 
 
-def _block_action(x: HeckeElement, k: int, offset: int, u: LaurentPoly) -> HeckeElement:
+def _block_action(x: _Packed, k: int, offset: int, u: LaurentPoly) -> _Packed:
     """
     x times the k-strand block sum of u^length(p) * w_p over S_k, placed on
     strands offset+1..offset+k, in k(k-1)/2 generator steps.  Each p in S_m
@@ -100,37 +104,28 @@ def _block_action(x: HeckeElement, k: int, offset: int, u: LaurentPoly) -> Hecke
 
         a_m = a_{m-1} * sum_{j<m} u^j g_{offset+m-1} .. g_{offset+m-j}.
 
-    u must be a unit monomial (s or -s^-1).  Each sum is accumulated in one
-    coefficient table, copied from a_{m-1} once, and u^j * step is added
-    into it coefficient by coefficient as a shifted, signed copy; the steps
-    themselves are never rescaled.
+    x is a packed chain value (``hecke._encode``), and so is the result.
+    Each sum is accumulated in one table, copied from a_{m-1} once, and
+    u^j * step is added into it; the steps themselves are never rescaled.
     """
-    (unit_sign,), unit_exp = u.coeffs, u.val
     for m in range(2, k + 1):
         step = x
-        total = dict(x.coeffs)
+        total = x.copy()
         for j in range(1, m):
             step = step.mul_generator(offset + m - j)
-            exp, sign = unit_exp * j, unit_sign**j
-            for p, c in step.coeffs.items():
-                cur = total.get(p, ZERO)
-                moved = _add_monomial_times(cur, c, exp, sign)
-                if moved.coeffs:
-                    total[p] = moved
-                else:
-                    del total[p]
-        x = x._wrap(total)
+            total.add_times(step, u**j)
+        x = total
     return x
 
 
-def _mul_row(x: HeckeElement, lam: Partition) -> HeckeElement:
+def _mul_row(x: _Packed, lam: Partition) -> _Packed:
     """x times the row factor: the row symmetrizers at the row-reading offsets."""
     for k, offset in zip(lam.parts, lam.row_reading_offsets()):
         x = _block_action(x, k, offset, S)
     return x
 
 
-def _mul_column(x: HeckeElement, lam: Partition) -> HeckeElement:
+def _mul_column(x: _Packed, lam: Partition) -> _Packed:
     """
     x times the column factor w_d * (column antisymmetrizers) * w_d^-1, with
     d the column-reading permutation: forward along a reduced word of d,
@@ -142,14 +137,14 @@ def _mul_column(x: HeckeElement, lam: Partition) -> HeckeElement:
     for k, offset in zip(lam.conjugate().parts, lam.column_reading_offsets()):
         x = _block_action(x, k, offset, NEG_S_INV)
     for i in reversed(word):
-        x = x.mul_generator(i, sign=-1)
+        x = x.mul_generator(i, -1)
     return x
 
 
 def row_element(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> HeckeElement:
     """Product of row symmetrizers placed at the row-reading offsets."""
     _check_cells(lam, max_cells)
-    return _mul_row(HeckeElement.unit(lam.n), lam)
+    return _decode(_mul_row(_encode(HeckeElement.unit(lam.n)), lam))
 
 
 def column_element(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> HeckeElement:
@@ -158,12 +153,13 @@ def column_element(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> HeckeE
     conjugated to row-reading strand order.
     """
     _check_cells(lam, max_cells)
-    return _mul_column(HeckeElement.unit(lam.n), lam)
+    return _decode(_mul_column(_encode(HeckeElement.unit(lam.n)), lam))
 
 
 def e_lambda(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> HeckeElement:
     """The q-Young symmetrizer of the diagram, on exactly |diagram| strands."""
-    return _mul_column(row_element(lam, max_cells), lam)
+    _check_cells(lam, max_cells)
+    return _decode(_mul_column(_mul_row(_encode(HeckeElement.unit(lam.n)), lam), lam))
 
 
 def alpha_closed_form(lam: Partition) -> LaurentPoly:
@@ -209,7 +205,7 @@ def alpha_extract(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> QuasiId
     e = e_lambda(lam, max_cells)
     if e.is_zero():
         raise NotQuasiIdempotent(f"symmetrizer of {lam} is zero")
-    report = extract_scalar(e, _mul_column(_mul_row(e, lam), lam))
+    report = extract_scalar(e, _decode(_mul_column(_mul_row(_encode(e), lam), lam)))
     if not report.proportional:
         raise NotQuasiIdempotent(
             f"square of the {lam} symmetrizer is not proportional to it "

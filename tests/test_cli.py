@@ -182,6 +182,20 @@ class TestMulCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_wide_exponent_spread_across_terms_is_usage_error(self, capsys, tmp_path):
+        spread = tmp_path / "spread.json"
+        good = tmp_path / "good.json"
+        terms = [
+            {"perm": [1, 2], "coeff": [[0, 1]]},
+            {"perm": [2, 1], "coeff": [[100000000, 1]]},
+        ]
+        spread.write_text(json.dumps({"n": 2, "terms": terms}))
+        good.write_text(json.dumps(HeckeElement.unit(2).to_machine()))
+        code, out, err = run(capsys, "mul", str(spread), str(good))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_small_run_passes(self, capsys):

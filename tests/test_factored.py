@@ -1,17 +1,19 @@
 """
 The factored right actions by e_lambda and by the full twist, checked
 against the general product they replace, and their exact generator-step
-counts, which catch a silent fallback to the general product.
+counts, which catch a silent fallback to the general product.  The actions
+run on packed chain values: ``packed`` encodes an element, applies them and
+decodes the result.
 """
 
 import collections
 
 import pytest
 
-from qyoung import central
+from qyoung import central, hecke
 from qyoung import symmetrizers as sym
 from qyoung.central import full_twist, twist_eigenvalue
-from qyoung.hecke import HeckeElement
+from qyoung.hecke import HeckeElement, _decode, _encode, _Packed
 from qyoung.laurent import S
 from qyoung.partitions import Partition, all_partitions
 from qyoung.symmetrizers import (
@@ -31,8 +33,13 @@ def partitions_up_to(k_max):
         yield from all_partitions(k)
 
 
+def packed(action, x, *args):
+    """action applied to x as one packed chain: encode, act, decode."""
+    return _decode(action(_encode(x), *args))
+
+
 def square(e, lam):
-    return sym._mul_column(sym._mul_row(e, lam), lam)
+    return packed(lambda x: sym._mul_column(sym._mul_row(x, lam), lam), e)
 
 
 def shifted_block_product(build, sizes, offsets, n):
@@ -54,7 +61,7 @@ class TestAgainstGeneralProduct:
 
     def test_full_twist_action(self, lam):
         e = e_lambda(lam)
-        assert central._mul_full_twist(e) == full_twist(lam.n) * e
+        assert packed(central._mul_full_twist, e) == full_twist(lam.n) * e
 
     def test_e_lambda_is_row_times_column(self, lam):
         assert e_lambda(lam) == row_element(lam) * column_element(lam)
@@ -82,32 +89,41 @@ def test_six_cell_square_against_general_product(lam):
 
 @pytest.mark.parametrize("lam", list(partitions_up_to(4)), ids=str)
 class TestInputsUnchanged:
-    # Results share coefficient tables with their inputs where nothing
-    # changed, so an accumulator that started from an input's table instead
-    # of a copy would rewrite the input.
+    # Results share packed ints and coefficient tables with their inputs
+    # where nothing changed, so an accumulator that started from an input's
+    # table instead of a copy would rewrite the input.
 
     def test_generator_steps(self, lam):
         e = e_lambda(lam)
         before = e.to_machine()
+        x = _encode(e)
+        table = dict(x.table)
         for i in range(1, lam.n):
             e.mul_generator(i)
             e.mul_generator(i, -1)
+            x.mul_generator(i)
+            x.mul_generator(i, -1)
         assert e.to_machine() == before
+        assert x.table == table
 
     def test_block_actions(self, lam):
-        e = e_lambda(lam)
-        before = e.to_machine()
+        x = _encode(e_lambda(lam))
+        before = dict(x.table)
         for u in (S, sym.NEG_S_INV):
             for k in range(2, lam.n + 1):
-                sym._block_action(e, k, lam.n - k, u)
-        assert e.to_machine() == before
+                sym._block_action(x, k, lam.n - k, u)
+        assert x.table == before
+        assert _decode(x).to_machine() == e_lambda(lam).to_machine()
 
     def test_row_column_and_twist_actions(self, lam):
         e = e_lambda(lam)
         before = e.to_machine()
-        sym._mul_row(e, lam)
-        sym._mul_column(e, lam)
-        central._mul_full_twist(e)
+        x = _encode(e)
+        table = dict(x.table)
+        sym._mul_row(x, lam)
+        sym._mul_column(x, lam)
+        central._mul_full_twist(x)
+        assert x.table == table
         central.twist_scalar(e, lam)
         assert e.to_machine() == before
 
@@ -117,16 +133,35 @@ class TestInputsUnchanged:
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of HeckeElement.mul_generator and HeckeElement.__mul__ calls."""
+    """
+    Counts of packed generator steps, under "mul_generator", and of
+    HeckeElement.__mul__ calls.  Every chain steps through
+    _Packed.mul_generator; HeckeElement.mul_generator is the one-step chain.
+    """
     counts = collections.Counter()
-    for name in ("mul_generator", "__mul__"):
-        original = getattr(HeckeElement, name)
+    for owner, name in ((_Packed, "mul_generator"), (HeckeElement, "__mul__")):
+        original = getattr(owner, name)
 
         def spy(self, *args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
             return _original(self, *args, **kwargs)
 
-        monkeypatch.setattr(HeckeElement, name, spy)
+        monkeypatch.setattr(owner, name, spy)
+    return counts
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """Counts of packed encodes and decodes, at every module that binds them."""
+    counts = collections.Counter()
+    for name, original in (("_encode", _encode), ("_decode", _decode)):
+
+        def spy(x, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(x)
+
+        for module in (hecke, sym, central):
+            monkeypatch.setattr(module, name, spy)
     return counts
 
 
@@ -153,13 +188,34 @@ class TestGeneratorSteps:
 
     def test_twist_eigenvalue(self, lam, calls):
         e = e_lambda(lam)
+        x = _encode(e)
         calls.clear()
-        central._mul_full_twist(e)
+        central._mul_full_twist(x)
         assert calls == collections.Counter(mul_generator=lam.n * (lam.n - 1))
         calls.clear()
         twist_eigenvalue(lam)
         assert calls["__mul__"] == 0
         assert calls["mul_generator"] == e_lambda_steps(lam) + lam.n * (lam.n - 1)
+
+
+@pytest.mark.parametrize("lam", SMALL, ids=str)
+class TestOneConversionPerChain:
+    # A chain encodes its input once and decodes its result once; a
+    # conversion per step would show here long before it showed in timings.
+
+    def test_e_lambda(self, lam, conversions):
+        e_lambda(lam)
+        assert conversions == collections.Counter(_encode=1, _decode=1)
+
+    def test_alpha_extract_builds_then_squares(self, lam, conversions):
+        alpha_extract(lam)
+        assert conversions == collections.Counter(_encode=2, _decode=2)
+
+    def test_twist_scalar(self, lam, conversions):
+        e = e_lambda(lam)
+        conversions.clear()
+        central.twist_scalar(e, lam)
+        assert conversions == collections.Counter(_encode=1, _decode=1)
 
 
 def test_step_count_of_a_hook():

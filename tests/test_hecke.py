@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qyoung import permutations as perms
-from qyoung.hecke import HeckeElement, Z, extract_scalar
+from qyoung.hecke import HeckeElement, Z, _decode, _encode, _Packed, extract_scalar
 from qyoung.laurent import MAX_EXPONENT_SPAN, LaurentPoly, ONE, S, ZERO
 from qyoung.symmetrizers import symmetrizer
 
@@ -175,6 +175,210 @@ class TestPairedGeneratorKernel:
         assert back.coeffs == {q: ONE, lone_moved: S, lone: -(Z * S)}
         assert back == rewritten_term_by_term(y, 2, -1)
         assert ZERO not in out.coeffs.values() and ZERO not in back.coeffs.values()
+
+
+def is_canonical(c):
+    """Zero is LaurentPoly(0, ()); anything else has nonzero end coefficients."""
+    if not c.coeffs:
+        return c.val == 0
+    return c.coeffs[0] != 0 and c.coeffs[-1] != 0
+
+
+def stepped_term_by_term(x, word, sign=1):
+    """x times g_{i_1} ... g_{i_k} (or the inverses), one rewriting step at a time."""
+    for i in word:
+        x = rewritten_term_by_term(x, i, sign)
+    return x
+
+
+@pytest.fixture
+def widenings(monkeypatch):
+    """Digit sizes the guard widened to, in order."""
+    sizes = []
+    original = _Packed._widened
+
+    def spy(self, *args):
+        wide = original(self, *args)
+        sizes.append(wide.k)
+        return wide
+
+    monkeypatch.setattr(_Packed, "_widened", spy)
+    return sizes
+
+
+# Largest coefficient sizes: 2^62 - 1 and 2^63 - 1 fit 64-bit digits, but
+# a step's tripled bound does not, so those elements must take the
+# widening path; 2^70 starts on 128-bit digits, 2^20 never widens.
+TOPS = (2**20, 2**62 - 1, 2**63 - 1, 2**70)
+
+
+def wide_coeffs(top):
+    return st.builds(
+        LaurentPoly.from_pairs,
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(-top, top)), min_size=1, max_size=4),
+    )
+
+
+@st.composite
+def wide_paired_elements(draw):
+    """
+    An element of H_3..H_5 with mixed-sign coefficients whose largest is
+    +-top for a top in TOPS, a generator index i and a sign, holding pairs
+    {p, p s_i} of which some cancel exactly under that step.
+    """
+    n = draw(st.integers(3, 5))
+    i = draw(st.integers(1, n - 1))
+    sign = draw(st.sampled_from((1, -1)))
+    top = draw(st.sampled_from(TOPS))
+    coeff = wide_coeffs(top)
+    perm = st.permutations(list(range(1, n + 1))).map(tuple)
+    s_i = oracles.transposition(n, i)
+    table = {}
+    for p in draw(st.lists(perm, min_size=1, max_size=10)):
+        q = oracles.compose(p, s_i)
+        if oracles.length(q) < oracles.length(p):
+            p, q = q, p
+        c = draw(coeff)
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            table[p] = c
+        elif kind == 1:
+            table[p], table[q] = c, draw(coeff)
+        elif sign == 1:
+            # c_p + z c_q = 0 at q
+            table[p], table[q] = -(Z * c), c
+        else:
+            # c_q - z c_p = 0 at p
+            table[p], table[q] = c, Z * c
+    extreme = draw(st.permutations(list(range(1, n + 1))).map(tuple))
+    table[extreme] = LaurentPoly(draw(st.integers(-4, 4)), (draw(st.sampled_from((top, -top))),))
+    return HeckeElement(n, table), i, sign
+
+
+class TestPackedGuard:
+    @given(wide_paired_elements())
+    @settings(max_examples=200, deadline=None)
+    def test_wide_coefficients_match_term_by_term_rewriting(self, x_i_sign):
+        x, i, sign = x_i_sign
+        out = x.mul_generator(i, sign)
+        assert out == rewritten_term_by_term(x, i, sign)
+        assert all(is_canonical(c) and c.coeffs for c in out.coeffs.values())
+
+    def test_digits_just_under_the_limit_widen_instead_of_wrapping(self, widenings):
+        # Every coefficient 2^62 - 1 fits 64-bit digits, and one step could
+        # triple it past 2^63: the guard must widen before the first step.
+        big = 2**62 - 1
+        x = HeckeElement(
+            4,
+            {
+                p: LaurentPoly(k % 3 - 1, (big, -big, big) if k % 2 else (-big,))
+                for k, p in enumerate(perms.all_permutations(4))
+            },
+        )
+        word = (1, 2, 3, 1, 2, 1, 3, 2)
+        packed = _encode(x)
+        assert packed.k == 64
+        for sign in (1, -1):
+            chain = _encode(x)
+            for i in word:
+                chain = chain.mul_generator(i, sign)
+            assert _decode(chain) == stepped_term_by_term(x, word, sign)
+        assert widenings and widenings[0] == 128
+
+    def test_block_sum_and_product_widen_too(self, widenings):
+        big = 2**62 - 1
+        x = HeckeElement(3, {p: LaurentPoly(0, (big,)) for p in perms.all_permutations(3)})
+        y = HeckeElement(3, {p: LaurentPoly(-1, (big, big)) for p in perms.all_permutations(3)})
+        expected = HeckeElement.zero(3)
+        for q, c in y.coeffs.items():
+            expected = expected + stepped_term_by_term(x, perms.reduced_word(q)).scale(c)
+        assert x * y == expected
+        assert widenings
+
+    def test_decoding_past_the_bound_is_refused(self):
+        past = _Packed(2, {(1, 2): 1}, 0, 64, 2**63, 0)
+        with pytest.raises(ArithmeticError):
+            _decode(past)
+
+
+def kernel_free_product(x, y):
+    """Sum of c_q * x stepped along reduced_word(q), never touching the packed kernel."""
+    out = HeckeElement.zero(x.n)
+    for q, c in y.coeffs.items():
+        out = out + stepped_term_by_term(x, perms.reduced_word(q)).scale(c)
+    return out
+
+
+class TestKernelFreeProducts:
+    @given(st.integers(3, 5).flatmap(lambda n: st.tuples(random_element(n, 5), random_element(n, 5))))
+    @settings(max_examples=60, deadline=None)
+    def test_products_match_rewriting_along_reduced_words(self, xy):
+        x, y = xy
+        assert x * y == kernel_free_product(x, y)
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_dense_products(self, n):
+        x = HeckeElement(
+            n, {p: LaurentPoly(-1, (1, k % 5 - 2)) for k, p in enumerate(perms.all_permutations(n))}
+        )
+        y = HeckeElement(
+            n, {p: LaurentPoly(k % 3, (k % 4 - 1 or 2,)) for k, p in enumerate(perms.all_permutations(n))}
+        )
+        assert x * y == kernel_free_product(x, y)
+        assert y * x == kernel_free_product(y, x)
+
+
+class TestPackedFormat:
+    # Encoding then decoding gives back the same table, canonical and
+    # zero-free, whatever the size, sign and exponent range of the
+    # coefficients.
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [LaurentPoly(0, (1,)), LaurentPoly(-3, (2, 0, -1)), LaurentPoly(5, (-7,))],
+            [LaurentPoly(-2, (2**63, -(2**63) + 1)), LaurentPoly(1, (-(2**200),))],
+            [LaurentPoly(-1, (-1, -2**62, 2**62 - 1)), LaurentPoly(0, (-(2**63) + 1,))],
+            [LaurentPoly(-300, (1,) + (0,) * 600 + (-1,)), LaurentPoly(250, (3, -3))],
+        ],
+        ids=["small", "large", "negative", "wide"],
+    )
+    def test_round_trip(self, coeffs):
+        x = HeckeElement(3, dict(zip(perms.all_permutations(3), coeffs)))
+        back = _decode(_encode(x))
+        assert back.coeffs == x.coeffs
+        assert all(is_canonical(c) for c in back.coeffs.values())
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.tuples(st.permutations(list(range(1, n + 1))).map(tuple), wide_coeffs(2**200)),
+        max_size=8,
+    ).map(lambda pairs: HeckeElement(n, dict(pairs)))))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_of_random_wide_coefficients(self, x):
+        assert _decode(_encode(x)).coeffs == x.coeffs
+
+    def test_digit_size_follows_the_largest_coefficient(self):
+        for top, k in ((1, 64), (2**63 - 1, 64), (2**63, 128), (2**127, 192)):
+            x = HeckeElement(2, {(1, 2): LaurentPoly(0, (-top, 1))})
+            assert _encode(x).k == k
+
+    def test_equal_coefficients_share_one_polynomial(self):
+        c = LaurentPoly(-1, (1, 0, 1))
+        x = HeckeElement(3, {p: LaurentPoly(c.val, c.coeffs) for p in perms.all_permutations(3)})
+        back = _decode(_encode(x))
+        assert back == x
+        assert len({id(v) for v in back.coeffs.values()}) == 1
+
+    def test_widening_keeps_the_values(self):
+        x = HeckeElement(3, {(1, 2, 3): LaurentPoly(-2, (5, -(2**40))), (3, 2, 1): ONE})
+        packed = _encode(x)
+        wide = packed._widened(2**90)
+        assert (packed.k, wide.k) == (64, 192)
+        assert wide.bound == 2**40
+        assert _decode(wide) == x
+
+    def test_zero_round_trips(self):
+        assert _decode(_encode(HeckeElement.zero(3))) == HeckeElement.zero(3)
 
 
 class TestProducts:
@@ -372,9 +576,42 @@ class TestExtractScalar:
         assert report.scalar == ONE + S**2
 
     def test_non_proportional_reports_witness(self):
+        # The witness is the smallest permutation in either support where
+        # candidate != scalar * reference; the scalar is pinned at (1,2,3).
+        ref = unit(3) + gen(3, 2).scale(S) + basis(3, 3, 2, 1).scale(ONE + S)
+        two = LaurentPoly.from_int(2)
+        cases = [
+            # a wrong coefficient: (3,2,1) carries 2(1 + s) + 1
+            (ref.scale(two) + basis(3, 3, 2, 1), (3, 2, 1)),
+            # a term missing from the candidate: (1,3,2) dropped
+            (ref.scale(two) - gen(3, 2).scale(two * S), (1, 3, 2)),
+            # an extra term in the candidate: (2,1,3), not in the reference
+            (ref.scale(two) + gen(3, 1) + basis(3, 3, 1, 2), (2, 1, 3)),
+            # an extra term below a wrong coefficient: the extra one wins
+            (ref.scale(two) + basis(3, 3, 2, 1) + gen(3, 1), (2, 1, 3)),
+        ]
+        for candidate, witness in cases:
+            report = extract_scalar(ref, candidate)
+            assert not report.proportional
+            assert report.scalar == two
+            assert report.witness == witness
         report = extract_scalar(unit(2) + gen(2, 1), unit(2))
         assert not report.proportional
-        assert report.witness is not None
+        assert report.witness == (2, 1)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_witness_is_the_smallest_mismatch(self, data):
+        n = data.draw(st.integers(2, 4))
+        x = data.draw(random_element(n, 5).filter(lambda e: not e.is_zero()))
+        y = data.draw(random_element(n, 5))
+        if data.draw(st.booleans()):
+            y = y + x.scale(data.draw(st.sampled_from((ONE, S, -(S**-2)))))
+        report = extract_scalar(x, y)
+        if report.proportional:
+            assert y == x.scale(report.scalar)
+        elif not report.scalar.is_zero():
+            assert report.witness == min((y - x.scale(report.scalar)).coeffs)
 
     def test_zero_reference_rejected(self):
         with pytest.raises(ValueError):
@@ -459,6 +696,22 @@ class TestSerialization:
             data = {"n": 1, "terms": [{"perm": [1], "coeff": [[top, 1], [0, 1]]}]}
             with pytest.raises(ValueError, match="span"):
                 HeckeElement.from_machine(data)
+
+    def test_wide_exponent_spread_across_terms_is_a_value_error(self):
+        # Each coefficient is one term, but together they span past the
+        # guard, which a packed table would hold densely.
+        for top in (MAX_EXPONENT_SPAN + 1, 10**8):
+            data = {
+                "n": 2,
+                "terms": [
+                    {"perm": [1, 2], "coeff": [[0, 1]]},
+                    {"perm": [2, 1], "coeff": [[top, 1]]},
+                ],
+            }
+            with pytest.raises(ValueError, match="span"):
+                HeckeElement.from_machine(data)
+        data["terms"][1]["coeff"] = [[MAX_EXPONENT_SPAN, 1]]
+        assert HeckeElement.from_machine(data).coeff((2, 1)).max_exp() == MAX_EXPONENT_SPAN
 
     def test_text_rendering(self):
         assert str(unit(2) + gen(2, 1).scale(S)) == "w[1,2] + s·w[2,1]"

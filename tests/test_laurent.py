@@ -11,8 +11,6 @@ from qyoung.laurent import (
     ONE,
     S,
     ZERO,
-    _add_monomial_times,
-    _add_z_times,
     qint,
 )
 
@@ -139,59 +137,6 @@ class TestQuantumIntegers:
         for k in range(1, 10):
             top = LaurentPoly.monomial(k) - LaurentPoly.monomial(-k)
             assert top.exact_div(S - S**-1) == qint(k)
-
-
-Z = S - S**-1
-
-
-def is_canonical(p):
-    """Zero is LaurentPoly(0, ()); anything else has nonzero end coefficients."""
-    if not p.coeffs:
-        return p.val == 0
-    return p.coeffs[0] != 0 and p.coeffs[-1] != 0
-
-
-class TestFusedKernels:
-    @given(laurent_polys, laurent_polys)
-    @settings(max_examples=120)
-    def test_add_z_times(self, a, b):
-        for sign, expected in ((1, a + Z * b), (-1, a - Z * b)):
-            out = _add_z_times(a, b, sign)
-            assert out == expected
-            assert is_canonical(out)
-
-    @given(laurent_polys, laurent_polys, st.integers(-5, 5), st.sampled_from((1, -1)))
-    @settings(max_examples=120)
-    def test_add_monomial_times(self, a, b, exp, sign):
-        out = _add_monomial_times(a, b, exp, sign)
-        assert out == a + LaurentPoly.monomial(exp, sign) * b
-        assert is_canonical(out)
-
-    @given(laurent_polys)
-    @settings(max_examples=40)
-    def test_zero_operands(self, a):
-        assert _add_z_times(a, ZERO, 1) == a == _add_monomial_times(a, ZERO, 3, -1)
-        assert _add_z_times(ZERO, a, -1) == -(Z * a)
-        assert _add_monomial_times(ZERO, a, -2, 1) == LaurentPoly.monomial(-2) * a
-
-    @given(laurent_polys, st.integers(-5, 5), st.sampled_from((1, -1)))
-    @settings(max_examples=60)
-    def test_exact_cancellation(self, b, exp, sign):
-        for out in (
-            _add_z_times(-(Z * b), b, 1),
-            _add_z_times(Z * b, b, -1),
-            _add_monomial_times(LaurentPoly.monomial(exp, -sign) * b, b, exp, sign),
-        ):
-            assert out == ZERO
-            assert is_canonical(out)
-
-    def test_partial_cancellation_is_trimmed(self):
-        # The two end terms of z * (1 + s) cancel against a: s^-1 - s^2.
-        out = _add_z_times(lp((-1, 1), (2, -1)), lp((0, 1), (1, 1)), 1)
-        assert out == lp((0, -1), (1, 1))
-        assert (out.val, out.coeffs) == (0, (-1, 1))
-        out = _add_monomial_times(lp((3, 1), (5, 2)), lp((0, -1), (2, 7)), 3, 1)
-        assert (out.val, out.coeffs) == (5, (9,))
 
 
 class TestSpecializations:

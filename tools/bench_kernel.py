@@ -1,5 +1,5 @@
 """
-Per-layer timings of the generator kernel, for BENCH_kernel.json.
+Per-layer timings of the generator kernel, for the committed BENCH_*.json files.
 
 Measures whatever ``qyoung`` is importable, so one script times two trees:
 
@@ -11,9 +11,17 @@ the lazy caches).  The layers:
 
 - ``mul_generator_s6`` / ``mul_generator_s7``: g_i and g_i^-1 for every i,
   applied to e_lambda of (3,3) (504 of 720 terms) and of (4,3) (2016 of
-  5040 terms);
-- ``block_action_43``: the first row block of squaring e_lambda (4,3);
+  5040 terms), each as a lone ``HeckeElement.mul_generator`` call;
+- ``block_action_43``: the first row block of squaring e_lambda (4,3), as
+  one chain from the element to the element;
+- ``long_braid_a6``: the product a_6 * w_p for p = LONG_BRAID, of length
+  9; the cost rule expands a_6 (through iota), so the one-term w_p steps
+  down the trie of a_6's 720 reduced words;
 - ``alpha_extract_43`` / ``twist_eigenvalue_43``: the public calls.
+
+The chain layer goes through ``hecke._encode`` and ``hecke._decode`` when
+they exist and calls ``_block_action`` on the element itself otherwise, so
+the same script times trees from before and after the packed kernel.
 """
 
 from __future__ import annotations
@@ -23,10 +31,14 @@ import json
 import statistics
 import time
 
-from qyoung import central
+from qyoung import central, hecke
 from qyoung import symmetrizers as sym
+from qyoung.hecke import HeckeElement
 from qyoung.laurent import S
 from qyoung.partitions import Partition
+
+# A permutation of length 9 in S_6.
+LONG_BRAID = (3, 6, 4, 1, 5, 2)
 
 
 def _every_generator(x):
@@ -38,13 +50,25 @@ def _every_generator(x):
     return run
 
 
+def _chain(action):
+    """action as one chain from element to element, on either kernel."""
+    encode = getattr(hecke, "_encode", None)
+    if encode is None:
+        return action
+    return lambda x: hecke._decode(action(encode(x)))
+
+
 def layers() -> dict:
     lam6, lam7 = Partition((3, 3)), Partition((4, 3))
     e6, e7 = sym.e_lambda(lam6), sym.e_lambda(lam7)
+    first_row_block = _chain(lambda x: sym._block_action(x, 4, 0, S))
+    a6 = sym.symmetrizer(6)
+    w = HeckeElement.basis_element(6, LONG_BRAID)
     return {
         "mul_generator_s6": _every_generator(e6),
         "mul_generator_s7": _every_generator(e7),
-        "block_action_43": lambda: sym._block_action(e7, 4, 0, S),
+        "block_action_43": lambda: first_row_block(e7),
+        "long_braid_a6": lambda: a6 * w,
         "alpha_extract_43": lambda: sym.alpha_extract(lam7),
         "twist_eigenvalue_43": lambda: central.twist_eigenvalue(lam7),
     }
