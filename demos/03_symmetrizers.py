@@ -19,7 +19,6 @@ from qyoung.symmetrizers import (
     alpha_extract,
     antisymmetrizer,
     e_lambda,
-    normalized_idempotent,
     symmetrizer,
 )
 
@@ -39,8 +38,9 @@ qi = alpha_extract(lam)
 print("alpha extracted  :", qi.alpha)
 print("alpha closed form:", alpha_closed_form(lam))
 
-# The true idempotent is e/alpha, kept as a (numerator, denominator) pair.
-num, den = normalized_idempotent(lam)
+# The true idempotent is e/alpha, kept as a (numerator, denominator) pair:
+# dividing by alpha is only possible over the fraction field.
+num, den = qi.element, qi.alpha
 print("idempotent denominator:", den)
 print("(e/alpha)^2 = e/alpha:", num * num == num.scale(den))
 

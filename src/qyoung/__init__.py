@@ -26,7 +26,6 @@ from .symmetrizers import (
     antisymmetrizer,
     column_element,
     e_lambda,
-    normalized_idempotent,
     row_element,
     symmetrizer,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "full_twist",
     "half_twist",
     "murphy",
-    "normalized_idempotent",
     "qint",
     "row_element",
     "symmetrizer",

@@ -30,8 +30,9 @@ product, conjugation, and the chains of generator steps that
 ``symmetrizers`` and ``central`` build) runs on packed tables: each
 coefficient is one Python int, the Kronecker substitution s = 2^K of its
 coefficients.  A packed table (``_Packed``, private to this module) maps
-each permutation to an int N = sum of d_k 2^(K k), standing for
-s^V * sum of d_k s^k, and records
+the rank of each permutation, its position in the lexicographic order of
+S_n that ``permutations.all_permutations`` yields, to an int
+N = sum of d_k 2^(K k), standing for s^V * sum of d_k s^k, and records
 
 - V, the valuation shared by the whole table;
 - K, the digit size in bits, a multiple of 64;
@@ -60,21 +61,33 @@ multiple of 64 that fits its largest coefficient.  Every chain encodes its
 input once and decodes its result once; ``mul_generator`` is the one-step
 chain.
 
+Ranks.  Encoding turns each permutation into its rank and decoding turns
+it back, so inside a chain no permutation tuple is built or hashed.  The
+step finds the partner rank rank(p s_i) by rank arithmetic: s_i changes
+two Lehmer digits of p, so the rank moves by one of (n-i+1)(n-i) shifts,
+read from a short list per (n, i) indexed by those two digits; the length
+went up exactly when the partner rank is the larger, so nothing else is
+stored.  The conversions, and inversion on ranks for iota, are computed
+from Lehmer codes and remembered per strand count, only for the
+permutations met so far.  No table covers all of S_n, so the kernel works
+on any number of strands.  Concurrent chains may fill a memo at once; an
+entry is a single dict store of a value every writer computes alike, and
+a missing entry is computed again, so readers never see a wrong one.
+
 A general product expands one factor through reduced words, sharing common
 prefixes so that dense products cost one generator step per distinct
 prefix rather than per term.  Only the right action is implemented: the
 anti-involution iota: w_p -> w_{p^-1} fixes each g_i and reverses
 products, so x * y = iota(iota(y) * iota(x)).
 
-Per-strand-count lookup tables for the generator action are built lazily
-and cached; a table row is fully built before it is published, so
-concurrent readers never see a partial row.  Elements themselves are
-immutable values.
+Elements themselves are immutable values, keyed by permutation tuples;
+the constructor rejects any key that is not a permutation of 1..n.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -86,19 +99,6 @@ from .permutations import Perm
 
 # The quadratic-relation parameter z = s - s^-1.
 Z = LaurentPoly(-1, (-1, 0, 1))
-
-# Use the cached action tables only when the support is a sizable fraction
-# of S_n; for sparse elements the direct swap is cheaper than building them.
-_TABLE_THRESHOLD = 8
-
-
-@functools.cache
-def _right_action(n: int, i: int) -> dict[Perm, tuple[Perm, bool]]:
-    """p -> (p s_i, length went up) for all of S_n."""
-    row: dict[Perm, tuple[Perm, bool]] = {}
-    for p in perms.all_permutations(n):
-        row[p] = (perms.right_mult_gen(p, i), p[i - 1] < p[i])
-    return row
 
 
 def _acc(table: dict[Perm, LaurentPoly], key: Perm, value: LaurentPoly) -> None:
@@ -127,9 +127,16 @@ class HeckeElement:
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         table = {p: c for p, c in coeffs.items() if c.coeffs}
+        strands = set(range(1, n + 1))
         for p in table:
             if len(p) != n:
                 raise ValueError(f"permutation {p} does not act on {n} strands")
+            if set(p) != strands:
+                raise ValueError(f"{p} is not a permutation of 1..{n}")
+        # Equal values pass the set test (2.0 == 2, True == 1); one pass over
+        # all entries rules out every type but int.
+        if not {int}.issuperset(map(type, itertools.chain.from_iterable(table))):
+            raise ValueError(f"a key with a non-int entry is not a permutation of 1..{n}")
         self.n = n
         self.coeffs = table
 
@@ -227,30 +234,8 @@ class HeckeElement:
         work_right = sum(len(perms.reduced_word(q)) for q in other.coeffs)
         work_left = sum(len(perms.reduced_word(p)) for p in self.coeffs)
         if work_right * len(self.coeffs) <= work_left * len(other.coeffs):
-            return self._mul_expanding_right(other)
-        return _iota(_iota(other)._mul_expanding_right(_iota(self)))
-
-    def _mul_expanding_right(self, other: HeckeElement) -> HeckeElement:
-        items = sorted(
-            (perms.reduced_word(q), c) for q, c in other.coeffs.items()
-        )
-        out = _Packed.zero(self.n)
-
-        def descend(lo: int, hi: int, depth: int, elem: _Packed) -> None:
-            # items[lo:hi] share a word prefix of size depth; elem = self * w_prefix.
-            if len(items[lo][0]) == depth:
-                out.add_times(elem, items[lo][1])
-                lo += 1
-            while lo < hi:
-                letter = items[lo][0][depth]
-                j = lo
-                while j < hi and items[j][0][depth] == letter:
-                    j += 1
-                descend(lo, j, depth + 1, elem.mul_generator(letter))
-                lo = j
-
-        descend(0, len(items), 0, _encode(self))
-        return _decode(out)
+            return _decode(_expand_right(_encode(self), other))
+        return _decode(_expand_right(_encode(other).iota(), _iota(self)).iota())
 
     # -- embeddings and conjugation -------------------------------------------
 
@@ -277,7 +262,7 @@ class HeckeElement:
         if len(p) != self.n:
             raise ValueError(f"permutation {p} does not act on {self.n} strands")
         word = perms.reduced_word(tuple(p))
-        out = _encode(_iota(self))  # w_p x = iota(iota(x) g_{i_k} ... g_{i_1})
+        out = _encode(self).iota()  # w_p x = iota(iota(x) g_{i_k} ... g_{i_1})
         for letter in reversed(word):
             out = out.mul_generator(letter)
         out = out.iota()
@@ -395,6 +380,36 @@ def _iota(x: HeckeElement) -> HeckeElement:
     return x._wrap({perms.inverse(p): c for p, c in x.coeffs.items()})
 
 
+def _expand_right(x: _Packed, y: HeckeElement) -> _Packed:
+    """
+    x * y for a packed chain value x: y expanded through its reduced words,
+    one generator step per distinct word prefix.
+    """
+    items = sorted((perms.reduced_word(q), c) for q, c in y.coeffs.items())
+    out = _Packed.zero(x.n)
+    _descend(items, out, 0, len(items), 0, x)
+    return out
+
+
+def _descend(items: list, out: _Packed, lo: int, hi: int, depth: int, elem: _Packed) -> None:
+    """
+    The trie walk of _expand_right: items[lo:hi] share a word prefix of size
+    depth, and elem is x times the braid of that prefix.  A module function
+    rather than a closure, so that no reference cycle keeps the tables of a
+    finished product alive until the garbage collector runs.
+    """
+    if len(items[lo][0]) == depth:
+        out.add_times(elem, items[lo][1])
+        lo += 1
+    while lo < hi:
+        letter = items[lo][0][depth]
+        j = lo
+        while j < hi and items[j][0][depth] == letter:
+            j += 1
+        _descend(items, out, lo, j, depth + 1, elem.mul_generator(letter))
+        lo = j
+
+
 # -- the packed kernel -----------------------------------------------------------
 
 # Zero low digits put under a table when a step finds none left.
@@ -451,14 +466,74 @@ def _digit_reader(k: int) -> Callable[[int], tuple[int, list[int]]]:
     return read
 
 
+def _rank(p: Perm) -> int:
+    """The rank of p in the lexicographic order of S_n, from its Lehmer code."""
+    n, r = len(p), 0
+    for j, v in enumerate(p):
+        r = r * (n - j) + sum(w < v for w in p[j + 1 :])
+    return r
+
+
+def _unrank(n: int, r: int) -> Perm:
+    """The permutation of rank r in the lexicographic order of S_n."""
+    left = list(range(1, n + 1))
+    out = []
+    for j in range(n - 1, -1, -1):
+        d, r = divmod(r, math.factorial(j))
+        out.append(left.pop(d))
+    return tuple(out)
+
+
+# Memos of the two conversions and of inversion on ranks, one dict per
+# strand count, holding only the permutations met so far.
+@functools.cache
+def _rank_memo(n: int) -> dict[Perm, int]:
+    return {}
+
+
+@functools.cache
+def _perm_memo(n: int) -> dict[int, Perm]:
+    return {}
+
+
+@functools.cache
+def _inverse_memo(n: int) -> dict[int, int]:
+    return {}
+
+
+@functools.cache
+def _partner_shifts(n: int, i: int) -> tuple[int, int, list[int]]:
+    """
+    The partner rank rank(p s_i) as rank(p) + shifts[rank(p) // weight % size];
+    returns (weight, size, shifts).  Right multiplication by s_i swaps
+    positions i and i+1, which changes only the Lehmer digits (a, b) of
+    those positions, weighted (n-i)! and weight = (n-i-1)! in the rank: to
+    (b + 1, a) when a <= b (p[i-1] < p[i], the length goes up) and to
+    (b, a - 1) otherwise.  rank // weight % size is a (n-i) + b, so shifts
+    has one entry per digit pair.  An ascent moves p later in the order and
+    a descent earlier, so the length went up exactly when the partner rank
+    is the larger.
+    """
+    weight = math.factorial(n - i - 1)
+    weight_a = (n - i) * weight
+    shifts = [
+        (b + 1 - a) * weight_a + (a - b) * weight
+        if a <= b
+        else (b - a) * weight_a + (a - 1 - b) * weight
+        for a in range(n - i + 1)
+        for b in range(n - i)
+    ]
+    return weight, len(shifts), shifts
+
+
 class _Packed:
     """
     A coefficient table in Kronecker form (see the module docstring): a
-    strand count, the table of packed ints, V, K, the digit bound B and the
-    guaranteed zero low digits.  Chains pass these between ``_encode`` and
-    ``_decode``; only this module reads their fields.  Steps return new
-    tables; ``add_times`` accumulates into its own table in place, so an
-    accumulator starts as ``copy()`` or ``zero(n)``.
+    strand count, the table from permutation ranks to packed ints, V, K,
+    the digit bound B and the guaranteed zero low digits.  Chains pass
+    these between ``_encode`` and ``_decode``; only this module reads their
+    fields.  Steps return new tables; ``add_times`` accumulates into its own
+    table in place, so an accumulator starts as ``copy()`` or ``zero(n)``.
     """
 
     __slots__ = ("n", "table", "val", "k", "bound", "low")
@@ -480,7 +555,14 @@ class _Packed:
 
     def iota(self) -> _Packed:
         """The anti-involution w_p -> w_{p^-1} on a packed table."""
-        table = {perms.inverse(p): c for p, c in self.table.items()}
+        n, inverse = self.n, _inverse_memo(self.n)
+        table: dict[int, int] = {}
+        for p, c in self.table.items():
+            q = inverse.get(p)
+            if q is None:
+                q = inverse[p] = _rank(perms.inverse(_unrank(n, p)))
+                inverse[q] = p
+            table[q] = c
         return _Packed(self.n, table, self.val, self.k, self.bound, self.low)
 
     def mul_generator(self, i: int, sign: int = 1) -> _Packed:
@@ -494,33 +576,30 @@ class _Packed:
             pk = pk._widened(3)
         if pk.low < 1 and pk.table:
             pk = pk._rebased()
-        k, j, coeffs = pk.k, i - 1, pk.table
-        row = None
-        if len(coeffs) * _TABLE_THRESHOLD >= math.factorial(pk.n):
-            row = _right_action(pk.n, i)
-        out: dict[Perm, int] = {}
+        k, coeffs = pk.k, pk.table
+        weight, size, shifts = _partner_shifts(pk.n, i)
+        plus = sign == 1
+        out: dict[int, int] = {}
         for p, c in coeffs.items():
-            if row is None:
-                q, up = p[:j] + (p[i], p[j]) + p[i + 1 :], p[j] < p[i]
+            q = p + shifts[p // weight % size]
+            if q in coeffs:
+                # Only the shorter member p < q of the pair acts; its
+                # partner q takes no branch.
+                if q > p:
+                    partner = coeffs[q]
+                    if plus:
+                        out[p] = partner
+                        moved, at = c + (partner << k) - (partner >> k), q
+                    else:
+                        out[q] = c
+                        moved, at = partner - (c << k) + (c >> k), p
+                    if moved:
+                        out[at] = moved
             else:
-                q, up = row[p]
-            partner = coeffs.get(q)
-            if partner is None:
                 out[q] = c
-                if up != (sign == 1):
+                if (q > p) != plus:
                     zc = (c << k) - (c >> k)
-                    out[p] = zc if sign == 1 else -zc
-            elif up:
-                # p is the shorter member of the pair {p, q}; its partner q
-                # takes neither branch.
-                if sign == 1:
-                    out[p] = partner
-                    moved, at = c + (partner << k) - (partner >> k), q
-                else:
-                    out[q] = c
-                    moved, at = partner - (c << k) + (c >> k), p
-                if moved:
-                    out[at] = moved
+                    out[p] = zc if plus else -zc
         return _Packed(pk.n, out, pk.val, k, 3 * pk.bound, pk.low - 1)
 
     def add_times(self, other: _Packed, c: LaurentPoly) -> None:
@@ -609,38 +688,47 @@ def _encode(x: HeckeElement) -> _Packed:
     top = max(max(map(abs, c.coeffs)) for c in coeffs.values())
     k = _digit_bits(top)
     val = min(c.val for c in coeffs.values()) - _REBASE
+    ranks, found = _rank_memo(x.n), _perm_memo(x.n)
     packed: dict[LaurentPoly, int] = {}
-    table: dict[Perm, int] = {}
+    table: dict[int, int] = {}
     for p, c in coeffs.items():
+        r = ranks.get(p)
+        if r is None:
+            r = ranks[p] = _rank(p)
+            found[r] = p
         n = packed.get(c)
         if n is None:
             n = packed[c] = _pack(c.coeffs, k) << (k * (c.val - val))
-        table[p] = n
+        table[r] = n
     return _Packed(x.n, table, val, k, top, _REBASE)
 
 
 def _decode(pk: _Packed) -> HeckeElement:
     """
-    The element a packed table stands for.  Decoding consumes the table:
-    each int is replaced in place by its Laurent polynomial, equal ints by
-    one shared polynomial, and the table becomes the element's.
+    The element a packed table stands for: each rank back to its
+    permutation, each int to its Laurent polynomial, equal ints to one
+    shared polynomial.
     """
     if pk.bound >= 1 << (pk.k - 1):
         # The guard widens before any operation that could get here.
         raise ArithmeticError(f"packed digits may reach {pk.bound}, past 2^{pk.k - 1}")
+    elem = object.__new__(HeckeElement)
+    elem.n = pk.n
+    elem.coeffs = coeffs = {}
+    found, ranks = _perm_memo(pk.n), _rank_memo(pk.n)
     read = _digit_reader(pk.k)
     polys: dict[int, LaurentPoly] = {}
-    table, val = pk.table, pk.val
-    for p, n in table.items():
+    val = pk.val
+    for r, n in pk.table.items():
+        p = found.get(r)
+        if p is None:
+            p = found[r] = _unrank(pk.n, r)
+            ranks[p] = r
         c = polys.get(n)
         if c is None:
             z, digits = read(n)
             c = polys[n] = LaurentPoly(val + z, digits)
-        table[p] = c
-    pk.table = None
-    elem = object.__new__(HeckeElement)
-    elem.n = pk.n
-    elem.coeffs = table
+        coeffs[p] = c
     return elem
 
 

@@ -1,16 +1,22 @@
 """The algebra kernel: rewriting rule, products, embeddings, extraction."""
 
+import concurrent.futures
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qyoung import hecke
 from qyoung import permutations as perms
+from qyoung.errors import TooLarge
 from qyoung.hecke import HeckeElement, Z, _decode, _encode, _Packed, extract_scalar
 from qyoung.laurent import MAX_EXPONENT_SPAN, LaurentPoly, ONE, S, ZERO
-from qyoung.symmetrizers import symmetrizer
+from qyoung.partitions import Partition
+from qyoung.symmetrizers import e_lambda, symmetrizer
 
 from . import oracles
 from .oracles import group_algebra_mul
@@ -61,6 +67,17 @@ class TestBasisElements:
     def test_rejects_bad_generator_index(self):
         with pytest.raises(IndexError):
             HeckeElement.generator(3, 3)
+
+    @pytest.mark.parametrize(
+        "key",
+        [(1, 1, 3), (0, 1, 2), (1, 2, 4), (3, 2, 2), (2.0, 1.0, 3.0), (True, 3, 2)],
+    )
+    def test_rejects_non_permutation_keys(self, key):
+        # The constructor is the one gate: every product and generator step
+        # starts from a constructed element, so no other path can meet such
+        # a key.
+        with pytest.raises(ValueError, match="not a permutation"):
+            HeckeElement(3, {key: ONE})
 
 
 class TestGeneratorAction:
@@ -119,10 +136,10 @@ def rewritten_term_by_term(x, i, sign):
 @st.composite
 def paired_elements(draw):
     """
-    An element of H_3..H_5 with a generator index i, whose support holds
+    An element of H_3..H_7 with a generator index i, whose support holds
     both members of several pairs {p, p s_i} besides some lone terms.
     """
-    n = draw(st.integers(3, 5))
+    n = draw(st.integers(3, 7))
     i = draw(st.integers(1, n - 1))
     perm = st.permutations(list(range(1, n + 1))).map(tuple)
     coeff = st.builds(
@@ -149,8 +166,7 @@ class TestPairedGeneratorKernel:
 
     @pytest.mark.parametrize("sign", (1, -1))
     def test_dense_tables_match_term_by_term_rewriting(self, sign):
-        # Full S_5 support takes the cached action tables, and every term has
-        # its partner.
+        # Full S_5 support: every term has its partner.
         x = HeckeElement(
             5,
             {
@@ -296,7 +312,7 @@ class TestPackedGuard:
         assert widenings
 
     def test_decoding_past_the_bound_is_refused(self):
-        past = _Packed(2, {(1, 2): 1}, 0, 64, 2**63, 0)
+        past = _Packed(2, {0: 1}, 0, 64, 2**63, 0)
         with pytest.raises(ArithmeticError):
             _decode(past)
 
@@ -326,6 +342,53 @@ class TestKernelFreeProducts:
         )
         assert x * y == kernel_free_product(x, y)
         assert y * x == kernel_free_product(y, x)
+
+
+class TestRankFormat:
+    # Inside the packed kernel a permutation is its lexicographic rank.
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rank_and_tuple_round_trip(self, n):
+        for r, p in enumerate(itertools.permutations(range(1, n + 1))):
+            assert hecke._rank(p) == r
+            assert hecke._unrank(n, r) == p
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_partner_shift_is_right_multiplication(self, n):
+        for i in range(1, n):
+            weight, size, shifts = hecke._partner_shifts(n, i)
+            assert len(shifts) == (n - i + 1) * (n - i)
+            for r, p in enumerate(itertools.permutations(range(1, n + 1))):
+                q = r + shifts[r // weight % size]
+                assert q == hecke._rank(perms.right_mult_gen(p, i))
+                assert (q > r) == (p[i - 1] < p[i])
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_iota_on_ranks_is_inversion(self, n):
+        x = HeckeElement(n, {p: S for p in perms.all_permutations(n)})
+        packed = _encode(x).iota()
+        for r, c in packed.table.items():
+            p = hecke._unrank(n, r)
+            assert x.coeffs[perms.inverse(p)] == S
+
+    def test_single_terms_round_trip_through_ranks(self):
+        for r, p in enumerate(perms.all_permutations(5)):
+            x = HeckeElement(5, {p: S})
+            packed = _encode(x)
+            assert list(packed.table) == [r]
+            assert _decode(packed) == x
+
+    def test_no_table_grows_with_n_factorial(self):
+        # Ranks past any enumeration guard: the kernel steps sparse elements
+        # on many strands, as the rewriting rule does term by term.
+        n = perms.MAX_ENUMERATION + 3
+        x = gen(n, 1).scale(S) + basis(n, *range(n, 0, -1))
+        for i in (1, 5, n - 1):
+            assert x.mul_generator(i) == rewritten_term_by_term(x, i, 1)
+            assert x.mul_generator(i, sign=-1) == rewritten_term_by_term(x, i, -1)
+        assert HeckeElement.zero(n).mul_generator(1).is_zero()
+        assert gen(n, 1) * gen(n, 1) == unit(n) + gen(n, 1).scale(Z)
+        assert gen(n, 2).conjugate_by_braid(perms.longest_element(n)) == gen(n, n - 2)
 
 
 class TestPackedFormat:
@@ -636,22 +699,39 @@ class TestExtractScalar:
 
 class TestConcurrency:
     def test_parallel_dense_products_are_deterministic(self):
-        # Exercises the lazily built action tables from many threads at once;
-        # the contract is that readers never see a partially built row, so
-        # every thread must get exactly the serial answer.
-        import concurrent.futures
+        # The rank memos and shift lists are filled lazily; the contract is
+        # that readers never see a wrong or partial entry, so every thread
+        # must get exactly the serial answer.  The caches are cleared after
+        # the serial run, and the threads start together and switch often,
+        # so they race to fill them.
+        e = e_lambda(Partition((3, 2, 1)))
+        braid = (3, 6, 4, 1, 5, 2)
+        w = basis(6, *braid)
 
-        import qyoung.hecke as hecke_module
+        def work(_):
+            return e * w, w * e, e.conjugate_by_braid(braid)
 
-        hecke_module._right_action.cache_clear()
-        a4 = symmetrizer(4)
-        expected = a4 * a4
+        expected = work(None)
+        for cache in (
+            hecke._rank_memo,
+            hecke._perm_memo,
+            hecke._inverse_memo,
+            hecke._partner_shifts,
+        ):
+            cache.cache_clear()
+        start = threading.Barrier(8)
 
-        def square(_):
-            return a4 * a4
+        def race(_):
+            start.wait(timeout=60)
+            return work(None)
 
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(square, range(16)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(race, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
         assert all(result == expected for result in results)
 
 

@@ -21,7 +21,6 @@ from qyoung.symmetrizers import (
     antisymmetrizer,
     column_element,
     e_lambda,
-    normalized_idempotent,
     row_element,
     symmetrizer,
 )
@@ -156,9 +155,12 @@ class TestQuasiIdempotency:
             assert alpha_extract(lam.conjugate()).alpha == flipped
 
     def test_normalized_idempotent(self):
-        elem, denom = normalized_idempotent(Partition((1,)))
+        # The idempotent e/alpha as the pair alpha_extract returns.
+        qi = alpha_extract(Partition((1,)))
+        elem, denom = qi.element, qi.alpha
         assert elem == HeckeElement.unit(1) and denom == ONE
-        elem, denom = normalized_idempotent(Partition((2,)))
+        qi = alpha_extract(Partition((2,)))
+        elem, denom = qi.element, qi.alpha
         assert elem == symmetrizer(2) and denom == ONE + Q
         # e/alpha squares to itself in the fraction-field sense
         assert elem * elem == elem.scale(denom)

@@ -17,7 +17,10 @@ the lazy caches).  The layers:
 - ``long_braid_a6``: the product a_6 * w_p for p = LONG_BRAID, of length
   9; the cost rule expands a_6 (through iota), so the one-term w_p steps
   down the trie of a_6's 720 reduced words;
-- ``alpha_extract_43`` / ``twist_eigenvalue_43``: the public calls.
+- ``alpha_extract_43`` / ``twist_eigenvalue_43``: the public calls;
+- ``alpha_extract_44`` / ``twist_44``: the same calls on the 8-cell diagram
+  (4,4) with ``max_cells=8``, whose e_lambda holds 24192 of the 40320 basis
+  braids of H_8; the warm-up call fills the S_8 rank memos.
 
 The chain layer goes through ``hecke._encode`` and ``hecke._decode`` when
 they exist and calls ``_block_action`` on the element itself otherwise, so
@@ -59,7 +62,7 @@ def _chain(action):
 
 
 def layers() -> dict:
-    lam6, lam7 = Partition((3, 3)), Partition((4, 3))
+    lam6, lam7, lam8 = Partition((3, 3)), Partition((4, 3)), Partition((4, 4))
     e6, e7 = sym.e_lambda(lam6), sym.e_lambda(lam7)
     first_row_block = _chain(lambda x: sym._block_action(x, 4, 0, S))
     a6 = sym.symmetrizer(6)
@@ -71,6 +74,8 @@ def layers() -> dict:
         "long_braid_a6": lambda: a6 * w,
         "alpha_extract_43": lambda: sym.alpha_extract(lam7),
         "twist_eigenvalue_43": lambda: central.twist_eigenvalue(lam7),
+        "alpha_extract_44": lambda: sym.alpha_extract(lam8, max_cells=8),
+        "twist_44": lambda: central.twist_eigenvalue(lam8, max_cells=8),
     }
 
 
