@@ -13,6 +13,9 @@ The public surface, bottom up:
   and the squaring scalar by extraction and by closed form.
 - ``central``: half and full twists, nested band elements, and the twist
   eigenvalue on each symmetrizer.
+- ``invariants``: the named identity checks that ``qyoung verify`` and the
+  acceptance tests run, each a ``(name, ok)`` pair from an exact ``==``.
+- ``cli``: the ``qyoung`` command-line front end.
 """
 
 from .errors import NotDivisible, NotEigenvector, NotQuasiIdempotent, TooLarge

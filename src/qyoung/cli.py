@@ -5,8 +5,10 @@ Commands mirror the library: ``sym``/``antisym`` print the one-row and
 one-column elements, ``elam``/``alpha`` build a symmetrizer and report its
 squaring scalar (extracted and closed-form, with a match flag), ``twist``
 reports the full-twist eigenvalue, ``mul`` multiplies two elements stored in
-the machine format, and ``verify`` reruns the identity suite up to a size
-bound.
+the machine format, and ``verify`` runs the named invariants of
+``qyoung.invariants`` (the list the acceptance tests run too) for every
+strand count and diagram up to a size bound, stopping at the first strand
+count or diagram with a failed check.
 
 Exit codes: 0 success, 1 a verified identity failed, 2 usage or parse error.
 """
@@ -14,19 +16,16 @@ Exit codes: 0 success, 1 a verified identity failed, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from . import central, symmetrizers
-from . import permutations as perms
+from . import central, invariants, symmetrizers
 from .errors import NotEigenvector, NotQuasiIdempotent, TooLarge
 from .hecke import HeckeElement
-from .laurent import LaurentPoly, S
+from .laurent import LaurentPoly
 from .partitions import Partition, all_partitions
-from .permutations import Perm
 
 
 def _render_q_power(value: LaurentPoly) -> str:
@@ -124,122 +123,12 @@ def _positive_int(text: str) -> int:
 # -- the verify command -------------------------------------------------------
 
 
-def _group_product(x: dict[Perm, int], y: dict[Perm, int]) -> dict[Perm, int]:
-    out: dict[Perm, int] = {}
-    for p, a in x.items():
-        for q, b in y.items():
-            r = perms.compose(p, q)
-            c = out.get(r, 0) + a * b
-            if c:
-                out[r] = c
-            else:
-                del out[r]
-    return out
-
-
-def _block_permutations(blocks: list[list[int]], n: int) -> Iterable[Perm]:
-    """All permutations fixing each block of labels setwise."""
-    pools = [list(itertools.permutations(block)) for block in blocks]
-    for choice in itertools.product(*pools):
-        images = list(range(1, n + 1))
-        for block, reordered in zip(blocks, choice):
-            for label, image in zip(block, reordered):
-                images[label - 1] = image
-        yield tuple(images)
-
-
-def _classical_symmetrizer(lam: Partition) -> dict[Perm, int]:
-    """Row-sum times signed column-sum of the row-reading tableau."""
-    n = lam.n
-    numbering = {cell: k for k, cell in enumerate(lam.cells(), start=1)}
-    rows = [
-        [numbering[(i, j)] for j in range(1, part + 1)]
-        for i, part in enumerate(lam.parts, start=1)
-    ]
-    cols = [
-        [numbering[(i, j)] for i in range(1, height + 1)]
-        for j, height in enumerate(lam.conjugate().parts, start=1)
-    ]
-    row_sum = {p: 1 for p in _block_permutations(rows, n)}
-    col_sum = {p: perms.sign(p) for p in _block_permutations(cols, n)}
-    return _group_product(row_sum, col_sum)
-
-
-def _verify(max_n: int, guard: int) -> int:
-    failures: list[str] = []
-
-    def check(ok: bool, name: str) -> None:
-        if not ok:
-            failures.append(name)
-            print(f"FAIL  {name}")
-
-    for n in range(2, max_n + 1):
-        an = symmetrizers.symmetrizer(n)
-        bn = symmetrizers.antisymmetrizer(n)
-        an_s = an.scale(S)
-        bn_neg_sinv = bn.scale(symmetrizers.NEG_S_INV)
-        for i in range(1, n):
-            g = HeckeElement.generator(n, i)
-            check(
-                g * an == an_s and an * g == an_s,
-                f"eigen-relation for the row element, n={n}, i={i}",
-            )
-            check(
-                g * bn == bn_neg_sinv and bn * g == bn_neg_sinv,
-                f"eigen-relation for the column element, n={n}, i={i}",
-            )
-        ft = central.full_twist(n)
-        for i in range(1, n):
-            g = HeckeElement.generator(n, i)
-            check(ft * g == g * ft, f"full-twist centrality, n={n}, i={i}")
-        if failures:
-            break
-
-    taus: dict[tuple[int, ...], LaurentPoly] = {}
-    for k in range(1, max_n + 1):
-        if failures:
-            break
-        for lam in all_partitions(k):
-            started = time.perf_counter()
-            qi = symmetrizers.alpha_extract(lam, max_cells=guard)
-            check(
-                qi.alpha == symmetrizers.alpha_closed_form(lam),
-                f"alpha closed form, lambda={lam}",
-            )
-            hooks = 1
-            for h in lam.hook_lengths():
-                hooks *= h
-            check(
-                qi.alpha.eval_at_one() == hooks,
-                f"alpha at s=1 vs hook product, lambda={lam}",
-            )
-            tau = central.twist_scalar(qi.element, lam)
-            taus[lam.parts] = tau
-            check(
-                tau == LaurentPoly.monomial(central.twist_exponent(lam)),
-                f"twist eigenvalue closed form, lambda={lam}",
-            )
-            check(tau.eval_at_one() == 1, f"twist eigenvalue at s=1, lambda={lam}")
-            conj = lam.conjugate().parts
-            if conj in taus:
-                check(
-                    taus[conj] == tau.invert_variable(),
-                    f"twist conjugation symmetry, lambda={lam}",
-                )
-            if k <= 4:
-                check(
-                    qi.element.specialize_at_one() == _classical_symmetrizer(lam),
-                    f"classical limit vs group-algebra symmetrizer, lambda={lam}",
-                )
-            print(f"ok    lambda={str(lam):12s} ({time.perf_counter() - started:.2f}s)")
-            if failures:
-                break
-
-    if failures:
-        print(f"verification failed: {failures[0]}")
-        return 1
-    print("all invariants verified")
-    return 0
+def _print_failures(checks: list[tuple[str, bool]]) -> list[str]:
+    """Print a FAIL line for every check that did not hold; return their names."""
+    names = [name for name, ok in checks if not ok]
+    for name in names:
+        print(f"FAIL  {name}")
+    return names
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -254,7 +143,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         print(f"error: need a bound >= 1, got {args.max_n}", file=sys.stderr)
         return 2
-    return _verify(args.max_n, guard)
+
+    failures: list[str] = []
+    for n in range(2, args.max_n + 1):
+        failures = _print_failures(invariants.strand_checks(n))
+        if failures:
+            break
+
+    taus: dict[tuple[int, ...], LaurentPoly] = {}
+    for k in range(1, args.max_n + 1):
+        if failures:
+            break
+        for lam in all_partitions(k):
+            started = time.perf_counter()
+            failures = _print_failures(invariants.diagram_checks(lam, taus, guard))
+            if failures:
+                break
+            print(f"ok    lambda={str(lam):12s} ({time.perf_counter() - started:.2f}s)")
+
+    if failures:
+        print(f"verification failed: {failures[0]}")
+        return 1
+    print("all invariants verified")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

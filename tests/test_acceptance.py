@@ -4,36 +4,38 @@ Acceptance gate: every exit criterion, exact equality, with its time budget.
 Each test is one criterion and prints its own pass line (visible with -s);
 budgets are asserted, not aspirational.  The 6-cell extension is the slow
 suite; deselect it with -m 'not slow' when iterating.
+
+The eigen-relations, full-twist centrality, closed forms, twist eigenvalues
+and classical limit are the named checks of ``qyoung.invariants``, the same
+list ``qyoung verify`` runs; the tests here assert that every check holds.
+What ``verify`` does not check (the general product e * e, the basis
+relations, the band product, the sandwich property and the slow gates) is
+asserted here directly.
 """
 
 import itertools
-import math
 import random
 import time
 
 import pytest
 
+from qyoung import invariants
 from qyoung import permutations as perms
-from qyoung.central import full_twist, murphy, twist_eigenvalue, twist_exponent
+from qyoung.central import full_twist, murphy, twist_eigenvalue
 from qyoung.hecke import HeckeElement, extract_scalar
 from qyoung.laurent import LaurentPoly, ONE, S
-from qyoung.partitions import Partition, all_partitions
-from qyoung.symmetrizers import (
-    alpha_closed_form,
-    alpha_extract,
-    antisymmetrizer,
-    e_lambda,
-    symmetrizer,
-)
-
-from .oracles import classical_young_symmetrizer
-
-NEG_S_INV = LaurentPoly.monomial(-1, -1)
+from qyoung.partitions import all_partitions
+from qyoung.symmetrizers import DEFAULT_MAX_CELLS, alpha_closed_form, alpha_extract, e_lambda
 
 
 def partitions_up_to(k_max):
     for k in range(1, k_max + 1):
         yield from all_partitions(k)
+
+
+def failed(checks):
+    """The names of the checks that did not hold."""
+    return [name for name, ok in checks if not ok]
 
 
 def report(name, started, budget):
@@ -72,14 +74,8 @@ def test_basis_and_counting():
 def test_eigen_relations():
     started = time.monotonic()
     for n in range(2, 7):
-        an, bn = symmetrizer(n), antisymmetrizer(n)
-        for i in range(1, n):
-            g = HeckeElement.generator(n, i)
-            assert g * an == an.scale(S)
-            assert an * g == an.scale(S)
-            assert g * bn == bn.scale(NEG_S_INV)
-            assert bn * g == bn.scale(NEG_S_INV)
-    report("eigen-relations for row/column elements, n<=6", started, 30)
+        assert failed(invariants.strand_checks(n)) == []
+    report("eigen-relations and full-twist centrality, n<=6", started, 30)
 
 
 def test_quasi_idempotency():
@@ -88,42 +84,20 @@ def test_quasi_idempotency():
         qi = alpha_extract(lam)
         assert qi.element * qi.element == qi.element.scale(qi.alpha)
         assert not qi.alpha.is_zero()
-        assert qi.alpha == alpha_closed_form(lam)
-    report("quasi-idempotency and closed form, |cells|<=5", started, 60)
+    report("quasi-idempotency by the general product, |cells|<=5", started, 60)
 
 
-def test_classical_limit():
+def test_diagram_invariants():
     started = time.monotonic()
-    for lam in partitions_up_to(5):
-        hooks = 1
-        for h in lam.hook_lengths():
-            hooks *= h
-        assert alpha_extract(lam).alpha.eval_at_one() == hooks
-    for lam in partitions_up_to(4):
-        assert e_lambda(lam).specialize_at_one() == classical_young_symmetrizer(
-            lam.parts
-        )
-    report("classical limit: hook products and group-algebra oracle", started, 60)
-
-
-def test_full_twist():
-    started = time.monotonic()
-    for n in range(2, 7):
-        ft = full_twist(n)
-        for i in range(1, n):
-            g = HeckeElement.generator(n, i)
-            assert ft * g == g * ft
     taus = {}
     for lam in partitions_up_to(5):
-        tau = twist_eigenvalue(lam)
-        taus[lam.parts] = tau
-        assert tau.is_monomial()
-        assert tau == LaurentPoly.monomial(twist_exponent(lam))
-        assert tau.eval_at_one() == 1
-    for parts, tau in taus.items():
-        conj = Partition(parts).conjugate().parts
-        assert taus[conj] == tau.invert_variable()
-    report("full twist: centrality n<=6, eigenvalues |cells|<=5", started, 60)
+        assert failed(invariants.diagram_checks(lam, taus, DEFAULT_MAX_CELLS)) == []
+    report(
+        "alpha closed form and hook products, twist eigenvalues and conjugation "
+        "|cells|<=5; classical limit |cells|<=4",
+        started,
+        60,
+    )
 
 
 def test_murphy_product_identity():

@@ -219,6 +219,35 @@ class TestVerifyCommand:
         assert code == 2
         assert "guard" in err
 
+    def test_failed_diagram_exits_one_without_ok_line(self, capsys, monkeypatch):
+        from qyoung import symmetrizers
+
+        real = symmetrizers.alpha_closed_form
+
+        def planted(lam):
+            return real(lam) + 1 if lam.parts == (2,) else real(lam)
+
+        monkeypatch.setattr(symmetrizers, "alpha_closed_form", planted)
+        code, out, _ = run(capsys, "verify", "3")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0].startswith("ok    lambda=1 ")
+        assert lines[1:] == [
+            "FAIL  alpha closed form, lambda=2",
+            "verification failed: alpha closed form, lambda=2",
+        ]
+
+    def test_failed_strand_check_prints_no_diagram_lines(self, capsys, monkeypatch):
+        from qyoung import symmetrizers
+
+        monkeypatch.setattr(symmetrizers, "antisymmetrizer", symmetrizers.symmetrizer)
+        code, out, _ = run(capsys, "verify", "3")
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL  eigen-relation for the column element, n=2, i=1",
+            "verification failed: eigen-relation for the column element, n=2, i=1",
+        ]
+
 
 def test_verify_builds_each_symmetrizer_once(capsys, monkeypatch):
     from qyoung import central, symmetrizers

@@ -4,11 +4,11 @@ import doctest
 
 import pytest
 
-from qyoung import hecke, laurent, partitions, permutations, symmetrizers
+from qyoung import hecke, invariants, laurent, partitions, permutations, symmetrizers
 
 
 @pytest.mark.parametrize(
-    "module", [laurent, permutations, hecke, partitions, symmetrizers]
+    "module", [laurent, permutations, hecke, partitions, symmetrizers, invariants]
 )
 def test_module_doctests(module):
     failures, _ = doctest.testmod(module)
