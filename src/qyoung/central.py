@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from . import permutations as perms
 from .errors import NotEigenvector
-from .hecke import HeckeElement, _decode, _encode, _Packed, extract_scalar
+from .hecke import HeckeElement, _element, _packed, _Packed, extract_scalar
 from .laurent import LaurentPoly
 from .partitions import Partition
 from .symmetrizers import DEFAULT_MAX_CELLS, e_lambda
@@ -49,10 +49,10 @@ def murphy(n: int, j: int) -> HeckeElement:
     """
     if not 2 <= j <= n:
         raise IndexError(f"band index {j} out of range for {n} strands")
-    out = _encode(HeckeElement.unit(n))
+    out = _packed(HeckeElement.unit(n))
     for i in _band_word(j):
         out = out.mul_generator(i)
-    return _decode(out)
+    return _element(out)
 
 
 def _mul_full_twist(x: _Packed) -> _Packed:
@@ -82,7 +82,7 @@ def twist_scalar(e: HeckeElement, lam: Partition) -> LaurentPoly:
     e * ft multiplied out band by band, the scalar extracted and checked on
     every coefficient.
     """
-    report = extract_scalar(e, _decode(_mul_full_twist(_encode(e))))
+    report = extract_scalar(e, _element(_mul_full_twist(_packed(e))))
     if not report.proportional:
         raise NotEigenvector(
             f"full twist does not act on the {lam} symmetrizer by a scalar "

@@ -57,9 +57,25 @@ B past that limit, the table is decoded, which is still exact, and
 encoded again with a K large enough for its true largest digit times the
 operation's growth, with room to spare; B is reset to that true value.
 K is derived from the data alone: an encoded table takes the smallest
-multiple of 64 that fits its largest coefficient.  Every chain encodes its
-input once and decodes its result once; ``mul_generator`` is the one-step
-chain.
+multiple of 64 that fits its largest coefficient.
+
+Two forms, each converted at most once.  An element holds its table as a
+mapping from permutation tuples to Laurent polynomials, as a packed table,
+or as both.  The public constructor fills only the mapping; every kernel
+result (a generator step, a product, a conjugation, a rescaling, and the
+chains that ``symmetrizers`` and ``central`` build) holds only its packed
+table.  The first kernel use of an element encodes its mapping and keeps
+the packed table; the first read of ``coeffs`` decodes the packed table and
+keeps the mapping.  A chain starts from the kept table and never writes
+into it: the only table written in place is an accumulator made fresh for
+one sum.  The first chain to start from a kernel result tidies the kept
+table, once: it drops the surplus zero low digits and resets B to the true
+largest digit, as an encode would have left them, so that squaring
+e_lambda steps through no longer ints than it would from a fresh encode.
+Equality and scalar extraction read packed tables as they are kept:
+brought to one K and one valuation, two entries stand for the same
+polynomial exactly when they are equal ints, since balanced digits below
+2^(K-1) are unique.  So a result that is only compared is never decoded.
 
 Ranks.  Encoding turns each permutation into its rank and decoding turns
 it back, so inside a chain no permutation tuple is built or hashed.  The
@@ -70,18 +86,21 @@ went up exactly when the partner rank is the larger, so nothing else is
 stored.  The conversions, and inversion on ranks for iota, are computed
 from Lehmer codes and remembered per strand count, only for the
 permutations met so far.  No table covers all of S_n, so the kernel works
-on any number of strands.  Concurrent chains may fill a memo at once; an
-entry is a single dict store of a value every writer computes alike, and
-a missing entry is computed again, so readers never see a wrong one.
+on any number of strands.  Concurrent chains may fill a memo, or an
+element's kept form, at once; an entry is a single store of a value every
+writer computes alike, and a missing entry is computed again, so readers
+never see a wrong one.
 
 A general product expands one factor through reduced words, sharing common
 prefixes so that dense products cost one generator step per distinct
-prefix rather than per term.  Only the right action is implemented: the
-anti-involution iota: w_p -> w_{p^-1} fixes each g_i and reverses
-products, so x * y = iota(iota(y) * iota(x)).
+prefix rather than per term.  Which factor to expand is judged from
+word lengths read off the ranks, each the sum of its Lehmer digits.  Only
+the right action is implemented: the anti-involution iota: w_p -> w_{p^-1}
+fixes each g_i and reverses products, so x * y = iota(iota(y) * iota(x)).
 
-Elements themselves are immutable values, keyed by permutation tuples;
-the constructor rejects any key that is not a permutation of 1..n.
+Elements are immutable values.  ``coeffs`` is a read-only view keyed by
+permutation tuples, and the constructor rejects any key that is not a
+permutation of 1..n.
 """
 
 from __future__ import annotations
@@ -91,6 +110,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import permutations as perms
@@ -117,11 +137,12 @@ def _acc(table: dict[Perm, LaurentPoly], key: Perm, value: LaurentPoly) -> None:
 class HeckeElement:
     """
     An element of H_n: a strand count plus a zero-free coefficient table
-    keyed by permutations.  Treat instances as immutable; all operations
-    return new elements.
+    keyed by permutations, held as a mapping, a packed table or both (see
+    the module docstring).  Instances are immutable; all operations return
+    new elements.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "_coeffs", "_pk")
 
     def __init__(self, n: int, coeffs: Mapping[Perm, LaurentPoly]):
         if n < 1:
@@ -138,7 +159,19 @@ class HeckeElement:
         if not {int}.issuperset(map(type, itertools.chain.from_iterable(table))):
             raise ValueError(f"a key with a non-int entry is not a permutation of 1..{n}")
         self.n = n
-        self.coeffs = table
+        self._coeffs = MappingProxyType(table)
+        self._pk = None
+
+    @property
+    def coeffs(self) -> Mapping[Perm, LaurentPoly]:
+        """
+        The read-only table from permutations to nonzero coefficients,
+        decoded from the packed table on the first read and kept.
+        """
+        view = self._coeffs
+        if view is None:
+            view = self._coeffs = MappingProxyType(_decode(self._pk))
+        return view
 
     # -- constructors ------------------------------------------------------
 
@@ -167,7 +200,8 @@ class HeckeElement:
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        pk = self._pk
+        return not (self._coeffs if pk is None else pk.table)
 
     def support(self) -> list[Perm]:
         return sorted(self.coeffs)
@@ -178,7 +212,15 @@ class HeckeElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        if self.n != other.n:
+            return False
+        if self._pk is None and other._pk is None:
+            return self._coeffs == other._coeffs
+        a, b = _kept(self), _kept(other)
+        if len(a.table) != len(b.table):
+            return False
+        mine, theirs = _aligned(a, b)
+        return mine == theirs
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -204,23 +246,24 @@ class HeckeElement:
     def scale(self, a: LaurentPoly | int) -> HeckeElement:
         if isinstance(a, int):
             a = LaurentPoly.from_int(a)
-        if a.is_zero():
+        if a.is_zero() or self.is_zero():
             return HeckeElement.zero(self.n)
-        return self._wrap({p: c * a for p, c in self.coeffs.items()})
+        out = _Packed.zero(self.n)
+        out.add_times(_packed(self), a)
+        return _element(out)
 
     # -- multiplication ------------------------------------------------------
 
     def mul_generator(self, i: int, sign: int = 1) -> HeckeElement:
         """
         Right multiplication by g_i (sign=+1) or g_i^-1 (sign=-1), pair by
-        pair through the rewriting rule: the one-step packed chain, so a
-        lone call pays one encode and one decode.
+        pair through the rewriting rule: the one-step packed chain.
         """
         if not 1 <= i <= self.n - 1:
             raise IndexError(f"generator index {i} out of range for {self.n} strands")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        return _decode(_encode(self).mul_generator(i, sign))
+        return _element(_packed(self).mul_generator(i, sign))
 
     def __mul__(self, other: HeckeElement) -> HeckeElement:
         """
@@ -229,13 +272,12 @@ class HeckeElement:
         its reduced words, the left one as iota(iota(other) * iota(self)).
         """
         self._check_same_n(other)
-        if not self.coeffs or not other.coeffs:
+        if self.is_zero() or other.is_zero():
             return HeckeElement.zero(self.n)
-        work_right = sum(len(perms.reduced_word(q)) for q in other.coeffs)
-        work_left = sum(len(perms.reduced_word(p)) for p in self.coeffs)
-        if work_right * len(self.coeffs) <= work_left * len(other.coeffs):
-            return _decode(_expand_right(_encode(self), other))
-        return _decode(_expand_right(_encode(other).iota(), _iota(self)).iota())
+        x, y = _packed(self), _packed(other)
+        if _total_length(y) * len(x.table) <= _total_length(x) * len(y.table):
+            return _element(_expand_right(x, other))
+        return _element(_expand_right(y.iota(), _iota(self)).iota())
 
     # -- embeddings and conjugation -------------------------------------------
 
@@ -262,13 +304,13 @@ class HeckeElement:
         if len(p) != self.n:
             raise ValueError(f"permutation {p} does not act on {self.n} strands")
         word = perms.reduced_word(tuple(p))
-        out = _encode(self).iota()  # w_p x = iota(iota(x) g_{i_k} ... g_{i_1})
+        out = _packed(self).iota()  # w_p x = iota(iota(x) g_{i_k} ... g_{i_1})
         for letter in reversed(word):
             out = out.mul_generator(letter)
         out = out.iota()
         for letter in reversed(word):
             out = out.mul_generator(letter, -1)
-        return _decode(out)
+        return _element(out)
 
     # -- specialization -------------------------------------------------------
 
@@ -359,9 +401,9 @@ class HeckeElement:
     # -- internals -------------------------------------------------------------
 
     def _wrap(self, table: dict[Perm, LaurentPoly]) -> HeckeElement:
+        """A zero-free table this element's operation built, taken as it is."""
         elem = object.__new__(HeckeElement)
-        elem.n = self.n
-        elem.coeffs = table
+        elem.n, elem._coeffs, elem._pk = self.n, MappingProxyType(table), None
         return elem
 
     def _check_same_n(self, other: HeckeElement) -> None:
@@ -502,6 +544,39 @@ def _inverse_memo(n: int) -> dict[int, int]:
 
 
 @functools.cache
+def _length_memo(n: int) -> dict[int, int]:
+    return {}
+
+
+def _perm_of(n: int, r: int) -> Perm:
+    """The permutation of rank r in S_n, through the memos."""
+    p = _perm_memo(n).get(r)
+    if p is None:
+        p = _perm_memo(n)[r] = _unrank(n, r)
+        _rank_memo(n)[p] = r
+    return p
+
+
+def _total_length(pk: _Packed) -> int:
+    """
+    The sum of the lengths of the permutations in a packed table: each the
+    sum of the Lehmer digits of its rank, which are the rank's digits in
+    the factorial base.
+    """
+    lengths, n, total = _length_memo(pk.n), pk.n, 0
+    for r in pk.table:
+        ell = lengths.get(r)
+        if ell is None:
+            ell, rest = 0, r
+            for m in range(2, n + 1):
+                rest, d = divmod(rest, m)
+                ell += d
+            lengths[r] = ell
+        total += ell
+    return total
+
+
+@functools.cache
 def _partner_shifts(n: int, i: int) -> tuple[int, int, list[int]]:
     """
     The partner rank rank(p s_i) as rank(p) + shifts[rank(p) // weight % size];
@@ -530,25 +605,31 @@ class _Packed:
     """
     A coefficient table in Kronecker form (see the module docstring): a
     strand count, the table from permutation ranks to packed ints, V, K,
-    the digit bound B and the guaranteed zero low digits.  Chains pass
-    these between ``_encode`` and ``_decode``; only this module reads their
-    fields.  Steps return new tables; ``add_times`` accumulates into its own
-    table in place, so an accumulator starts as ``copy()`` or ``zero(n)``.
+    the digit bound B, the guaranteed zero low digits, and whether the
+    table is tidy: as an encode leaves it, with exactly _REBASE zero low
+    digits and B its true largest digit.  Chains start from ``_packed(x)``
+    and end in ``_element(result)``; only this module reads the fields.
+    Steps return new tables; ``add_times`` accumulates into its own table
+    in place, so an accumulator starts as ``copy()`` or ``zero(n)``, never
+    as a table an element holds.
     """
 
-    __slots__ = ("n", "table", "val", "k", "bound", "low")
+    __slots__ = ("n", "table", "val", "k", "bound", "low", "tidy")
 
-    def __init__(self, n: int, table: dict, val: int, k: int, bound: int, low: int):
+    def __init__(
+        self, n: int, table: dict, val: int, k: int, bound: int, low: int, tidy: bool = False
+    ):
         self.n = n
         self.table = table
         self.val = val
         self.k = k
         self.bound = bound
         self.low = low
+        self.tidy = tidy
 
     @staticmethod
     def zero(n: int) -> _Packed:
-        return _Packed(n, {}, 0, 64, 0, _REBASE)
+        return _Packed(n, {}, 0, 64, 0, _REBASE, tidy=True)
 
     def copy(self) -> _Packed:
         return _Packed(self.n, dict(self.table), self.val, self.k, self.bound, self.low)
@@ -611,6 +692,7 @@ class _Packed:
         """
         if not other.table:
             return
+        self.tidy = False
         weight = sum(map(abs, c.coeffs))
         if not self.table:
             self.val, self.k, self.bound, self.low = other.val + c.val, other.k, 0, other.low
@@ -659,6 +741,20 @@ class _Packed:
             table = {p: c >> -shift for p, c in self.table.items()}
         return _Packed(self.n, table, self.val + true_low - _REBASE, k, self.bound, _REBASE)
 
+    def _tidied(self) -> _Packed:
+        """
+        The same values, tidy.  A chain's result keeps the zero low digits
+        its sums piled up past the steps' count and a bound multiplied up
+        step by step, often tens of bits above its true digits; a chain
+        started from it as it is would carry the longer ints through every
+        step and widen again and again.
+        """
+        if not self.table:
+            return _Packed.zero(self.n)
+        out = self._rebased()._widened(1)
+        out.tidy = True
+        return out
+
     def _widened(self, growth: int, k: int = 64) -> _Packed:
         """
         The guard: the same values with B reset to the true largest digit,
@@ -675,6 +771,31 @@ class _Packed:
             recoded = {c: _pack(ds, k) << (k * z) for c, (z, ds) in digits.items()}
             table = {p: recoded[c] for p, c in table.items()}
         return _Packed(self.n, table, self.val, k, top, self.low)
+
+
+def _packed(x: HeckeElement) -> _Packed:
+    """
+    x's packed table as a chain starts from it, tidy and kept: encoded from
+    x's mapping, or x's kernel result tidied, on the first use.
+    """
+    pk = x._pk
+    if pk is None:
+        pk = x._pk = _encode(x)
+    elif not pk.tidy:
+        pk = x._pk = pk._tidied()
+    return pk
+
+
+def _kept(x: HeckeElement) -> _Packed:
+    """x's packed table as it is kept, for reading without a chain."""
+    return _packed(x) if x._pk is None else x._pk
+
+
+def _element(pk: _Packed) -> HeckeElement:
+    """The element a kernel result stands for, holding only its packed table."""
+    elem = object.__new__(HeckeElement)
+    elem.n, elem._coeffs, elem._pk = pk.n, None, pk
+    return elem
 
 
 def _encode(x: HeckeElement) -> _Packed:
@@ -700,36 +821,58 @@ def _encode(x: HeckeElement) -> _Packed:
         if n is None:
             n = packed[c] = _pack(c.coeffs, k) << (k * (c.val - val))
         table[r] = n
-    return _Packed(x.n, table, val, k, top, _REBASE)
+    return _Packed(x.n, table, val, k, top, _REBASE, tidy=True)
 
 
-def _decode(pk: _Packed) -> HeckeElement:
-    """
-    The element a packed table stands for: each rank back to its
-    permutation, each int to its Laurent polynomial, equal ints to one
-    shared polynomial.
-    """
+def _check_readable(pk: _Packed) -> None:
     if pk.bound >= 1 << (pk.k - 1):
         # The guard widens before any operation that could get here.
         raise ArithmeticError(f"packed digits may reach {pk.bound}, past 2^{pk.k - 1}")
-    elem = object.__new__(HeckeElement)
-    elem.n = pk.n
-    elem.coeffs = coeffs = {}
-    found, ranks = _perm_memo(pk.n), _rank_memo(pk.n)
+
+
+def _decode(pk: _Packed) -> dict[Perm, LaurentPoly]:
+    """
+    The mapping a packed table stands for: each rank back to its
+    permutation, each int to its Laurent polynomial, equal ints to one
+    shared polynomial.
+    """
+    _check_readable(pk)
+    coeffs: dict[Perm, LaurentPoly] = {}
     read = _digit_reader(pk.k)
     polys: dict[int, LaurentPoly] = {}
-    val = pk.val
-    for r, n in pk.table.items():
-        p = found.get(r)
-        if p is None:
-            p = found[r] = _unrank(pk.n, r)
-            ranks[p] = r
-        c = polys.get(n)
-        if c is None:
-            z, digits = read(n)
-            c = polys[n] = LaurentPoly(val + z, digits)
-        coeffs[p] = c
-    return elem
+    n, val = pk.n, pk.val
+    for r, c in pk.table.items():
+        poly = polys.get(c)
+        if poly is None:
+            z, digits = read(c)
+            poly = polys[c] = LaurentPoly(val + z, digits)
+        coeffs[_perm_of(n, r)] = poly
+    return coeffs
+
+
+def _aligned(a: _Packed, b: _Packed) -> tuple[dict[int, int], dict[int, int]]:
+    """
+    The tables of a and b at one digit size and one valuation, so that two
+    entries stand for the same polynomial exactly when they are equal ints.
+    The narrower table is recoded to the wider K; its digits are below
+    2^(K-1) by 64 bits and more, so the guard's spare bits fit and it lands
+    on exactly that K.  The table with the higher valuation is re-expressed
+    at the other's, lower one.
+    """
+    _check_readable(a)
+    _check_readable(b)
+    if a.k < b.k:
+        a = a._widened(1, b.k)
+    elif b.k < a.k:
+        b = b._widened(1, a.k)
+    mine, theirs = a.table, b.table
+    if a.val > b.val:
+        shift = a.k * (a.val - b.val)
+        mine = {r: c << shift for r, c in mine.items()}
+    elif b.val > a.val:
+        shift = a.k * (b.val - a.val)
+        theirs = {r: c << shift for r, c in theirs.items()}
+    return mine, theirs
 
 
 @dataclass(frozen=True)
@@ -751,29 +894,38 @@ def extract_scalar(reference: HeckeElement, candidate: HeckeElement) -> ScalarRe
 
     The scalar is pinned from the lexicographically smallest basis term of
     the reference by exact division, then verified on every coefficient; any
-    mismatch reports proportional=False with a witness permutation.
+    mismatch reports proportional=False with a witness permutation, the
+    smallest in either support where the two sides differ.  Both run on
+    packed tables: the smallest permutation is the smallest rank, and
+    scalar * reference is compared with the candidate entry by entry once
+    the two are aligned.
     """
     reference._check_same_n(candidate)
     if reference.is_zero():
         raise ValueError("reference element is zero")
     if candidate.is_zero():
         return ScalarReport(ZERO, True)
-    pinned = min(reference.coeffs)
-    top = candidate.coeffs.get(pinned)
+    ref, cand = _kept(reference), _kept(candidate)
+    pinned = min(ref.table)
+    top = cand.table.get(pinned)
     if top is None:
-        return ScalarReport(ZERO, False, witness=min(candidate.coeffs))
+        return ScalarReport(ZERO, False, witness=_perm_of(ref.n, min(cand.table)))
+    _check_readable(ref)
+    _check_readable(cand)
     try:
-        scalar = top.exact_div(reference.coeffs[pinned])
+        scalar = _poly(cand, top).exact_div(_poly(ref, ref.table[pinned]))
     except ArithmeticError:
-        return ScalarReport(ZERO, False, witness=pinned)
-    # The smallest p in either support where candidate != scalar * reference.
-    witness = None
-    theirs = candidate.coeffs
-    for p, c in reference.coeffs.items():
-        if theirs.get(p) != c * scalar and (witness is None or p < witness):
-            witness = p
-    if witness is not None or len(theirs) != len(reference.coeffs):
-        for p in theirs:
-            if p not in reference.coeffs and (witness is None or p < witness):
-                witness = p
-    return ScalarReport(scalar, witness is None, witness)
+        return ScalarReport(ZERO, False, witness=_perm_of(ref.n, pinned))
+    scaled = _Packed.zero(ref.n)
+    scaled.add_times(ref, scalar)
+    mine, theirs = _aligned(scaled, cand)
+    if mine == theirs:
+        return ScalarReport(scalar, True)
+    witness = min(r for r in mine.keys() | theirs.keys() if mine.get(r) != theirs.get(r))
+    return ScalarReport(scalar, False, _perm_of(ref.n, witness))
+
+
+def _poly(pk: _Packed, c: int) -> LaurentPoly:
+    """The Laurent polynomial of one entry c of a readable packed table."""
+    z, digits = _digit_reader(pk.k)(c)
+    return LaurentPoly(pk.val + z, digits)

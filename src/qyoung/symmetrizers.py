@@ -26,9 +26,12 @@ column blocks and w_d^-1 for the column-reading permutation d:
 
 generator steps.  Building e_lambda is that action on 1 and squaring it is
 that action on e_lambda.  Each is one chain of the packed kernel in
-``hecke``: the element is encoded once, every step and block sum runs on
-the packed table, whose digit-bound guard keeps it exact, and the result
-is decoded once; this module sees the packed table only through its
+``hecke``: it starts from the element's packed table, every step and
+block sum runs on packed tables, whose digit-bound guard keeps them exact,
+and the result is an element holding only its packed table.  Building
+e_lambda encodes just the unit; squaring starts from the table e_lambda
+already holds, and ``extract_scalar`` compares the square with it without
+decoding either.  This module sees the packed table only through its
 steps and sums.  ``symmetrizer`` and ``antisymmetrizer`` are one
 enumeration of S_n, with coefficient u^length(p) for u = s or -s^-1, that
 never touches the kernel, so that the eigen-relations ``qyoung verify``
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 
 from . import permutations as perms
 from .errors import NotQuasiIdempotent, TooLarge
-from .hecke import HeckeElement, _decode, _encode, _Packed, extract_scalar
+from .hecke import HeckeElement, _element, _packed, _Packed, extract_scalar
 from .laurent import LaurentPoly, ONE, S, qint
 from .partitions import Partition
 
@@ -107,16 +110,20 @@ def _block_action(x: _Packed, k: int, offset: int, u: LaurentPoly) -> _Packed:
 
         a_m = a_{m-1} * sum_{j<m} u^j g_{offset+m-1} .. g_{offset+m-j}.
 
-    x is a packed chain value (``hecke._encode``), and so is the result.
+    x is a packed chain value (``hecke._packed``), and so is the result.
     Each sum is accumulated in one table, copied from a_{m-1} once, and
-    u^j * step is added into it; the steps themselves are never rescaled.
+    u^j * step is added into it, u^j read from one list of powers; the
+    steps themselves are never rescaled.
     """
+    powers = [ONE]
+    for _ in range(k - 1):
+        powers.append(powers[-1] * u)
     for m in range(2, k + 1):
         step = x
         total = x.copy()
         for j in range(1, m):
             step = step.mul_generator(offset + m - j)
-            total.add_times(step, u**j)
+            total.add_times(step, powers[j])
         x = total
     return x
 
@@ -147,7 +154,7 @@ def _mul_column(x: _Packed, lam: Partition) -> _Packed:
 def row_element(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> HeckeElement:
     """Product of row symmetrizers placed at the row-reading offsets."""
     _check_cells(lam, max_cells)
-    return _decode(_mul_row(_encode(HeckeElement.unit(lam.n)), lam))
+    return _element(_mul_row(_packed(HeckeElement.unit(lam.n)), lam))
 
 
 def column_element(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> HeckeElement:
@@ -156,13 +163,13 @@ def column_element(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> HeckeE
     conjugated to row-reading strand order.
     """
     _check_cells(lam, max_cells)
-    return _decode(_mul_column(_encode(HeckeElement.unit(lam.n)), lam))
+    return _element(_mul_column(_packed(HeckeElement.unit(lam.n)), lam))
 
 
 def e_lambda(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> HeckeElement:
     """The q-Young symmetrizer of the diagram, on exactly |diagram| strands."""
     _check_cells(lam, max_cells)
-    return _decode(_mul_column(_mul_row(_encode(HeckeElement.unit(lam.n)), lam), lam))
+    return _element(_mul_column(_mul_row(_packed(HeckeElement.unit(lam.n)), lam), lam))
 
 
 def alpha_closed_form(lam: Partition) -> LaurentPoly:
@@ -208,7 +215,7 @@ def alpha_extract(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> QuasiId
     e = e_lambda(lam, max_cells)
     if e.is_zero():
         raise NotQuasiIdempotent(f"symmetrizer of {lam} is zero")
-    report = extract_scalar(e, _decode(_mul_column(_mul_row(_encode(e), lam), lam)))
+    report = extract_scalar(e, _element(_mul_column(_mul_row(_packed(e), lam), lam)))
     if not report.proportional:
         raise NotQuasiIdempotent(
             f"square of the {lam} symmetrizer is not proportional to it "

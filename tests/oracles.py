@@ -101,3 +101,66 @@ def count_standard_tableaux(parts: Sequence[int]) -> int:
         return total
 
     return rec((0,) * rows, sum(parts))
+
+
+# Laurent polynomials below are zero-free dicts {exponent: coefficient}, and
+# elements of H_n zero-free dicts {permutation: polynomial}.
+
+
+def poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for e, c in a.items():
+        for f, d in b.items():
+            v = out.get(e + f, 0) + c * d
+            if v:
+                out[e + f] = v
+            else:
+                out.pop(e + f, None)
+    return out
+
+
+def poly_exact_div(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
+    """
+    The q with q * b == a for a nonzero b, by long division from the lowest
+    exponent up, or None if there is none.
+    """
+    low, lead = min(b), b[min(b)]
+    highest = max(a) - max(b) if a else 0  # the quotient's top exponent, if any
+    rem, quot = dict(a), {}
+    while rem:
+        e = min(rem)
+        exp = e - low
+        if exp > highest or rem[e] % lead:
+            return None
+        q = quot[exp] = rem[e] // lead
+        for f, d in b.items():
+            v = rem.get(exp + f, 0) - q * d
+            if v:
+                rem[exp + f] = v
+            else:
+                rem.pop(exp + f, None)
+    return quot
+
+
+def proportionality(reference: dict, candidate: dict) -> tuple[dict[int, int], bool, Perm | None]:
+    """
+    (scalar, proportional, witness) for candidate == scalar * reference, the
+    reference nonzero: the scalar by exact division at the smallest
+    permutation of the reference (zero when that fails or the candidate
+    lacks the term), the witness the smallest permutation in either support
+    where the two sides differ.
+    """
+    if not candidate:
+        return {}, True, None
+    pinned = min(reference)
+    if pinned not in candidate:
+        return {}, False, min(candidate)
+    scalar = poly_exact_div(candidate[pinned], reference[pinned])
+    if scalar is None:
+        return {}, False, pinned
+    mismatches = [
+        p
+        for p in set(reference) | set(candidate)
+        if candidate.get(p, {}) != poly_mul(reference.get(p, {}), scalar)
+    ]
+    return scalar, not mismatches, min(mismatches, default=None)

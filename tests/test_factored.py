@@ -2,8 +2,8 @@
 The factored right actions by e_lambda and by the full twist, checked
 against the general product they replace, and their exact generator-step
 counts, which catch a silent fallback to the general product.  The actions
-run on packed chain values: ``packed`` encodes an element, applies them and
-decodes the result.
+run on packed chain values: ``packed`` applies them to an element's packed
+table and wraps the result as an element.
 """
 
 import collections
@@ -13,7 +13,7 @@ import pytest
 from qyoung import central, hecke
 from qyoung import symmetrizers as sym
 from qyoung.central import full_twist, twist_eigenvalue
-from qyoung.hecke import HeckeElement, _decode, _encode, _Packed
+from qyoung.hecke import HeckeElement, _element, _packed, _Packed
 from qyoung.laurent import S
 from qyoung.partitions import Partition, all_partitions
 from qyoung.symmetrizers import (
@@ -34,8 +34,8 @@ def partitions_up_to(k_max):
 
 
 def packed(action, x, *args):
-    """action applied to x as one packed chain: encode, act, decode."""
-    return _decode(action(_encode(x), *args))
+    """action applied to x as one packed chain, from x's packed table to an element."""
+    return _element(action(_packed(x), *args))
 
 
 def square(e, lam):
@@ -96,7 +96,7 @@ class TestInputsUnchanged:
     def test_generator_steps(self, lam):
         e = e_lambda(lam)
         before = e.to_machine()
-        x = _encode(e)
+        x = _packed(e)
         table = dict(x.table)
         for i in range(1, lam.n):
             e.mul_generator(i)
@@ -107,18 +107,18 @@ class TestInputsUnchanged:
         assert x.table == table
 
     def test_block_actions(self, lam):
-        x = _encode(e_lambda(lam))
+        x = _packed(e_lambda(lam))
         before = dict(x.table)
         for u in (S, sym.NEG_S_INV):
             for k in range(2, lam.n + 1):
                 sym._block_action(x, k, lam.n - k, u)
         assert x.table == before
-        assert _decode(x).to_machine() == e_lambda(lam).to_machine()
+        assert _element(x).to_machine() == e_lambda(lam).to_machine()
 
     def test_row_column_and_twist_actions(self, lam):
         e = e_lambda(lam)
         before = e.to_machine()
-        x = _encode(e)
+        x = _packed(e)
         table = dict(x.table)
         sym._mul_row(x, lam)
         sym._mul_column(x, lam)
@@ -129,6 +129,19 @@ class TestInputsUnchanged:
 
     def test_alpha_extract_returns_the_unsquared_element(self, lam):
         assert alpha_extract(lam).element.to_machine() == e_lambda(lam).to_machine()
+
+    def test_square_and_twist_leave_the_kept_packed_table_alone(self, lam):
+        # Squaring and the twist start from the packed table e_lambda holds;
+        # had either used it as an add_times accumulator, its entries, V or
+        # bound would now differ from a fresh build's.
+        def state(pk):
+            return dict(pk.table), pk.val, pk.k, pk.bound, pk.low
+
+        fresh = state(_packed(e_lambda(lam)))
+        e = alpha_extract(lam).element
+        assert state(_packed(e)) == fresh
+        central.twist_scalar(e, lam)
+        assert state(_packed(e)) == fresh
 
 
 @pytest.fixture
@@ -152,16 +165,18 @@ def calls(monkeypatch):
 
 @pytest.fixture
 def conversions(monkeypatch):
-    """Counts of packed encodes and decodes, at every module that binds them."""
+    """
+    Counts of conversions: encodes of an element's mapping and decodes of a
+    packed table.  Only ``hecke`` calls the two, through its own globals.
+    """
     counts = collections.Counter()
-    for name, original in (("_encode", _encode), ("_decode", _decode)):
+    for name in ("_encode", "_decode"):
 
-        def spy(x, _name=name, _original=original):
+        def spy(x, _name=name, _original=getattr(hecke, name)):
             counts[_name] += 1
             return _original(x)
 
-        for module in (hecke, sym, central):
-            monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(hecke, name, spy)
     return counts
 
 
@@ -188,7 +203,7 @@ class TestGeneratorSteps:
 
     def test_twist_eigenvalue(self, lam, calls):
         e = e_lambda(lam)
-        x = _encode(e)
+        x = _packed(e)
         calls.clear()
         central._mul_full_twist(x)
         assert calls == collections.Counter(mul_generator=lam.n * (lam.n - 1))
@@ -200,22 +215,25 @@ class TestGeneratorSteps:
 
 @pytest.mark.parametrize("lam", SMALL, ids=str)
 class TestOneConversionPerChain:
-    # A chain encodes its input once and decodes its result once; a
-    # conversion per step would show here long before it showed in timings.
+    # An element converts at most once each way, and a result that is only
+    # compared is never decoded; a conversion per step would show here long
+    # before it showed in timings.
 
     def test_e_lambda(self, lam, conversions):
-        e_lambda(lam)
+        e = e_lambda(lam)
+        assert conversions == collections.Counter(_encode=1)  # the unit
+        assert e.coeffs is e.coeffs  # the decoded view is kept
         assert conversions == collections.Counter(_encode=1, _decode=1)
 
     def test_alpha_extract_builds_then_squares(self, lam, conversions):
         alpha_extract(lam)
-        assert conversions == collections.Counter(_encode=2, _decode=2)
+        assert conversions == collections.Counter(_encode=1)  # the unit
 
     def test_twist_scalar(self, lam, conversions):
         e = e_lambda(lam)
         conversions.clear()
         central.twist_scalar(e, lam)
-        assert conversions == collections.Counter(_encode=1, _decode=1)
+        assert conversions == collections.Counter()
 
 
 def test_step_count_of_a_hook():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from qyoung import hecke
 from qyoung import permutations as perms
 from qyoung.errors import TooLarge
-from qyoung.hecke import HeckeElement, Z, _decode, _encode, _Packed, extract_scalar
+from qyoung.hecke import HeckeElement, Z, _element, _encode, _packed, _Packed, extract_scalar
 from qyoung.laurent import MAX_EXPONENT_SPAN, LaurentPoly, ONE, S, ZERO
 from qyoung.partitions import Partition
 from qyoung.symmetrizers import e_lambda, symmetrizer
@@ -34,10 +34,15 @@ def basis(n, *one_line):
     return HeckeElement.basis_element(n, tuple(one_line))
 
 
+def times(x, c):
+    """c * x term by term, outside the packed kernel that ``scale`` runs on."""
+    return HeckeElement(x.n, {p: v * c for p, v in x.coeffs.items()})
+
+
 def rewritten(x, p, q):
     """w_q, plus z x for x = w_p when q is shorter than p: one rewriting step."""
     w_q = basis(len(q), *q)
-    return w_q + x.scale(Z) if oracles.length(q) < oracles.length(p) else w_q
+    return w_q + times(x, Z) if oracles.length(q) < oracles.length(p) else w_q
 
 
 def random_element(n, max_terms=3):
@@ -161,7 +166,7 @@ class TestPairedGeneratorKernel:
     def test_matches_term_by_term_rewriting(self, x_and_i, sign):
         x, i = x_and_i
         out = x.mul_generator(i, sign)
-        assert out == rewritten_term_by_term(x, i, sign)
+        assert out.coeffs == rewritten_term_by_term(x, i, sign).coeffs
         assert all(c.coeffs for c in out.coeffs.values())
 
     @pytest.mark.parametrize("sign", (1, -1))
@@ -175,7 +180,7 @@ class TestPairedGeneratorKernel:
             },
         )
         for i in range(1, 5):
-            assert x.mul_generator(i, sign) == rewritten_term_by_term(x, i, sign)
+            assert x.mul_generator(i, sign).coeffs == rewritten_term_by_term(x, i, sign).coeffs
 
     def test_cancelled_pair_leaves_no_zero(self):
         # c_p + z c_q = 0 in the longer member q = p s_2 for g_2, and
@@ -185,11 +190,11 @@ class TestPairedGeneratorKernel:
         lone_moved = (1, 4, 2, 3)
         out = x.mul_generator(2)
         assert out.coeffs == {p: ONE, lone_moved: S}
-        assert out == rewritten_term_by_term(x, 2, 1)
+        assert out.coeffs == rewritten_term_by_term(x, 2, 1).coeffs
         y = HeckeElement(4, {p: ONE, q: Z, lone: S})
         back = y.mul_generator(2, -1)
         assert back.coeffs == {q: ONE, lone_moved: S, lone: -(Z * S)}
-        assert back == rewritten_term_by_term(y, 2, -1)
+        assert back.coeffs == rewritten_term_by_term(y, 2, -1).coeffs
         assert ZERO not in out.coeffs.values() and ZERO not in back.coeffs.values()
 
 
@@ -277,7 +282,7 @@ class TestPackedGuard:
     def test_wide_coefficients_match_term_by_term_rewriting(self, x_i_sign):
         x, i, sign = x_i_sign
         out = x.mul_generator(i, sign)
-        assert out == rewritten_term_by_term(x, i, sign)
+        assert out.coeffs == rewritten_term_by_term(x, i, sign).coeffs
         assert all(is_canonical(c) and c.coeffs for c in out.coeffs.values())
 
     def test_digits_just_under_the_limit_widen_instead_of_wrapping(self, widenings):
@@ -298,30 +303,28 @@ class TestPackedGuard:
             chain = _encode(x)
             for i in word:
                 chain = chain.mul_generator(i, sign)
-            assert _decode(chain) == stepped_term_by_term(x, word, sign)
+            assert _element(chain).coeffs == stepped_term_by_term(x, word, sign).coeffs
         assert widenings and widenings[0] == 128
 
     def test_block_sum_and_product_widen_too(self, widenings):
         big = 2**62 - 1
         x = HeckeElement(3, {p: LaurentPoly(0, (big,)) for p in perms.all_permutations(3)})
         y = HeckeElement(3, {p: LaurentPoly(-1, (big, big)) for p in perms.all_permutations(3)})
-        expected = HeckeElement.zero(3)
-        for q, c in y.coeffs.items():
-            expected = expected + stepped_term_by_term(x, perms.reduced_word(q)).scale(c)
-        assert x * y == expected
+        assert (x * y).coeffs == kernel_free_product(x, y).coeffs
         assert widenings
 
     def test_decoding_past_the_bound_is_refused(self):
-        past = _Packed(2, {0: 1}, 0, 64, 2**63, 0)
+        # The first read of coeffs is where a packed result is decoded.
+        past = _element(_Packed(2, {0: 1}, 0, 64, 2**63, 0))
         with pytest.raises(ArithmeticError):
-            _decode(past)
+            past.coeffs
 
 
 def kernel_free_product(x, y):
     """Sum of c_q * x stepped along reduced_word(q), never touching the packed kernel."""
     out = HeckeElement.zero(x.n)
     for q, c in y.coeffs.items():
-        out = out + stepped_term_by_term(x, perms.reduced_word(q)).scale(c)
+        out = out + times(stepped_term_by_term(x, perms.reduced_word(q)), c)
     return out
 
 
@@ -330,7 +333,7 @@ class TestKernelFreeProducts:
     @settings(max_examples=60, deadline=None)
     def test_products_match_rewriting_along_reduced_words(self, xy):
         x, y = xy
-        assert x * y == kernel_free_product(x, y)
+        assert (x * y).coeffs == kernel_free_product(x, y).coeffs
 
     @pytest.mark.parametrize("n", (3, 4))
     def test_dense_products(self, n):
@@ -340,8 +343,8 @@ class TestKernelFreeProducts:
         y = HeckeElement(
             n, {p: LaurentPoly(k % 3, (k % 4 - 1 or 2,)) for k, p in enumerate(perms.all_permutations(n))}
         )
-        assert x * y == kernel_free_product(x, y)
-        assert y * x == kernel_free_product(y, x)
+        assert (x * y).coeffs == kernel_free_product(x, y).coeffs
+        assert (y * x).coeffs == kernel_free_product(y, x).coeffs
 
 
 class TestRankFormat:
@@ -376,7 +379,7 @@ class TestRankFormat:
             x = HeckeElement(5, {p: S})
             packed = _encode(x)
             assert list(packed.table) == [r]
-            assert _decode(packed) == x
+            assert _element(packed).coeffs == x.coeffs
 
     def test_no_table_grows_with_n_factorial(self):
         # Ranks past any enumeration guard: the kernel steps sparse elements
@@ -384,8 +387,8 @@ class TestRankFormat:
         n = perms.MAX_ENUMERATION + 3
         x = gen(n, 1).scale(S) + basis(n, *range(n, 0, -1))
         for i in (1, 5, n - 1):
-            assert x.mul_generator(i) == rewritten_term_by_term(x, i, 1)
-            assert x.mul_generator(i, sign=-1) == rewritten_term_by_term(x, i, -1)
+            assert x.mul_generator(i).coeffs == rewritten_term_by_term(x, i, 1).coeffs
+            assert x.mul_generator(i, sign=-1).coeffs == rewritten_term_by_term(x, i, -1).coeffs
         assert HeckeElement.zero(n).mul_generator(1).is_zero()
         assert gen(n, 1) * gen(n, 1) == unit(n) + gen(n, 1).scale(Z)
         assert gen(n, 2).conjugate_by_braid(perms.longest_element(n)) == gen(n, n - 2)
@@ -408,7 +411,7 @@ class TestPackedFormat:
     )
     def test_round_trip(self, coeffs):
         x = HeckeElement(3, dict(zip(perms.all_permutations(3), coeffs)))
-        back = _decode(_encode(x))
+        back = _element(_encode(x))
         assert back.coeffs == x.coeffs
         assert all(is_canonical(c) for c in back.coeffs.values())
 
@@ -418,7 +421,7 @@ class TestPackedFormat:
     ).map(lambda pairs: HeckeElement(n, dict(pairs)))))
     @settings(max_examples=100, deadline=None)
     def test_round_trip_of_random_wide_coefficients(self, x):
-        assert _decode(_encode(x)).coeffs == x.coeffs
+        assert _element(_encode(x)).coeffs == x.coeffs
 
     def test_digit_size_follows_the_largest_coefficient(self):
         for top, k in ((1, 64), (2**63 - 1, 64), (2**63, 128), (2**127, 192)):
@@ -428,8 +431,8 @@ class TestPackedFormat:
     def test_equal_coefficients_share_one_polynomial(self):
         c = LaurentPoly(-1, (1, 0, 1))
         x = HeckeElement(3, {p: LaurentPoly(c.val, c.coeffs) for p in perms.all_permutations(3)})
-        back = _decode(_encode(x))
-        assert back == x
+        back = _element(_encode(x))
+        assert back.coeffs == x.coeffs
         assert len({id(v) for v in back.coeffs.values()}) == 1
 
     def test_widening_keeps_the_values(self):
@@ -438,10 +441,10 @@ class TestPackedFormat:
         wide = packed._widened(2**90)
         assert (packed.k, wide.k) == (64, 192)
         assert wide.bound == 2**40
-        assert _decode(wide) == x
+        assert _element(wide).coeffs == x.coeffs
 
     def test_zero_round_trips(self):
-        assert _decode(_encode(HeckeElement.zero(3))) == HeckeElement.zero(3)
+        assert _element(_encode(HeckeElement.zero(3))).coeffs == {}
 
 
 class TestProducts:
@@ -695,6 +698,142 @@ class TestExtractScalar:
         assert report.proportional
         assert report.scalar == scalar
         assert x.scale(report.scalar) == x.scale(scalar)
+
+
+def as_element(n, table):
+    """An oracle table {perm: {exponent: coeff}} as an element, through the constructor."""
+    return HeckeElement(n, {p: LaurentPoly.from_pairs(c.items()) for p, c in table.items()})
+
+
+def oracle_polys(top):
+    return st.dictionaries(
+        st.integers(-3, 3), st.integers(-top, top).filter(bool), min_size=1, max_size=3
+    )
+
+
+@st.composite
+def proportionality_cases(draw):
+    """
+    A reference and a candidate in H_2..H_4 as oracle tables: the candidate
+    is scalar * reference, then perhaps perturbed at one term, given extra
+    terms, stripped of one, or drawn afresh.  Coefficients up to 2^63 - 1
+    put the reference on 64-bit digits and its multiples on 128-bit ones.
+    """
+    n = draw(st.integers(2, 4))
+    perm = st.permutations(list(range(1, n + 1))).map(tuple)
+    poly = oracle_polys(draw(st.sampled_from((3, 2**61, 2**63 - 1))))
+    reference = draw(st.dictionaries(perm, poly, min_size=1, max_size=6))
+    scalar = draw(oracle_polys(3))
+    candidate = {p: oracles.poly_mul(c, scalar) for p, c in reference.items()}
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(sorted(candidate)))
+        changed = dict(candidate[p])
+        for e, c in draw(poly).items():
+            changed[e] = changed.get(e, 0) + c
+        candidate[p] = {e: c for e, c in changed.items() if c}
+    if draw(st.booleans()):
+        candidate.update(draw(st.dictionaries(perm, poly, max_size=2)))
+    if draw(st.booleans()):
+        del candidate[draw(st.sampled_from(sorted(candidate)))]
+    if draw(st.integers(0, 4)) == 0:
+        candidate = draw(st.dictionaries(perm, poly, max_size=6))
+    return n, reference, {p: c for p, c in candidate.items() if c}
+
+
+class TestPackedExtractScalar:
+    # extract_scalar runs on packed tables; the oracle divides and compares
+    # plain dicts of exponents.
+
+    @given(proportionality_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_kernel_free_oracle(self, case):
+        n, reference, candidate = case
+        report = extract_scalar(as_element(n, reference), as_element(n, candidate))
+        scalar, proportional, witness = oracles.proportionality(reference, candidate)
+        assert report.scalar == LaurentPoly.from_pairs(scalar.items())
+        assert report.proportional == proportional
+        assert report.witness == witness
+
+    def test_sides_on_different_digit_sizes(self):
+        big = 2**63 - 1
+        x = HeckeElement(
+            3, {(1, 2, 3): LaurentPoly(0, (big,)), (2, 1, 3): LaurentPoly(-1, (1, -big))}
+        )
+        y = times(x, LaurentPoly(-2, (3, 0, 3)))
+        assert (_packed(x).k, _packed(y).k) == (64, 128)
+        report = extract_scalar(x, y)
+        assert report.proportional and report.scalar == LaurentPoly(-2, (3, 0, 3))
+
+
+def repacked(x, form):
+    """x as an element holding only a packed table of the given form, same values."""
+    pk = _encode(x)
+    if form == "wider":
+        pk = pk._widened(1, pk.k + 64)
+    elif form == "shifted":
+        table = {r: c << (3 * pk.k) for r, c in pk.table.items()}
+        pk = _Packed(pk.n, table, pk.val - 3, pk.k, pk.bound, pk.low + 3)
+    elif form == "low unknown":
+        pk = _Packed(pk.n, pk.table, pk.val, pk.k, pk.bound, 0)
+    return _element(pk)
+
+
+FORMS = ("as encoded", "wider", "shifted", "low unknown")
+
+
+class TestPackedEquality:
+    # == compares packed tables whenever either side has one; it must agree
+    # with equality of the mappings, whatever K, V and low each side has.
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                random_element(n, 5),
+                st.lists(
+                    st.tuples(st.permutations(list(range(1, n + 1))).map(tuple), wide_coeffs(2**70)),
+                    max_size=2,
+                ),
+            )
+        ),
+        st.sampled_from(FORMS),
+        st.sampled_from(FORMS),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_decoded_tables(self, case, form_x, form_y, same):
+        x, changes = case
+        table = dict(x.coeffs)
+        if not same:
+            for p, c in changes:
+                table[p] = table.get(p, ZERO) + c
+        y = HeckeElement(x.n, table)
+        expected = x.coeffs == y.coeffs
+        assert (repacked(x, form_x) == repacked(y, form_y)) == expected
+        assert (x == repacked(y, form_y)) == expected
+        assert (repacked(x, form_x) == y) == expected
+
+    def test_forms_differ_but_values_agree(self):
+        x = HeckeElement(3, {(1, 2, 3): LaurentPoly(-2, (5, -(2**62))), (3, 2, 1): ONE})
+        a, b = repacked(x, "wider"), repacked(x, "shifted")
+        assert (a._pk.k, a._pk.val) != (b._pk.k, b._pk.val)
+        assert a == b == x
+        assert (a._pk.k, a._pk.val) != (b._pk.k, b._pk.val)  # compared as kept
+
+
+class TestReadOnlyCoeffs:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: unit(3) + gen(3, 1).scale(S), lambda: gen(3, 1).mul_generator(2)],
+        ids=["constructed", "kernel result"],
+    )
+    def test_writes_raise_type_error(self, make):
+        x = make()
+        p = min(x.coeffs)
+        with pytest.raises(TypeError):
+            x.coeffs[p] = ONE
+        with pytest.raises(TypeError):
+            del x.coeffs[p]
+        assert x.coeffs is x.coeffs
 
 
 class TestConcurrency:

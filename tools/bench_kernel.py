@@ -22,9 +22,13 @@ the lazy caches).  The layers:
   (4,4) with ``max_cells=8``, whose e_lambda holds 24192 of the 40320 basis
   braids of H_8; the warm-up call fills the S_8 rank memos.
 
-The chain layer goes through ``hecke._encode`` and ``hecke._decode`` when
-they exist and calls ``_block_action`` on the element itself otherwise, so
-the same script times trees from before and after the packed kernel.
+The chain layer starts from the element's kept packed table and ends in an
+element holding the result's (``hecke._packed`` and ``hecke._element``)
+where those exist.  On older trees it goes through ``hecke._encode`` and
+``hecke._decode``, which then convert on every call, or, before the packed
+kernel, calls ``_block_action`` on the element itself, so the same script
+times trees from before and after each of those changes.  On a tree with
+kept forms, results the layers never read are never decoded.
 """
 
 from __future__ import annotations
@@ -54,7 +58,9 @@ def _every_generator(x):
 
 
 def _chain(action):
-    """action as one chain from element to element, on either kernel."""
+    """action as one chain from element to element, on any of the kernels."""
+    if hasattr(hecke, "_element"):
+        return lambda x: hecke._element(action(hecke._packed(x)))
     encode = getattr(hecke, "_encode", None)
     if encode is None:
         return action
