@@ -93,10 +93,20 @@ never see a wrong one.
 
 A general product expands one factor through reduced words, sharing common
 prefixes so that dense products cost one generator step per distinct
-prefix rather than per term.  Which factor to expand is judged from
-word lengths read off the ranks, each the sum of its Lehmer digits.  Only
-the right action is implemented: the anti-involution iota: w_p -> w_{p^-1}
-fixes each g_i and reverses products, so x * y = iota(iota(y) * iota(x)).
+prefix rather than per term.  Only the right action is implemented: the
+anti-involution iota: w_p -> w_{p^-1} fixes each g_i and reverses
+products, so x * y = iota(iota(y) * iota(x)).  Which factor to expand is
+judged by a bound on the walk's work.  Walking y's words over x, every
+table is x w_u for a prefix u, and |w_p w_u| <= 2^length(p), since each
+letter of p, applied on the left, splits a term at most once.  So
+expanding y costs at most L(y) min(n!, G(x)) term updates, where L is the
+sum of the word lengths and G the sum of 2^length over the terms, both
+read off the ranks (a length is the sum of its Lehmer digits).  y is
+expanded directly when that bound is at most the mirrored one,
+L(x) min(n!, G(y)), and x through iota otherwise.  A long braid against a
+dense element is thus the factor expanded, on either side: the dense
+element's many words, walked over it, would grow the tables toward
+2^length terms.
 
 Elements are immutable values.  ``coeffs`` is a read-only view keyed by
 permutation tuples, and the constructor rejects any key that is not a
@@ -108,10 +118,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import permutations as perms
 from .laurent import MAX_EXPONENT_SPAN, LaurentPoly, ONE, ZERO
@@ -267,15 +278,20 @@ class HeckeElement:
 
     def __mul__(self, other: HeckeElement) -> HeckeElement:
         """
-        The algebra product.  Expands whichever factor promises less work
-        (sum of word lengths times the other side's support size) through
-        its reduced words, the left one as iota(iota(other) * iota(self)).
+        The algebra product.  Expands the factor whose walk has the smaller
+        bound on its term updates, L(expanded) min(n!, G(other)) with L the
+        sum of word lengths and G the sum of 2^length (see the module
+        docstring): the right one directly, the left one as
+        iota(iota(other) * iota(self)).
         """
         self._check_same_n(other)
         if self.is_zero() or other.is_zero():
             return HeckeElement.zero(self.n)
         x, y = _packed(self), _packed(other)
-        if _total_length(y) * len(x.table) <= _total_length(x) * len(y.table):
+        words_x, spread_x = _word_costs(x)
+        words_y, spread_y = _word_costs(y)
+        size = math.factorial(self.n)
+        if words_y * min(size, spread_x) <= words_x * min(size, spread_y):
             return _element(_expand_right(x, other))
         return _element(_expand_right(y.iota(), _iota(self)).iota())
 
@@ -341,8 +357,9 @@ class HeckeElement:
     @staticmethod
     def from_machine(data: object) -> HeckeElement:
         """
-        The inverse of to_machine; any other shape raises ValueError, and
-        so do terms whose exponents together span more than
+        The inverse of to_machine; any other shape raises ValueError,
+        among them a repeated permutation or a repeated exponent within one
+        coefficient, and so do terms whose exponents together span more than
         MAX_EXPONENT_SPAN, since a packed table holds every coefficient
         densely from the lowest exponent of the whole element.
         """
@@ -353,8 +370,10 @@ class HeckeElement:
                 p = perms.as_perm([_machine_int(v) for v in term["perm"]])
                 if p in table:
                     raise ValueError(f"duplicate basis permutation {list(p)}")
-                pairs = [(_machine_int(e), _machine_int(c)) for e, c in term["coeff"]]
-                table[p] = LaurentPoly.from_pairs(pairs)
+                pairs = dict(_machine_pair(pair) for pair in term["coeff"])
+                if len(pairs) != len(term["coeff"]):
+                    raise ValueError(f"repeated exponent in the coefficient of {list(p)}")
+                table[p] = LaurentPoly.from_pairs(pairs.items())
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed machine-format element ({exc!r})") from None
         nonzero = [c for c in table.values() if c.coeffs]
@@ -415,6 +434,12 @@ def _machine_int(value: object) -> int:
     if type(value) is not int:  # JSON true and false are Python ints too
         raise ValueError(f"expected an integer in the machine format, got {value!r}")
     return value
+
+
+def _machine_pair(pair: object) -> tuple[int, int]:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"malformed machine-format element (bad coefficient pair {pair!r})")
+    return _machine_int(pair[0]), _machine_int(pair[1])
 
 
 def _iota(x: HeckeElement) -> HeckeElement:
@@ -557,13 +582,13 @@ def _perm_of(n: int, r: int) -> Perm:
     return p
 
 
-def _total_length(pk: _Packed) -> int:
+def _word_costs(pk: _Packed) -> tuple[int, int]:
     """
-    The sum of the lengths of the permutations in a packed table: each the
-    sum of the Lehmer digits of its rank, which are the rank's digits in
-    the factorial base.
+    (L, G) for a packed table: L the sum of the lengths of its permutations,
+    G the sum of 2^length.  A length is the sum of the Lehmer digits of the
+    rank, which are the rank's digits in the factorial base.
     """
-    lengths, n, total = _length_memo(pk.n), pk.n, 0
+    lengths, n, total, spread = _length_memo(pk.n), pk.n, 0, 0
     for r in pk.table:
         ell = lengths.get(r)
         if ell is None:
@@ -573,7 +598,8 @@ def _total_length(pk: _Packed) -> int:
                 ell += d
             lengths[r] = ell
         total += ell
-    return total
+        spread += 1 << ell
+    return total, spread
 
 
 @functools.cache
@@ -599,6 +625,17 @@ def _partner_shifts(n: int, i: int) -> tuple[int, int, list[int]]:
         for b in range(n - i)
     ]
     return weight, len(shifts), shifts
+
+
+def _zero_low_digits(values: Iterable[int], k: int) -> int:
+    """
+    The fewest zero low K-bit digits among nonzero ints, read once off the
+    lowest set bit of their OR: that bit is the lowest of their lowest set
+    bits, since a negative int has as many trailing zero bits as its
+    absolute value.
+    """
+    bits = functools.reduce(operator.or_, values)
+    return ((bits & -bits).bit_length() - 1) // k
 
 
 class _Packed:
@@ -733,7 +770,7 @@ class _Packed:
         dropped, not kept under every entry.
         """
         k = self.k
-        true_low = min(((c & -c).bit_length() - 1) // k for c in self.table.values())
+        true_low = _zero_low_digits(self.table.values(), k)
         shift = k * (_REBASE - true_low)
         if shift >= 0:
             table = {p: c << shift for p, c in self.table.items()}

@@ -160,6 +160,34 @@ class TestMulCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize(
+        "coeff",
+        [[[0]], ["ab"], [[0, 1, 2]], [7], [{"0": 1}]],
+        ids=["one-value", "string", "three-values", "bare-int", "object"],
+    )
+    def test_bad_coefficient_pair_is_reported_as_malformed(self, capsys, tmp_path, coeff):
+        bad = tmp_path / "bad.json"
+        good = tmp_path / "good.json"
+        bad.write_text(json.dumps({"n": 2, "terms": [{"perm": [1, 2], "coeff": coeff}]}))
+        good.write_text(json.dumps(HeckeElement.unit(2).to_machine()))
+        code, out, err = run(capsys, "mul", str(bad), str(good))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed machine-format element") and err.count("\n") == 1
+
+    def test_repeated_exponent_is_usage_error(self, capsys, tmp_path):
+        # to_machine never emits two pairs with one exponent, so they are
+        # refused rather than summed.
+        bad = tmp_path / "bad.json"
+        good = tmp_path / "good.json"
+        bad.write_text(json.dumps({"n": 2, "terms": [{"perm": [1, 2], "coeff": [[0, 1], [0, 2]]}]}))
+        good.write_text(json.dumps(HeckeElement.unit(2).to_machine()))
+        code, out, err = run(capsys, "mul", str(bad), str(good))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "repeated exponent" in err
+
     def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"
         good = tmp_path / "good.json"

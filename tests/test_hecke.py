@@ -15,8 +15,9 @@ from qyoung import permutations as perms
 from qyoung.errors import TooLarge
 from qyoung.hecke import HeckeElement, Z, _element, _encode, _packed, _Packed, extract_scalar
 from qyoung.laurent import MAX_EXPONENT_SPAN, LaurentPoly, ONE, S, ZERO
-from qyoung.partitions import Partition
-from qyoung.symmetrizers import e_lambda, symmetrizer
+from qyoung.central import full_twist
+from qyoung.partitions import Partition, all_partitions
+from qyoung.symmetrizers import antisymmetrizer, e_lambda, symmetrizer
 
 from . import oracles
 from .oracles import group_algebra_mul
@@ -447,6 +448,27 @@ class TestPackedFormat:
         assert _element(_encode(HeckeElement.zero(3))).coeffs == {}
 
 
+class TestLowDigitScan:
+    # A rebase reads the fewest zero low digits off one OR of the entries.
+
+    @given(
+        st.lists(
+            st.integers(1, 2**300).flatmap(
+                lambda m: st.sampled_from((m, -m)).flatmap(
+                    lambda v: st.integers(0, 600).map(lambda z: v << z)
+                )
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from((64, 128, 192)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_or_scan_is_the_per_entry_minimum(self, values, k):
+        expected = min(((c & -c).bit_length() - 1) // k for c in values)
+        assert hecke._zero_low_digits(values, k) == expected
+
+
 class TestProducts:
     def test_unit_is_neutral(self):
         x = gen(3, 1) + gen(3, 2).scale(S)
@@ -514,9 +536,9 @@ def right_only_product(x, y):
 
 
 class TestProductBranches:
-    # The cost rule expands the factor with the shorter mean word length:
-    # the right one directly, the left one through iota.  Short words on
-    # the left send a product down the iota branch, long ones down the other.
+    # The side rule expands the factor whose walk is bounded by less work.
+    # A long braid against a dense element is expanded itself: on the left
+    # through iota, on the right directly.
     SHORT, LONG = (0, 1, 1, 2, 2, 3), (7, 8, 8, 9, 9, 10)
 
     def test_both_branches_match_right_only_reference(self, monkeypatch):
@@ -529,9 +551,9 @@ class TestProductBranches:
         )
         rng = random.Random(2024)
         for through_iota in (True, False) * 4:
-            short = seeded_element(rng, 5, self.SHORT[: rng.randint(2, 6)])
-            long = seeded_element(rng, 5, self.LONG[: rng.randint(2, 6)])
-            x, y = (short, long) if through_iota else (long, short)
+            braid = seeded_element(rng, 5, [rng.choice(self.LONG)])
+            dense = seeded_element(rng, 5, [rng.randint(0, 10) for _ in range(60)])
+            x, y = (braid, dense) if through_iota else (dense, braid)
             iota_calls.clear()
             product = x * y
             assert bool(iota_calls) == through_iota
@@ -548,6 +570,120 @@ class TestProductBranches:
                 braid_inverse = braid_inverse.mul_generator(letter, sign=-1)
             assert braid * braid_inverse == unit(5)
             assert x.conjugate_by_braid(p) == braid * x * braid_inverse
+
+
+@pytest.fixture
+def term_steps(monkeypatch):
+    """
+    A counter of term-steps: the size of the table each packed generator
+    step reads plus the size of the table each ``add_times`` adds in.
+    Gives a function that runs its argument and returns the count.
+    """
+    count = [0]
+    real_step, real_add = _Packed.mul_generator, _Packed.add_times
+
+    def step(self, i, sign=1):
+        count[0] += len(self.table)
+        return real_step(self, i, sign)
+
+    def add(self, other, c):
+        count[0] += len(other.table)
+        return real_add(self, other, c)
+
+    monkeypatch.setattr(_Packed, "mul_generator", step)
+    monkeypatch.setattr(_Packed, "add_times", add)
+
+    def counted(run):
+        count[0] = 0
+        run()
+        return count[0]
+
+    return counted
+
+
+def direct_branch(x, y):
+    """x * y with y expanded through its reduced words."""
+    return hecke._expand_right(_packed(x), y)
+
+
+def iota_branch(x, y):
+    """x * y with x expanded, as iota(iota(y) * iota(x))."""
+    return hecke._expand_right(_packed(y).iota(), hecke._iota(x)).iota()
+
+
+class TestSideRule:
+    # The product expands one factor's reduced words over the other; the
+    # tables of that walk grow toward 2^length of the unexpanded factor's
+    # terms, capped at n!.  These counts depend on no hardware.
+
+    def test_chosen_branch_is_within_reach_of_the_cheaper_one(self, term_steps):
+        chosen_total = cheaper_total = 0
+        for n in (4, 5):
+            dense = [symmetrizer(n), antisymmetrizer(n), full_twist(n)]
+            dense += [e_lambda(lam) for lam in all_partitions(n)]
+            for p in perms.all_permutations(n):
+                w = basis(n, *p)
+                for d in dense:
+                    for x, y in ((w, d), (d, w)):
+                        direct = term_steps(lambda: direct_branch(x, y))
+                        through = term_steps(lambda: iota_branch(x, y))
+                        chosen = term_steps(lambda: x * y)
+                        assert chosen in (direct, through)
+                        other = through if chosen == direct else direct
+                        assert chosen <= 2 * other, (n, p, x is w)
+                        chosen_total += chosen
+                        cheaper_total += min(direct, through)
+        assert chosen_total <= 1.01 * cheaper_total
+
+    def test_long_braids_are_expanded_on_either_side(self, term_steps):
+        # w_p a_6 with length(p) = 9: a_6's 720 words walked over w_p grow
+        # tables toward 2^9 terms, so w_p is the factor to expand.
+        a6, w = symmetrizer(6), basis(6, 3, 6, 4, 1, 5, 2)
+        for x, y in ((w, a6), (a6, w)):
+            direct = term_steps(lambda: direct_branch(x, y))
+            through = term_steps(lambda: iota_branch(x, y))
+            assert term_steps(lambda: x * y) == min(direct, through) < max(direct, through)
+
+
+def mixed_element(n, dense):
+    """A random element of H_n: a few terms, or most of S_n with small coefficients."""
+    if not dense:
+        return random_element(n, max_terms=4)
+
+    def build(rng):
+        table = {
+            p: LaurentPoly.monomial(rng.randint(-2, 2), rng.choice((-2, -1, 1, 2)))
+            for p in perms.all_permutations(n)
+            if rng.random() < 0.75
+        }
+        return HeckeElement(n, table)
+
+    return st.randoms(use_true_random=False).map(build)
+
+
+class TestBranchesAgree:
+    # Both ways of multiplying give one table, compared as decoded
+    # mappings, never through packed ==.  H_6 gets at most one dense
+    # factor, to keep each example short.
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_direct_and_iota_branches_give_the_product(self, data):
+        n = data.draw(st.integers(3, 6))
+        shapes = [(False, False), (False, True), (True, False)]
+        if n < 6:
+            shapes.append((True, True))
+        dense_x, dense_y = data.draw(st.sampled_from(shapes))
+        x = data.draw(mixed_element(n, dense_x))
+        y = data.draw(mixed_element(n, dense_y))
+        if x.is_zero() or y.is_zero():
+            return
+        direct = _element(direct_branch(x, y)).coeffs
+        through = _element(iota_branch(x, y)).coeffs
+        assert direct == through
+        assert direct == (x * y).coeffs
+        if n <= 4:
+            assert direct == kernel_free_product(x, y).coeffs
 
 
 class TestClassicalLimit:
@@ -890,6 +1026,11 @@ class TestSerialization:
             ],
         }
         with pytest.raises(ValueError):
+            HeckeElement.from_machine(data)
+
+    def test_repeated_exponent_rejected(self):
+        data = {"n": 2, "terms": [{"perm": [1, 2], "coeff": [[0, 1], [0, 2]]}]}
+        with pytest.raises(ValueError, match="repeated exponent"):
             HeckeElement.from_machine(data)
 
     @pytest.mark.parametrize(

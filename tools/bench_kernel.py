@@ -14,9 +14,13 @@ the lazy caches).  The layers:
   5040 terms), each as a lone ``HeckeElement.mul_generator`` call;
 - ``block_action_43``: the first row block of squaring e_lambda (4,3), as
   one chain from the element to the element;
-- ``long_braid_a6``: the product a_6 * w_p for p = LONG_BRAID, of length
-  9; the cost rule expands a_6 (through iota), so the one-term w_p steps
-  down the trie of a_6's 720 reduced words;
+- ``long_braid_a6`` / ``a6_long_braid``: the products w_p * a_6 and
+  a_6 * w_p for p = LONG_BRAID, of length 9, and ``long_braid_ft6``: the
+  product w_p * ft_6 for the longest p, of length 15.  The side rule
+  expands the one-term w_p, through iota when it is the left factor and
+  directly when it is the right one, so these layers time both branches
+  (trees before it expand the dense factor in all three).  BENCH files
+  before ``BENCH_sides.json`` name a_6 * w_p ``long_braid_a6``;
 - ``alpha_extract_43`` / ``twist_eigenvalue_43``: the public calls;
 - ``alpha_extract_44`` / ``twist_44``: the same calls on the 8-cell diagram
   (4,4) with ``max_cells=8``, whose e_lambda holds 24192 of the 40320 basis
@@ -44,8 +48,9 @@ from qyoung.hecke import HeckeElement
 from qyoung.laurent import S
 from qyoung.partitions import Partition
 
-# A permutation of length 9 in S_6.
+# A permutation of length 9 in S_6, and the longest one, of length 15.
 LONG_BRAID = (3, 6, 4, 1, 5, 2)
+LONGEST = (6, 5, 4, 3, 2, 1)
 
 
 def _every_generator(x):
@@ -71,13 +76,16 @@ def layers() -> dict:
     lam6, lam7, lam8 = Partition((3, 3)), Partition((4, 3)), Partition((4, 4))
     e6, e7 = sym.e_lambda(lam6), sym.e_lambda(lam7)
     first_row_block = _chain(lambda x: sym._block_action(x, 4, 0, S))
-    a6 = sym.symmetrizer(6)
+    a6, ft6 = sym.symmetrizer(6), central.full_twist(6)
     w = HeckeElement.basis_element(6, LONG_BRAID)
+    w0 = HeckeElement.basis_element(6, LONGEST)
     return {
         "mul_generator_s6": _every_generator(e6),
         "mul_generator_s7": _every_generator(e7),
         "block_action_43": lambda: first_row_block(e7),
-        "long_braid_a6": lambda: a6 * w,
+        "long_braid_a6": lambda: w * a6,
+        "a6_long_braid": lambda: a6 * w,
+        "long_braid_ft6": lambda: w0 * ft6,
         "alpha_extract_43": lambda: sym.alpha_extract(lam7),
         "twist_eigenvalue_43": lambda: central.twist_eigenvalue(lam7),
         "alpha_extract_44": lambda: sym.alpha_extract(lam8, max_cells=8),
