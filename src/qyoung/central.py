@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from . import permutations as perms
 from .errors import NotEigenvector
-from .hecke import HeckeElement, _element, _packed, _Packed, extract_scalar
+from .hecke import HeckeElement, _element, _extract, _packed, _Packed
 from .laurent import LaurentPoly
 from .partitions import Partition
-from .symmetrizers import DEFAULT_MAX_CELLS, e_lambda
+from .symmetrizers import DEFAULT_MAX_CELLS, _coset_table, e_lambda
 
 
 def half_twist(n: int) -> HeckeElement:
@@ -79,10 +79,13 @@ def twist_eigenvalue(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> Laur
 def twist_scalar(e: HeckeElement, lam: Partition) -> LaurentPoly:
     """
     twist_eigenvalue on an already built symmetrizer e of the diagram lam:
-    e * ft multiplied out band by band, the scalar extracted and checked on
-    every coefficient.
+    e * ft multiplied out band by band on e's coset table (see
+    ``symmetrizers``), the scalar extracted and checked on every
+    coefficient.  e must lie in the left ideal R H_n of lam's row factor R,
+    as e_lambda(lam) does; any other element raises ValueError.
     """
-    report = extract_scalar(e, _element(_mul_full_twist(_packed(e))))
+    h = _coset_table(e, lam)
+    report = _extract(h, _mul_full_twist(h))
     if not report.proportional:
         raise NotEigenvector(
             f"full twist does not act on the {lam} symmetrizer by a scalar "

@@ -91,6 +91,37 @@ element's kept form, at once; an entry is a single store of a value every
 writer computes alike, and a missing entry is computed again, so readers
 never see a wrong one.
 
+Coset tables.  For a Young diagram lambda let S_lambda be the subgroup
+of S_n that permutes the values within each row block (the row-reading
+strands of one row), and R = sum over u in S_lambda of s^length(u) w_u the
+product of the row symmetrizers; g_j R = R g_j = s R for each s_j in
+S_lambda.  Every v in S_n is u v' for one u in S_lambda and one minimal
+coset representative v', the permutation in u's coset whose values of
+each block stand in increasing order, with lengths adding, so that
+R w_v' = sum over u of s^length(u) w_{u v'}.  Hence the left ideal R H_n
+has the basis R w_v' (Dipper-James 1986), and the coefficient of w_{u v'}
+in R h = sum of c_v' R w_v' is s^length(u) c_v'.  A coset table (a packed
+table whose ``blocks`` are the row blocks) stores R h by the c_v' alone,
+keyed by the ranks of the representatives: |S_lambda| times fewer
+entries.  It is faithful on three counts:
+
+- restriction to the representatives is injective on R H_n, since the
+  coefficient at w_v' is c_v' itself;
+- the smallest rank in a coset is its representative, and two elements
+  of R H_n differ on a whole coset or nowhere on it, so scalar extraction
+  on coset tables pins the same term and reports the same witness;
+- R h g_i is the generator step on the c_v', with one case more.  When
+  v'(i) and v'(i+1) lie in one block they are j and j+1, v' s_i = s_j v'
+  with s_j in S_lambda, and R w_v' g_i = R g_j w_v' = s R w_v': the term
+  stays where it is, times s (times s^-1 for g_i^-1 = g_i - z).  Otherwise
+  v' s_i is a representative and the pair rule applies unchanged.
+
+So the step tests the blocks only for a term whose partner is missing
+(a partner inside one block is never a representative), through a memo
+per (blocks, i) filled for the ranks met.  A coset table is never an
+element: iota, which does not keep R H_n, and ``_element`` refuse one,
+and ``symmetrizers`` expands it to R h as a plain table first.
+
 A general product expands one factor through reduced words, sharing common
 prefixes so that dense products cost one generator step per distinct
 prefix rather than per term.  Only the right action is implemented: the
@@ -242,17 +273,17 @@ class HeckeElement:
         out = dict(self.coeffs)
         for p, c in other.coeffs.items():
             _acc(out, p, c)
-        return self._wrap(out)
+        return _trusted(self.n, out)
 
     def __sub__(self, other: HeckeElement) -> HeckeElement:
         self._check_same_n(other)
         out = dict(self.coeffs)
         for p, c in other.coeffs.items():
             _acc(out, p, -c)
-        return self._wrap(out)
+        return _trusted(self.n, out)
 
     def __neg__(self) -> HeckeElement:
-        return self._wrap({p: -c for p, c in self.coeffs.items()})
+        return _trusted(self.n, {p: -c for p, c in self.coeffs.items()})
 
     def scale(self, a: LaurentPoly | int) -> HeckeElement:
         if isinstance(a, int):
@@ -313,7 +344,7 @@ class HeckeElement:
             head + tuple(v + offset for v in p) + tail: c
             for p, c in self.coeffs.items()
         }
-        return HeckeElement(m, out)
+        return _trusted(m, out)
 
     def conjugate_by_braid(self, p: Perm) -> HeckeElement:
         """w_p * self * w_p^-1, going through the reduced word of p."""
@@ -419,15 +450,20 @@ class HeckeElement:
 
     # -- internals -------------------------------------------------------------
 
-    def _wrap(self, table: dict[Perm, LaurentPoly]) -> HeckeElement:
-        """A zero-free table this element's operation built, taken as it is."""
-        elem = object.__new__(HeckeElement)
-        elem.n, elem._coeffs, elem._pk = self.n, MappingProxyType(table), None
-        return elem
-
     def _check_same_n(self, other: HeckeElement) -> None:
         if self.n != other.n:
             raise ValueError(f"strand counts differ: {self.n} vs {other.n}")
+
+
+def _trusted(n: int, table: dict[Perm, LaurentPoly]) -> HeckeElement:
+    """
+    The element of a zero-free table keyed by permutations of 1..n, taken as
+    it is: the constructor's key checks are skipped, so only code that
+    builds its keys as permutations by construction calls this.
+    """
+    elem = object.__new__(HeckeElement)
+    elem.n, elem._coeffs, elem._pk = n, MappingProxyType(table), None
+    return elem
 
 
 def _machine_int(value: object) -> int:
@@ -444,7 +480,7 @@ def _machine_pair(pair: object) -> tuple[int, int]:
 
 def _iota(x: HeckeElement) -> HeckeElement:
     """The anti-involution w_p -> w_{p^-1}; it fixes each g_i and reverses products."""
-    return x._wrap({perms.inverse(p): c for p, c in x.coeffs.items()})
+    return _trusted(x.n, {perms.inverse(p): c for p, c in x.coeffs.items()})
 
 
 def _expand_right(x: _Packed, y: HeckeElement) -> _Packed:
@@ -534,10 +570,15 @@ def _digit_reader(k: int) -> Callable[[int], tuple[int, list[int]]]:
 
 
 def _rank(p: Perm) -> int:
-    """The rank of p in the lexicographic order of S_n, from its Lehmer code."""
-    n, r = len(p), 0
+    """
+    The rank of p in the lexicographic order of S_n, from its Lehmer code:
+    the digit at position j counts the smaller values after it, that is
+    p[j] - 1 less the smaller values before it, read off a bit set.
+    """
+    n, r, seen = len(p), 0, 0
     for j, v in enumerate(p):
-        r = r * (n - j) + sum(w < v for w in p[j + 1 :])
+        r = r * (n - j) + v - 1 - (seen & ((1 << v) - 1)).bit_count()
+        seen |= 1 << v
     return r
 
 
@@ -545,10 +586,33 @@ def _unrank(n: int, r: int) -> Perm:
     """The permutation of rank r in the lexicographic order of S_n."""
     left = list(range(1, n + 1))
     out = []
-    for j in range(n - 1, -1, -1):
-        d, r = divmod(r, math.factorial(j))
+    for f in _factorials(n):
+        d, r = divmod(r, f)
         out.append(left.pop(d))
     return tuple(out)
+
+
+def _inverse_rank(n: int, r: int) -> int:
+    """
+    The rank of the inverse of the permutation of rank r: _unrank, then
+    _rank of the inverse, on 0-based values in lists.
+    """
+    left = list(range(n))
+    inverse = [0] * n
+    for pos, f in enumerate(_factorials(n)):
+        d, r = divmod(r, f)
+        inverse[left.pop(d)] = pos
+    out, seen = 0, 0
+    for j, v in enumerate(inverse):
+        out = out * (n - j) + v - (seen & ((1 << v) - 1)).bit_count()
+        seen |= 1 << v
+    return out
+
+
+@functools.cache
+def _factorials(n: int) -> tuple[int, ...]:
+    """(n-1)!, (n-2)!, ..., 0!: the weights of the Lehmer digits of a rank."""
+    return tuple(math.factorial(j) for j in range(n - 1, -1, -1))
 
 
 # Memos of the two conversions and of inversion on ranks, one dict per
@@ -627,6 +691,53 @@ def _partner_shifts(n: int, i: int) -> tuple[int, int, list[int]]:
     return weight, len(shifts), shifts
 
 
+@functools.cache
+def _block_of(blocks: tuple[int, ...]) -> tuple[int, ...]:
+    """The row block of each value 1..n, at index value - 1."""
+    return tuple(b for b, part in enumerate(blocks) for _ in range(part))
+
+
+@functools.cache
+def _inside_memo(blocks: tuple[int, ...], i: int) -> dict[int, bool]:
+    """Per (blocks, i): whether p[i-1] and p[i] share a row block, by rank."""
+    return {}
+
+
+def _within_block(blocks: tuple[int, ...], i: int, p: Perm) -> bool:
+    block = _block_of(blocks)
+    return block[p[i - 1] - 1] == block[p[i] - 1]
+
+
+def _restricted(pk: _Packed, blocks: tuple[int, ...]) -> _Packed:
+    """
+    The coset table of a plain table x of R H_n: its entries at the minimal
+    coset representatives of S_lambda, the row blocks' Young subgroup.  A
+    table outside R H_n is refused.  x lies in R H_n exactly when
+    g_j x = s x for every s_j in S_lambda, that is, when y = iota(x) has
+    y[p s_j] = s y[p] whenever p s_j is the longer: the pair rule's
+    out[p s_j] = y[p] + z y[p s_j] then equals s y[p s_j] by itself.  The
+    same pass finds the representatives: v is one when each block's values
+    stand in increasing order, so when iota(v) steps up under every such s_j.
+    """
+    _check_readable(pk)
+    n, k, mirror = pk.n, pk.k, pk.iota().table
+    lower: set[int] = set()
+    start = 0
+    for part in blocks:
+        for j in range(start + 1, start + part):
+            weight, size, shifts = _partner_shifts(n, j)
+            for p, c in mirror.items():
+                q = p + shifts[p // weight % size]
+                if q < p:
+                    lower.add(p)
+                if mirror.get(q) != c << k if q > p else q not in mirror:
+                    raise ValueError(f"the table is not in R H_n for the row blocks {blocks}")
+        start += part
+    inverse = _inverse_memo(n)  # holds every rank of x since the iota above
+    out = {r: c for r, c in pk.table.items() if inverse[r] not in lower}
+    return _Packed(n, out, pk.val, k, pk.bound, pk.low, blocks=blocks)
+
+
 def _zero_low_digits(values: Iterable[int], k: int) -> int:
     """
     The fewest zero low K-bit digits among nonzero ints, read once off the
@@ -642,19 +753,28 @@ class _Packed:
     """
     A coefficient table in Kronecker form (see the module docstring): a
     strand count, the table from permutation ranks to packed ints, V, K,
-    the digit bound B, the guaranteed zero low digits, and whether the
-    table is tidy: as an encode leaves it, with exactly _REBASE zero low
-    digits and B its true largest digit.  Chains start from ``_packed(x)``
-    and end in ``_element(result)``; only this module reads the fields.
-    Steps return new tables; ``add_times`` accumulates into its own table
-    in place, so an accumulator starts as ``copy()`` or ``zero(n)``, never
-    as a table an element holds.
+    the digit bound B, the guaranteed zero low digits, whether the table
+    is tidy (as an encode leaves it, with exactly _REBASE zero low digits
+    and B its true largest digit), and the row blocks of a coset table
+    (None on a plain one).  Chains start from ``_packed(x)`` and end in
+    ``_element(result)``; only this module reads the fields.  Steps return
+    new tables; ``add_times`` accumulates into its own table in place, so
+    an accumulator starts as ``copy()`` or ``zero(n)``, never as a table an
+    element holds.
     """
 
-    __slots__ = ("n", "table", "val", "k", "bound", "low", "tidy")
+    __slots__ = ("n", "table", "val", "k", "bound", "low", "tidy", "blocks")
 
     def __init__(
-        self, n: int, table: dict, val: int, k: int, bound: int, low: int, tidy: bool = False
+        self,
+        n: int,
+        table: dict,
+        val: int,
+        k: int,
+        bound: int,
+        low: int,
+        tidy: bool = False,
+        blocks: Optional[tuple[int, ...]] = None,
     ):
         self.n = n
         self.table = table
@@ -663,22 +783,37 @@ class _Packed:
         self.bound = bound
         self.low = low
         self.tidy = tidy
+        self.blocks = blocks
 
     @staticmethod
     def zero(n: int) -> _Packed:
         return _Packed(n, {}, 0, 64, 0, _REBASE, tidy=True)
 
     def copy(self) -> _Packed:
-        return _Packed(self.n, dict(self.table), self.val, self.k, self.bound, self.low)
+        return _Packed(
+            self.n, dict(self.table), self.val, self.k, self.bound, self.low, blocks=self.blocks
+        )
+
+    def with_blocks(self, blocks: Optional[tuple[int, ...]]) -> _Packed:
+        """
+        The same entries read with other row blocks, sharing the table: a
+        plain table h keyed by coset representatives as the coset table of
+        R h, or a coset table of R h as the plain table h (blocks None).
+        """
+        return _Packed(
+            self.n, self.table, self.val, self.k, self.bound, self.low, self.tidy, blocks
+        )
 
     def iota(self) -> _Packed:
         """The anti-involution w_p -> w_{p^-1} on a packed table."""
+        if self.blocks is not None:
+            raise ValueError("iota does not act on a coset table")
         n, inverse = self.n, _inverse_memo(self.n)
         table: dict[int, int] = {}
         for p, c in self.table.items():
             q = inverse.get(p)
             if q is None:
-                q = inverse[p] = _rank(perms.inverse(_unrank(n, p)))
+                q = inverse[p] = _inverse_rank(n, p)
                 inverse[q] = p
             table[q] = c
         return _Packed(self.n, table, self.val, self.k, self.bound, self.low)
@@ -687,15 +822,18 @@ class _Packed:
         """
         The packed step: right multiplication by g_i (sign=+1) or g_i^-1
         (sign=-1) through the pair rule, widening first if tripling the
-        bound would pass the digit limit.
+        bound would pass the digit limit.  On a coset table a term whose
+        partner is missing first asks whether positions i and i+1 hold
+        values of one row block; if so it stays, times s^sign.
         """
         pk = self
         if 3 * pk.bound >= 1 << (pk.k - 1):
             pk = pk._widened(3)
         if pk.low < 1 and pk.table:
             pk = pk._rebased()
-        k, coeffs = pk.k, pk.table
+        k, coeffs, blocks = pk.k, pk.table, pk.blocks
         weight, size, shifts = _partner_shifts(pk.n, i)
+        inside = None if blocks is None else _inside_memo(blocks, i)
         plus = sign == 1
         out: dict[int, int] = {}
         for p, c in coeffs.items():
@@ -714,11 +852,19 @@ class _Packed:
                     if moved:
                         out[at] = moved
             else:
+                if inside is not None:
+                    within = inside.get(p)
+                    if within is None:
+                        within = inside[p] = _within_block(blocks, i, _perm_of(pk.n, p))
+                    if within:
+                        # p s_i = s_j p with s_j in S_lambda, and R g_j = s R.
+                        out[p] = c << k if plus else c >> k
+                        continue
                 out[q] = c
                 if (q > p) != plus:
                     zc = (c << k) - (c >> k)
                     out[p] = zc if plus else -zc
-        return _Packed(pk.n, out, pk.val, k, 3 * pk.bound, pk.low - 1)
+        return _Packed(pk.n, out, pk.val, k, 3 * pk.bound, pk.low - 1, blocks=blocks)
 
     def add_times(self, other: _Packed, c: LaurentPoly) -> None:
         """
@@ -733,6 +879,7 @@ class _Packed:
         weight = sum(map(abs, c.coeffs))
         if not self.table:
             self.val, self.k, self.bound, self.low = other.val + c.val, other.k, 0, other.low
+            self.blocks = other.blocks
         if self.k != other.k or self.bound + other.bound * weight >= 1 << (self.k - 1):
             wide = self._widened(1, other.k)
             other = other._widened(weight, wide.k)
@@ -776,7 +923,9 @@ class _Packed:
             table = {p: c << shift for p, c in self.table.items()}
         else:
             table = {p: c >> -shift for p, c in self.table.items()}
-        return _Packed(self.n, table, self.val + true_low - _REBASE, k, self.bound, _REBASE)
+        return _Packed(
+            self.n, table, self.val + true_low - _REBASE, k, self.bound, _REBASE, blocks=self.blocks
+        )
 
     def _tidied(self) -> _Packed:
         """
@@ -787,7 +936,7 @@ class _Packed:
         step and widen again and again.
         """
         if not self.table:
-            return _Packed.zero(self.n)
+            return _Packed.zero(self.n).with_blocks(self.blocks)
         out = self._rebased()._widened(1)
         out.tidy = True
         return out
@@ -807,7 +956,7 @@ class _Packed:
         if k != self.k:
             recoded = {c: _pack(ds, k) << (k * z) for c, (z, ds) in digits.items()}
             table = {p: recoded[c] for p, c in table.items()}
-        return _Packed(self.n, table, self.val, k, top, self.low)
+        return _Packed(self.n, table, self.val, k, top, self.low, blocks=self.blocks)
 
 
 def _packed(x: HeckeElement) -> _Packed:
@@ -829,7 +978,12 @@ def _kept(x: HeckeElement) -> _Packed:
 
 
 def _element(pk: _Packed) -> HeckeElement:
-    """The element a kernel result stands for, holding only its packed table."""
+    """
+    The element a kernel result stands for, holding only its packed table.
+    A coset table stands for R h, not for its own entries, so it is refused.
+    """
+    if pk.blocks is not None:
+        raise ValueError("a coset table is not an element; expand it first")
     elem = object.__new__(HeckeElement)
     elem.n, elem._coeffs, elem._pk = pk.n, None, pk
     return elem
@@ -933,16 +1087,25 @@ def extract_scalar(reference: HeckeElement, candidate: HeckeElement) -> ScalarRe
     the reference by exact division, then verified on every coefficient; any
     mismatch reports proportional=False with a witness permutation, the
     smallest in either support where the two sides differ.  Both run on
-    packed tables: the smallest permutation is the smallest rank, and
-    scalar * reference is compared with the candidate entry by entry once
-    the two are aligned.
+    packed tables (``_extract``).
     """
     reference._check_same_n(candidate)
-    if reference.is_zero():
+    return _extract(_kept(reference), _kept(candidate))
+
+
+def _extract(ref: _Packed, cand: _Packed) -> ScalarReport:
+    """
+    extract_scalar on packed tables: the smallest permutation is the
+    smallest rank, and scalar * reference is compared with the candidate
+    entry by entry once the two are aligned.  On the coset tables of two
+    elements of R H_n it reports what it reports on the elements: the
+    smallest rank of a coset is its representative, and the two elements
+    differ on a whole coset or nowhere on it.
+    """
+    if not ref.table:
         raise ValueError("reference element is zero")
-    if candidate.is_zero():
+    if not cand.table:
         return ScalarReport(ZERO, True)
-    ref, cand = _kept(reference), _kept(candidate)
     pinned = min(ref.table)
     top = cand.table.get(pinned)
     if top is None:

@@ -16,7 +16,7 @@ the full twist against every generator.
 scalar against its closed form and against the hook product at s = 1, the
 full-twist eigenvalue against ``s^twist_exponent`` and against 1 at s = 1,
 the conjugation symmetry tau(lam') = tau(lam)(s^-1) once both are known,
-and, for at most 4 cells, the classical limit against the group-algebra
+and, for at most 6 cells, the classical limit against the group-algebra
 symmetrizer.
 
 The classical symmetrizer here is a kernel-free copy of the one in
@@ -45,7 +45,7 @@ Check = tuple[str, bool]
 
 # The largest diagram whose s = 1 specialization is compared with the
 # group-algebra symmetrizer.
-CLASSICAL_MAX_CELLS = 4
+CLASSICAL_MAX_CELLS = 6
 
 
 def strand_checks(n: int) -> list[Check]:

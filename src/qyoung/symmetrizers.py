@@ -25,19 +25,35 @@ column blocks and w_d^-1 for the column-reading permutation d:
     sum of part(part-1)/2 + sum of column(column-1)/2 + 2 length(d)
 
 generator steps.  Building e_lambda is that action on 1 and squaring it is
-that action on e_lambda.  Each is one chain of the packed kernel in
-``hecke``: it starts from the element's packed table, every step and
-block sum runs on packed tables, whose digit-bound guard keeps them exact,
-and the result is an element holding only its packed table.  Building
-e_lambda encodes just the unit; squaring starts from the table e_lambda
-already holds, and ``extract_scalar`` compares the square with it without
-decoding either.  This module sees the packed table only through its
-steps and sums.  ``symmetrizer`` and ``antisymmetrizer`` are one
-enumeration of S_n, with coefficient u^length(p) for u = s or -s^-1, that
-never touches the kernel, so that the eigen-relations ``qyoung verify``
-checks on them test the kernel against something built outside it.  The
-factored action is the faster route (a_8 in 0.07 s against 0.24-0.35 s for
-the enumeration on one 2-core host, CPython 3.11.7), but it peaks higher
+that action on e_lambda.  Each is a chain of the packed kernel in
+``hecke``: every step and block sum runs on packed tables, whose
+digit-bound guard keeps them exact.
+
+e_lambda = R C, with R the row factor and C the column factor, lies in the
+left ideal R H_n, and so do its square e R C and its twist e ft.  So the
+chains run on coset tables (see ``hecke``): R h stored by its coefficients
+at the minimal coset representatives of the row blocks' Young subgroup
+S_lambda, |S_lambda| = product of part! times fewer entries than R h
+itself.  Building e_lambda runs the column chain on the coset table of
+R = R 1, which has one entry, and expands the result h to R h as
+iota(iota(h) R), the row chain on iota(h), since iota reverses products
+and fixes R; when every part is 1, S_lambda is trivial, no iota is done
+and the chain runs on plain tables.  The build encodes just the unit.
+Squaring and the twist restrict e_lambda's kept table to its coset table,
+step that, and extract the scalar against the same restriction; the
+coset table of an element of R H_n is faithful, so the verdict and any
+witness are those of the full tables, and nothing is decoded.  The step
+counts do not change: the build is the column chain and then the row
+chain, the square and the twist are the same chains as before.  This
+module sees a packed table only through its steps, sums and row blocks.
+
+``symmetrizer`` and ``antisymmetrizer`` are one enumeration of S_n, with
+coefficient u^length(p) for u = s or -s^-1, that never touches the
+kernel, so that the eigen-relations ``qyoung verify`` checks on them test
+the kernel against something built outside it; its keys are permutations
+by construction, so it skips the constructor's key checks.  The factored
+action is the faster route (a_8 in 0.07 s against 0.24-0.35 s for the
+enumeration on one 2-core host, CPython 3.11.7), but it peaks higher
 (35 MB against 29 MB), since its steps hold dense packed tables.
 """
 
@@ -45,14 +61,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from . import permutations as perms
 from .errors import NotQuasiIdempotent, TooLarge
-from .hecke import HeckeElement, _element, _packed, _Packed, extract_scalar
+from .hecke import (
+    HeckeElement,
+    _element,
+    _extract,
+    _kept,
+    _packed,
+    _Packed,
+    _restricted,
+    _trusted,
+)
 from .laurent import LaurentPoly, ONE, S, qint
 from .partitions import Partition
 
-# H_7 has 5040 basis elements; past that, squaring stops being a desk job.
+# The default guard: H_7 has 5040 basis braids.  Squaring and twist-checking
+# an 8-cell diagram takes seconds at most, but its 40320-braid tables are
+# big enough that asking for them should be deliberate (max_cells=8).
 DEFAULT_MAX_CELLS = 7
 DEFAULT_MAX_ROW = 8
 
@@ -72,7 +100,7 @@ def _one_dimensional(n: int, max_n: int, u: LaurentPoly, name: str) -> HeckeElem
     powers = [ONE]
     for _ in range(n * (n - 1) // 2):
         powers.append(powers[-1] * u)
-    return HeckeElement(n, {p: powers[perms.length(p)] for p in perms.all_permutations(n)})
+    return _trusted(n, {p: powers[perms.length(p)] for p in perms.all_permutations(n)})
 
 
 def symmetrizer(n: int, max_n: int = DEFAULT_MAX_ROW) -> HeckeElement:
@@ -169,7 +197,40 @@ def column_element(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> HeckeE
 def e_lambda(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> HeckeElement:
     """The q-Young symmetrizer of the diagram, on exactly |diagram| strands."""
     _check_cells(lam, max_cells)
-    return _element(_mul_column(_mul_row(_packed(HeckeElement.unit(lam.n)), lam), lam))
+    return _element(_expanded(_coset_symmetrizer(lam), lam))
+
+
+def _row_blocks(lam: Partition) -> Optional[tuple[int, ...]]:
+    """The row blocks of lam's coset tables, None when S_lambda is trivial."""
+    return lam.parts if lam.parts[0] > 1 else None
+
+
+def _coset_symmetrizer(lam: Partition) -> _Packed:
+    """
+    The coset table of e_lambda = R C: the column chain on the coset table
+    of R = R 1, whose only entry is the identity's.
+    """
+    unit = _packed(HeckeElement.unit(lam.n)).with_blocks(_row_blocks(lam))
+    return _mul_column(unit, lam)
+
+
+def _coset_table(e: HeckeElement, lam: Partition) -> _Packed:
+    """The coset table of an element e of R H_n, such as e_lambda itself, tidy."""
+    blocks = _row_blocks(lam)
+    if blocks is None:
+        return _packed(e)
+    return _restricted(_kept(e), blocks)._tidied()
+
+
+def _expanded(h: _Packed, lam: Partition) -> _Packed:
+    """
+    R h as a plain table, from its coset table: iota(iota(h) R), since iota
+    reverses products and fixes R, with the row chain starting from h
+    tidied.  A plain table is its own expansion.
+    """
+    if h.blocks is None:
+        return h
+    return _mul_row(h._tidied().with_blocks(None).iota(), lam).iota()
 
 
 def alpha_closed_form(lam: Partition) -> LaurentPoly:
@@ -206,8 +267,8 @@ class QuasiIdempotent:
 
 def alpha_extract(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> QuasiIdempotent:
     """
-    Build the symmetrizer, square it as (e * row factor) * column factor,
-    and extract the scalar by exact division.  The square is a real product,
+    Build the symmetrizer, square it as (e * row factor) * column factor
+    on its coset table, and extract the scalar by exact division.  The square is a real product,
     only factored, and the scalar is verified on every coefficient; a
     failure raises NotQuasiIdempotent since it can only mean a kernel
     convention bug.
@@ -215,7 +276,8 @@ def alpha_extract(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> QuasiId
     e = e_lambda(lam, max_cells)
     if e.is_zero():
         raise NotQuasiIdempotent(f"symmetrizer of {lam} is zero")
-    report = extract_scalar(e, _element(_mul_column(_mul_row(_packed(e), lam), lam)))
+    h = _coset_table(e, lam)
+    report = _extract(h, _mul_column(_mul_row(h, lam), lam))
     if not report.proportional:
         raise NotQuasiIdempotent(
             f"square of the {lam} symmetrizer is not proportional to it "

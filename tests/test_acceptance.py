@@ -2,8 +2,8 @@
 Acceptance gate: every exit criterion, exact equality, with its time budget.
 
 Each test is one criterion and prints its own pass line (visible with -s);
-budgets are asserted, not aspirational.  The 6-cell extension is the slow
-suite; deselect it with -m 'not slow' when iterating.
+budgets are asserted, not aspirational.  The 6-, 7- and 8-cell gates are
+the slow suite; deselect them with -m 'not slow' when iterating.
 
 The eigen-relations, full-twist centrality, closed forms, twist eigenvalues
 and classical limit are the named checks of ``qyoung.invariants``, the same
@@ -21,7 +21,7 @@ import pytest
 
 from qyoung import invariants
 from qyoung import permutations as perms
-from qyoung.central import full_twist, murphy, twist_eigenvalue
+from qyoung.central import full_twist, murphy, twist_eigenvalue, twist_scalar
 from qyoung.hecke import HeckeElement, extract_scalar
 from qyoung.laurent import LaurentPoly, ONE, S
 from qyoung.partitions import all_partitions
@@ -94,7 +94,7 @@ def test_diagram_invariants():
         assert failed(invariants.diagram_checks(lam, taus, DEFAULT_MAX_CELLS)) == []
     report(
         "alpha closed form and hook products, twist eigenvalues and conjugation "
-        "|cells|<=5; classical limit |cells|<=4",
+        "|cells|<=5; classical limit |cells|<=5",
         started,
         60,
     )
@@ -141,3 +141,13 @@ def test_performance_gate_seven_cells():
         assert alpha_extract(lam).alpha == alpha_closed_form(lam)
         assert twist_eigenvalue(lam) == LaurentPoly.monomial(2 * sum(lam.contents()))
     report("slow suite: quasi-idempotency and twist eigenvalues at 7 cells", started, 300)
+
+
+@pytest.mark.slow
+def test_performance_gate_eight_cells():
+    started = time.monotonic()
+    for lam in all_partitions(8):
+        qi = alpha_extract(lam, max_cells=8)
+        assert qi.alpha == alpha_closed_form(lam)
+        assert twist_scalar(qi.element, lam) == LaurentPoly.monomial(2 * sum(lam.contents()))
+    report("slow suite: quasi-idempotency and twist eigenvalues at 8 cells", started, 60)

@@ -7,6 +7,7 @@ table and wraps the result as an element.
 """
 
 import collections
+import math
 
 import pytest
 
@@ -164,6 +165,25 @@ def calls(monkeypatch):
 
 
 @pytest.fixture
+def touched(monkeypatch):
+    """The table size of every packed generator step, in order."""
+    sizes = []
+    original = _Packed.mul_generator
+
+    def spy(self, *args, **kwargs):
+        sizes.append(len(self.table))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Packed, "mul_generator", spy)
+    return sizes
+
+
+def row_group_order(lam):
+    """|S_lambda| = product of part!: how many times fewer entries a coset step touches."""
+    return math.prod(math.factorial(k) for k in lam.parts)
+
+
+@pytest.fixture
 def conversions(monkeypatch):
     """
     Counts of conversions: encodes of an element's mapping and decodes of a
@@ -196,10 +216,19 @@ class TestGeneratorSteps:
         square(e, lam)
         assert calls == collections.Counter(mul_generator=e_lambda_steps(lam))
 
-    def test_alpha_extract_builds_then_squares(self, lam, calls):
+    def test_alpha_extract_builds_then_squares(self, lam, calls, touched):
         alpha_extract(lam)
         assert calls["__mul__"] == 0
         assert calls["mul_generator"] == 2 * e_lambda_steps(lam)
+        # The square steps the coset table of e: each step touches
+        # |S_lambda| times fewer entries than the same step on e itself.
+        steps = e_lambda_steps(lam)
+        coset = touched[len(touched) - steps :]
+        del touched[:]
+        square(e_lambda(lam), lam)
+        plain = touched[len(touched) - steps :]
+        assert [size * row_group_order(lam) for size in coset] == plain
+        assert all(size <= math.factorial(lam.n) // row_group_order(lam) for size in coset)
 
     def test_twist_eigenvalue(self, lam, calls):
         e = e_lambda(lam)
@@ -211,6 +240,17 @@ class TestGeneratorSteps:
         twist_eigenvalue(lam)
         assert calls["__mul__"] == 0
         assert calls["mul_generator"] == e_lambda_steps(lam) + lam.n * (lam.n - 1)
+
+    def test_twist_touches_the_coset_table(self, lam, touched):
+        steps = lam.n * (lam.n - 1)
+        e = e_lambda(lam)
+        del touched[:]
+        central.twist_scalar(e, lam)
+        coset = list(touched)
+        del touched[:]
+        central._mul_full_twist(_packed(e))
+        assert len(coset) == steps
+        assert [size * row_group_order(lam) for size in coset] == touched
 
 
 @pytest.mark.parametrize("lam", SMALL, ids=str)

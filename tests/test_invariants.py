@@ -76,12 +76,13 @@ class TestDiagramChecks:
         assert list(taus) == [(2, 1)]
         assert taus[(2, 1)] == ONE
 
-    def test_classical_limit_stops_at_four_cells(self):
-        names = [
-            name
-            for name, _ in invariants.diagram_checks(Partition((5,)), {}, DEFAULT_MAX_CELLS)
-        ]
-        assert not any(name.startswith("classical limit") for name in names)
+    def test_classical_limit_stops_at_six_cells(self):
+        def names(parts):
+            checks = invariants.diagram_checks(Partition(parts), {}, DEFAULT_MAX_CELLS)
+            return [name for name, _ in checks]
+
+        assert "classical limit vs group-algebra symmetrizer, lambda=3,2,1" in names((3, 2, 1))
+        assert not any(name.startswith("classical limit") for name in names((7,)))
 
     def test_wrong_closed_form_is_named(self, monkeypatch):
         plant_wrong_alpha(monkeypatch, (2,))

@@ -24,7 +24,18 @@ the lazy caches).  The layers:
 - ``alpha_extract_43`` / ``twist_eigenvalue_43``: the public calls;
 - ``alpha_extract_44`` / ``twist_44``: the same calls on the 8-cell diagram
   (4,4) with ``max_cells=8``, whose e_lambda holds 24192 of the 40320 basis
-  braids of H_8; the warm-up call fills the S_8 rank memos.
+  braids of H_8; the warm-up call fills the S_8 rank memos;
+- ``build_43``: ``e_lambda`` of the 7-cell diagram (4,3);
+- ``square_44`` / ``square_8`` / ``square_1x8`` and ``twist_scalar_44`` /
+  ``twist_scalar_8`` / ``twist_scalar_1x8``: squaring and twist-checking an
+  already built e_lambda of (4,4), (8) and (1^8), from the element to the
+  extracted scalar.  The square is the chain ``alpha_extract`` runs after
+  the build: on a tree with coset tables, restricting e to its coset table,
+  the chain on that and the extraction against it; on older trees, the
+  chain on e's packed table and ``extract_scalar``.  The twist is
+  ``central.twist_scalar(e, lam)`` on every tree.
+
+``--layers a,b`` times only the named layers.
 
 The chain layer starts from the element's kept packed table and ends in an
 element holding the result's (``hecke._packed`` and ``hecke._element``)
@@ -41,6 +52,7 @@ import argparse
 import json
 import statistics
 import time
+from typing import Optional
 
 from qyoung import central, hecke
 from qyoung import symmetrizers as sym
@@ -72,6 +84,37 @@ def _chain(action):
     return lambda x: hecke._decode(action(encode(x)))
 
 
+def _lazy(make):
+    """A layer whose inputs make() builds on the first, untimed, call."""
+    made = []
+
+    def run():
+        if not made:
+            made.append(make())
+        return made[0]()
+
+    return run
+
+
+def _square(lam):
+    """The square of e_lambda(lam) and its scalar, from the built element."""
+    e = sym.e_lambda(lam, max_cells=8)
+    if hasattr(sym, "_coset_table"):
+
+        def run():
+            h = sym._coset_table(e, lam)
+            return hecke._extract(h, sym._mul_column(sym._mul_row(h, lam), lam))
+
+        return run
+    square = _chain(lambda x: sym._mul_column(sym._mul_row(x, lam), lam))
+    return lambda: hecke.extract_scalar(e, square(e))
+
+
+def _twist(lam):
+    e = sym.e_lambda(lam, max_cells=8)
+    return lambda: central.twist_scalar(e, lam)
+
+
 def layers() -> dict:
     lam6, lam7, lam8 = Partition((3, 3)), Partition((4, 3)), Partition((4, 4))
     e6, e7 = sym.e_lambda(lam6), sym.e_lambda(lam7)
@@ -79,7 +122,7 @@ def layers() -> dict:
     a6, ft6 = sym.symmetrizer(6), central.full_twist(6)
     w = HeckeElement.basis_element(6, LONG_BRAID)
     w0 = HeckeElement.basis_element(6, LONGEST)
-    return {
+    out = {
         "mul_generator_s6": _every_generator(e6),
         "mul_generator_s7": _every_generator(e7),
         "block_action_43": lambda: first_row_block(e7),
@@ -90,12 +133,20 @@ def layers() -> dict:
         "twist_eigenvalue_43": lambda: central.twist_eigenvalue(lam7),
         "alpha_extract_44": lambda: sym.alpha_extract(lam8, max_cells=8),
         "twist_44": lambda: central.twist_eigenvalue(lam8, max_cells=8),
+        "build_43": lambda: sym.e_lambda(lam7),
     }
+    for tag, parts in {"44": (4, 4), "8": (8,), "1x8": (1,) * 8}.items():
+        lam = Partition(parts)
+        out[f"square_{tag}"] = _lazy(lambda lam=lam: _square(lam))
+        out[f"twist_scalar_{tag}"] = _lazy(lambda lam=lam: _twist(lam))
+    return out
 
 
-def measure(repeat: int) -> dict[str, float]:
+def measure(repeat: int, names: Optional[list[str]] = None) -> dict[str, float]:
     out = {}
-    for name, run in layers().items():
+    found = layers()
+    for name in names or found:
+        run = found[name]
         run()
         times = []
         for _ in range(repeat):
@@ -109,8 +160,10 @@ def measure(repeat: int) -> dict[str, float]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=9, help="timed calls per layer")
+    parser.add_argument("--layers", help="comma-separated layer names (default: all)")
     args = parser.parse_args()
-    print(json.dumps(measure(args.repeat)))
+    names = args.layers.split(",") if args.layers else None
+    print(json.dumps(measure(args.repeat, names)))
 
 
 if __name__ == "__main__":
