@@ -120,7 +120,10 @@ So the step tests the blocks only for a term whose partner is missing
 (a partner inside one block is never a representative), through a memo
 per (blocks, i) filled for the ranks met.  A coset table is never an
 element: iota, which does not keep R H_n, and ``_element`` refuse one,
-and ``symmetrizers`` expands it to R h as a plain table first.
+and ``symmetrizers`` expands it to R h as a plain table first.  An element
+of R H_n may keep its coset table beside its packed table: the one the
+chain that built it ran on, or the restriction made on the first use,
+which checks membership in R H_n.  So no element is restricted twice.
 
 A general product expands one factor through reduced words, sharing common
 prefixes so that dense products cost one generator step per distinct
@@ -184,7 +187,7 @@ class HeckeElement:
     new elements.
     """
 
-    __slots__ = ("n", "_coeffs", "_pk")
+    __slots__ = ("n", "_coeffs", "_pk", "_ck")
 
     def __init__(self, n: int, coeffs: Mapping[Perm, LaurentPoly]):
         if n < 1:
@@ -202,7 +205,7 @@ class HeckeElement:
             raise ValueError(f"a key with a non-int entry is not a permutation of 1..{n}")
         self.n = n
         self._coeffs = MappingProxyType(table)
-        self._pk = None
+        self._pk = self._ck = None
 
     @property
     def coeffs(self) -> Mapping[Perm, LaurentPoly]:
@@ -462,7 +465,7 @@ def _trusted(n: int, table: dict[Perm, LaurentPoly]) -> HeckeElement:
     builds its keys as permutations by construction calls this.
     """
     elem = object.__new__(HeckeElement)
-    elem.n, elem._coeffs, elem._pk = n, MappingProxyType(table), None
+    elem.n, elem._coeffs, elem._pk, elem._ck = n, MappingProxyType(table), None, None
     return elem
 
 
@@ -590,23 +593,6 @@ def _unrank(n: int, r: int) -> Perm:
         d, r = divmod(r, f)
         out.append(left.pop(d))
     return tuple(out)
-
-
-def _inverse_rank(n: int, r: int) -> int:
-    """
-    The rank of the inverse of the permutation of rank r: _unrank, then
-    _rank of the inverse, on 0-based values in lists.
-    """
-    left = list(range(n))
-    inverse = [0] * n
-    for pos, f in enumerate(_factorials(n)):
-        d, r = divmod(r, f)
-        inverse[left.pop(d)] = pos
-    out, seen = 0, 0
-    for j, v in enumerate(inverse):
-        out = out * (n - j) + v - (seen & ((1 << v) - 1)).bit_count()
-        seen |= 1 << v
-    return out
 
 
 @functools.cache
@@ -813,7 +799,7 @@ class _Packed:
         for p, c in self.table.items():
             q = inverse.get(p)
             if q is None:
-                q = inverse[p] = _inverse_rank(n, p)
+                q = inverse[p] = _rank(perms.inverse(_unrank(n, p)))
                 inverse[q] = p
             table[q] = c
         return _Packed(self.n, table, self.val, self.k, self.bound, self.low)
@@ -977,16 +963,30 @@ def _kept(x: HeckeElement) -> _Packed:
     return _packed(x) if x._pk is None else x._pk
 
 
-def _element(pk: _Packed) -> HeckeElement:
+def _element(pk: _Packed, coset: Optional[_Packed] = None) -> HeckeElement:
     """
-    The element a kernel result stands for, holding only its packed table.
-    A coset table stands for R h, not for its own entries, so it is refused.
+    The element a kernel result stands for, holding only its packed table,
+    and keeping ``coset``, when given, as its tidy coset table: the chain
+    that built pk as the expansion of ``coset`` passes it.  A coset table
+    stands for R h, not for its own entries, so it is refused as pk.
     """
     if pk.blocks is not None:
         raise ValueError("a coset table is not an element; expand it first")
     elem = object.__new__(HeckeElement)
-    elem.n, elem._coeffs, elem._pk = pk.n, None, pk
+    elem.n, elem._coeffs, elem._pk, elem._ck = pk.n, None, pk, coset
     return elem
+
+
+def _coset_kept(x: HeckeElement, blocks: tuple[int, ...]) -> _Packed:
+    """
+    x's coset table for the row blocks, tidy and kept: the one x was built
+    with, or else x's packed table restricted on the first use, which
+    refuses an x outside R H_n.
+    """
+    ck = x._ck
+    if ck is None or ck.blocks != blocks:
+        ck = x._ck = _restricted(_kept(x), blocks)._tidied()
+    return ck
 
 
 def _encode(x: HeckeElement) -> _Packed:

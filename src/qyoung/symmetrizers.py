@@ -39,10 +39,12 @@ R = R 1, which has one entry, and expands the result h to R h as
 iota(iota(h) R), the row chain on iota(h), since iota reverses products
 and fixes R; when every part is 1, S_lambda is trivial, no iota is done
 and the chain runs on plain tables.  The build encodes just the unit.
-Squaring and the twist restrict e_lambda's kept table to its coset table,
-step that, and extract the scalar against the same restriction; the
-coset table of an element of R H_n is faithful, so the verdict and any
-witness are those of the full tables, and nothing is decoded.  The step
+e_lambda keeps the coset table it was built on beside its packed table,
+so squaring and the twist step that table and extract the scalar against
+it, with no restriction; an element built elsewhere is restricted once,
+after a check that it lies in R H_n.  The coset table of an element of
+R H_n is faithful, so the verdict and any witness are those of the full
+tables, and nothing is decoded.  The step
 counts do not change: the build is the column chain and then the row
 chain, the square and the twist are the same chains as before.  This
 module sees a packed table only through its steps, sums and row blocks.
@@ -67,12 +69,11 @@ from . import permutations as perms
 from .errors import NotQuasiIdempotent, TooLarge
 from .hecke import (
     HeckeElement,
+    _coset_kept,
     _element,
     _extract,
-    _kept,
     _packed,
     _Packed,
-    _restricted,
     _trusted,
 )
 from .laurent import LaurentPoly, ONE, S, qint
@@ -197,7 +198,11 @@ def column_element(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> HeckeE
 def e_lambda(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> HeckeElement:
     """The q-Young symmetrizer of the diagram, on exactly |diagram| strands."""
     _check_cells(lam, max_cells)
-    return _element(_expanded(_coset_symmetrizer(lam), lam))
+    h = _coset_symmetrizer(lam)
+    if h.blocks is None:
+        return _element(h)
+    h = h._tidied()
+    return _element(_expanded(h, lam), coset=h)
 
 
 def _row_blocks(lam: Partition) -> Optional[tuple[int, ...]]:
@@ -215,11 +220,15 @@ def _coset_symmetrizer(lam: Partition) -> _Packed:
 
 
 def _coset_table(e: HeckeElement, lam: Partition) -> _Packed:
-    """The coset table of an element e of R H_n, such as e_lambda itself, tidy."""
+    """
+    The coset table of an element e of R H_n, tidy and kept: for e_lambda
+    itself the one its build ran on, for any other e a restriction that
+    refuses e outside R H_n.
+    """
     blocks = _row_blocks(lam)
     if blocks is None:
         return _packed(e)
-    return _restricted(_kept(e), blocks)._tidied()
+    return _coset_kept(e, blocks)
 
 
 def _expanded(h: _Packed, lam: Partition) -> _Packed:
@@ -230,7 +239,9 @@ def _expanded(h: _Packed, lam: Partition) -> _Packed:
     """
     if h.blocks is None:
         return h
-    return _mul_row(h._tidied().with_blocks(None).iota(), lam).iota()
+    if not h.tidy:
+        h = h._tidied()
+    return _mul_row(h.with_blocks(None).iota(), lam).iota()
 
 
 def alpha_closed_form(lam: Partition) -> LaurentPoly:

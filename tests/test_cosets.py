@@ -59,6 +59,10 @@ def representatives(parts):
     return out
 
 
+def refuse_to_restrict(pk, blocks):
+    raise AssertionError("restricted a table whose coset table was kept")
+
+
 SMALL_SHAPES = [Partition((2, 1)), Partition((3, 2)), Partition((2, 2, 1))]
 
 # Diagrams of 3 to 6 cells whose row blocks are not all trivial.
@@ -144,6 +148,29 @@ class TestExpansion:
         # b_3 has as many terms as a_3 but lies outside a_3 H_3.
         with pytest.raises(ValueError):
             central.twist_scalar(sym.antisymmetrizer(3), Partition((3,)))
+
+    def test_e_lambda_keeps_the_coset_table_it_was_built_on(self, monkeypatch):
+        lam = Partition((3, 2))
+        e = sym.e_lambda(lam)
+        monkeypatch.setattr(hecke, "_restricted", refuse_to_restrict)
+        h = sym._coset_table(e, lam)
+        assert sym._coset_table(e, lam) is h
+        assert central.twist_scalar(e, lam) == central.twist_eigenvalue(lam)
+        assert sym.alpha_extract(lam).alpha == sym.alpha_closed_form(lam)
+
+    def test_any_other_element_is_restricted_once(self, monkeypatch):
+        lam = Partition((3, 2))
+        e = sym.e_lambda(lam).scale(2)
+        calls = []
+
+        def counted(pk, blocks):
+            calls.append(blocks)
+            return _restricted(pk, blocks)
+
+        monkeypatch.setattr(hecke, "_restricted", counted)
+        first = central.twist_scalar(e, lam)
+        assert central.twist_scalar(e, lam) == first
+        assert calls == [lam.parts]
 
     def test_a_coset_table_is_no_element(self):
         h = coset_unit(Partition((2, 1)))

@@ -30,12 +30,9 @@ the lazy caches).  The layers:
   ``twist_scalar_8`` / ``twist_scalar_1x8``: squaring and twist-checking an
   already built e_lambda of (4,4), (8) and (1^8), from the element to the
   extracted scalar.  The square is the chain ``alpha_extract`` runs after
-  the build: on a tree with coset tables, restricting e to its coset table,
-  the chain on that and the extraction against it; on older trees, the
-  chain on e's packed table and ``extract_scalar``.  The twist is
-  ``central.twist_scalar(e, lam)`` on every tree.
-
-``--layers a,b`` times only the named layers.
+  the build: the chain on e's coset table and the extraction against it.
+  The twist is ``central.twist_scalar(e, lam)``.  These six layers run
+  only on trees with coset tables (``symmetrizers._coset_table``).
 
 The chain layer starts from the element's kept packed table and ends in an
 element holding the result's (``hecke._packed`` and ``hecke._element``)
@@ -52,7 +49,6 @@ import argparse
 import json
 import statistics
 import time
-from typing import Optional
 
 from qyoung import central, hecke
 from qyoung import symmetrizers as sym
@@ -99,15 +95,12 @@ def _lazy(make):
 def _square(lam):
     """The square of e_lambda(lam) and its scalar, from the built element."""
     e = sym.e_lambda(lam, max_cells=8)
-    if hasattr(sym, "_coset_table"):
 
-        def run():
-            h = sym._coset_table(e, lam)
-            return hecke._extract(h, sym._mul_column(sym._mul_row(h, lam), lam))
+    def run():
+        h = sym._coset_table(e, lam)
+        return hecke._extract(h, sym._mul_column(sym._mul_row(h, lam), lam))
 
-        return run
-    square = _chain(lambda x: sym._mul_column(sym._mul_row(x, lam), lam))
-    return lambda: hecke.extract_scalar(e, square(e))
+    return run
 
 
 def _twist(lam):
@@ -142,11 +135,9 @@ def layers() -> dict:
     return out
 
 
-def measure(repeat: int, names: Optional[list[str]] = None) -> dict[str, float]:
+def measure(repeat: int) -> dict[str, float]:
     out = {}
-    found = layers()
-    for name in names or found:
-        run = found[name]
+    for name, run in layers().items():
         run()
         times = []
         for _ in range(repeat):
@@ -160,10 +151,8 @@ def measure(repeat: int, names: Optional[list[str]] = None) -> dict[str, float]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=9, help="timed calls per layer")
-    parser.add_argument("--layers", help="comma-separated layer names (default: all)")
     args = parser.parse_args()
-    names = args.layers.split(",") if args.layers else None
-    print(json.dumps(measure(args.repeat, names)))
+    print(json.dumps(measure(args.repeat)))
 
 
 if __name__ == "__main__":
