@@ -23,7 +23,7 @@ from .errors import NotEigenvector
 from .hecke import HeckeElement, _element, _extract, _packed, _Packed
 from .laurent import LaurentPoly
 from .partitions import Partition
-from .symmetrizers import DEFAULT_MAX_CELLS, _coset_table, e_lambda
+from .symmetrizers import _coset_table, e_lambda
 
 
 def half_twist(n: int) -> HeckeElement:
@@ -66,14 +66,14 @@ def _mul_full_twist(x: _Packed) -> _Packed:
     return x
 
 
-def twist_eigenvalue(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> LaurentPoly:
+def twist_eigenvalue(lam: Partition) -> LaurentPoly:
     """
     The scalar by which the full twist multiplies the symmetrizer of the
     given diagram.  The twist is central, so ft * e = e * ft, and e * ft is
     multiplied out band by band before the scalar is extracted and checked
     on every coefficient.
     """
-    return twist_scalar(e_lambda(lam, max_cells), lam)
+    return twist_scalar(e_lambda(lam), lam)
 
 
 def twist_scalar(e: HeckeElement, lam: Partition) -> LaurentPoly:

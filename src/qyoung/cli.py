@@ -10,6 +10,9 @@ the machine format, and ``verify`` runs the named invariants of
 strand count and diagram up to a size bound, stopping at the first strand
 count or diagram with a failed check.
 
+Every command but ``mul`` refuses more than 8 strands or cells before it
+builds anything (``permutations.check_size``, the one size guard).
+
 Exit codes: 0 success, 1 a verified identity failed, 2 usage or parse error.
 """
 
@@ -22,6 +25,7 @@ import time
 from typing import Optional, Sequence
 
 from . import central, invariants, symmetrizers
+from . import permutations as perms
 from .errors import NotEigenvector, NotQuasiIdempotent, TooLarge
 from .hecke import HeckeElement
 from .laurent import LaurentPoly
@@ -47,15 +51,13 @@ def _cmd_symmetrizer(args: argparse.Namespace, anti: bool) -> int:
         print(f"error: need a strand count >= 1, got {args.n}", file=sys.stderr)
         return 2
     build = symmetrizers.antisymmetrizer if anti else symmetrizers.symmetrizer
-    guard = args.max_strands if args.max_strands else symmetrizers.DEFAULT_MAX_ROW
-    _print_element(build(args.n, max_n=guard), args.format)
+    _print_element(build(args.n), args.format)
     return 0
 
 
 def _cmd_elam(args: argparse.Namespace, with_element: bool) -> int:
     lam = Partition.parse(args.partition)
-    guard = args.max_strands if args.max_strands else symmetrizers.DEFAULT_MAX_CELLS
-    qi = symmetrizers.alpha_extract(lam, max_cells=guard)
+    qi = symmetrizers.alpha_extract(lam)
     closed = symmetrizers.alpha_closed_form(lam)
     match = qi.alpha == closed
     if args.format == "machine":
@@ -79,8 +81,7 @@ def _cmd_elam(args: argparse.Namespace, with_element: bool) -> int:
 
 def _cmd_twist(args: argparse.Namespace) -> int:
     lam = Partition.parse(args.partition)
-    guard = args.max_strands if args.max_strands else symmetrizers.DEFAULT_MAX_CELLS
-    tau = central.twist_eigenvalue(lam, max_cells=guard)
+    tau = central.twist_eigenvalue(lam)
     exponent = central.twist_exponent(lam)
     match = tau == LaurentPoly.monomial(exponent)
     if args.format == "machine":
@@ -114,12 +115,6 @@ def _cmd_mul(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
-
-
 # -- the verify command -------------------------------------------------------
 
 
@@ -132,14 +127,7 @@ def _print_failures(checks: list[tuple[str, bool]]) -> list[str]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    guard = args.max_strands if args.max_strands else symmetrizers.DEFAULT_MAX_CELLS
-    if args.max_n > guard:
-        print(
-            f"error: verify up to {args.max_n} exceeds the guard of {guard} "
-            "(raise --max-strands deliberately if you mean it)",
-            file=sys.stderr,
-        )
-        return 2
+    perms.check_size(f"verify {args.max_n}", args.max_n)
     if args.max_n < 1:
         print(f"error: need a bound >= 1, got {args.max_n}", file=sys.stderr)
         return 2
@@ -156,7 +144,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             break
         for lam in all_partitions(k):
             started = time.perf_counter()
-            failures = _print_failures(invariants.diagram_checks(lam, taus, guard))
+            failures = _print_failures(invariants.diagram_checks(lam, taus))
             if failures:
                 break
             print(f"ok    lambda={str(lam):12s} ({time.perf_counter() - started:.2f}s)")
@@ -168,23 +156,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line, like every other error."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {' '.join(message.splitlines())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument(
         "--format",
         choices=("text", "machine"),
         default="text",
         help="output as readable text or as JSON (default: text)",
     )
-    common.add_argument(
-        "--max-strands",
-        type=_positive_int,
-        default=None,
-        metavar="K",
-        help="override the size guards (default: 7 cells, 8 strands per row)",
-    )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qyoung",
         description="Exact q-Young symmetrizers in the type-A Hecke algebra.",
     )

@@ -6,7 +6,7 @@ class NotDivisible(ArithmeticError):
 
 
 class TooLarge(ValueError):
-    """A size guard was exceeded (factorial growth makes the request unreasonable)."""
+    """A request's tables could exceed the one size guard, ``permutations.check_size``."""
 
 
 class NotQuasiIdempotent(ArithmeticError):

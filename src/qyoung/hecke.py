@@ -193,10 +193,13 @@ class HeckeElement:
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         table = {p: c for p, c in coeffs.items() if c.coeffs}
-        strands = set(range(1, n + 1))
+        # Built once a key of length n is seen: a zero element costs nothing.
+        strands = None
         for p in table:
             if len(p) != n:
                 raise ValueError(f"permutation {p} does not act on {n} strands")
+            if strands is None:
+                strands = set(range(1, n + 1))
             if set(p) != strands:
                 raise ValueError(f"{p} is not a permutation of 1..{n}")
         # Equal values pass the set test (2.0 == 2, True == 1); one pass over

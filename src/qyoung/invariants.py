@@ -12,7 +12,7 @@ element a_n (every generator acts by s) and the one-column element b_n
 (every generator acts by -s^-1), each on both sides, and the centrality of
 the full twist against every generator.
 
-``diagram_checks(lam, taus, max_cells)`` covers one diagram: the squaring
+``diagram_checks(lam, taus)`` covers one diagram: the squaring
 scalar against its closed form and against the hook product at s = 1, the
 full-twist eigenvalue against ``s^twist_exponent`` and against 1 at s = 1,
 the conjugation symmetry tau(lam') = tau(lam)(s^-1) once both are known,
@@ -86,9 +86,7 @@ def strand_checks(n: int) -> list[Check]:
     return out
 
 
-def diagram_checks(
-    lam: Partition, taus: dict[tuple[int, ...], LaurentPoly], max_cells: int
-) -> list[Check]:
+def diagram_checks(lam: Partition, taus: dict[tuple[int, ...], LaurentPoly]) -> list[Check]:
     """
     The squaring-scalar, twist-eigenvalue, conjugation and classical-limit
     checks for one diagram, building its symmetrizer once.  The twist
@@ -96,7 +94,7 @@ def diagram_checks(
     check runs when the conjugate diagram's eigenvalue is already there.
     """
     out: list[Check] = []
-    qi = symmetrizers.alpha_extract(lam, max_cells=max_cells)
+    qi = symmetrizers.alpha_extract(lam)
     out.append(
         (f"alpha closed form, lambda={lam}", qi.alpha == symmetrizers.alpha_closed_form(lam))
     )

@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from typing import Iterator, Sequence
 
 from .errors import TooLarge
 
 Perm = tuple[int, ...]
 
-# Enumerating all of S_n beyond this is a memory/time mistake, not a request.
-MAX_ENUMERATION = 9
+# The one size guard: at most 8! basis braids in any table a request holds.
+MAX_ENTRIES = 40_320
 
 
 def as_perm(images: Sequence[int]) -> Perm:
@@ -101,12 +100,26 @@ def reduced_word(p: Perm) -> tuple[int, ...]:
     return tuple(word)
 
 
-def all_permutations(n: int, max_n: int = MAX_ENUMERATION) -> Iterator[Perm]:
+def check_size(request: str, n: int) -> None:
+    """
+    Refuse a request on n strands, whose tables can hold n! basis braids,
+    when n! > MAX_ENTRIES; n! itself is never formed.
+    """
+    entries = 1
+    for k in range(2, n + 1):
+        entries *= k
+        if entries > MAX_ENTRIES:
+            raise TooLarge(
+                f"{request} is refused: a table on {n} strands can hold {n}! "
+                f"basis braids, more than the bound of {MAX_ENTRIES}"
+            )
+
+
+def all_permutations(n: int) -> Iterator[Perm]:
     """All of S_n in lexicographic order (stable for golden files)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n > max_n:
-        raise TooLarge(f"refusing to enumerate S_{n} ({math.factorial(n)} elements)")
+    check_size(f"the enumeration of S_{n}", n)
     return itertools.permutations(range(1, n + 1))
 
 

@@ -57,16 +57,18 @@ by construction, so it skips the constructor's key checks.  The factored
 action is the faster route (a_8 in 0.07 s against 0.24-0.35 s for the
 enumeration on one 2-core host, CPython 3.11.7), but it peaks higher
 (35 MB against 29 MB), since its steps hold dense packed tables.
+
+Every builder refuses more than 8 cells or strands through the one size
+guard, ``permutations.check_size``; any 8-cell diagram takes seconds.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from . import permutations as perms
-from .errors import NotQuasiIdempotent, TooLarge
+from .errors import NotQuasiIdempotent
 from .hecke import (
     HeckeElement,
     _coset_kept,
@@ -79,54 +81,38 @@ from .hecke import (
 from .laurent import LaurentPoly, ONE, S, qint
 from .partitions import Partition
 
-# The default guard: H_7 has 5040 basis braids.  Squaring and twist-checking
-# an 8-cell diagram takes seconds at most, but its 40320-braid tables are
-# big enough that asking for them should be deliberate (max_cells=8).
-DEFAULT_MAX_CELLS = 7
-DEFAULT_MAX_ROW = 8
-
 # The eigenvalue of every generator on the one-column element.
 NEG_S_INV = LaurentPoly.monomial(-1, -1)
 
 
-def _one_dimensional(n: int, max_n: int, u: LaurentPoly, name: str) -> HeckeElement:
+def _one_dimensional(n: int, u: LaurentPoly) -> HeckeElement:
     """
     The sum of u^length(p) * w_p over S_n, enumerated term by term without
-    the kernel; the coefficients come from one list of powers of u.
+    the kernel; the coefficients come from one list of powers of u.  The
+    enumeration is made, and so guarded, before the powers.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n > max_n:
-        raise TooLarge(f"{name} on {n} strands has {math.factorial(n)} terms")
+    everything = perms.all_permutations(n)
     powers = [ONE]
     for _ in range(n * (n - 1) // 2):
         powers.append(powers[-1] * u)
-    return _trusted(n, {p: powers[perms.length(p)] for p in perms.all_permutations(n)})
+    return _trusted(n, {p: powers[perms.length(p)] for p in everything})
 
 
-def symmetrizer(n: int, max_n: int = DEFAULT_MAX_ROW) -> HeckeElement:
+def symmetrizer(n: int) -> HeckeElement:
     """
     The one-row element on n strands: sum of s^length(p) * w_p over S_n.
     Every generator, and more generally every basis braid w_p, acts on it by
     s to the crossing number.
     """
-    return _one_dimensional(n, max_n, S, "symmetrizer")
+    return _one_dimensional(n, S)
 
 
-def antisymmetrizer(n: int, max_n: int = DEFAULT_MAX_ROW) -> HeckeElement:
+def antisymmetrizer(n: int) -> HeckeElement:
     """
     The one-column element: sum of (-s)^(-length(p)) * w_p, on which every
     generator acts by -s^-1.
     """
-    return _one_dimensional(n, max_n, NEG_S_INV, "antisymmetrizer")
-
-
-def _check_cells(lam: Partition, max_cells: int) -> None:
-    if lam.n > max_cells:
-        raise TooLarge(
-            f"diagram with {lam.n} cells exceeds the guard of {max_cells}; "
-            "pass a larger max_cells to override"
-        )
+    return _one_dimensional(n, NEG_S_INV)
 
 
 def _block_action(x: _Packed, k: int, offset: int, u: LaurentPoly) -> _Packed:
@@ -180,24 +166,24 @@ def _mul_column(x: _Packed, lam: Partition) -> _Packed:
     return x
 
 
-def row_element(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> HeckeElement:
+def row_element(lam: Partition) -> HeckeElement:
     """Product of row symmetrizers placed at the row-reading offsets."""
-    _check_cells(lam, max_cells)
+    perms.check_size(f"the row element of lambda={lam}", lam.n)
     return _element(_mul_row(_packed(HeckeElement.unit(lam.n)), lam))
 
 
-def column_element(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> HeckeElement:
+def column_element(lam: Partition) -> HeckeElement:
     """
     Product of column antisymmetrizers at the column-reading offsets,
     conjugated to row-reading strand order.
     """
-    _check_cells(lam, max_cells)
+    perms.check_size(f"the column element of lambda={lam}", lam.n)
     return _element(_mul_column(_packed(HeckeElement.unit(lam.n)), lam))
 
 
-def e_lambda(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> HeckeElement:
+def e_lambda(lam: Partition) -> HeckeElement:
     """The q-Young symmetrizer of the diagram, on exactly |diagram| strands."""
-    _check_cells(lam, max_cells)
+    perms.check_size(f"the symmetrizer of lambda={lam}", lam.n)
     h = _coset_symmetrizer(lam)
     if h.blocks is None:
         return _element(h)
@@ -276,7 +262,7 @@ class QuasiIdempotent:
         }
 
 
-def alpha_extract(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> QuasiIdempotent:
+def alpha_extract(lam: Partition) -> QuasiIdempotent:
     """
     Build the symmetrizer, square it as (e * row factor) * column factor
     on its coset table, and extract the scalar by exact division.  The square is a real product,
@@ -284,7 +270,7 @@ def alpha_extract(lam: Partition, max_cells: int = DEFAULT_MAX_CELLS) -> QuasiId
     failure raises NotQuasiIdempotent since it can only mean a kernel
     convention bug.
     """
-    e = e_lambda(lam, max_cells)
+    e = e_lambda(lam)
     if e.is_zero():
         raise NotQuasiIdempotent(f"symmetrizer of {lam} is zero")
     h = _coset_table(e, lam)

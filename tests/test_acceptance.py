@@ -25,7 +25,7 @@ from qyoung.central import full_twist, murphy, twist_eigenvalue, twist_scalar
 from qyoung.hecke import HeckeElement, extract_scalar
 from qyoung.laurent import LaurentPoly, ONE, S
 from qyoung.partitions import all_partitions
-from qyoung.symmetrizers import DEFAULT_MAX_CELLS, alpha_closed_form, alpha_extract, e_lambda
+from qyoung.symmetrizers import alpha_closed_form, alpha_extract, e_lambda
 
 
 def partitions_up_to(k_max):
@@ -91,7 +91,7 @@ def test_diagram_invariants():
     started = time.monotonic()
     taus = {}
     for lam in partitions_up_to(5):
-        assert failed(invariants.diagram_checks(lam, taus, DEFAULT_MAX_CELLS)) == []
+        assert failed(invariants.diagram_checks(lam, taus)) == []
     report(
         "alpha closed form and hook products, twist eigenvalues and conjugation "
         "|cells|<=5; classical limit |cells|<=5",
@@ -147,7 +147,7 @@ def test_performance_gate_seven_cells():
 def test_performance_gate_eight_cells():
     started = time.monotonic()
     for lam in all_partitions(8):
-        qi = alpha_extract(lam, max_cells=8)
+        qi = alpha_extract(lam)
         assert qi.alpha == alpha_closed_form(lam)
         assert twist_scalar(qi.element, lam) == LaurentPoly.monomial(2 * sum(lam.contents()))
     report("slow suite: quasi-idempotency and twist eigenvalues at 8 cells", started, 60)

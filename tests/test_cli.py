@@ -1,20 +1,34 @@
 """The command-line surface: formats, exit codes, round trips."""
 
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qyoung import invariants
 from qyoung.cli import main
 from qyoung.hecke import HeckeElement
 from qyoung.laurent import LaurentPoly
 from qyoung.symmetrizers import e_lambda, symmetrizer
-from qyoung.partitions import Partition
+from qyoung.partitions import Partition, all_partitions
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refusal(request, n):
+    """The one message of the size guard, as the CLI prints it."""
+    return (
+        f"error: {request} is refused: a table on {n} strands can hold {n}! "
+        "basis braids, more than the bound of 40320\n"
+    )
 
 
 class TestSymmetrizerCommands:
@@ -34,14 +48,10 @@ class TestSymmetrizerCommands:
         assert "strand count" in err
 
     def test_guard_exceeded(self, capsys):
-        code, _, err = run(capsys, "sym", "9")
+        code, out, err = run(capsys, "sym", "9")
         assert code == 2
-        assert "9" in err
-
-    def test_guard_override(self, capsys):
-        code, out, _ = run(capsys, "sym", "5", "--max-strands", "5", "--format", "machine")
-        assert code == 0
-        assert len(json.loads(out)["terms"]) == 120
+        assert out == ""
+        assert err == refusal("the enumeration of S_9", 9)
 
     def test_machine_format_roundtrip(self, capsys):
         code, out, _ = run(capsys, "sym", "3", "--format", "machine")
@@ -52,6 +62,48 @@ class TestSymmetrizerCommands:
         _, text_out, _ = run(capsys, "antisym", "3")
         _, machine_out, _ = run(capsys, "antisym", "3", "--format", "machine")
         assert str(HeckeElement.from_machine(json.loads(machine_out))) == text_out.strip()
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize(
+        "argv, what, n",
+        [
+            (["sym", "9"], "the enumeration of S_9", 9),
+            (["antisym", "9"], "the enumeration of S_9", 9),
+            (["elam", "5,4"], "the symmetrizer of lambda=5,4", 9),
+            (["alpha", "9"], "the symmetrizer of lambda=9", 9),
+            (["twist", "3,3,3"], "the symmetrizer of lambda=3,3,3", 9),
+            # The guard decides without forming n!, which for 3000 would
+            # not even print as a decimal.
+            (["sym", "3000"], "the enumeration of S_3000", 3000),
+            (["antisym", "300000", "--format", "machine"], "the enumeration of S_300000", 300000),
+        ],
+    )
+    def test_one_message(self, capsys, argv, what, n):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == refusal(what, n)
+
+    @pytest.mark.parametrize("argv", [["alpha", "4,4"], ["twist", "4,4"], ["alpha", "8"]])
+    def test_eight_cells_need_no_flag(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[-1] == "match = yes"
+
+    def test_verify_eight_passes_the_guard(self, capsys, monkeypatch):
+        # The checks themselves are the slow 8-cell gate's; here only the
+        # guard's decision is under test.
+        strands, diagrams = [], []
+        monkeypatch.setattr(invariants, "strand_checks", lambda n: strands.append(n) or [])
+        monkeypatch.setattr(
+            invariants, "diagram_checks", lambda lam, taus: diagrams.append(lam) or []
+        )
+        code, out, _ = run(capsys, "verify", "8")
+        assert code == 0
+        assert out.splitlines()[-1] == "all invariants verified"
+        assert strands == list(range(2, 9))
+        assert len(diagrams) == sum(len(list(all_partitions(k))) for k in range(1, 9))
 
 
 class TestIdempotentCommands:
@@ -199,6 +251,12 @@ class TestMulCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "nested" in err
 
+    def test_zero_elements_on_many_strands(self, capsys, tmp_path):
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"n": 10**12, "terms": []}))
+        code, out, err = run(capsys, "mul", str(zero), str(zero))
+        assert (code, out, err) == (0, "0\n", "")
+
     def test_wide_exponent_span_is_usage_error(self, capsys, tmp_path):
         wide = tmp_path / "wide.json"
         good = tmp_path / "good.json"
@@ -242,10 +300,16 @@ class TestVerifyCommand:
         assert code == 0
         assert "all invariants verified" in out
 
-    def test_guard(self, capsys):
-        code, _, err = run(capsys, "verify", "99")
-        assert code == 2
-        assert "guard" in err
+    def test_guard(self, capsys, monkeypatch):
+        # Refused before the first strand check, not after n = 2..8.
+        calls = []
+        monkeypatch.setattr(invariants, "strand_checks", lambda n: calls.append(n) or [])
+        for n in (9, 99):
+            code, out, err = run(capsys, "verify", str(n))
+            assert code == 2
+            assert out == ""
+            assert err == refusal(f"verify {n}", n)
+        assert calls == []
 
     def test_failed_diagram_exits_one_without_ok_line(self, capsys, monkeypatch):
         from qyoung import symmetrizers
@@ -305,12 +369,55 @@ class TestUsage:
     def test_non_integer_argument(self, capsys):
         assert run(capsys, "sym", "two")[0] == 2
 
+    def test_argument_errors_are_one_line(self, capsys):
+        code, out, err = run(capsys, "sym", "two")
+        assert code == 2
+        assert out == ""
+        assert err == "error: argument n: invalid int value: 'two'\n"
+
+    @pytest.mark.parametrize("command", [["sym", "3"], ["elam", "2,1"], ["verify", "2"]])
+    def test_max_strands_is_an_unknown_argument(self, capsys, command):
+        # The size guard has no override.
+        code, out, err = run(capsys, *command, "--max-strands", "8")
+        assert code == 2
+        assert out == ""
+        assert err == "error: unrecognized arguments: --max-strands 8\n"
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize("command", [["sym", "3"], ["elam", "2,1"], ["verify", "2"]])
     def test_non_positive_guard_rejected(self, capsys, command, value):
+        # A non-positive bound is refused like any other: the flag is gone.
         code, out, err = run(capsys, *command, f"--max-strands={value}")
         assert code == 2
         assert out == ""
-        assert err.splitlines()[-1].endswith(
-            f"argument --max-strands: expected a positive integer, got '{value}'"
-        )
+        assert err == f"error: unrecognized arguments: --max-strands={value}\n"
+
+
+# Tokens for the fuzz test: every command, diagrams and strand counts of at
+# most 5 cells, sizes over the guard, junk and the format flag.  Digits
+# above 5 appear only in the over-guard sizes, so no draw runs a large
+# verify.
+SMALL = ["0"] + [str(lam) for k in range(1, 6) for lam in all_partitions(k)]
+OVER = ["9", "5,4", "3000"]
+JUNK = ["", "-1", "x", "1,2", "2,,1", "--max-strands", "--frobnicate", "-", "nope.json"]
+FORMAT = ["--format", "machine", "text", "--format=machine"]
+token = st.sampled_from(SMALL + OVER + JUNK + FORMAT) | st.text(
+    st.characters(blacklist_categories=("Nd", "Cs")), max_size=4
+)
+command = st.sampled_from(["sym", "antisym", "elam", "alpha", "twist", "verify", "mul"])
+argvs = st.lists(token, max_size=1) | st.builds(
+    lambda first, rest: [first, *rest], command, st.lists(token, max_size=3)
+)
+
+
+@given(argvs)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_argv_exits_zero_or_two(argv):
+    # capsys is not reset between hypothesis examples, so capture here.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, code)
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert re.fullmatch(r"error: [^\n]*\n", err.getvalue()), (argv, err.getvalue())

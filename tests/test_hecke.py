@@ -383,9 +383,9 @@ class TestRankFormat:
             assert _element(packed).coeffs == x.coeffs
 
     def test_no_table_grows_with_n_factorial(self):
-        # Ranks past any enumeration guard: the kernel steps sparse elements
-        # on many strands, as the rewriting rule does term by term.
-        n = perms.MAX_ENUMERATION + 3
+        # Ranks far past the size guard's 8 strands: the kernel steps sparse
+        # elements on many strands, as the rewriting rule does term by term.
+        n = 12
         x = gen(n, 1).scale(S) + basis(n, *range(n, 0, -1))
         for i in (1, 5, n - 1):
             assert x.mul_generator(i).coeffs == rewritten_term_by_term(x, i, 1).coeffs
@@ -1010,6 +1010,39 @@ class TestConcurrency:
         assert all(result == expected for result in results)
 
 
+# Any JSON document.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def machine_documents(draw):
+    """
+    A machine-format element on 1-3 strands with at most one part (n, the
+    terms, a permutation, a coefficient or one pair) replaced by any JSON,
+    so that draws get past the outer checks and reach the inner ones.
+    """
+    n = draw(st.integers(1, 3))
+    coeff = st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), max_size=3).map(
+        lambda pairs: [[e, c] for e, c in pairs.items()]
+    )
+    term = st.fixed_dictionaries({"perm": st.permutations(range(1, n + 1)), "coeff": coeff})
+    terms = draw(st.lists(term, max_size=3, unique_by=lambda t: tuple(t["perm"])))
+    doc = {"n": n, "terms": terms}
+    parts = [(doc, "n"), (doc, "terms")]
+    for t in terms:
+        parts += [(t, "perm"), (t, "coeff")] + [(t["coeff"], i) for i in range(len(t["coeff"]))]
+    replaced = draw(st.sampled_from([None] + parts))
+    if replaced is not None:
+        holder, key = replaced
+        holder[key] = draw(json_values)
+    return doc
+
+
 class TestSerialization:
     def test_machine_roundtrip(self):
         x = gen(3, 1).scale(S**-2) + basis(3, 3, 2, 1).scale(ONE + S)
@@ -1072,6 +1105,26 @@ class TestSerialization:
                 HeckeElement.from_machine(data)
         data["terms"][1]["coeff"] = [[MAX_EXPONENT_SPAN, 1]]
         assert HeckeElement.from_machine(data).coeff((2, 1)).max_exp() == MAX_EXPONENT_SPAN
+
+    def test_zero_on_any_strand_count(self):
+        # The strand count of an element without terms costs nothing: no
+        # key is there to check against 1..n.
+        zero = HeckeElement.from_machine({"n": 10**12, "terms": []})
+        assert zero.n == 10**12 and zero.is_zero()
+        assert zero == HeckeElement.zero(10**12)
+        assert zero.to_machine() == {"n": 10**12, "terms": []}
+        with pytest.raises(ValueError, match="does not act on"):
+            HeckeElement.from_machine({"n": 10**12, "terms": [{"perm": [1], "coeff": [[0, 1]]}]})
+
+    @given(json_values | machine_documents())
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_json_is_an_element_or_a_value_error(self, data):
+        try:
+            x = HeckeElement.from_machine(data)
+        except ValueError:
+            return
+        assert isinstance(x, HeckeElement)
+        assert HeckeElement.from_machine(x.to_machine()) == x
 
     def test_text_rendering(self):
         assert str(unit(2) + gen(2, 1).scale(S)) == "w[1,2] + s·w[2,1]"

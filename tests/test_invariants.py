@@ -6,7 +6,6 @@ that a planted fault is reported under exactly its own name.
 from qyoung import invariants, symmetrizers
 from qyoung.laurent import ONE
 from qyoung.partitions import Partition, all_partitions
-from qyoung.symmetrizers import DEFAULT_MAX_CELLS
 
 from .oracles import classical_young_symmetrizer
 
@@ -51,8 +50,8 @@ class TestStrandChecks:
 class TestDiagramChecks:
     def test_names_in_order(self):
         taus = {}
-        first = invariants.diagram_checks(Partition((2,)), taus, DEFAULT_MAX_CELLS)
-        second = invariants.diagram_checks(Partition((1, 1)), taus, DEFAULT_MAX_CELLS)
+        first = invariants.diagram_checks(Partition((2,)), taus)
+        second = invariants.diagram_checks(Partition((1, 1)), taus)
         assert [name for name, _ in first] == [
             "alpha closed form, lambda=2",
             "alpha at s=1 vs hook product, lambda=2",
@@ -72,13 +71,13 @@ class TestDiagramChecks:
 
     def test_records_the_twist_eigenvalue(self):
         taus = {}
-        invariants.diagram_checks(Partition((2, 1)), taus, DEFAULT_MAX_CELLS)
+        invariants.diagram_checks(Partition((2, 1)), taus)
         assert list(taus) == [(2, 1)]
         assert taus[(2, 1)] == ONE
 
     def test_classical_limit_stops_at_six_cells(self):
         def names(parts):
-            checks = invariants.diagram_checks(Partition(parts), {}, DEFAULT_MAX_CELLS)
+            checks = invariants.diagram_checks(Partition(parts), {})
             return [name for name, _ in checks]
 
         assert "classical limit vs group-algebra symmetrizer, lambda=3,2,1" in names((3, 2, 1))
@@ -87,10 +86,10 @@ class TestDiagramChecks:
     def test_wrong_closed_form_is_named(self, monkeypatch):
         plant_wrong_alpha(monkeypatch, (2,))
         taus = {}
-        assert failed(invariants.diagram_checks(Partition((2,)), taus, DEFAULT_MAX_CELLS)) == [
+        assert failed(invariants.diagram_checks(Partition((2,)), taus)) == [
             "alpha closed form, lambda=2"
         ]
-        assert failed(invariants.diagram_checks(Partition((1, 1)), taus, DEFAULT_MAX_CELLS)) == []
+        assert failed(invariants.diagram_checks(Partition((1, 1)), taus)) == []
 
 
 def test_classical_symmetrizer_matches_oracle():

@@ -117,8 +117,11 @@ class TestEnumeration:
         assert listed == sorted(listed)
 
     def test_guard(self):
-        with pytest.raises(TooLarge):
-            list(perms.all_permutations(10))
+        assert perms.MAX_ENTRIES == 40320
+        assert sum(1 for _ in perms.all_permutations(8)) == perms.MAX_ENTRIES
+        for n in (9, 10, 10**12):
+            with pytest.raises(TooLarge, match=f"S_{n} is refused"):
+                perms.all_permutations(n)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_length_generating_function_is_q_factorial(self, n):

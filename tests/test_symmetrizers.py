@@ -11,6 +11,7 @@ import random
 import pytest
 
 from qyoung import permutations as perms
+from qyoung.central import twist_eigenvalue
 from qyoung.errors import NotQuasiIdempotent, TooLarge
 from qyoung.hecke import HeckeElement, extract_scalar
 from qyoung.laurent import LaurentPoly, ONE, S, qint
@@ -112,10 +113,11 @@ class TestDiagramElements:
         }
 
     def test_guard(self):
-        with pytest.raises(TooLarge):
-            e_lambda(Partition((5, 3)))
-        # explicit override lifts it
-        assert not e_lambda(Partition((4, 4)), max_cells=8).is_zero()
+        # 9 cells are refused by every diagram builder, 8 cells need no flag.
+        for build in (e_lambda, row_element, column_element):
+            with pytest.raises(TooLarge, match=r"lambda=5,4 is refused: .* 9! basis braids"):
+                build(Partition((5, 4)))
+        assert not e_lambda(Partition((4, 4))).is_zero()
 
 
 class TestQuasiIdempotency:
@@ -207,7 +209,9 @@ class TestSandwich:
 class TestErrorPaths:
     def test_guard_is_loud(self):
         with pytest.raises(TooLarge):
-            alpha_extract(Partition((8,)))
+            alpha_extract(Partition((9,)))
+        with pytest.raises(TooLarge):
+            twist_eigenvalue(Partition((3, 3, 3)))
 
     def test_not_quasi_idempotent_is_unreachable_for_valid_shapes(self):
         # Every valid diagram must extract cleanly.

@@ -23,8 +23,10 @@ the lazy caches).  The layers:
   before ``BENCH_sides.json`` name a_6 * w_p ``long_braid_a6``;
 - ``alpha_extract_43`` / ``twist_eigenvalue_43``: the public calls;
 - ``alpha_extract_44`` / ``twist_44``: the same calls on the 8-cell diagram
-  (4,4) with ``max_cells=8``, whose e_lambda holds 24192 of the 40320 basis
-  braids of H_8; the warm-up call fills the S_8 rank memos;
+  (4,4), whose e_lambda holds 24192 of the 40320 basis braids of H_8; the
+  warm-up call fills the S_8 rank memos.  Trees before the single size
+  guard refuse 8 cells by default, so every 8-cell call passes them
+  ``max_cells=8``, and only them (``EIGHT_CELLS``);
 - ``build_43``: ``e_lambda`` of the 7-cell diagram (4,3);
 - ``square_44`` / ``square_8`` / ``square_1x8`` and ``twist_scalar_44`` /
   ``twist_scalar_8`` / ``twist_scalar_1x8``: squaring and twist-checking an
@@ -46,6 +48,7 @@ kept forms, results the layers never read are never decoded.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import statistics
 import time
@@ -59,6 +62,11 @@ from qyoung.partitions import Partition
 # A permutation of length 9 in S_6, and the longest one, of length 15.
 LONG_BRAID = (3, 6, 4, 1, 5, 2)
 LONGEST = (6, 5, 4, 3, 2, 1)
+
+# The keyword arguments an 8-cell build needs on the tree being timed.
+EIGHT_CELLS = (
+    {"max_cells": 8} if "max_cells" in inspect.signature(sym.e_lambda).parameters else {}
+)
 
 
 def _every_generator(x):
@@ -94,7 +102,7 @@ def _lazy(make):
 
 def _square(lam):
     """The square of e_lambda(lam) and its scalar, from the built element."""
-    e = sym.e_lambda(lam, max_cells=8)
+    e = sym.e_lambda(lam, **EIGHT_CELLS)
 
     def run():
         h = sym._coset_table(e, lam)
@@ -104,7 +112,7 @@ def _square(lam):
 
 
 def _twist(lam):
-    e = sym.e_lambda(lam, max_cells=8)
+    e = sym.e_lambda(lam, **EIGHT_CELLS)
     return lambda: central.twist_scalar(e, lam)
 
 
@@ -124,8 +132,8 @@ def layers() -> dict:
         "long_braid_ft6": lambda: w0 * ft6,
         "alpha_extract_43": lambda: sym.alpha_extract(lam7),
         "twist_eigenvalue_43": lambda: central.twist_eigenvalue(lam7),
-        "alpha_extract_44": lambda: sym.alpha_extract(lam8, max_cells=8),
-        "twist_44": lambda: central.twist_eigenvalue(lam8, max_cells=8),
+        "alpha_extract_44": lambda: sym.alpha_extract(lam8, **EIGHT_CELLS),
+        "twist_44": lambda: central.twist_eigenvalue(lam8, **EIGHT_CELLS),
         "build_43": lambda: sym.e_lambda(lam7),
     }
     for tag, parts in {"44": (4, 4), "8": (8,), "1x8": (1,) * 8}.items():
