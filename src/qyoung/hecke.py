@@ -85,11 +85,13 @@ read from a short list per (n, i) indexed by those two digits; the length
 went up exactly when the partner rank is the larger, so nothing else is
 stored.  The conversions, and inversion on ranks for iota, are computed
 from Lehmer codes and remembered per strand count, only for the
-permutations met so far.  No table covers all of S_n, so the kernel works
-on any number of strands.  Concurrent chains may fill a memo, or an
-element's kept form, at once; an entry is a single store of a value every
-writer computes alike, and a missing entry is computed again, so readers
-never see a wrong one.
+permutations met so far.  No table covers all of S_n, but a step still
+costs more as n grows: the shift list of (n, i) holds (n-i+1)(n-i) ints of
+up to log2(n!) bits, so g_1 * g_1 on 500 strands takes about 0.3 s and
+146 MB (2-core host, CPython 3.11.7).  Concurrent chains may fill a memo,
+or an element's kept form, at once; an entry is a single store of a value
+every writer computes alike, and a missing entry is computed again, so
+readers never see a wrong one.
 
 Coset tables.  For a Young diagram lambda let S_lambda be the subgroup
 of S_n that permutes the values within each row block (the row-reading
@@ -395,10 +397,11 @@ class HeckeElement:
     def from_machine(data: object) -> HeckeElement:
         """
         The inverse of to_machine; any other shape raises ValueError,
-        among them a repeated permutation or a repeated exponent within one
-        coefficient, and so do terms whose exponents together span more than
-        MAX_EXPONENT_SPAN, since a packed table holds every coefficient
-        densely from the lowest exponent of the whole element.
+        among them a repeated permutation, a repeated exponent within one
+        coefficient and a zero coefficient or pair, and so do terms whose
+        exponents together span more than MAX_EXPONENT_SPAN, since a packed
+        table holds every coefficient densely from the lowest exponent of
+        the whole element.
         """
         try:
             n = _machine_int(data["n"])
@@ -410,13 +413,14 @@ class HeckeElement:
                 pairs = dict(_machine_pair(pair) for pair in term["coeff"])
                 if len(pairs) != len(term["coeff"]):
                     raise ValueError(f"repeated exponent in the coefficient of {list(p)}")
+                if not pairs or 0 in pairs.values():
+                    raise ValueError(f"zero coefficient in the term of {list(p)}")
                 table[p] = LaurentPoly.from_pairs(pairs.items())
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed machine-format element ({exc!r})") from None
-        nonzero = [c for c in table.values() if c.coeffs]
-        if nonzero:
-            lo = min(c.min_exp() for c in nonzero)
-            hi = max(c.max_exp() for c in nonzero)
+        if table:
+            lo = min(c.min_exp() for c in table.values())
+            hi = max(c.max_exp() for c in table.values())
             if hi - lo > MAX_EXPONENT_SPAN:
                 raise ValueError(
                     f"exponents {lo}..{hi} across the terms span more than "

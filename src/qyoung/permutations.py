@@ -51,10 +51,6 @@ def length(p: Perm) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
 
 
-def sign(p: Perm) -> int:
-    return -1 if length(p) % 2 else 1
-
-
 def compose(p: Perm, q: Perm) -> Perm:
     """The composite i -> p(q(i))."""
     if len(p) != len(q):

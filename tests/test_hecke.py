@@ -1027,7 +1027,8 @@ def machine_documents(draw):
     so that draws get past the outer checks and reach the inner ones.
     """
     n = draw(st.integers(1, 3))
-    coeff = st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), max_size=3).map(
+    nonzero = st.sampled_from([-2, -1, 1, 2])
+    coeff = st.dictionaries(st.integers(-2, 2), nonzero, min_size=1, max_size=3).map(
         lambda pairs: [[e, c] for e, c in pairs.items()]
     )
     term = st.fixed_dictionaries({"perm": st.permutations(range(1, n + 1)), "coeff": coeff})
@@ -1076,6 +1077,9 @@ class TestSerialization:
             {"n": 2, "terms": [{"perm": [1, 2], "coeff": [[0, True]]}]},
             {"n": 2, "terms": [{"perm": [True, 2], "coeff": [[0, 1]]}]},
             {"n": 2, "terms": [{"perm": 3, "coeff": []}]},
+            {"n": 2, "terms": [{"perm": [2, 1], "coeff": []}]},
+            {"n": 2, "terms": [{"perm": [2, 1], "coeff": [[0, 0]]}]},
+            {"n": 2, "terms": [{"perm": [2, 1], "coeff": [[0, 1], [1, 0]]}]},
         ],
     )
     def test_malformed_input_is_a_value_error(self, data):

@@ -1,9 +1,14 @@
 """
-The named invariants behind ``qyoung verify``: the names they report, and
-that a planted fault is reported under exactly its own name.
+The named invariants behind ``qyoung verify``: the names they report, that
+a planted fault is reported under exactly its own name, and that the
+classical-limit predicate accepts the group-algebra symmetrizer and nothing
+near it.
 """
 
+import pytest
+
 from qyoung import invariants, symmetrizers
+from qyoung.hecke import HeckeElement
 from qyoung.laurent import ONE
 from qyoung.partitions import Partition, all_partitions
 
@@ -91,10 +96,39 @@ class TestDiagramChecks:
         ]
         assert failed(invariants.diagram_checks(Partition((1, 1)), taus)) == []
 
+    def test_wrong_classical_limit_is_named(self, monkeypatch):
+        real = HeckeElement.specialize_at_one
 
-def test_classical_symmetrizer_matches_oracle():
-    for k in range(1, 7):
-        for lam in all_partitions(k):
-            assert invariants.classical_symmetrizer(lam) == classical_young_symmetrizer(
-                lam.parts
-            )
+        def planted(self):
+            x = real(self)
+            last = max(x)
+            x[last] = -x[last]
+            return x
+
+        monkeypatch.setattr(HeckeElement, "specialize_at_one", planted)
+        assert failed(invariants.diagram_checks(Partition((3, 2, 1)), {})) == [
+            "classical limit vs group-algebra symmetrizer, lambda=3,2,1"
+        ]
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_classical_predicate_against_oracle(k):
+    """
+    The predicate accepts the oracle's group-algebra symmetrizer c and
+    rejects 2c, c with one coefficient changed, c with one term removed and
+    the conjugate diagram's symmetrizer.
+    """
+    for lam in all_partitions(k):
+        c = classical_young_symmetrizer(lam.parts)
+        assert invariants.is_classical_symmetrizer(c, lam)
+        last = max(c)
+        near = [
+            {p: 2 * v for p, v in c.items()},
+            {**c, last: -c[last]},
+            {p: v for p, v in c.items() if p != last},
+        ]
+        conj = lam.conjugate()
+        if conj != lam:
+            near.append(classical_young_symmetrizer(conj.parts))
+        for x in near:
+            assert not invariants.is_classical_symmetrizer(x, lam)

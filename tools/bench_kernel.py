@@ -18,37 +18,27 @@ the lazy caches).  The layers:
   a_6 * w_p for p = LONG_BRAID, of length 9, and ``long_braid_ft6``: the
   product w_p * ft_6 for the longest p, of length 15.  The side rule
   expands the one-term w_p, through iota when it is the left factor and
-  directly when it is the right one, so these layers time both branches
-  (trees before it expand the dense factor in all three).  BENCH files
-  before ``BENCH_sides.json`` name a_6 * w_p ``long_braid_a6``;
+  directly when it is the right one, so these layers time both branches;
 - ``alpha_extract_43`` / ``twist_eigenvalue_43``: the public calls;
 - ``alpha_extract_44`` / ``twist_44``: the same calls on the 8-cell diagram
   (4,4), whose e_lambda holds 24192 of the 40320 basis braids of H_8; the
-  warm-up call fills the S_8 rank memos.  Trees before the single size
-  guard refuse 8 cells by default, so every 8-cell call passes them
-  ``max_cells=8``, and only them (``EIGHT_CELLS``);
+  warm-up call fills the S_8 rank memos;
 - ``build_43``: ``e_lambda`` of the 7-cell diagram (4,3);
 - ``square_44`` / ``square_8`` / ``square_1x8`` and ``twist_scalar_44`` /
   ``twist_scalar_8`` / ``twist_scalar_1x8``: squaring and twist-checking an
   already built e_lambda of (4,4), (8) and (1^8), from the element to the
   extracted scalar.  The square is the chain ``alpha_extract`` runs after
   the build: the chain on e's coset table and the extraction against it.
-  The twist is ``central.twist_scalar(e, lam)``.  These six layers run
-  only on trees with coset tables (``symmetrizers._coset_table``).
+  The twist is ``central.twist_scalar(e, lam)``.
 
 The chain layer starts from the element's kept packed table and ends in an
-element holding the result's (``hecke._packed`` and ``hecke._element``)
-where those exist.  On older trees it goes through ``hecke._encode`` and
-``hecke._decode``, which then convert on every call, or, before the packed
-kernel, calls ``_block_action`` on the element itself, so the same script
-times trees from before and after each of those changes.  On a tree with
-kept forms, results the layers never read are never decoded.
+element holding the result's (``hecke._packed`` and ``hecke._element``), so
+results the layers never read are never decoded.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import statistics
 import time
@@ -63,11 +53,6 @@ from qyoung.partitions import Partition
 LONG_BRAID = (3, 6, 4, 1, 5, 2)
 LONGEST = (6, 5, 4, 3, 2, 1)
 
-# The keyword arguments an 8-cell build needs on the tree being timed.
-EIGHT_CELLS = (
-    {"max_cells": 8} if "max_cells" in inspect.signature(sym.e_lambda).parameters else {}
-)
-
 
 def _every_generator(x):
     def run():
@@ -79,13 +64,8 @@ def _every_generator(x):
 
 
 def _chain(action):
-    """action as one chain from element to element, on any of the kernels."""
-    if hasattr(hecke, "_element"):
-        return lambda x: hecke._element(action(hecke._packed(x)))
-    encode = getattr(hecke, "_encode", None)
-    if encode is None:
-        return action
-    return lambda x: hecke._decode(action(encode(x)))
+    """action as one chain from element to element."""
+    return lambda x: hecke._element(action(hecke._packed(x)))
 
 
 def _lazy(make):
@@ -102,7 +82,7 @@ def _lazy(make):
 
 def _square(lam):
     """The square of e_lambda(lam) and its scalar, from the built element."""
-    e = sym.e_lambda(lam, **EIGHT_CELLS)
+    e = sym.e_lambda(lam)
 
     def run():
         h = sym._coset_table(e, lam)
@@ -112,7 +92,7 @@ def _square(lam):
 
 
 def _twist(lam):
-    e = sym.e_lambda(lam, **EIGHT_CELLS)
+    e = sym.e_lambda(lam)
     return lambda: central.twist_scalar(e, lam)
 
 
@@ -132,8 +112,8 @@ def layers() -> dict:
         "long_braid_ft6": lambda: w0 * ft6,
         "alpha_extract_43": lambda: sym.alpha_extract(lam7),
         "twist_eigenvalue_43": lambda: central.twist_eigenvalue(lam7),
-        "alpha_extract_44": lambda: sym.alpha_extract(lam8, **EIGHT_CELLS),
-        "twist_44": lambda: central.twist_eigenvalue(lam8, **EIGHT_CELLS),
+        "alpha_extract_44": lambda: sym.alpha_extract(lam8),
+        "twist_44": lambda: central.twist_eigenvalue(lam8),
         "build_43": lambda: sym.e_lambda(lam7),
     }
     for tag, parts in {"44": (4, 4), "8": (8,), "1x8": (1,) * 8}.items():
