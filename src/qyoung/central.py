@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from . import permutations as perms
 from .errors import NotEigenvector
-from .hecke import HeckeElement, _element, _extract, _packed, _Packed
+from .hecke import HeckeElement, _element, _packed, _Packed
 from .laurent import LaurentPoly
 from .partitions import Partition
-from .symmetrizers import _coset_table, e_lambda
+from .symmetrizers import _report_on_side, e_lambda
 
 
 def half_twist(n: int) -> HeckeElement:
@@ -71,7 +71,7 @@ def twist_eigenvalue(lam: Partition) -> LaurentPoly:
     The scalar by which the full twist multiplies the symmetrizer of the
     given diagram.  The twist is central, so ft * e = e * ft, and e * ft is
     multiplied out band by band before the scalar is extracted and checked
-    on every coefficient.
+    as in ``twist_scalar``.
     """
     return twist_scalar(e_lambda(lam), lam)
 
@@ -79,13 +79,22 @@ def twist_eigenvalue(lam: Partition) -> LaurentPoly:
 def twist_scalar(e: HeckeElement, lam: Partition) -> LaurentPoly:
     """
     twist_eigenvalue on an already built symmetrizer e of the diagram lam:
-    e * ft multiplied out band by band on e's coset table (see
-    ``symmetrizers``), the scalar extracted and checked on every
-    coefficient.  e must lie in the left ideal R H_n of lam's row factor R,
-    as e_lambda(lam) does; any other element raises ValueError.
+    e * ft multiplied out band by band on the table of lam's side (see
+    ``symmetrizers``), the scalar extracted and checked on every entry of
+    that table.  On the row side the table is e's coset table in the left
+    ideal R H_n of lam's row factor R.  On the sign side it is the coset
+    table of f = iota(w_d^-1 e w_d) in B H_n, B the contiguous column
+    factor, and f * ft = tau f for the same tau since ft is central and
+    fixed by iota; e must then lie in H_n C, C = w_d B w_d^-1.  e_lambda(lam)
+    lies in both; an element outside the one its side needs raises
+    ValueError.  On a failure the witness is the row side's.  A table of
+    one entry, as the sign side's for (1^n), holds every candidate
+    proportional, so a chain fault there raises nothing and yields a wrong
+    scalar: only the closed-form checks of ``invariants`` catch it.
     """
-    h = _coset_table(e, lam)
-    report = _extract(h, _mul_full_twist(h))
+    report = _report_on_side(
+        e, lam, lambda h, row: _mul_full_twist(h), lambda r: r.proportional
+    )
     if not report.proportional:
         raise NotEigenvector(
             f"full twist does not act on the {lam} symmetrizer by a scalar "

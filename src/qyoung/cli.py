@@ -8,7 +8,11 @@ reports the full-twist eigenvalue, ``mul`` multiplies two elements stored in
 the machine format, and ``verify`` runs the named invariants of
 ``qyoung.invariants`` (the list the acceptance tests run too) for every
 strand count and diagram up to a size bound, stopping at the first strand
-count or diagram with a failed check.
+count or diagram with a failed check.  With ``--format machine`` it prints
+one JSON object per strand count and per diagram (``n`` or ``lambda``,
+``side``: the side of the diagram's coset tables, ``"row"`` or ``"sign"``,
+null for a strand count, ``seconds`` and ``checks``: a list of
+``{name, ok}``), then ``{ok, failed}`` with the names of the failed checks.
 
 Every command but ``mul`` refuses more than 8 strands or cells before it
 builds anything (``permutations.check_size``, the one size guard).
@@ -118,23 +122,33 @@ def _cmd_mul(args: argparse.Namespace) -> int:
 # -- the verify command -------------------------------------------------------
 
 
-def _print_failures(checks: list[tuple[str, bool]]) -> list[str]:
-    """Print a FAIL line for every check that did not hold; return their names."""
-    names = [name for name, ok in checks if not ok]
-    for name in names:
-        print(f"FAIL  {name}")
-    return names
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     perms.check_size(f"verify {args.max_n}", args.max_n)
     if args.max_n < 1:
         print(f"error: need a bound >= 1, got {args.max_n}", file=sys.stderr)
         return 2
+    machine = args.format == "machine"
+
+    def record(checks: list[tuple[str, bool]], started: float, **what) -> list[str]:
+        """
+        Print the checks of one strand count or diagram: in text mode a
+        FAIL line for each that did not hold, in machine mode one JSON
+        object.  Returns the names of the failed checks.
+        """
+        failed = [name for name, ok in checks if not ok]
+        if machine:
+            what["seconds"] = round(time.perf_counter() - started, 6)
+            what["checks"] = [{"name": name, "ok": ok} for name, ok in checks]
+            print(json.dumps(what))
+        else:
+            for name in failed:
+                print(f"FAIL  {name}")
+        return failed
 
     failures: list[str] = []
     for n in range(2, args.max_n + 1):
-        failures = _print_failures(invariants.strand_checks(n))
+        started = time.perf_counter()
+        failures = record(invariants.strand_checks(n), started, n=n, side=None)
         if failures:
             break
 
@@ -144,16 +158,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             break
         for lam in all_partitions(k):
             started = time.perf_counter()
-            failures = _print_failures(invariants.diagram_checks(lam, taus))
+            side = "row" if symmetrizers._row_side(lam) else "sign"
+            checks = invariants.diagram_checks(lam, taus)
+            failures = record(checks, started, **{"lambda": list(lam.parts), "side": side})
             if failures:
                 break
-            print(f"ok    lambda={str(lam):12s} ({time.perf_counter() - started:.2f}s)")
+            if not machine:
+                print(f"ok    lambda={str(lam):12s} ({time.perf_counter() - started:.2f}s)")
 
-    if failures:
+    if machine:
+        print(json.dumps({"ok": not failures, "failed": failures}))
+    elif failures:
         print(f"verification failed: {failures[0]}")
-        return 1
-    print("all invariants verified")
-    return 0
+    else:
+        print("all invariants verified")
+    return 1 if failures else 0
 
 
 class _Parser(argparse.ArgumentParser):

@@ -105,27 +105,40 @@ has the basis R w_v' (Dipper-James 1986), and the coefficient of w_{u v'}
 in R h = sum of c_v' R w_v' is s^length(u) c_v'.  A coset table (a packed
 table whose ``blocks`` are the row blocks) stores R h by the c_v' alone,
 keyed by the ranks of the representatives: |S_lambda| times fewer
-entries.  It is faithful on three counts:
+entries.  The same holds, word for word, for the contiguous blocks of any
+Young subgroup with the other one-dimensional unit: for the column blocks
+of lambda, of sizes the parts of the conjugate diagram, and
+B = sum over u of (-s^-1)^length(u) w_u their antisymmetrizers, with
+g_j B = B g_j = -s^-1 B, the left ideal B H_n has the basis B w_v'.  So
+``blocks`` (``_Blocks``) carries the block sizes and the block unit, s on
+the row side and -s^-1 on the sign side.  A coset table is faithful on
+three counts:
 
-- restriction to the representatives is injective on R H_n, since the
+- restriction to the representatives is injective on the ideal, since the
   coefficient at w_v' is c_v' itself;
 - the smallest rank in a coset is its representative, and two elements
-  of R H_n differ on a whole coset or nowhere on it, so scalar extraction
-  on coset tables pins the same term and reports the same witness;
+  of the ideal differ on a whole coset or nowhere on it, so scalar
+  extraction on coset tables pins the same term and reports the same
+  witness;
 - R h g_i is the generator step on the c_v', with one case more.  When
   v'(i) and v'(i+1) lie in one block they are j and j+1, v' s_i = s_j v'
   with s_j in S_lambda, and R w_v' g_i = R g_j w_v' = s R w_v': the term
-  stays where it is, times s (times s^-1 for g_i^-1 = g_i - z).  Otherwise
-  v' s_i is a representative and the pair rule applies unchanged.
+  stays where it is, times the unit (times its inverse for
+  g_i^-1 = g_i - z, which acts on R by s^-1 and on B by -s).  On packed
+  ints that is c << K for g_i on the row side, -(c >> K) on the sign
+  side, and the other shift for g_i^-1.  Otherwise v' s_i is a
+  representative and the pair rule applies unchanged.
 
 So the step tests the blocks only for a term whose partner is missing
 (a partner inside one block is never a representative), through a memo
-per (blocks, i) filled for the ranks met.  A coset table is never an
-element: iota, which does not keep R H_n, and ``_element`` refuse one,
-and ``symmetrizers`` expands it to R h as a plain table first.  An element
-of R H_n may keep its coset table beside its packed table: the one the
-chain that built it ran on, or the restriction made on the first use,
-which checks membership in R H_n.  So no element is restricted twice.
+per (blocks, i) filled for the ranks met, and reads the unit once per
+step of a coset table; a plain table's step never reads it.  A
+coset table is never an element: iota, which does not keep the ideal, and
+``_element`` refuse one, and ``symmetrizers`` expands it as a plain table
+first.  An element of the ideal may keep its coset table beside its
+packed table: the one the chain that built it ran on, or the restriction
+made on the first use, which checks membership in the ideal.  So no
+element is restricted twice.
 
 A general product expands one factor through reduced words, sharing common
 prefixes so that dense products cost one generator step per distinct
@@ -158,7 +171,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import permutations as perms
 from .laurent import MAX_EXPONENT_SPAN, LaurentPoly, ONE, ZERO
@@ -684,47 +697,66 @@ def _partner_shifts(n: int, i: int) -> tuple[int, int, list[int]]:
     return weight, len(shifts), shifts
 
 
-@functools.cache
-def _block_of(blocks: tuple[int, ...]) -> tuple[int, ...]:
-    """The row block of each value 1..n, at index value - 1."""
-    return tuple(b for b, part in enumerate(blocks) for _ in range(part))
+class _Blocks(NamedTuple):
+    """
+    The blocks of a coset table: the sizes of its contiguous blocks of
+    strand values, and its side, which fixes the block unit: s for the row
+    blocks (row=True), -s^-1 for the column blocks (row=False).
+    """
+
+    parts: tuple[int, ...]
+    row: bool
 
 
 @functools.cache
-def _inside_memo(blocks: tuple[int, ...], i: int) -> dict[int, bool]:
-    """Per (blocks, i): whether p[i-1] and p[i] share a row block, by rank."""
+def _block_of(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The block of each value 1..n, at index value - 1."""
+    return tuple(b for b, part in enumerate(parts) for _ in range(part))
+
+
+@functools.cache
+def _inside_memo(blocks: _Blocks, i: int) -> dict[int, bool]:
+    """Per (blocks, i): whether p[i-1] and p[i] share a block, by rank."""
     return {}
 
 
-def _within_block(blocks: tuple[int, ...], i: int, p: Perm) -> bool:
-    block = _block_of(blocks)
+def _within_block(blocks: _Blocks, i: int, p: Perm) -> bool:
+    block = _block_of(blocks.parts)
     return block[p[i - 1] - 1] == block[p[i] - 1]
 
 
-def _restricted(pk: _Packed, blocks: tuple[int, ...]) -> _Packed:
+def _restricted(pk: _Packed, blocks: _Blocks) -> _Packed:
     """
-    The coset table of a plain table x of R H_n: its entries at the minimal
-    coset representatives of S_lambda, the row blocks' Young subgroup.  A
-    table outside R H_n is refused.  x lies in R H_n exactly when
-    g_j x = s x for every s_j in S_lambda, that is, when y = iota(x) has
+    The coset table of a plain table x of the ideal of the blocks (R H_n
+    on the row side, B H_n on the sign side): its entries at the minimal
+    coset representatives of the blocks' Young subgroup.  A table outside
+    the ideal is refused.  x lies in R H_n exactly when g_j x = s x for
+    every s_j in the subgroup, that is, when y = iota(x) has
     y[p s_j] = s y[p] whenever p s_j is the longer: the pair rule's
-    out[p s_j] = y[p] + z y[p s_j] then equals s y[p s_j] by itself.  The
-    same pass finds the representatives: v is one when each block's values
-    stand in increasing order, so when iota(v) steps up under every such s_j.
+    out[p s_j] = y[p] + z y[p s_j] then equals s y[p s_j] by itself.  In the
+    same way x lies in B H_n exactly when y[p] = -s y[p s_j].  The same pass
+    finds the representatives: v is one when each block's values stand in
+    increasing order, so when iota(v) steps up under every such s_j.
     """
     _check_readable(pk)
     n, k, mirror = pk.n, pk.k, pk.iota().table
     lower: set[int] = set()
     start = 0
-    for part in blocks:
+    for part in blocks.parts:
         for j in range(start + 1, start + part):
             weight, size, shifts = _partner_shifts(n, j)
             for p, c in mirror.items():
                 q = p + shifts[p // weight % size]
                 if q < p:
                     lower.add(p)
-                if mirror.get(q) != c << k if q > p else q not in mirror:
-                    raise ValueError(f"the table is not in R H_n for the row blocks {blocks}")
+                    held = q in mirror
+                elif blocks.row:
+                    held = mirror.get(q) == c << k
+                else:
+                    held = -(mirror.get(q, 0) << k) == c
+                if not held:
+                    ideal = "R H_n for the row" if blocks.row else "B H_n for the column"
+                    raise ValueError(f"the table is not in {ideal} blocks {blocks.parts}")
         start += part
     inverse = _inverse_memo(n)  # holds every rank of x since the iota above
     out = {r: c for r, c in pk.table.items() if inverse[r] not in lower}
@@ -748,8 +780,8 @@ class _Packed:
     strand count, the table from permutation ranks to packed ints, V, K,
     the digit bound B, the guaranteed zero low digits, whether the table
     is tidy (as an encode leaves it, with exactly _REBASE zero low digits
-    and B its true largest digit), and the row blocks of a coset table
-    (None on a plain one).  Chains start from ``_packed(x)`` and end in
+    and B its true largest digit), and the blocks of a coset table (None
+    on a plain one).  Chains start from ``_packed(x)`` and end in
     ``_element(result)``; only this module reads the fields.  Steps return
     new tables; ``add_times`` accumulates into its own table in place, so
     an accumulator starts as ``copy()`` or ``zero(n)``, never as a table an
@@ -767,7 +799,7 @@ class _Packed:
         bound: int,
         low: int,
         tidy: bool = False,
-        blocks: Optional[tuple[int, ...]] = None,
+        blocks: Optional[_Blocks] = None,
     ):
         self.n = n
         self.table = table
@@ -787,11 +819,11 @@ class _Packed:
             self.n, dict(self.table), self.val, self.k, self.bound, self.low, blocks=self.blocks
         )
 
-    def with_blocks(self, blocks: Optional[tuple[int, ...]]) -> _Packed:
+    def with_blocks(self, blocks: Optional[_Blocks]) -> _Packed:
         """
-        The same entries read with other row blocks, sharing the table: a
-        plain table h keyed by coset representatives as the coset table of
-        R h, or a coset table of R h as the plain table h (blocks None).
+        The same entries read with other blocks, sharing the table: a plain
+        table h keyed by coset representatives as the coset table of R h
+        (or B h), or a coset table of R h as the plain table h (blocks None).
         """
         return _Packed(
             self.n, self.table, self.val, self.k, self.bound, self.low, self.tidy, blocks
@@ -817,7 +849,8 @@ class _Packed:
         (sign=-1) through the pair rule, widening first if tripling the
         bound would pass the digit limit.  On a coset table a term whose
         partner is missing first asks whether positions i and i+1 hold
-        values of one row block; if so it stays, times s^sign.
+        values of one block; if so it stays, times the block unit (s or
+        -s^-1) for g_i and times its inverse for g_i^-1.
         """
         pk = self
         if 3 * pk.bound >= 1 << (pk.k - 1):
@@ -826,8 +859,14 @@ class _Packed:
             pk = pk._rebased()
         k, coeffs, blocks = pk.k, pk.table, pk.blocks
         weight, size, shifts = _partner_shifts(pk.n, i)
-        inside = None if blocks is None else _inside_memo(blocks, i)
         plus = sign == 1
+        if blocks is None:
+            inside = None
+        else:
+            inside = _inside_memo(blocks, i)
+            # A staying term is shifted up for s and down for s^-1, and
+            # negated on the sign side, whose unit is -s^-1.
+            up, negated = plus == blocks.row, not blocks.row
         out: dict[int, int] = {}
         for p, c in coeffs.items():
             q = p + shifts[p // weight % size]
@@ -850,8 +889,10 @@ class _Packed:
                     if within is None:
                         within = inside[p] = _within_block(blocks, i, _perm_of(pk.n, p))
                     if within:
-                        # p s_i = s_j p with s_j in S_lambda, and R g_j = s R.
-                        out[p] = c << k if plus else c >> k
+                        # p s_i = s_j p with s_j in the blocks' subgroup, and
+                        # R g_j = s R, B g_j = -s^-1 B.
+                        c = c << k if up else c >> k
+                        out[p] = -c if negated else c
                         continue
                 out[q] = c
                 if (q > p) != plus:
@@ -975,7 +1016,8 @@ def _element(pk: _Packed, coset: Optional[_Packed] = None) -> HeckeElement:
     The element a kernel result stands for, holding only its packed table,
     and keeping ``coset``, when given, as its tidy coset table: the chain
     that built pk as the expansion of ``coset`` passes it.  A coset table
-    stands for R h, not for its own entries, so it is refused as pk.
+    stands for R h (or B h), not for its own entries, so it is refused as
+    pk.
     """
     if pk.blocks is not None:
         raise ValueError("a coset table is not an element; expand it first")
@@ -984,15 +1026,21 @@ def _element(pk: _Packed, coset: Optional[_Packed] = None) -> HeckeElement:
     return elem
 
 
-def _coset_kept(x: HeckeElement, blocks: tuple[int, ...]) -> _Packed:
+def _coset_kept(
+    x: HeckeElement,
+    blocks: _Blocks,
+    into: Optional[Callable[[_Packed], _Packed]] = None,
+) -> _Packed:
     """
-    x's coset table for the row blocks, tidy and kept: the one x was built
-    with, or else x's packed table restricted on the first use, which
-    refuses an x outside R H_n.
+    The coset table for the blocks of x, or of the chain ``into`` run on
+    x's packed table, tidy and kept on x: the one x was built with, or else
+    a restriction made on the first use, which refuses a table outside the
+    ideal of the blocks.  x keeps one coset table; the blocks tell which.
     """
     ck = x._ck
     if ck is None or ck.blocks != blocks:
-        ck = x._ck = _restricted(_kept(x), blocks)._tidied()
+        pk = _kept(x) if into is None else into(_packed(x))
+        ck = x._ck = _restricted(pk, blocks)._tidied()
     return ck
 
 
@@ -1105,7 +1153,7 @@ def _extract(ref: _Packed, cand: _Packed) -> ScalarReport:
     extract_scalar on packed tables: the smallest permutation is the
     smallest rank, and scalar * reference is compared with the candidate
     entry by entry once the two are aligned.  On the coset tables of two
-    elements of R H_n it reports what it reports on the elements: the
+    elements of one ideal it reports what it reports on the elements: the
     smallest rank of a coset is its representative, and the two elements
     differ on a whole coset or nowhere on it.
     """

@@ -39,15 +39,37 @@ R = R 1, which has one entry, and expands the result h to R h as
 iota(iota(h) R), the row chain on iota(h), since iota reverses products
 and fixes R; when every part is 1, S_lambda is trivial, no iota is done
 and the chain runs on plain tables.  The build encodes just the unit.
-e_lambda keeps the coset table it was built on beside its packed table,
-so squaring and the twist step that table and extract the scalar against
-it, with no restriction; an element built elsewhere is restricted once,
-after a check that it lies in R H_n.  The coset table of an element of
-R H_n is faithful, so the verdict and any witness are those of the full
-tables, and nothing is decoded.  The step
-counts do not change: the build is the column chain and then the row
-chain, the square and the twist are the same chains as before.  This
-module sees a packed table only through its steps, sums and row blocks.
+The coset table of an element of the ideal is faithful, so the verdict
+and any witness are those of the full tables, and nothing is decoded.
+
+That is the row side.  A column-heavy diagram has a small S_lambda and a
+large column subgroup S_lambda', of order product of lam'_j!, and its
+square and twist run on the sign side instead whenever that order is the
+larger (ties stay on the row side): (1^n) squares on one entry instead
+of n!.  With B the contiguous column factor, C = w_d B w_d^-1, and iota
+reversing products and fixing R, B and ft,
+
+    f = iota(w_d^-1 e w_d) = B w_{d^-1} R w_{d^-1}^-1
+
+lies in the left ideal B H_n, f f = alpha f and f ft = tau f, with the
+alpha and tau of e, so f's coset table for the column blocks (unit -s^-1)
+carries the same two scalars.  The public e_lambda is built as above, on
+the row side, whatever the side.  The sign-side table is derived from
+e's packed table by real steps, iota(e w_d) w_{d^-1}^-1 (2 length(d) steps
+and one iota), restricted after a check that it lies in B H_n, and kept on
+e in place of the row-side table it was built with.  The square is then
+the column blocks, w_{d^-1}, the row blocks and w_{d^-1}^-1, as many steps
+as on the row side, and the twist is the same band product.  On a table
+of one entry, as for (1^n), every candidate is proportional, so there the
+chain yields the scalar and the closed-form checks of ``invariants`` are
+what test it.  A failure on the sign side is rerun on the row side, so
+that a witness is a permutation of e's own table, as on the row side;
+should the row side hold, the sign side's failure stands.
+
+Either way e_lambda keeps the table its chains run on, so squaring and the
+twist of one element restrict at most once; an element built elsewhere is
+restricted on its first use, after the membership check.  This module
+sees a packed table only through its steps, sums and blocks.
 
 ``symmetrizer`` and ``antisymmetrizer`` are one enumeration of S_n, with
 coefficient u^length(p) for u = s or -s^-1, that never touches the
@@ -64,13 +86,17 @@ guard, ``permutations.check_size``; any 8-cell diagram takes seconds.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import permutations as perms
 from .errors import NotQuasiIdempotent
 from .hecke import (
     HeckeElement,
+    ScalarReport,
+    _Blocks,
     _coset_kept,
     _element,
     _extract,
@@ -150,20 +176,100 @@ def _mul_row(x: _Packed, lam: Partition) -> _Packed:
     return x
 
 
+# The shape data of a diagram that every chain on it reads, computed once.
+
+
+@functools.cache
+def _column_word(lam: Partition) -> tuple[int, ...]:
+    """A reduced word of the column-reading permutation d."""
+    return perms.reduced_word(lam.column_reading_permutation())
+
+
+@functools.cache
+def _column_blocks(lam: Partition) -> tuple[tuple[int, int], ...]:
+    """The size and the column-reading offset of each column block."""
+    return tuple(zip(lam.conjugate().parts, lam.column_reading_offsets()))
+
+
+@functools.cache
+def _row_blocks(lam: Partition) -> Optional[_Blocks]:
+    """The row blocks of lam's coset tables, None when S_lambda is trivial."""
+    return _Blocks(lam.parts, True) if lam.parts[0] > 1 else None
+
+
+@functools.cache
+def _sign_blocks(lam: Partition) -> _Blocks:
+    """The column blocks of lam's sign-side coset tables."""
+    return _Blocks(lam.conjugate().parts, False)
+
+
+@functools.cache
+def _row_side(lam: Partition) -> bool:
+    """
+    Whether lam's square and twist run on the row side: unless the column
+    blocks' Young subgroup is the larger, product of lam'_j! against
+    product of lam_i!, so that the sign side's tables are the smaller.
+    """
+    rows, columns = (
+        math.prod(map(math.factorial, parts)) for parts in (lam.parts, _sign_blocks(lam).parts)
+    )
+    return columns <= rows
+
+
+def _mul_column_blocks(x: _Packed, lam: Partition) -> _Packed:
+    """x times B, the column antisymmetrizers at the column-reading offsets."""
+    for k, offset in _column_blocks(lam):
+        x = _block_action(x, k, offset, NEG_S_INV)
+    return x
+
+
 def _mul_column(x: _Packed, lam: Partition) -> _Packed:
     """
-    x times the column factor w_d * (column antisymmetrizers) * w_d^-1, with
-    d the column-reading permutation: forward along a reduced word of d,
-    the blocks at the column-reading offsets, then back with inverses.
+    x times the column factor w_d * B * w_d^-1, with d the column-reading
+    permutation: forward along a reduced word of d, the blocks at the
+    column-reading offsets, then back with inverses.
     """
-    word = perms.reduced_word(lam.column_reading_permutation())
+    word = _column_word(lam)
     for i in word:
         x = x.mul_generator(i)
-    for k, offset in zip(lam.conjugate().parts, lam.column_reading_offsets()):
-        x = _block_action(x, k, offset, NEG_S_INV)
+    x = _mul_column_blocks(x, lam)
     for i in reversed(word):
         x = x.mul_generator(i, -1)
     return x
+
+
+def _sign_element(x: _Packed, lam: Partition) -> _Packed:
+    """
+    iota(w_d^-1 x w_d) = iota(x w_d) w_{d^-1}^-1, in 2 length(d) steps and
+    one iota; for x = e_lambda it is f = B w_{d^-1} R w_{d^-1}^-1.
+    """
+    word = _column_word(lam)
+    for i in word:
+        x = x.mul_generator(i)
+    x = x.iota()
+    for i in word:
+        x = x.mul_generator(i, -1)
+    return x
+
+
+def _mul_sign(x: _Packed, lam: Partition) -> _Packed:
+    """
+    x times f = B w_{d^-1} R w_{d^-1}^-1: the column blocks, w_{d^-1} as the
+    reversed word of d, the row blocks, then back with inverses.
+    """
+    word = _column_word(lam)
+    x = _mul_column_blocks(x, lam)
+    for i in reversed(word):
+        x = x.mul_generator(i)
+    x = _mul_row(x, lam)
+    for i in word:
+        x = x.mul_generator(i, -1)
+    return x
+
+
+def _mul_symmetrizer(x: _Packed, lam: Partition, row: bool) -> _Packed:
+    """x times e_lambda on the row side, times f on the sign side."""
+    return _mul_column(_mul_row(x, lam), lam) if row else _mul_sign(x, lam)
 
 
 def row_element(lam: Partition) -> HeckeElement:
@@ -191,11 +297,6 @@ def e_lambda(lam: Partition) -> HeckeElement:
     return _element(_expanded(h, lam), coset=h)
 
 
-def _row_blocks(lam: Partition) -> Optional[tuple[int, ...]]:
-    """The row blocks of lam's coset tables, None when S_lambda is trivial."""
-    return lam.parts if lam.parts[0] > 1 else None
-
-
 def _coset_symmetrizer(lam: Partition) -> _Packed:
     """
     The coset table of e_lambda = R C: the column chain on the coset table
@@ -205,16 +306,46 @@ def _coset_symmetrizer(lam: Partition) -> _Packed:
     return _mul_column(unit, lam)
 
 
-def _coset_table(e: HeckeElement, lam: Partition) -> _Packed:
+def _coset_table(e: HeckeElement, lam: Partition, row: Optional[bool] = None) -> _Packed:
     """
-    The coset table of an element e of R H_n, tidy and kept: for e_lambda
-    itself the one its build ran on, for any other e a restriction that
-    refuses e outside R H_n.
+    The table e's chains run on, tidy and kept on e, on lam's side unless
+    ``row`` says which.  On the row side it is e's coset table in R H_n (e
+    itself when S_lambda is trivial), for e_lambda the one its build ran
+    on.  On the sign side it is the coset table in B H_n of
+    f = iota(w_d^-1 e w_d), derived from e's packed table.  Any other
+    restriction checks membership and refuses e outside the ideal.
     """
+    if row is None:
+        row = _row_side(lam)
+    if not row:
+        return _coset_kept(e, _sign_blocks(lam), lambda pk: _sign_element(pk, lam))
     blocks = _row_blocks(lam)
     if blocks is None:
         return _packed(e)
     return _coset_kept(e, blocks)
+
+
+def _report_on_side(
+    e: HeckeElement,
+    lam: Partition,
+    chain: Callable[[_Packed, bool], _Packed],
+    held: Callable[[ScalarReport], bool],
+) -> ScalarReport:
+    """
+    The extraction of chain(h, row) against h, for e's table h on lam's
+    side.  A sign-side report that fails ``held`` gives way to the row
+    side's when that fails too: its witness is a permutation of e's own
+    table, where the sign side's is one of f's.
+    """
+    row = _row_side(lam)
+    h = _coset_table(e, lam, row)
+    report = _extract(h, chain(h, row))
+    if not row and not held(report):
+        h = _coset_table(e, lam, True)
+        again = _extract(h, chain(h, True))
+        if not held(again):
+            return again
+    return report
 
 
 def _expanded(h: _Packed, lam: Partition) -> _Packed:
@@ -264,17 +395,24 @@ class QuasiIdempotent:
 
 def alpha_extract(lam: Partition) -> QuasiIdempotent:
     """
-    Build the symmetrizer, square it as (e * row factor) * column factor
-    on its coset table, and extract the scalar by exact division.  The square is a real product,
-    only factored, and the scalar is verified on every coefficient; a
+    Build the symmetrizer, square it on its side's coset table, and extract
+    the scalar by exact division.  The square is a real product, only
+    factored, and the scalar is verified on every entry of that table; a
     failure raises NotQuasiIdempotent since it can only mean a kernel
-    convention bug.
+    convention bug.  A table of one entry, as the sign side's for (1^n),
+    holds every candidate proportional, so a chain fault there raises
+    nothing and yields a wrong scalar: only the closed-form checks of
+    ``invariants`` (``qyoung verify``) catch it.
     """
     e = e_lambda(lam)
     if e.is_zero():
         raise NotQuasiIdempotent(f"symmetrizer of {lam} is zero")
-    h = _coset_table(e, lam)
-    report = _extract(h, _mul_column(_mul_row(h, lam), lam))
+    report = _report_on_side(
+        e,
+        lam,
+        lambda h, row: _mul_symmetrizer(h, lam, row),
+        lambda r: r.proportional and not r.scalar.is_zero(),
+    )
     if not report.proportional:
         raise NotQuasiIdempotent(
             f"square of the {lam} symmetrizer is not proportional to it "

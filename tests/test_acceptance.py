@@ -2,8 +2,9 @@
 Acceptance gate: every exit criterion, exact equality, with its time budget.
 
 Each test is one criterion and prints its own pass line (visible with -s);
-budgets are asserted, not aspirational.  The 6-, 7- and 8-cell gates are
-the slow suite; deselect them with -m 'not slow' when iterating.
+budgets are asserted, not aspirational.  The 6-, 7- and 8-cell gates and
+the memory gate of ``qyoung verify 8`` are the slow suite; deselect them
+with -m 'not slow' when iterating.
 
 The eigen-relations, full-twist centrality, closed forms, twist eigenvalues
 and classical limit are the named checks of ``qyoung.invariants``, the same
@@ -14,11 +15,17 @@ asserted here directly.
 """
 
 import itertools
+import os
+import pathlib
 import random
+import re
+import subprocess
+import sys
 import time
 
 import pytest
 
+import qyoung
 from qyoung import invariants
 from qyoung import permutations as perms
 from qyoung.central import full_twist, murphy, twist_eigenvalue, twist_scalar
@@ -151,3 +158,43 @@ def test_performance_gate_eight_cells():
         assert qi.alpha == alpha_closed_form(lam)
         assert twist_scalar(qi.element, lam) == LaurentPoly.monomial(2 * sum(lam.contents()))
     report("slow suite: quasi-idempotency and twist eigenvalues at 8 cells", started, 60)
+
+
+# The peak of `qyoung verify 8` in its own process: 133 MB measured (2-core
+# host, CPython 3.11.7), 191 MB while every diagram ran on the row side.
+VERIFY_EIGHT_PEAK_MB = 150
+# Each of the two most column-heavy 8-cell diagrams: 0.30 s and 0.18 s
+# measured on the sign side, 6.7 s and 1.7 s on the row side.  The bound is
+# the aim itself; a host slower than twice the measured one may miss it.
+COLUMN_HEAVY_LINE_S = 0.5
+
+_PEAK_SCRIPT = """
+import resource, sys
+from qyoung.cli import main
+code = main(["verify", "8"])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.slow
+def test_verify_eight_memory_gate():
+    started = time.monotonic()
+    src = str(pathlib.Path(qyoung.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "all invariants verified"
+    peak_mb = int(done.stderr.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    seconds = dict(re.findall(r"^ok    lambda=(\S+) +\(([0-9.]+)s\)$", done.stdout, re.M))
+    print(f"verify 8 peaked at {peak_mb:.0f} MB; (1^8) {seconds['1,1,1,1,1,1,1,1']}s")
+    assert peak_mb < VERIFY_EIGHT_PEAK_MB
+    for parts in ("1,1,1,1,1,1,1,1", "2,1,1,1,1,1,1"):
+        assert float(seconds[parts]) < COLUMN_HEAVY_LINE_S, parts
+    report("slow suite: verify 8 below its memory bound", started, 120)

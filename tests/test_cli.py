@@ -341,6 +341,68 @@ class TestVerifyCommand:
         ]
 
 
+class TestVerifyMachineFormat:
+    def test_every_line_parses_and_names_the_checks(self, capsys):
+        code, out, _ = run(capsys, "verify", "4", "--format", "machine")
+        assert code == 0
+        *items, summary = [json.loads(line) for line in out.splitlines()]
+        assert summary == {"ok": True, "failed": []}
+        strands = [item for item in items if "n" in item]
+        diagrams = [item for item in items if "lambda" in item]
+        assert items == strands + diagrams
+        assert [item["n"] for item in strands] == [2, 3, 4]
+        assert all(item["side"] is None for item in strands)
+        assert all(set(item) == {"n", "side", "seconds", "checks"} for item in strands)
+        assert all(set(item) == {"lambda", "side", "seconds", "checks"} for item in diagrams)
+        assert all(isinstance(item["seconds"], float) for item in items)
+        # Text mode lists the same diagrams in the same order, and the checks
+        # are the ones it runs, by name.
+        _, text, _ = run(capsys, "verify", "4")
+        listed = [line.split()[1] for line in text.splitlines() if line.startswith("ok ")]
+        assert ["lambda=" + ",".join(map(str, item["lambda"])) for item in diagrams] == listed
+        taus = {}
+        names = [[name for name, _ in invariants.strand_checks(n)] for n in (2, 3, 4)]
+        names += [
+            [name for name, _ in invariants.diagram_checks(Partition(item["lambda"]), taus)]
+            for item in diagrams
+        ]
+        assert [[check["name"] for check in item["checks"]] for item in items] == names
+        assert all(check["ok"] is True for item in items for check in item["checks"])
+
+    def test_sides(self, capsys):
+        _, out, _ = run(capsys, "verify", "4", "--format", "machine")
+        sides = {
+            tuple(item["lambda"]): item["side"]
+            for item in map(json.loads, out.splitlines())
+            if "lambda" in item
+        }
+        assert sides[(1, 1, 1, 1)] == "sign"
+        assert sides[(4,)] == "row"
+        assert sides[(2, 2)] == "row"  # a tie stays on the row side
+
+    @pytest.mark.parametrize("fault", ["diagram", "strand"])
+    def test_failures_match_text_mode(self, capsys, monkeypatch, fault):
+        from qyoung import symmetrizers
+
+        if fault == "diagram":
+            real = symmetrizers.alpha_closed_form
+            monkeypatch.setattr(
+                symmetrizers,
+                "alpha_closed_form",
+                lambda lam: real(lam) + 1 if lam.parts == (2,) else real(lam),
+            )
+        else:
+            monkeypatch.setattr(symmetrizers, "antisymmetrizer", symmetrizers.symmetrizer)
+        text_code, text, _ = run(capsys, "verify", "3")
+        code, out, _ = run(capsys, "verify", "3", "--format", "machine")
+        assert code == text_code == 1
+        *items, summary = [json.loads(line) for line in out.splitlines()]
+        failed = [line[len("FAIL  ") :] for line in text.splitlines() if line.startswith("FAIL")]
+        assert summary == {"ok": False, "failed": failed}
+        assert [c["name"] for c in items[-1]["checks"] if not c["ok"]] == failed
+        assert all(c["ok"] for item in items[:-1] for c in item["checks"])
+
+
 def test_verify_builds_each_symmetrizer_once(capsys, monkeypatch):
     from qyoung import central, symmetrizers
 

@@ -178,9 +178,23 @@ def touched(monkeypatch):
     return sizes
 
 
-def row_group_order(lam):
-    """|S_lambda| = product of part!: how many times fewer entries a coset step touches."""
-    return math.prod(math.factorial(k) for k in lam.parts)
+def side_group_order(lam):
+    """
+    The order of the Young subgroup of lam's side, product of part! over
+    lam on the row side and over lam' on the sign side: how many times
+    fewer entries a coset step touches.
+    """
+    parts = lam.parts if sym._row_side(lam) else lam.conjugate().parts
+    return math.prod(math.factorial(k) for k in parts)
+
+
+def side_plain(e, lam):
+    """
+    The plain table whose coset table e's chains run on: e's own on the row
+    side, f = iota(w_d^-1 e w_d) on the sign side.
+    """
+    x = _packed(e)
+    return x if sym._row_side(lam) else sym._sign_element(x, lam)
 
 
 @pytest.fixture
@@ -207,6 +221,16 @@ def e_lambda_steps(lam):
     return sum(k * (k - 1) // 2 for k in blocks) + 2 * oracles.length(d)
 
 
+def derivation_steps(lam):
+    """
+    The steps that derive the sign-side table f = iota(e w_d) w_{d^-1}^-1
+    from e: 2 length(d) on the sign side, none on the row side.
+    """
+    if sym._row_side(lam):
+        return 0
+    return 2 * oracles.length(lam.column_reading_permutation())
+
+
 @pytest.mark.parametrize("lam", SMALL, ids=str)
 class TestGeneratorSteps:
     def test_square(self, lam, calls):
@@ -219,16 +243,17 @@ class TestGeneratorSteps:
     def test_alpha_extract_builds_then_squares(self, lam, calls, touched):
         alpha_extract(lam)
         assert calls["__mul__"] == 0
-        assert calls["mul_generator"] == 2 * e_lambda_steps(lam)
-        # The square steps the coset table of e: each step touches
-        # |S_lambda| times fewer entries than the same step on e itself.
+        assert calls["mul_generator"] == 2 * e_lambda_steps(lam) + derivation_steps(lam)
+        # The square steps the coset table of e (row side) or of f (sign
+        # side): each step touches the side's Young subgroup order times
+        # fewer entries than the same step on the plain table.
         steps = e_lambda_steps(lam)
         coset = touched[len(touched) - steps :]
+        x = side_plain(e_lambda(lam), lam)
         del touched[:]
-        square(e_lambda(lam), lam)
-        plain = touched[len(touched) - steps :]
-        assert [size * row_group_order(lam) for size in coset] == plain
-        assert all(size <= math.factorial(lam.n) // row_group_order(lam) for size in coset)
+        sym._mul_symmetrizer(x, lam, sym._row_side(lam))
+        assert [size * side_group_order(lam) for size in coset] == touched
+        assert all(size <= math.factorial(lam.n) // side_group_order(lam) for size in coset)
 
     def test_twist_eigenvalue(self, lam, calls):
         e = e_lambda(lam)
@@ -239,18 +264,22 @@ class TestGeneratorSteps:
         calls.clear()
         twist_eigenvalue(lam)
         assert calls["__mul__"] == 0
-        assert calls["mul_generator"] == e_lambda_steps(lam) + lam.n * (lam.n - 1)
+        assert calls["mul_generator"] == (
+            e_lambda_steps(lam) + derivation_steps(lam) + lam.n * (lam.n - 1)
+        )
 
     def test_twist_touches_the_coset_table(self, lam, touched):
         steps = lam.n * (lam.n - 1)
         e = e_lambda(lam)
+        x = side_plain(e, lam)
+        sym._coset_table(e, lam)  # the sign side derives its table first
         del touched[:]
         central.twist_scalar(e, lam)
         coset = list(touched)
         del touched[:]
-        central._mul_full_twist(_packed(e))
+        central._mul_full_twist(x)
         assert len(coset) == steps
-        assert [size * row_group_order(lam) for size in coset] == touched
+        assert [size * side_group_order(lam) for size in coset] == touched
 
 
 @pytest.mark.parametrize("lam", SMALL, ids=str)

@@ -14,7 +14,7 @@ from qyoung import permutations as perms
 from qyoung.central import twist_eigenvalue
 from qyoung.errors import NotQuasiIdempotent, TooLarge
 from qyoung.hecke import HeckeElement, extract_scalar
-from qyoung.laurent import LaurentPoly, ONE, S, qint
+from qyoung.laurent import LaurentPoly, ONE, S, ZERO, qint
 from qyoung.partitions import Partition, all_partitions
 from qyoung.symmetrizers import (
     alpha_closed_form,
@@ -127,6 +127,22 @@ class TestQuasiIdempotency:
             qi = alpha_extract(lam)
             assert qi.element * qi.element == qi.element.scale(qi.alpha)
             assert not qi.alpha.is_zero()
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_symmetrizing_trace(self, k):
+        # The trace t(w_p) = [p = 1] has t(w_p w_q) = [q = p^-1] (Geck-Pfeiffer
+        # 2000, ch. 8), so t(e e) = sum of e_p e_{p^-1} and t(alpha e) =
+        # alpha e_1: a check of alpha that shares no arithmetic with the
+        # chains, only the decoded coefficients and Laurent products.
+        for lam in all_partitions(k):
+            qi = alpha_extract(lam)
+            coeffs = qi.element.coeffs
+            trace = ZERO
+            for p, c in coeffs.items():
+                other = coeffs.get(perms.inverse(p))
+                if other is not None:
+                    trace = trace + c * other
+            assert trace == qi.alpha * qi.element.coeff(perms.identity(lam.n))
 
     def test_alpha_examples(self):
         assert alpha_extract(Partition((2,))).alpha == ONE + Q

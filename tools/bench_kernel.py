@@ -5,9 +5,14 @@ Measures whatever ``qyoung`` is importable, so one script times two trees:
 
     PYTHONPATH=src python3 tools/bench_kernel.py --repeat 9
 
-prints one JSON object mapping each layer to its median seconds over the
-repeats (one call per repeat, after one untimed warm-up call that fills
-the lazy caches).  The layers:
+prints one JSON object mapping each layer to ``{"s": ..., "at_ref_s": ...}``:
+its median seconds over the repeats (one call per repeat, after one untimed
+warm-up call that fills the lazy caches), and the median of the same calls
+scaled to reference speed.  A fixed reference loop of pure-Python work is
+timed after every call, and each call's time is multiplied by
+REFERENCE_NOMINAL_S over the loop's, so that a host running slower or
+faster from one run to the next does not read as a difference between
+trees.  Compare ``at_ref_s`` between two trees.  The layers:
 
 - ``mul_generator_s6`` / ``mul_generator_s7``: g_i and g_i^-1 for every i,
   applied to e_lambda of (3,3) (504 of 720 terms) and of (4,3) (2016 of
@@ -24,12 +29,16 @@ the lazy caches).  The layers:
   (4,4), whose e_lambda holds 24192 of the 40320 basis braids of H_8; the
   warm-up call fills the S_8 rank memos;
 - ``build_43``: ``e_lambda`` of the 7-cell diagram (4,3);
-- ``square_44`` / ``square_8`` / ``square_1x8`` and ``twist_scalar_44`` /
-  ``twist_scalar_8`` / ``twist_scalar_1x8``: squaring and twist-checking an
-  already built e_lambda of (4,4), (8) and (1^8), from the element to the
-  extracted scalar.  The square is the chain ``alpha_extract`` runs after
-  the build: the chain on e's coset table and the extraction against it.
-  The twist is ``central.twist_scalar(e, lam)``.
+- ``square_44`` / ``square_8`` / ``square_1x8`` / ``square_2x1x6`` and
+  ``twist_scalar_44`` / ``twist_scalar_8`` / ``twist_scalar_1x8`` /
+  ``twist_scalar_2x1x6``: squaring and twist-checking an already built
+  e_lambda of (4,4), (8), (1^8) and (2,1^6), from the element to the
+  extracted scalar.  The square is what ``alpha_extract`` runs after the
+  build: the table of the diagram's side (on the sign side derived from e
+  and restricted, every call, since each call starts from the table the
+  build kept), the chain on it and the extraction against it, through
+  ``symmetrizers._report_on_side``.  The twist is
+  ``central.twist_scalar(e, lam)``, on the table its warm-up call kept.
 
 The chain layer starts from the element's kept packed table and ends in an
 element holding the result's (``hecke._packed`` and ``hecke._element``), so
@@ -41,7 +50,7 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
-import time
+from time import perf_counter
 
 from qyoung import central, hecke
 from qyoung import symmetrizers as sym
@@ -52,6 +61,29 @@ from qyoung.partitions import Partition
 # A permutation of length 9 in S_6, and the longest one, of length 15.
 LONG_BRAID = (3, 6, 4, 1, 5, 2)
 LONGEST = (6, 5, 4, 3, 2, 1)
+# The reference loop's seconds at reference speed: about its time on a
+# 2-core host running CPython 3.11.7.
+REFERENCE_NOMINAL_S = 0.010
+
+
+def reference_loop() -> float:
+    """
+    Seconds taken by a fixed mix of pure-Python work of the kinds the
+    kernel does (int shifts and sums, int-keyed dicts, small tuples),
+    which no change to the package changes.
+    """
+    t0 = perf_counter()
+    table: dict[int, int] = {}
+    for i in range(20_000):
+        key = i * 7919 % 4099
+        table[key] = (table.get(key, 0) << 64) + i >> 60
+    acc = 0
+    for i in range(20_000):
+        acc += (i * i) % 13
+    pairs = [(i, i % 17) for i in range(10_000)]
+    for a, b in pairs:
+        acc ^= a * b
+    return perf_counter() - t0
 
 
 def _every_generator(x):
@@ -83,10 +115,13 @@ def _lazy(make):
 def _square(lam):
     """The square of e_lambda(lam) and its scalar, from the built element."""
     e = sym.e_lambda(lam)
+    built = e._ck  # the coset table the build kept, if any
 
     def run():
-        h = sym._coset_table(e, lam)
-        return hecke._extract(h, sym._mul_column(sym._mul_row(h, lam), lam))
+        e._ck = built
+        return sym._report_on_side(
+            e, lam, lambda h, row: sym._mul_symmetrizer(h, lam, row), lambda r: r.proportional
+        )
 
     return run
 
@@ -116,23 +151,25 @@ def layers() -> dict:
         "twist_44": lambda: central.twist_eigenvalue(lam8),
         "build_43": lambda: sym.e_lambda(lam7),
     }
-    for tag, parts in {"44": (4, 4), "8": (8,), "1x8": (1,) * 8}.items():
+    shapes = {"44": (4, 4), "8": (8,), "1x8": (1,) * 8, "2x1x6": (2,) + (1,) * 6}
+    for tag, parts in shapes.items():
         lam = Partition(parts)
         out[f"square_{tag}"] = _lazy(lambda lam=lam: _square(lam))
         out[f"twist_scalar_{tag}"] = _lazy(lambda lam=lam: _twist(lam))
     return out
 
 
-def measure(repeat: int) -> dict[str, float]:
+def measure(repeat: int) -> dict[str, dict[str, float]]:
     out = {}
     for name, run in layers().items():
         run()
-        times = []
+        times, scaled = [], []
         for _ in range(repeat):
-            t0 = time.perf_counter()
+            t0 = perf_counter()
             run()
-            times.append(time.perf_counter() - t0)
-        out[name] = statistics.median(times)
+            times.append(perf_counter() - t0)
+            scaled.append(times[-1] * REFERENCE_NOMINAL_S / reference_loop())
+        out[name] = {"s": statistics.median(times), "at_ref_s": statistics.median(scaled)}
     return out
 
 
