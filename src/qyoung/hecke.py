@@ -68,7 +68,8 @@ table.  The first kernel use of an element encodes its mapping and keeps
 the packed table; the first read of ``coeffs`` decodes the packed table and
 keeps the mapping.  A chain starts from the kept table and never writes
 into it: the only table written in place is an accumulator made fresh for
-one sum.  The first chain to start from a kernel result tidies the kept
+one sum, so a result may share an input's table (x * 1 holds x's own).
+The first chain to start from a kernel result tidies the kept
 table, once: it drops the surplus zero low digits and resets B to the true
 largest digit, as an encode would have left them, so that squaring
 e_lambda steps through no longer ints than it would from a fresh encode.
@@ -76,6 +77,13 @@ Equality and scalar extraction read packed tables as they are kept:
 brought to one K and one valuation, two entries stand for the same
 polynomial exactly when they are equal ints, since balanced digits below
 2^(K-1) are unique.  So a result that is only compared is never decoded.
+Beside its table an element keeps, each made on its first use, the iota
+of its packed table (tidy, since iota moves entries without changing
+them) when a product expands the other factor through iota, and the word
+costs (L, G) of its table that the general product's side rule reads.
+So a dense factor used in many products is mirrored and scanned once.  A
+product's result starts with neither, not even the table it is the iota
+of, which would hold a second table as large as its own.
 
 Ranks.  Encoding turns each permutation into its rank and decoding turns
 it back, so inside a chain no permutation tuple is built or hashed.  The
@@ -155,7 +163,10 @@ expanded directly when that bound is at most the mirrored one,
 L(x) min(n!, G(y)), and x through iota otherwise.  A long braid against a
 dense element is thus the factor expanded, on either side: the dense
 element's many words, walked over it, would grow the tables toward
-2^length terms.
+2^length terms.  A basis braid w_q expanded (one term, coefficient 1)
+costs its length(q) steps and nothing else: the chain of steps along its
+word is the product itself, with no sum to accumulate, and on the left the
+dense factor's iota is the one it keeps, so only the result is mirrored.
 
 Elements are immutable values.  ``coeffs`` is a read-only view keyed by
 permutation tuples, and the constructor rejects any key that is not a
@@ -202,7 +213,7 @@ class HeckeElement:
     new elements.
     """
 
-    __slots__ = ("n", "_coeffs", "_pk", "_ck")
+    __slots__ = ("n", "_coeffs", "_pk", "_ck", "_ik", "_wc")
 
     def __init__(self, n: int, coeffs: Mapping[Perm, LaurentPoly]):
         if n < 1:
@@ -223,7 +234,7 @@ class HeckeElement:
             raise ValueError(f"a key with a non-int entry is not a permutation of 1..{n}")
         self.n = n
         self._coeffs = MappingProxyType(table)
-        self._pk = self._ck = None
+        self._pk = self._ck = self._ik = self._wc = None
 
     @property
     def coeffs(self) -> Mapping[Perm, LaurentPoly]:
@@ -339,13 +350,12 @@ class HeckeElement:
         self._check_same_n(other)
         if self.is_zero() or other.is_zero():
             return HeckeElement.zero(self.n)
-        x, y = _packed(self), _packed(other)
-        words_x, spread_x = _word_costs(x)
-        words_y, spread_y = _word_costs(y)
+        words_x, spread_x = _costs(self)
+        words_y, spread_y = _costs(other)
         size = math.factorial(self.n)
         if words_y * min(size, spread_x) <= words_x * min(size, spread_y):
-            return _element(_expand_right(x, other))
-        return _element(_expand_right(y.iota(), _iota(self)).iota())
+            return _element(_expand_right(_packed(self), other))
+        return _element(_expand_right(_mirrored(other), _iota(self)).iota())
 
     # -- embeddings and conjugation -------------------------------------------
 
@@ -485,7 +495,8 @@ def _trusted(n: int, table: dict[Perm, LaurentPoly]) -> HeckeElement:
     builds its keys as permutations by construction calls this.
     """
     elem = object.__new__(HeckeElement)
-    elem.n, elem._coeffs, elem._pk, elem._ck = n, MappingProxyType(table), None, None
+    elem.n, elem._coeffs = n, MappingProxyType(table)
+    elem._pk = elem._ck = elem._ik = elem._wc = None
     return elem
 
 
@@ -509,9 +520,15 @@ def _iota(x: HeckeElement) -> HeckeElement:
 def _expand_right(x: _Packed, y: HeckeElement) -> _Packed:
     """
     x * y for a packed chain value x: y expanded through its reduced words,
-    one generator step per distinct word prefix.
+    one generator step per distinct word prefix.  For a basis braid w_q
+    (one term, coefficient 1) that is the chain of steps along q's word,
+    returned as it is: a sum would only copy it into a fresh table.
     """
     items = sorted((perms.reduced_word(q), c) for q, c in y.coeffs.items())
+    if len(items) == 1 and items[0][1] == ONE:
+        for letter in items[0][0]:
+            x = x.mul_generator(letter)
+        return x
     out = _Packed.zero(x.n)
     _descend(items, out, 0, len(items), 0, x)
     return out
@@ -650,6 +667,14 @@ def _perm_of(n: int, r: int) -> Perm:
         p = _perm_memo(n)[r] = _unrank(n, r)
         _rank_memo(n)[p] = r
     return p
+
+
+def _costs(x: HeckeElement) -> tuple[int, int]:
+    """x's (L, G) for the side rule, scanned on the first use and kept on x."""
+    wc = x._wc
+    if wc is None:
+        wc = x._wc = _word_costs(_kept(x))
+    return wc
 
 
 def _word_costs(pk: _Packed) -> tuple[int, int]:
@@ -830,7 +855,10 @@ class _Packed:
         )
 
     def iota(self) -> _Packed:
-        """The anti-involution w_p -> w_{p^-1} on a packed table."""
+        """
+        The anti-involution w_p -> w_{p^-1} on a packed table.  Entries move
+        unchanged, so the result is tidy when this table is.
+        """
         if self.blocks is not None:
             raise ValueError("iota does not act on a coset table")
         n, inverse = self.n, _inverse_memo(self.n)
@@ -841,7 +869,7 @@ class _Packed:
                 q = inverse[p] = _rank(perms.inverse(_unrank(n, p)))
                 inverse[q] = p
             table[q] = c
-        return _Packed(self.n, table, self.val, self.k, self.bound, self.low)
+        return _Packed(self.n, table, self.val, self.k, self.bound, self.low, self.tidy)
 
     def mul_generator(self, i: int, sign: int = 1) -> _Packed:
         """
@@ -1011,6 +1039,17 @@ def _kept(x: HeckeElement) -> _Packed:
     return _packed(x) if x._pk is None else x._pk
 
 
+def _mirrored(x: HeckeElement) -> _Packed:
+    """
+    iota of x's packed table, as a chain starts from it, tidy and kept on x:
+    made on the first use, as the factor a product expands through iota.
+    """
+    ik = x._ik
+    if ik is None:
+        ik = x._ik = _packed(x).iota()
+    return ik
+
+
 def _element(pk: _Packed, coset: Optional[_Packed] = None) -> HeckeElement:
     """
     The element a kernel result stands for, holding only its packed table,
@@ -1023,6 +1062,7 @@ def _element(pk: _Packed, coset: Optional[_Packed] = None) -> HeckeElement:
         raise ValueError("a coset table is not an element; expand it first")
     elem = object.__new__(HeckeElement)
     elem.n, elem._coeffs, elem._pk, elem._ck = pk.n, None, pk, coset
+    elem._ik = elem._wc = None
     return elem
 
 

@@ -1,5 +1,6 @@
 """The algebra kernel: rewriting rule, products, embeddings, extraction."""
 
+import collections
 import concurrent.futures
 import itertools
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qyoung import hecke
+from qyoung import hecke, invariants
 from qyoung import permutations as perms
 from qyoung.errors import TooLarge
 from qyoung.hecke import HeckeElement, Z, _element, _encode, _packed, _Packed, extract_scalar
@@ -684,6 +685,158 @@ class TestBranchesAgree:
         assert direct == (x * y).coeffs
         if n <= 4:
             assert direct == kernel_free_product(x, y).coeffs
+
+
+def mirrored(x):
+    """iota(x) term by term: w_p -> w_{p^-1}, outside the packed kernel."""
+    return HeckeElement(x.n, {perms.inverse(p): c for p, c in x.coeffs.items()})
+
+
+@st.composite
+def braid_cases(draw):
+    """
+    An element of H_3..H_6, sparse or dense, and a one-term factor c w_q:
+    c = 1 (the chain of steps alone) or not (through add_times), q the
+    identity or any permutation.
+    """
+    n = draw(st.integers(3, 6))
+    x = draw(mixed_element(n, draw(st.booleans())))
+    q = draw(st.one_of(st.just(perms.identity(n)), st.permutations(range(1, n + 1)).map(tuple)))
+    c = draw(st.sampled_from((ONE, LaurentPoly.monomial(0, -1), S, LaurentPoly(-1, (2, 0, -1)))))
+    return x, q, c
+
+
+class TestBasisBraidFactor:
+    # A right factor w_q with coefficient 1 is the chain of steps along q's
+    # word, with no accumulator; any other coefficient goes through
+    # add_times.  Each branch is checked on its own, whichever the side
+    # rule picks.  The left product is checked as iota(iota(x) c w_{q^-1})
+    # term by term, and also directly while H_n is small.
+
+    @given(braid_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_both_orders_match_the_kernel_free_product(self, case):
+        x, q, c = case
+        braid = HeckeElement(x.n, {q: c})
+        right = kernel_free_product(x, braid).coeffs
+        left = mirrored(kernel_free_product(mirrored(x), HeckeElement(x.n, {perms.inverse(q): c})))
+        if x.n <= 4:
+            assert left.coeffs == kernel_free_product(braid, x).coeffs
+        assert (x * braid).coeffs == right
+        assert (braid * x).coeffs == left.coeffs
+        if not x.is_zero():
+            assert _element(direct_branch(x, braid)).coeffs == right
+            assert _element(iota_branch(braid, x)).coeffs == left.coeffs
+
+    def test_product_with_the_unit_shares_the_table(self):
+        x = e_lambda(Partition((2, 2)))
+        assert (x * unit(4))._pk is _packed(x)
+        assert x * unit(4) == x == unit(4) * x
+
+
+def kept_forms(x):
+    """x's kept packed, iota and coset tables and costs, by value."""
+
+    def state(pk):
+        if pk is None:
+            return None
+        return dict(pk.table), pk.val, pk.k, pk.bound, pk.low, pk.tidy, pk.blocks
+
+    return state(x._pk), state(x._ik), state(x._ck), x._wc
+
+
+@pytest.mark.parametrize("lam", [Partition(p) for p in ((3,), (2, 1), (1, 1, 1), (3, 1), (2, 2))], ids=str)
+def test_products_with_basis_braids_leave_kept_forms_alone(lam):
+    # A product may share an input's tables (x * 1 holds x's packed table,
+    # and a left product starts from the other factor's kept iota); chains,
+    # sums and products run on the results must not write into them.
+    n = lam.n
+    e = e_lambda(lam)
+    hecke._mirrored(e)
+    hecke._costs(e)
+    before = kept_forms(e)
+    for q in perms.all_permutations(n):
+        w = basis(n, *q)
+        e * w, w * e  # w's own forms are made on its first use
+        w_before = kept_forms(w)
+        for y in (e * w, w * e, e * w.scale(S), w.scale(S) * e, e * unit(n), unit(n) * e):
+            y.mul_generator(1)
+            y.scale(S)
+            y * y
+            y * w
+            w * y
+            assert y.coeffs
+        assert kept_forms(w) == w_before
+    assert kept_forms(e) == before
+    assert e.to_machine() == e_lambda(lam).to_machine()
+
+
+class TestKeptIota:
+    # An element keeps iota of its packed table, tidy, made on the first
+    # use; a product's result does not keep the table it was iota of.
+
+    @pytest.mark.parametrize(
+        "make, tidy_before",
+        [
+            (lambda: HeckeElement(4, {(2, 1, 4, 3): S, (1, 3, 4, 2): LaurentPoly(-2, (1, 0, 5))}), None),
+            (lambda: symmetrizer(4) * gen(4, 2), False),
+            (lambda: (unit(4) + gen(4, 3)).scale(S), False),
+            (lambda: e_lambda(Partition((2, 1, 1))), False),
+        ],
+        ids=["mapping", "step result", "sum result", "e_lambda"],
+    )
+    def test_kept_iota_is_iota_of_the_mapping(self, make, tidy_before):
+        x = make()
+        assert (x._pk and x._pk.tidy) == tidy_before
+        kept = hecke._mirrored(x)
+        assert kept.tidy and kept.blocks is None
+        assert _element(kept).coeffs == mirrored(x).coeffs
+        assert hecke._mirrored(x) is kept is x._ik
+
+    def test_results_keep_no_iota(self):
+        a4, w = symmetrizer(4), basis(4, 3, 1, 4, 2)
+        assert (w * a4)._ik is None and (a4 * w)._ik is None
+        assert a4._ik is not None  # w * a4 expanded w through iota
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """
+    Counts of packed steps, add_times calls, packed iotas and word-cost
+    scans.  Only ``hecke`` and the chains call them, through ``_Packed`` and
+    the module's globals.
+    """
+    counts = collections.Counter()
+    for owner, name in (
+        (_Packed, "mul_generator"),
+        (_Packed, "add_times"),
+        (_Packed, "iota"),
+        (hecke, "_word_costs"),
+    ):
+
+        def spy(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    return counts
+
+
+# (n, steps, iota bound, cost-scan bound).  The 2(n-1) eigen-relation and
+# n-1 centrality products each take one step and the full twist
+# n(n-1)/2; add_times runs only for the two rescaled sides.  Each dense
+# factor is mirrored and scanned once, so iota runs once more per left
+# product, and each generator is scanned once.
+STRAND_CHECK_CALLS = [(5, 34, 15, 12), pytest.param(8, 70, 24, 18, marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("n, steps, iotas, scans", STRAND_CHECK_CALLS)
+def test_strand_checks_pay_only_for_their_steps(kernel_calls, n, steps, iotas, scans):
+    assert all(ok for _, ok in invariants.strand_checks(n))
+    assert kernel_calls["mul_generator"] == steps
+    assert kernel_calls["add_times"] == 2
+    assert kernel_calls["iota"] <= iotas
+    assert kernel_calls["_word_costs"] <= scans
 
 
 class TestClassicalLimit:

@@ -38,7 +38,12 @@ trees.  Compare ``at_ref_s`` between two trees.  The layers:
   and restricted, every call, since each call starts from the table the
   build kept), the chain on it and the extraction against it, through
   ``symmetrizers._report_on_side``.  The twist is
-  ``central.twist_scalar(e, lam)``, on the table its warm-up call kept.
+  ``central.twist_scalar(e, lam)``, on the table its warm-up call kept;
+- ``strand_checks_5`` / ``strand_checks_8``: ``invariants.strand_checks``
+  on 5 and 8 strands, the eigen-relations of a_n and b_n and the
+  centrality of the full twist, each a general product of one generator
+  with a dense element of n! terms; every call builds its a_n, b_n and
+  full twist afresh, as ``qyoung verify`` does.
 
 The chain layer starts from the element's kept packed table and ends in an
 element holding the result's (``hecke._packed`` and ``hecke._element``), so
@@ -52,7 +57,7 @@ import json
 import statistics
 from time import perf_counter
 
-from qyoung import central, hecke
+from qyoung import central, hecke, invariants
 from qyoung import symmetrizers as sym
 from qyoung.hecke import HeckeElement
 from qyoung.laurent import S
@@ -150,6 +155,8 @@ def layers() -> dict:
         "alpha_extract_44": lambda: sym.alpha_extract(lam8),
         "twist_44": lambda: central.twist_eigenvalue(lam8),
         "build_43": lambda: sym.e_lambda(lam7),
+        "strand_checks_5": lambda: invariants.strand_checks(5),
+        "strand_checks_8": lambda: invariants.strand_checks(8),
     }
     shapes = {"44": (4, 4), "8": (8,), "1x8": (1,) * 8, "2x1x6": (2,) + (1,) * 6}
     for tag, parts in shapes.items():
