@@ -140,10 +140,28 @@ three counts:
 So the step tests the blocks only for a term whose partner is missing
 (a partner inside one block is never a representative), through a memo
 per (blocks, i) filled for the ranks met, and reads the unit once per
-step of a coset table; a plain table's step never reads it.  A
-coset table is never an element: iota, which does not keep the ideal, and
-``_element`` refuse one, and ``symmetrizers`` expands it as a plain table
-first.  An element of the ideal may keep its coset table beside its
+step of a coset table; a plain table's step never reads it.
+
+Expansion, the inverse of restriction (``_Packed.expanded``), writes each
+entry of R h once, by rank arithmetic, with no step and no iota.  u in
+S_lambda only relabels the values within each block, and a block's values
+are contiguous, so u v' has the Lehmer digits of v' except at the
+positions of block values.  There each block's values stand in
+increasing order in v', and the digit at pos_t, the position of the
+block's t-th smallest value, grows by c_t: the number of later values of
+the block that u sends below it, that is, the t-th digit of the Lehmer
+code c of u on the block.  So
+
+    rank(u v') = rank(v') + sum over blocks and t of c_t (n-1-pos_t)!,
+    length(u) = sum of c_t,
+
+and the entry at u v' is c_v' << K length(u) on the row side.  On the
+sign side V drops by the longest length, top = sum of m(m-1)/2 over the
+block sizes m, and the entry is (-1)^length(u) (c_v' << K (top - length(u))).
+The digits are those of the c_v', so K, B, the zero low digits and a tidy
+table's tidiness carry over.  A coset table is never an element: iota,
+which does not keep the ideal, and ``_element`` refuse one, so it is
+expanded first.  An element of the ideal may keep its coset table beside its
 packed table: the one the chain that built it ran on, or the restriction
 made on the first use, which checks membership in the ideal.  So no
 element is restricted twice.
@@ -788,6 +806,46 @@ def _restricted(pk: _Packed, blocks: _Blocks) -> _Packed:
     return _Packed(n, out, pk.val, k, pk.bound, pk.low, blocks=blocks)
 
 
+@functools.cache
+def _weights_memo(parts: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """Per block sizes: the weights of each representative's movable digits, by rank."""
+    return {}
+
+
+@functools.cache
+def _movable_digits(parts: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """
+    The Lehmer digits that S_lambda moves in a representative, as (block,
+    t, range) for the position of the t-th smallest value of the block,
+    which takes range = m - t values in a block of m (the largest value's
+    never moves).  Ordered by range, so that ``expanded`` writes the
+    widest digit last and loops least over the entries so far.
+    """
+    digits = [(b, t, m - t) for b, m in enumerate(parts) for t in range(m - 1)]
+    return tuple(sorted(digits, key=lambda digit: digit[2]))
+
+
+def _movable_weights(parts: tuple[int, ...], p: Perm) -> tuple[int, ...]:
+    """The rank weights (n-1-pos)! of the movable digits of a representative p, in order."""
+    block, weights = _block_of(parts), _factorials(len(p))
+    at: list[list[int]] = [[] for _ in parts]
+    for pos, v in enumerate(p):
+        at[block[v - 1]].append(weights[pos])
+    return tuple(at[b][t] for b, t, _ in _movable_digits(parts))
+
+
+@functools.cache
+def _length_pattern(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """
+    length(u), the sum of u's movable digits, for the u in S_lambda in the
+    order ``expanded`` writes their runs: the first digit varying fastest.
+    """
+    pattern = [0]
+    for _, _, m in _movable_digits(parts):
+        pattern = [ell + j for j in range(m) for ell in pattern]
+    return tuple(pattern)
+
+
 def _zero_low_digits(values: Iterable[int], k: int) -> int:
     """
     The fewest zero low K-bit digits among nonzero ints, read once off the
@@ -870,6 +928,49 @@ class _Packed:
                 inverse[q] = p
             table[q] = c
         return _Packed(self.n, table, self.val, self.k, self.bound, self.low, self.tidy)
+
+    def expanded(self) -> _Packed:
+        """
+        R h (B h on the sign side) as a plain table, from its coset table
+        h, the inverse of ``_restricted``; a plain table is its own
+        expansion.  Each entry is written once, by the rank rule (see the
+        module docstring).  All representatives move one digit at a time:
+        each rank r so far becomes r + j w for j below the digit's range, w
+        the digit's weight in its representative.  The entry of u v' is c_v'
+        times the unit to the length(u), one int per representative and
+        length, shared by its entries.  On the sign side V drops by the
+        longest length, so that (-s^-1)^l is a shift left.  The digits are
+        those of h, so K, B, the zero low digits and ``tidy`` carry over.
+        """
+        blocks = self.blocks
+        if blocks is None:
+            return self
+        n, k, parts = self.n, self.k, blocks.parts
+        memo = _weights_memo(parts)
+        ranks, weights = list(self.table), []
+        for r in ranks:
+            w = memo.get(r)
+            if w is None:
+                w = memo[r] = _movable_weights(parts, _perm_of(n, r))
+            weights.append(w)
+        # ranks holds one run of the representatives per choice of the
+        # digits so far, so the run for j at the next digit is the run for
+        # j - 1 plus that digit's weights, repeated once per run.
+        for (_, _, m), column in zip(_movable_digits(parts), zip(*weights)):
+            spread, run = column * (len(ranks) // len(column)), ranks
+            for _ in range(1, m):
+                run = list(map(operator.add, run, spread))
+                ranks += run
+        top, entries, powers = sum(m * (m - 1) // 2 for m in parts), self.table.values(), []
+        for ell in range(top + 1):
+            shift = k * (ell if blocks.row else top - ell)
+            power = list(map(operator.lshift, entries, itertools.repeat(shift)))
+            if not blocks.row and ell % 2:
+                power = list(map(operator.neg, power))
+            powers.append(power)
+        values = itertools.chain.from_iterable(map(powers.__getitem__, _length_pattern(parts)))
+        val = self.val if blocks.row else self.val - top
+        return _Packed(n, dict(zip(ranks, values)), val, k, self.bound, self.low, self.tidy)
 
     def mul_generator(self, i: int, sign: int = 1) -> _Packed:
         """
@@ -1053,8 +1154,8 @@ def _mirrored(x: HeckeElement) -> _Packed:
 def _element(pk: _Packed, coset: Optional[_Packed] = None) -> HeckeElement:
     """
     The element a kernel result stands for, holding only its packed table,
-    and keeping ``coset``, when given, as its tidy coset table: the chain
-    that built pk as the expansion of ``coset`` passes it.  A coset table
+    and keeping ``coset``, when given, as its tidy coset table: the build
+    that expanded ``coset`` to pk passes it.  A coset table
     stands for R h (or B h), not for its own entries, so it is refused as
     pk.
     """

@@ -5,14 +5,17 @@ sign side those of B h, with B the contiguous column factor.
 
 Every coset chain is checked against the plain chain it replaces, run
 through the same functions on the expanded table and restricted at the
-end, and the expansion against the general product R * h (or B * h).  The
-row-side tests force the row side (``row_table``) for every diagram, so
-they cover the diagrams whose own side is the sign side too.
+end.  The kernel's one-pass expansion (``_Packed.expanded``) is checked
+against the general product R * h (or B * h) and against the chain it
+replaced, iota(iota(h) R) (``chain_expanded``).  The row-side tests force
+the row side (``row_table``) for every diagram, so they cover the
+diagrams whose own side is the sign side too.
 """
 
 import collections
 import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -61,9 +64,19 @@ def plain(pk):
     return _element(pk.with_blocks(None))
 
 
-def expanded(h, lam):
-    """R h as an element, from the coset table h of R h."""
-    return _element(sym._expanded(h, lam))
+def expanded(h):
+    """R h (B h on the sign side) as an element, from its coset table h."""
+    return _element(h.expanded())
+
+
+def chain_expanded(h, lam):
+    """
+    The same element by chains instead of the rank rule: iota(iota(h) R)
+    (B on the sign side), the row (column) blocks stepped on iota(h), since
+    iota reverses products and fixes R and B.
+    """
+    blocks = sym._mul_row if h.blocks.row else sym._mul_column_blocks
+    return _element(blocks(h.with_blocks(None).iota(), lam).iota())
 
 
 def coset_unit(lam):
@@ -122,6 +135,36 @@ def sign_coset_elements():
     return coset_elements(NONTRIVIAL_COLUMNS, column)
 
 
+# Wide enough for K = 128 from the encode.
+WIDE = st.builds(LaurentPoly.monomial, st.integers(-2, 2), st.integers(2**64, 2**100))
+
+
+def untidy(h, extra):
+    """h's values with extra zero low digits and a looser, still readable bound: not tidy."""
+    table = {r: c << (h.k * extra) for r, c in h.table.items()}
+    bound = min(3 * h.bound, (1 << (h.k - 1)) - 1)
+    return _Packed(h.n, table, h.val - extra, h.k, bound, h.low + extra, blocks=h.blocks)
+
+
+@st.composite
+def expansion_cases(draw, on_row=None):
+    """
+    (lam, h): a coset table of the row side, the sign side or (on_row None)
+    either, maybe zero, maybe at K = 128, maybe untidy.
+    """
+    if on_row is None:
+        on_row = draw(st.booleans())
+    lam = draw(st.sampled_from(NONTRIVIAL if on_row else NONTRIVIAL_COLUMNS))
+    blocks = row(lam) if on_row else column(lam)
+    reps = representatives(blocks.parts)
+    chosen = draw(st.lists(st.sampled_from(reps), max_size=12, unique=True))
+    coeff = st.one_of(COEFF, WIDE)
+    h = _packed(HeckeElement(lam.n, {p: draw(coeff) for p in chosen})).with_blocks(blocks)
+    if draw(st.booleans()):
+        h = untidy(h, draw(st.integers(1, 3)))
+    return lam, h
+
+
 def words(n):
     """Words of up to 8 generators g_i^(+-1) on n strands."""
     letter = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
@@ -151,17 +194,17 @@ class TestRepresentatives:
 
 
 class TestExpansion:
-    @given(coset_elements())
-    @settings(max_examples=60, deadline=None)
+    @given(expansion_cases(on_row=True))
+    @settings(max_examples=100, deadline=None)
     def test_expansion_is_the_product_with_the_row_element(self, case):
         lam, h = case
-        assert expanded(h, lam) == sym.row_element(lam) * plain(h)
+        assert expanded(h) == sym.row_element(lam) * plain(h) == chain_expanded(h, lam)
 
     @given(coset_elements())
     @settings(max_examples=60, deadline=None)
     def test_restriction_after_expansion_is_the_identity(self, case):
         lam, h = case
-        back = _restricted(sym._expanded(h, lam), row(lam))
+        back = _restricted(h.expanded(), row(lam))
         assert back.blocks == row(lam)
         assert plain(back) == plain(h)
 
@@ -219,13 +262,13 @@ class TestCosetSteps:
     @settings(max_examples=150, deadline=None)
     def test_steps_are_restricted_plain_steps(self, case, data):
         lam, h = case
-        x = sym._expanded(h, lam)
+        x = h.expanded()
         for i, sign in data.draw(words(lam.n)):
             h = h.mul_generator(i, sign)
             x = x.mul_generator(i, sign)
             assert h.blocks == row(lam)
             assert plain(h) == plain(_restricted(x, row(lam)))
-        assert expanded(h, lam) == _element(x)
+        assert expanded(h) == _element(x)
 
 
 @pytest.mark.parametrize("lam", list(partitions_up_to(6)), ids=str)
@@ -236,7 +279,7 @@ class TestCosetChains:
     def test_build(self, lam):
         h = sym._coset_symmetrizer(lam)
         e = sym.e_lambda(lam)
-        assert expanded(h, lam) == e
+        assert expanded(h) == e
         assert plain(h) == plain(row_table(e, lam))
         assert plain(h) == plain(_restricted(_packed(e), row(lam)))
 
@@ -245,7 +288,7 @@ class TestCosetChains:
         h = row_table(e, lam)
         want = square(_packed(e), lam)
         assert plain(square(h, lam)) == plain(_restricted(want, row(lam)))
-        assert expanded(square(h, lam), lam) == _element(want)
+        assert expanded(square(h, lam)) == _element(want)
 
     def test_twist(self, lam):
         e = sym.e_lambda(lam)
@@ -268,7 +311,7 @@ def test_perturbed_candidate_gives_the_same_witness(lam, where):
     bumped = cand.copy()
     bumped.add_times(_packed(bump).with_blocks(row(lam)), ONE)
     coset = _extract(h, bumped)
-    full = hecke.extract_scalar(e, expanded(bumped, lam))
+    full = hecke.extract_scalar(e, expanded(bumped))
     assert not coset.proportional and not full.proportional
     assert (coset.scalar, coset.witness) == (full.scalar, full.witness)
     if where == "last":
@@ -276,11 +319,6 @@ def test_perturbed_candidate_gives_the_same_witness(lam, where):
 
 
 # -- the sign side ---------------------------------------------------------------
-
-
-def sign_expanded(h, lam):
-    """B h as an element, from the coset table h of B h: iota(iota(h) B)."""
-    return _element(sym._mul_column_blocks(h.with_blocks(None).iota(), lam).iota())
 
 
 def column_factor(lam):
@@ -317,17 +355,17 @@ def bumped(chain):
 
 
 class TestSignSide:
-    @given(sign_coset_elements())
-    @settings(max_examples=60, deadline=None)
+    @given(expansion_cases(on_row=False))
+    @settings(max_examples=100, deadline=None)
     def test_expansion_is_the_product_with_the_column_factor(self, case):
         lam, h = case
-        assert sign_expanded(h, lam) == column_factor(lam) * plain(h)
+        assert expanded(h) == column_factor(lam) * plain(h) == chain_expanded(h, lam)
 
     @given(sign_coset_elements())
     @settings(max_examples=60, deadline=None)
     def test_restriction_after_expansion_is_the_identity(self, case):
         lam, h = case
-        back = _restricted(_packed(sign_expanded(h, lam)), column(lam))
+        back = _restricted(h.expanded(), column(lam))
         assert back.blocks == column(lam)
         assert plain(back) == plain(h)
 
@@ -335,13 +373,13 @@ class TestSignSide:
     @settings(max_examples=150, deadline=None)
     def test_steps_are_restricted_plain_steps(self, case, data):
         lam, h = case
-        x = _packed(sign_expanded(h, lam))
+        x = h.expanded()
         for i, sign in data.draw(words(lam.n)):
             h = h.mul_generator(i, sign)
             x = x.mul_generator(i, sign)
             assert h.blocks == column(lam)
             assert plain(h) == plain(_restricted(x, column(lam)))
-        assert sign_expanded(h, lam) == _element(x)
+        assert expanded(h) == _element(x)
 
     @pytest.mark.parametrize("lam", SMALL_SHAPES, ids=str)
     @pytest.mark.parametrize("make", ["unit", "generator", "row element", "drop", "double"])
@@ -381,6 +419,85 @@ class TestSignSide:
             central.twist_scalar(HeckeElement.unit(3), Partition((1, 1, 1)))
 
 
+# -- the one-pass expansion --------------------------------------------------------
+
+class TestOnePassExpansion:
+    # Against the general product and the chain: TestExpansion and TestSignSide.
+
+    @given(expansion_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_expansion_keeps_the_digits(self, case):
+        lam, h = case
+        x = h.expanded()
+        assert x.blocks is None
+        assert (x.k, x.bound, x.low, x.tidy) == (h.k, h.bound, h.low, h.tidy)
+        longest = sum(m * (m - 1) // 2 for m in h.blocks.parts)  # length of the longest u
+        assert x.val == (h.val if h.blocks.row else h.val - longest)
+        group = math.prod(map(math.factorial, h.blocks.parts))
+        assert len(x.table) == group * len(h.table)
+
+    @pytest.mark.parametrize("on_row", [True, False], ids=["row", "sign"])
+    @pytest.mark.parametrize("make", ["zero", "wide", "untidy"])
+    def test_corner_cases(self, on_row, make):
+        lam = Partition((3, 2)) if on_row else Partition((2, 2, 1))
+        blocks = row(lam) if on_row else column(lam)
+        reps = representatives(blocks.parts)[:5]
+        if make == "zero":
+            table = {}
+        elif make == "wide":
+            table = {p: LaurentPoly.monomial(j, 2**90 + j) for j, p in enumerate(reps)}
+        else:
+            table = {p: LaurentPoly(-j, (1, -2, j)) for j, p in enumerate(reps)}
+        h = _packed(HeckeElement(lam.n, table)).with_blocks(blocks)
+        if make == "untidy":
+            h = untidy(h, 2)
+        assert h.k == (128 if make == "wide" else 64)
+        x = h.expanded()
+        assert (x.k, x.bound, x.tidy, x.blocks) == (h.k, h.bound, h.tidy, None)
+        factor = sym.row_element(lam) if on_row else column_factor(lam)
+        assert _element(x) == factor * plain(h) == chain_expanded(h, lam)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("lam", list(all_partitions(8)), ids=str)
+def test_eight_cell_expansions_are_the_chain_expansions(lam):
+    e = sym.e_lambda(lam)
+    for on_row in (True, False):
+        h = sym._coset_table(e, lam, on_row)
+        if h.blocks is not None:
+            assert expanded(h) == chain_expanded(h, lam)
+
+
+@pytest.mark.parametrize("lam", list(partitions_up_to(6)), ids=str)
+def test_e_lambda_runs_no_iota_and_no_row_blocks(lam, monkeypatch):
+    # The build is the column chain on R's coset table and one expansion:
+    # no iota, and no block action with the row unit s.
+    units, iotas = [], []
+    block_action, iota = sym._block_action, _Packed.iota
+
+    def spied_block_action(x, k, offset, u):
+        units.append(u)
+        return block_action(x, k, offset, u)
+
+    def spied_iota(self):
+        iotas.append(len(self.table))
+        return iota(self)
+
+    monkeypatch.setattr(sym, "_block_action", spied_block_action)
+    monkeypatch.setattr(_Packed, "iota", spied_iota)
+    e = sym.e_lambda(lam)
+    assert iotas == []
+    assert set(units) <= {sym.NEG_S_INV}
+    if lam.parts[0] > 1:
+        # Kept tidy from the build: the first chain on e tidies nothing.
+        kept = e._pk
+        assert kept.tidy and _packed(e) is kept
+        again = kept._tidied()
+        assert (again.table, again.val, again.k, again.bound, again.low) == (
+            kept.table, kept.val, kept.k, kept.bound, kept.low
+        )
+
+
 @pytest.mark.parametrize("lam", list(partitions_up_to(7)), ids=str)
 def test_both_sides_give_the_same_scalars(lam):
     e = sym.e_lambda(lam)
@@ -401,7 +518,7 @@ def check_kept_sign_table(lam):
     f = conjugated_by_products(e, lam)
     assert h.blocks == column(lam)
     assert plain(h) == plain(_restricted(_packed(f), column(lam)))
-    assert sign_expanded(h, lam) == f
+    assert expanded(h) == f
 
 
 @pytest.mark.parametrize("lam", list(partitions_up_to(7)), ids=str)

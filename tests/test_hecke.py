@@ -781,7 +781,7 @@ class TestKeptIota:
             (lambda: HeckeElement(4, {(2, 1, 4, 3): S, (1, 3, 4, 2): LaurentPoly(-2, (1, 0, 5))}), None),
             (lambda: symmetrizer(4) * gen(4, 2), False),
             (lambda: (unit(4) + gen(4, 3)).scale(S), False),
-            (lambda: e_lambda(Partition((2, 1, 1))), False),
+            (lambda: e_lambda(Partition((2, 1, 1))), True),
         ],
         ids=["mapping", "step result", "sum result", "e_lambda"],
     )

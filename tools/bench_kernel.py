@@ -28,7 +28,12 @@ trees.  Compare ``at_ref_s`` between two trees.  The layers:
 - ``alpha_extract_44`` / ``twist_44``: the same calls on the 8-cell diagram
   (4,4), whose e_lambda holds 24192 of the 40320 basis braids of H_8; the
   warm-up call fills the S_8 rank memos;
-- ``build_43``: ``e_lambda`` of the 7-cell diagram (4,3);
+- ``build_43`` / ``build_7`` / ``build_2x1x5``: ``e_lambda`` of the 7-cell
+  diagrams (4,3), (7) and (2,1^5): the column chain on R's coset table and
+  its expansion to R h, which writes all 5040 entries of (7) and 1440 of
+  (2,1^5) from one and 720 coset entries;
+- ``expand_8``: that expansion alone for (8), from the coset table the
+  build kept (one entry) to the 40320 entries of e_lambda;
 - ``square_44`` / ``square_8`` / ``square_1x8`` / ``square_2x1x6`` and
   ``twist_scalar_44`` / ``twist_scalar_8`` / ``twist_scalar_1x8`` /
   ``twist_scalar_2x1x6``: squaring and twist-checking an already built
@@ -155,6 +160,9 @@ def layers() -> dict:
         "alpha_extract_44": lambda: sym.alpha_extract(lam8),
         "twist_44": lambda: central.twist_eigenvalue(lam8),
         "build_43": lambda: sym.e_lambda(lam7),
+        "build_7": lambda: sym.e_lambda(Partition((7,))),
+        "build_2x1x5": lambda: sym.e_lambda(Partition((2, 1, 1, 1, 1, 1))),
+        "expand_8": _lazy(lambda: sym.e_lambda(Partition((8,)))._ck.expanded),
         "strand_checks_5": lambda: invariants.strand_checks(5),
         "strand_checks_8": lambda: invariants.strand_checks(8),
     }
