@@ -23,7 +23,9 @@ from .errors import NotEigenvector
 from .hecke import HeckeElement, _element, _packed, _Packed
 from .laurent import LaurentPoly
 from .partitions import Partition
-from .symmetrizers import _report_on_side, e_lambda
+# e_lambda is bound here too, as ``central.e_lambda``, for callers that
+# reach it through this module.
+from .symmetrizers import _report_on_side, _symmetrizer_on_side, e_lambda
 
 
 def half_twist(n: int) -> HeckeElement:
@@ -71,26 +73,30 @@ def twist_eigenvalue(lam: Partition) -> LaurentPoly:
     The scalar by which the full twist multiplies the symmetrizer of the
     given diagram.  The twist is central, so ft * e = e * ft, and e * ft is
     multiplied out band by band before the scalar is extracted and checked
-    as in ``twist_scalar``.
+    as in ``twist_scalar``, on the table of the diagram's side alone: the
+    symmetrizer is never expanded.
     """
-    return twist_scalar(e_lambda(lam), lam)
+    return twist_scalar(_symmetrizer_on_side(lam), lam)
 
 
 def twist_scalar(e: HeckeElement, lam: Partition) -> LaurentPoly:
     """
     twist_eigenvalue on an already built symmetrizer e of the diagram lam:
-    e * ft multiplied out band by band on the table of lam's side (see
-    ``symmetrizers``), the scalar extracted and checked on every entry of
-    that table.  On the row side the table is e's coset table in the left
-    ideal R H_n of lam's row factor R.  On the sign side it is the coset
-    table of f = iota(w_d^-1 e w_d) in B H_n, B the contiguous column
-    factor, and f * ft = tau f for the same tau since ft is central and
-    fixed by iota; e must then lie in H_n C, C = w_d B w_d^-1.  e_lambda(lam)
-    lies in both; an element outside the one its side needs raises
-    ValueError.  On a failure the witness is the row side's.  A table of
-    one entry, as the sign side's for (1^n), holds every candidate
-    proportional, so a chain fault there raises nothing and yields a wrong
-    scalar: only the closed-form checks of ``invariants`` catch it.
+    e * ft multiplied out band by band on e's table of its side (see
+    ``symmetrizers._side_table``), the scalar extracted and checked on
+    every entry of that table.  The sign side runs only for the element
+    ``alpha_extract`` returns, which keeps the coset table of
+    f = iota(w_d^-1 e w_d) in B H_n, B the contiguous column factor, from
+    f's own chain; f * ft = tau f for the same tau since ft is central and
+    fixed by iota.  Every other e, e_lambda(lam) itself or one read back
+    through ``HeckeElement.from_machine``, runs on the row side, on its
+    coset table in the left ideal R H_n of lam's row factor R: the one its
+    build kept, or a restriction after the membership check, which raises
+    ValueError for an element outside the ideal.  On a failure the witness
+    is the row side's.  A table of one entry, as the sign side's for
+    (1^n), holds every candidate proportional, so a chain fault there
+    raises nothing and yields a wrong scalar: only the closed-form checks
+    of ``invariants`` catch it.
     """
     report = _report_on_side(
         e, lam, lambda h, row: _mul_full_twist(h), lambda r: r.proportional

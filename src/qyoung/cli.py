@@ -13,6 +13,8 @@ one JSON object per strand count and per diagram (``n`` or ``lambda``,
 ``side``: the side of the diagram's coset tables, ``"row"`` or ``"sign"``,
 null for a strand count, ``seconds`` and ``checks``: a list of
 ``{name, ok}``), then ``{ok, failed}`` with the names of the failed checks.
+Every diagram's checks end with the classical limit, on 7 and 8 cells too:
+it is read off the side's coset table, and no e_lambda is expanded.
 
 Every command but ``mul`` refuses more than 8 strands or cells before it
 builds anything (``permutations.check_size``, the one size guard).

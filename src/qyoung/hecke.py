@@ -66,7 +66,10 @@ result (a generator step, a product, a conjugation, a rescaling, and the
 chains that ``symmetrizers`` and ``central`` build) holds only its packed
 table.  The first kernel use of an element encodes its mapping and keeps
 the packed table; the first read of ``coeffs`` decodes the packed table and
-keeps the mapping.  A chain starts from the kept table and never writes
+keeps the mapping.  A third form holds neither: an element made by
+``_coset_element`` holds only the coset table its chains run on (below)
+and how to build its packed table, which its first kernel use or read of
+``coeffs`` does, once.  A chain starts from the kept table and never writes
 into it: the only table written in place is an accumulator made fresh for
 one sum, so a result may share an input's table (x * 1 holds x's own).
 The first chain to start from a kernel result tidies the kept
@@ -163,8 +166,12 @@ table's tidiness carry over.  A coset table is never an element: iota,
 which does not keep the ideal, and ``_element`` refuse one, so it is
 expanded first.  An element of the ideal may keep its coset table beside its
 packed table: the one the chain that built it ran on, or the restriction
-made on the first use, which checks membership in the ideal.  So no
-element is restricted twice.
+made on the first use, which checks membership in the ideal
+(``_coset_kept``).  So no element is restricted twice.  An element held
+as a coset table alone (``_coset_element``) keeps the one its chains run
+on, which for the symmetrizer of a column-heavy diagram is the sign-side
+table of another element, f (see ``symmetrizers``); it is read as it is,
+never restricted.
 
 A general product expands one factor through reduced words, sharing common
 prefixes so that dense products cost one generator step per distinct
@@ -231,7 +238,7 @@ class HeckeElement:
     new elements.
     """
 
-    __slots__ = ("n", "_coeffs", "_pk", "_ck", "_ik", "_wc")
+    __slots__ = ("n", "_coeffs", "_pk", "_ck", "_ik", "_wc", "_make")
 
     def __init__(self, n: int, coeffs: Mapping[Perm, LaurentPoly]):
         if n < 1:
@@ -252,7 +259,7 @@ class HeckeElement:
             raise ValueError(f"a key with a non-int entry is not a permutation of 1..{n}")
         self.n = n
         self._coeffs = MappingProxyType(table)
-        self._pk = self._ck = self._ik = self._wc = None
+        self._pk = self._ck = self._ik = self._wc = self._make = None
 
     @property
     def coeffs(self) -> Mapping[Perm, LaurentPoly]:
@@ -262,7 +269,7 @@ class HeckeElement:
         """
         view = self._coeffs
         if view is None:
-            view = self._coeffs = MappingProxyType(_decode(self._pk))
+            view = self._coeffs = MappingProxyType(_decode(_kept(self)))
         return view
 
     # -- constructors ------------------------------------------------------
@@ -293,6 +300,8 @@ class HeckeElement:
 
     def is_zero(self) -> bool:
         pk = self._pk
+        if pk is None and self._coeffs is None:
+            pk = self._ck  # held as its coset table alone, zero exactly when that is
         return not (self._coeffs if pk is None else pk.table)
 
     def support(self) -> list[Perm]:
@@ -306,7 +315,8 @@ class HeckeElement:
             return NotImplemented
         if self.n != other.n:
             return False
-        if self._pk is None and other._pk is None:
+        # Two mappings, neither packed nor to be built: compare the mappings.
+        if not (self._pk or other._pk or self._make or other._make):
             return self._coeffs == other._coeffs
         a, b = _kept(self), _kept(other)
         if len(a.table) != len(b.table):
@@ -514,7 +524,7 @@ def _trusted(n: int, table: dict[Perm, LaurentPoly]) -> HeckeElement:
     """
     elem = object.__new__(HeckeElement)
     elem.n, elem._coeffs = n, MappingProxyType(table)
-    elem._pk = elem._ck = elem._ik = elem._wc = None
+    elem._pk = elem._ck = elem._ik = elem._wc = elem._make = None
     return elem
 
 
@@ -1124,20 +1134,26 @@ class _Packed:
 
 def _packed(x: HeckeElement) -> _Packed:
     """
-    x's packed table as a chain starts from it, tidy and kept: encoded from
-    x's mapping, or x's kernel result tidied, on the first use.
+    x's packed table as a chain starts from it, tidy and kept: as ``_kept``
+    gives it, tidied on the first use if it is a kernel result.
     """
-    pk = x._pk
-    if pk is None:
-        pk = x._pk = _encode(x)
-    elif not pk.tidy:
+    pk = _kept(x)
+    if not pk.tidy:
         pk = x._pk = pk._tidied()
     return pk
 
 
 def _kept(x: HeckeElement) -> _Packed:
-    """x's packed table as it is kept, for reading without a chain."""
-    return _packed(x) if x._pk is None else x._pk
+    """
+    x's packed table as it is kept, for reading without a chain: encoded
+    from x's mapping, or built by x's ``_make`` when x is held as a coset
+    table alone, on the first use.
+    """
+    pk = x._pk
+    if pk is None:
+        make = x._make
+        pk = x._pk = _encode(x) if make is None else make()
+    return pk
 
 
 def _mirrored(x: HeckeElement) -> _Packed:
@@ -1163,25 +1179,34 @@ def _element(pk: _Packed, coset: Optional[_Packed] = None) -> HeckeElement:
         raise ValueError("a coset table is not an element; expand it first")
     elem = object.__new__(HeckeElement)
     elem.n, elem._coeffs, elem._pk, elem._ck = pk.n, None, pk, coset
-    elem._ik = elem._wc = None
+    elem._ik = elem._wc = elem._make = None
     return elem
 
 
-def _coset_kept(
-    x: HeckeElement,
-    blocks: _Blocks,
-    into: Optional[Callable[[_Packed], _Packed]] = None,
-) -> _Packed:
+def _coset_element(coset: _Packed, make: Callable[[], _Packed]) -> HeckeElement:
     """
-    The coset table for the blocks of x, or of the chain ``into`` run on
-    x's packed table, tidy and kept on x: the one x was built with, or else
-    a restriction made on the first use, which refuses a table outside the
-    ideal of the blocks.  x keeps one coset table; the blocks tell which.
+    An element held as the tidy coset table its chains run on and nothing
+    else: make() builds its packed table on the first read of ``coeffs`` or
+    kernel use, and the element keeps it.  ``is_zero`` reads the coset
+    table, which is zero exactly when the element is.
+    """
+    elem = object.__new__(HeckeElement)
+    elem.n, elem._coeffs, elem._pk, elem._ck = coset.n, None, None, coset
+    elem._ik = elem._wc = None
+    elem._make = make
+    return elem
+
+
+def _coset_kept(x: HeckeElement, blocks: _Blocks) -> _Packed:
+    """
+    x's coset table for the blocks, tidy and kept on x: the one x was built
+    with, or else a restriction of x's packed table made on the first use,
+    which refuses a table outside the ideal of the blocks.  x keeps one
+    coset table; the blocks tell which.
     """
     ck = x._ck
     if ck is None or ck.blocks != blocks:
-        pk = _kept(x) if into is None else into(_packed(x))
-        ck = x._ck = _restricted(pk, blocks)._tidied()
+        ck = x._ck = _restricted(_kept(x), blocks)._tidied()
     return ck
 
 

@@ -16,17 +16,48 @@ the full twist against every generator.
 scalar against its closed form and against the hook product at s = 1, the
 full-twist eigenvalue against ``s^twist_exponent`` and against 1 at s = 1,
 the conjugation symmetry tau(lam') = tau(lam)(s^-1) once both are known,
-and, for at most 6 cells, the classical limit against the group-algebra
-symmetrizer.
+and the classical limit, at every size.
 
-The classical limit needs no second product in the group algebra.  By von
-Neumann's lemma (Fulton-Harris, *Representation Theory*, Lemma 4.25) the
-classical Young symmetrizer of the row-reading tableau is the only x with
-coefficient 1 at the identity, t*x = x for every row transposition t and
-x*t = -x for every column transposition t.  The transpositions of adjacent
-cells generate the row and column groups, so ``is_classical_symmetrizer``
-tests only those, each as one ``==`` of tables.  The tests compare the
-same limit with the group-algebra product of ``tests/oracles.py``.
+The classical limit needs no second product in the group algebra, and
+not even e_lambda's full table: it is read off the coset table the chains
+ran on (see ``symmetrizers``), one pass per transposition over at most
+the side's module size.  By von Neumann's lemma (Fulton-Harris,
+*Representation Theory*, Lemma 4.25) the classical Young symmetrizer x of
+the row-reading tableau, with row group P and column group Q, is the only
+element with coefficient 1 at the identity, p x = x for every p in P and
+x q = sgn(q) x for every q in Q.  The transpositions of adjacent cells
+generate P and Q, so only those are tested.  In one-line notation p t
+is p with the two positions t exchanges swapped, and t p is p with the
+two values swapped.
+
+Row side.  e = R h at s = 1 is x = sum over u in S_lambda = P and over
+the representatives v of c_v(1) u v, with c the coset table: x is c_v(1)
+on the whole coset P v.  So p x = x holds by construction, and
+x t = -x for a column transposition t says that x(w t) = -x(w) for every
+w = u v.  Since u v t lies in the coset of rep(v t), the representative
+of v t, this is c_rep(v t)(1) = -c_v(1).
+
+Sign side.  The chains run on f = iota(w_d^-1 e w_d) = B h', B the
+contiguous column factor, whose coset table c' is keyed by the
+representatives of S_lambda'.  phi(y) = iota(d^-1 y d) is a bijection of
+the group algebra that fixes the identity and reverses products, so by
+the lemma phi(x) is the only element with coefficient 1 at the
+identity, q' phi(x) = sgn(q') phi(x) for q' in d^-1 Q d = S_lambda' and
+phi(x) r = phi(x) for r in d^-1 P d.  At s = 1, B h' is
+sum of sgn(u) c'_v(1) u v over u in S_lambda', so the first condition
+holds by construction.  With t = (a b) a row transposition,
+r = d^-1 t d swaps the positions d^-1(a) and d^-1(b), and writing
+v r = u' rep(v r), phi(x)(v r) = phi(x)(v) becomes
+sgn(u') c'_rep(v r)(1) = c'_v(1).
+
+Both rules say unit^length(u') c_rep(v t)(1) = -unit c_v(1), with the
+block unit at s = 1 (1 on the row side, -1 on the sign side), and on
+both sides the coefficient at the identity, a representative, must be 1.
+v -> rep(v t) is an involution of the cosets, so testing the entries of
+the table also covers the representatives it lacks, whose c_v is 0.
+``is_classical_coset_table`` tests exactly this; the tests compare it with
+the dense predicate on e_lambda's full table and with the group-algebra
+product of ``tests/oracles.py``.
 
 The package is reached through module attributes (``symmetrizers.
 alpha_extract``, ``central.twist_scalar``), not names bound at import, so
@@ -43,10 +74,6 @@ from .partitions import Partition
 from .permutations import Perm
 
 Check = tuple[str, bool]
-
-# The largest diagram whose s = 1 specialization is compared with the
-# group-algebra symmetrizer.
-CLASSICAL_MAX_CELLS = 6
 
 
 def strand_checks(n: int) -> list[Check]:
@@ -120,48 +147,71 @@ def diagram_checks(lam: Partition, taus: dict[tuple[int, ...], LaurentPoly]) -> 
                 taus[conj] == tau.invert_variable(),
             )
         )
-    if lam.n <= CLASSICAL_MAX_CELLS:
-        out.append(
-            (
-                f"classical limit vs group-algebra symmetrizer, lambda={lam}",
-                is_classical_symmetrizer(qi.element.specialize_at_one(), lam),
-            )
+    row, at_one = symmetrizers._side_at_one(qi.element, lam)
+    out.append(
+        (
+            f"classical limit vs group-algebra symmetrizer, lambda={lam}",
+            is_classical_coset_table(at_one, lam, row),
         )
+    )
     return out
 
 
-def is_classical_symmetrizer(x: dict[Perm, int], lam: Partition) -> bool:
+def is_classical_coset_table(c: dict[Perm, int], lam: Partition, row: bool) -> bool:
     """
-    Whether the integer table x is the classical Young symmetrizer of lam's
-    row-reading tableau: row sum times signed column sum.
+    Whether c, a coset table of lam's side at s = 1 keyed by the minimal
+    coset representatives, is that of the classical Young symmetrizer x of
+    lam's row-reading tableau (row side) or of iota(d^-1 x d) (sign side),
+    by the rules of the module docstring.
 
-    >>> is_classical_symmetrizer({(1, 2): 1, (2, 1): 1}, Partition((2,)))
+    >>> is_classical_coset_table({(1, 2): 1}, Partition((2,)), True)
     True
-    >>> is_classical_symmetrizer({(1, 2): 1, (2, 1): 1}, Partition((1, 1)))
+    >>> is_classical_coset_table({(1, 2): 1, (2, 1): 1}, Partition((1, 1)), True)
     False
+    >>> is_classical_coset_table({(1, 2): 1}, Partition((1, 1)), False)
+    True
     """
-    if x.get(perms.identity(lam.n)) != 1:
+    if c.get(perms.identity(lam.n)) != 1:
         return False
     label = {cell: k for k, cell in enumerate(lam.cells(), start=1)}
-    for (i, j), a in label.items():
-        b = label.get((i, j + 1))
-        # t*x = x: the row transposition (a b) exchanges the values a and b.
-        if b and {_swap_values(p, a, b): c for p, c in x.items()} != x:
-            return False
-        b = label.get((i + 1, j))
-        # x*t = -x: the column transposition (a b) exchanges positions a and b.
-        if b and {_swap_positions(p, a, b): -c for p, c in x.items()} != x:
-            return False
+    if row:
+        parts, unit = lam.parts, 1
+        # x t = -x for each column transposition t of adjacent cells.
+        swaps = [(a, label[i + 1, j]) for (i, j), a in label.items() if (i + 1, j) in label]
+    else:
+        parts, unit = lam.conjugate().parts, -1
+        # phi(x) r = phi(x) for r = d^-1 t d, t a row transposition of adjacent cells.
+        where = {v: pos for pos, v in enumerate(lam.column_reading_permutation(), start=1)}
+        swaps = [
+            (where[a], where[label[i, j + 1]]) for (i, j), a in label.items() if (i, j + 1) in label
+        ]
+    first: list[int] = []
+    for part in parts:
+        first += [len(first) + 1] * part
+    for a, b in swaps:
+        for v, cv in c.items():
+            w = list(v)
+            w[a - 1], w[b - 1] = w[b - 1], w[a - 1]
+            rep, odd = _representative(w, first)
+            if c.get(rep, 0) * (unit if odd else 1) != -unit * cv:
+                return False
     return True
 
 
-def _swap_values(p: Perm, a: int, b: int) -> Perm:
-    q = list(p)
-    q[p.index(a)], q[p.index(b)] = b, a
-    return tuple(q)
-
-
-def _swap_positions(p: Perm, a: int, b: int) -> Perm:
-    q = list(p)
-    q[a - 1], q[b - 1] = p[b - 1], p[a - 1]
-    return tuple(q)
+def _representative(w: list[int], first: list[int]) -> tuple[Perm, bool]:
+    """
+    rep(w), w with the values of each block (first[v - 1] the smallest value
+    of v's block) put in increasing order at the positions the block holds,
+    and whether the u with w = u rep(w) is odd: the parity of the
+    inversions within the blocks.
+    """
+    dealt: dict[int, int] = {}
+    rep, odd = [], False
+    for j, v in enumerate(w):
+        low = first[v - 1]
+        rep.append(dealt.get(low, low))
+        dealt[low] = rep[-1] + 1
+        for earlier in w[:j]:
+            if earlier > v and first[earlier - 1] == low:
+                odd = not odd
+    return tuple(rep), odd

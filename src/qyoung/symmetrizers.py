@@ -54,23 +54,31 @@ reversing products and fixing R, B and ft,
 
 lies in the left ideal B H_n, f f = alpha f and f ft = tau f, with the
 alpha and tau of e, so f's coset table for the column blocks (unit -s^-1)
-carries the same two scalars.  The public e_lambda is built as above, on
-the row side, whatever the side.  The sign-side table is derived from
-e's packed table by real steps, iota(e w_d) w_{d^-1}^-1 (2 length(d) steps
-and one iota), restricted after a check that it lies in B H_n, and kept on
-e in place of the row-side table it was built with.  The square is then
-the column blocks, w_{d^-1}, the row blocks and w_{d^-1}^-1, as many steps
-as on the row side, and the twist is the same band product.  On a table
-of one entry, as for (1^n), every candidate is proportional, so there the
-chain yields the scalar and the closed-form checks of ``invariants`` are
-what test it.  A failure on the sign side is rerun on the row side, so
-that a witness is a permutation of e's own table, as on the row side;
-should the row side hold, the sign side's failure stands.
+carries the same two scalars.  That table is built by its own chain, the
+mirror of e's: w_{d^-1}, the row blocks and w_{d^-1}^-1 on the coset
+table of B = B 1, in sum of part(part-1)/2 + 2 length(d) steps, with
+no iota and nothing of e's table (``_sign_table``).  The square is then
+the column blocks and the same chain again, as many steps as on the row
+side, and the twist is the same band product.  On a table of one entry,
+as for (1^n), every candidate is proportional, so there the chain
+yields the scalar and the closed-form checks of ``invariants`` are what
+test it.  A failure on the sign side is rerun on the row side, so that a
+witness is a permutation of e's own table, as on the row side; should
+the row side hold, the sign side's failure stands.
 
-Either way e_lambda keeps the table its chains run on, so squaring and the
-twist of one element restrict at most once; an element built elsewhere is
-restricted on its first use, after the membership check.  This module
-sees a packed table only through its steps, sums and blocks.
+``alpha_extract`` and ``central.twist_eigenvalue`` build only the table
+of lam's side, and ``qyoung verify`` reads nothing else: the squaring
+scalar, the twist eigenvalue and the classical limit (``invariants``)
+all come from it.  The element ``alpha_extract`` returns is an ordinary
+HeckeElement held as that table alone (``hecke._coset_element``).  Its
+first read of ``coeffs`` or kernel use builds e_lambda as the public
+``e_lambda`` does, on the row side and expanded, behind the size guard,
+and keeps it; ``is_zero`` and the chains of its side never do.  Only
+that element keeps f's table.  Any other element, e_lambda(lam) itself
+among them, runs on the row side, on the coset table its build kept or a
+restriction made on the first use after the membership check.  So no
+element is restricted twice.  This module sees a packed table only
+through its steps, sums and blocks.
 
 ``symmetrizer`` and ``antisymmetrizer`` are one enumeration of S_n, with
 coefficient u^length(p) for u = s or -s^-1, that never touches the
@@ -83,9 +91,10 @@ CPython 3.11.7), and it peaks lower (21 MB against 26 MB for the whole
 process), since the factored steps hold dense packed tables.
 
 Every builder refuses more than 8 cells or strands through the one size
-guard, ``permutations.check_size``.  The slowest 8-cell diagrams, (2,2,2,2)
-and (1^8), take about 0.25 s each for build, square and twist on one
-2-core host (CPython 3.11.7).
+guard, ``permutations.check_size``, and so does the expansion of the
+element ``alpha_extract`` returns.  Build, square and twist on the side's
+table take 0.19 s for all 22 diagrams of 8 cells together, the slowest,
+(3,3,2), 0.03 s, on one 2-core host (CPython 3.11.7).
 """
 
 from __future__ import annotations
@@ -102,7 +111,9 @@ from .hecke import (
     HeckeElement,
     ScalarReport,
     _Blocks,
+    _coset_element,
     _coset_kept,
+    _decode,
     _element,
     _extract,
     _packed,
@@ -111,6 +122,7 @@ from .hecke import (
 )
 from .laurent import LaurentPoly, ONE, S, qint
 from .partitions import Partition
+from .permutations import Perm
 
 # The eigenvalue of every generator on the one-column element.
 NEG_S_INV = LaurentPoly.monomial(-1, -1)
@@ -247,33 +259,24 @@ def _mul_column(x: _Packed, lam: Partition) -> _Packed:
     return x
 
 
-def _sign_element(x: _Packed, lam: Partition) -> _Packed:
+def _mul_conjugated_row(x: _Packed, lam: Partition) -> _Packed:
     """
-    iota(w_d^-1 x w_d) = iota(x w_d) w_{d^-1}^-1, in 2 length(d) steps and
-    one iota; for x = e_lambda it is f = B w_{d^-1} R w_{d^-1}^-1.
-    """
-    word = _column_word(lam)
-    for i in word:
-        x = x.mul_generator(i)
-    x = x.iota()
-    for i in word:
-        x = x.mul_generator(i, -1)
-    return x
-
-
-def _mul_sign(x: _Packed, lam: Partition) -> _Packed:
-    """
-    x times f = B w_{d^-1} R w_{d^-1}^-1: the column blocks, w_{d^-1} as the
-    reversed word of d, the row blocks, then back with inverses.
+    x times w_{d^-1} R w_{d^-1}^-1: forward along the reversed word of d,
+    which is a reduced word of d^-1, the row blocks, then back with
+    inverses.
     """
     word = _column_word(lam)
-    x = _mul_column_blocks(x, lam)
     for i in reversed(word):
         x = x.mul_generator(i)
     x = _mul_row(x, lam)
     for i in word:
         x = x.mul_generator(i, -1)
     return x
+
+
+def _mul_sign(x: _Packed, lam: Partition) -> _Packed:
+    """x times f = B w_{d^-1} R w_{d^-1}^-1: the column blocks, then the rest."""
+    return _mul_conjugated_row(_mul_column_blocks(x, lam), lam)
 
 
 def _mul_symmetrizer(x: _Packed, lam: Partition, row: bool) -> _Packed:
@@ -299,39 +302,94 @@ def column_element(lam: Partition) -> HeckeElement:
 def e_lambda(lam: Partition) -> HeckeElement:
     """The q-Young symmetrizer of the diagram, on exactly |diagram| strands."""
     perms.check_size(f"the symmetrizer of lambda={lam}", lam.n)
-    h = _coset_symmetrizer(lam)
+    h = _row_table(lam)
     if h.blocks is None:
         return _element(h)
-    h = h._tidied()
     return _element(h.expanded(), coset=h)
 
 
-def _coset_symmetrizer(lam: Partition) -> _Packed:
+def _row_table(lam: Partition) -> _Packed:
     """
-    The coset table of e_lambda = R C: the column chain on the coset table
-    of R = R 1, whose only entry is the identity's.
+    e_lambda's table on the row side: its coset table in R H_n, the column
+    chain on the coset table of R = R 1, whose only entry is the
+    identity's, tidied; the plain column chain, which is e_lambda itself,
+    when S_lambda is trivial.
     """
     unit = _packed(HeckeElement.unit(lam.n)).with_blocks(_row_blocks(lam))
-    return _mul_column(unit, lam)
+    h = _mul_column(unit, lam)
+    return h if h.blocks is None else h._tidied()
 
 
-def _coset_table(e: HeckeElement, lam: Partition, row: Optional[bool] = None) -> _Packed:
+def _sign_table(lam: Partition) -> _Packed:
     """
-    The table e's chains run on, tidy and kept on e, on lam's side unless
-    ``row`` says which.  On the row side it is e's coset table in R H_n (e
-    itself when S_lambda is trivial), for e_lambda the one its build ran
-    on.  On the sign side it is the coset table in B H_n of
-    f = iota(w_d^-1 e w_d), derived from e's packed table.  Any other
-    restriction checks membership and refuses e outside the ideal.
+    The coset table in B H_n of f = B w_{d^-1} R w_{d^-1}^-1, from its own
+    chain: w_{d^-1} R w_{d^-1}^-1 on the coset table of B = B 1, whose only
+    entry is the identity's, tidied.
     """
-    if row is None:
-        row = _row_side(lam)
-    if not row:
-        return _coset_kept(e, _sign_blocks(lam), lambda pk: _sign_element(pk, lam))
+    unit = _packed(HeckeElement.unit(lam.n)).with_blocks(_sign_blocks(lam))
+    return _mul_conjugated_row(unit, lam)._tidied()
+
+
+def _expansion(lam: Partition, h: _Packed) -> _Packed:
+    """e_lambda's packed table R h from its row-side table h, behind the size guard."""
+    perms.check_size(f"the symmetrizer of lambda={lam}", lam.n)
+    return h.expanded()
+
+
+def _symmetrizer_on_side(lam: Partition) -> HeckeElement:
+    """
+    e_lambda held as the table its chains run on, on lam's side, and
+    expanded only when it is read: built on the first read of ``coeffs`` or
+    kernel use, behind the size guard, and kept.  On the row side the held
+    table is e_lambda's coset table, which expands to it.  On the sign side
+    it is f's, and e_lambda is built on the row side when it is read.  When
+    S_lambda is trivial and lam is on the row side, that is for (1), the
+    table is e_lambda itself.
+    """
+    perms.check_size(f"the symmetrizer of lambda={lam}", lam.n)
+    if not _row_side(lam):
+        return _coset_element(_sign_table(lam), lambda: _expansion(lam, _row_table(lam)))
+    h = _row_table(lam)
+    if h.blocks is None:
+        return _element(h)
+    return _coset_element(h, lambda: _expansion(lam, h))
+
+
+def _coset_table(e: HeckeElement, lam: Partition) -> _Packed:
+    """
+    e's table on the row side, tidy and kept on e: its coset table in
+    R H_n (e itself when S_lambda is trivial), for e_lambda the one its
+    build ran on.  Any other restriction checks membership and refuses e
+    outside the ideal.
+    """
     blocks = _row_blocks(lam)
     if blocks is None:
         return _packed(e)
     return _coset_kept(e, blocks)
+
+
+def _side_table(e: HeckeElement, lam: Partition) -> tuple[bool, _Packed]:
+    """
+    The side e's chains run on, True for the row side, and e's table there.
+    The sign side's table is f's coset table, which only its own chain
+    makes (``_sign_table``) and only the element of ``_symmetrizer_on_side``
+    keeps.  Every other e runs on the row side (``_coset_table``).
+    """
+    if not _row_side(lam):
+        f = e._ck  # the coset table e keeps, read as it is
+        if f is not None and f.blocks == _sign_blocks(lam):
+            return False, f
+    return True, _coset_table(e, lam)
+
+
+def _side_at_one(e: HeckeElement, lam: Partition) -> tuple[bool, dict[Perm, int]]:
+    """
+    The side of e's chains and e's table there at s = 1, zeros dropped: on
+    a coset table, the c_v'(1) of the representatives v'.
+    """
+    row, h = _side_table(e, lam)
+    at_one = {v: c.eval_at_one() for v, c in _decode(h).items()}
+    return row, {v: c for v, c in at_one.items() if c}
 
 
 def _report_on_side(
@@ -341,16 +399,17 @@ def _report_on_side(
     held: Callable[[ScalarReport], bool],
 ) -> ScalarReport:
     """
-    The extraction of chain(h, row) against h, for e's table h on lam's
-    side.  A sign-side report that fails ``held`` gives way to the row
-    side's when that fails too: its witness is a permutation of e's own
-    table, where the sign side's is one of f's.
+    The extraction of chain(h, row) against h, for e's table h on its side
+    (``_side_table``).  A sign-side report that fails ``held`` gives way to
+    the row side's when that fails too: its witness is a permutation of e's
+    own table, where the sign side's is one of f's.  The row side builds e
+    and restricts it, after the membership check, so only a failure pays
+    for that.
     """
-    row = _row_side(lam)
-    h = _coset_table(e, lam, row)
+    row, h = _side_table(e, lam)
     report = _extract(h, chain(h, row))
     if not row and not held(report):
-        h = _coset_table(e, lam, True)
+        h = _coset_table(e, lam)
         again = _extract(h, chain(h, True))
         if not held(again):
             return again
@@ -391,16 +450,18 @@ class QuasiIdempotent:
 
 def alpha_extract(lam: Partition) -> QuasiIdempotent:
     """
-    Build the symmetrizer, square it on its side's coset table, and extract
-    the scalar by exact division.  The square is a real product, only
-    factored, and the scalar is verified on every entry of that table; a
-    failure raises NotQuasiIdempotent since it can only mean a kernel
+    Build the symmetrizer on its side's coset table, square it there, and
+    extract the scalar by exact division.  The square is a real product,
+    only factored, and the scalar is verified on every entry of that table;
+    a failure raises NotQuasiIdempotent since it can only mean a kernel
     convention bug.  A table of one entry, as the sign side's for (1^n),
     holds every candidate proportional, so a chain fault there raises
     nothing and yields a wrong scalar: only the closed-form checks of
-    ``invariants`` (``qyoung verify``) catch it.
+    ``invariants`` (``qyoung verify``) catch it.  The returned element is
+    e_lambda, held as that table (``_symmetrizer_on_side``): it is
+    expanded, once, only when it is read.
     """
-    e = e_lambda(lam)
+    e = _symmetrizer_on_side(lam)
     if e.is_zero():
         raise NotQuasiIdempotent(f"symmetrizer of {lam} is zero")
     report = _report_on_side(

@@ -84,6 +84,71 @@ def classical_young_symmetrizer(parts: Sequence[int]) -> dict[Perm, int]:
     return group_algebra_mul(row_sum, col_sum)
 
 
+def is_classical_symmetrizer(x: dict[Perm, int], parts: Sequence[int]) -> bool:
+    """
+    Whether the integer table x is the classical Young symmetrizer of the
+    row-reading tableau, by von Neumann's lemma on the full table: the
+    coefficient 1 at the identity, t x = x for each row transposition t of
+    adjacent cells (the values a and b exchanged in every key) and
+    x t = -x for each column one (the positions a and b exchanged).
+    """
+    n = sum(parts)
+    if x.get(tuple(range(1, n + 1))) != 1:
+        return False
+    rows, cols = tableau_rows_and_columns(parts)
+    for row in rows:
+        for a, b in zip(row, row[1:]):
+            t = transposition_of(n, a, b)
+            if {compose(t, p): c for p, c in x.items()} != x:
+                return False
+    for col in cols:
+        for a, b in zip(col, col[1:]):
+            t = transposition_of(n, a, b)
+            if {compose(p, t): -c for p, c in x.items()} != x:
+                return False
+    return True
+
+
+def transposition_of(n: int, a: int, b: int) -> Perm:
+    """The transposition of 1..n exchanging a and b."""
+    images = list(range(1, n + 1))
+    images[a - 1], images[b - 1] = b, a
+    return tuple(images)
+
+
+def inverse(p: Perm) -> Perm:
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v - 1] = i + 1
+    return tuple(out)
+
+
+def coset_expansion_at_one(c: dict[Perm, int], parts: Sequence[int], unit: int) -> dict[Perm, int]:
+    """
+    The full table at s = 1 of the element whose coset table at s = 1 is c,
+    for the contiguous value blocks of the given sizes: unit^length(u) c_v
+    at u v for every u permuting the values within each block, unit 1 for
+    the row symmetrizers and -1 for the column antisymmetrizers.
+    """
+    n = sum(parts)
+    blocks, start = [], 1
+    for part in parts:
+        blocks.append(list(range(start, start + part)))
+        start += part
+    out: dict[Perm, int] = {}
+    for u in block_permutations(blocks, n):
+        factor = unit ** length(u)
+        for v, cv in c.items():
+            out[compose(u, v)] = factor * cv
+    return out
+
+
+def unconjugated(y: dict[Perm, int], d: Perm) -> dict[Perm, int]:
+    """x with y = iota(d^-1 x d) in the group algebra: x = d iota(y) d^-1."""
+    d_inv = inverse(d)
+    return {compose(compose(d, inverse(w)), d_inv): c for w, c in y.items()}
+
+
 def count_standard_tableaux(parts: Sequence[int]) -> int:
     """
     Brute force: place 1..n one at a time, each in any row that still has

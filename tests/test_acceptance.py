@@ -165,9 +165,10 @@ def test_performance_gate_eight_cells():
 # their products copied each result into an accumulator and mirrored every
 # dense factor afresh, 191 MB while every diagram ran on the row side.
 VERIFY_EIGHT_PEAK_MB = 115
-# Each of the two most column-heavy 8-cell diagrams: 0.30 s and 0.18 s
-# measured on the sign side, 6.7 s and 1.7 s on the row side.  The bound is
-# the aim itself; a host slower than twice the measured one may miss it.
+# Each of the two most column-heavy 8-cell diagrams: 1.1 ms and 1.8 ms
+# measured on the sign side with f's table from its own chain (0.30 s and
+# 0.18 s while it was derived from e_lambda's), 6.7 s and 1.7 s on the row
+# side.  The bound is the aim itself.
 COLUMN_HEAVY_LINE_S = 0.5
 
 _PEAK_SCRIPT = """

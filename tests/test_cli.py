@@ -406,19 +406,23 @@ class TestVerifyMachineFormat:
 def test_verify_builds_each_symmetrizer_once(capsys, monkeypatch):
     from qyoung import central, symmetrizers
 
-    builds = []
-    real = symmetrizers.e_lambda
+    # Each symmetrizer is built once, on its side's table, and never
+    # expanded: e_lambda, the full build, is not called at all.
+    builds, expanded = [], []
+    real = symmetrizers._symmetrizer_on_side
 
     def counting(lam, *args, **kwargs):
         builds.append(lam)
         return real(lam, *args, **kwargs)
 
-    monkeypatch.setattr(symmetrizers, "e_lambda", counting)
-    monkeypatch.setattr(central, "e_lambda", counting)
+    monkeypatch.setattr(symmetrizers, "_symmetrizer_on_side", counting)
+    monkeypatch.setattr(symmetrizers, "e_lambda", lambda lam: expanded.append(lam))
+    monkeypatch.setattr(central, "e_lambda", lambda lam: expanded.append(lam))
     code, _, _ = run(capsys, "verify", "4")
     assert code == 0
     # 1 + 2 + 3 + 5 diagrams of at most 4 cells, each built exactly once.
     assert len(builds) == len(set(builds)) == 11
+    assert expanded == []
 
 
 class TestUsage:

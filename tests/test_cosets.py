@@ -56,7 +56,7 @@ def column(lam):
 
 def row_table(e, lam):
     """e's table on the row side, whatever lam's own side."""
-    return sym._coset_table(e, lam, row=True)
+    return sym._coset_table(e, lam)
 
 
 def plain(pk):
@@ -277,7 +277,7 @@ class TestCosetChains:
     # chains on e_lambda, through the same chain functions, restricted.
 
     def test_build(self, lam):
-        h = sym._coset_symmetrizer(lam)
+        h = sym._row_table(lam)
         e = sym.e_lambda(lam)
         assert expanded(h) == e
         assert plain(h) == plain(row_table(e, lam))
@@ -391,7 +391,7 @@ class TestSignSide:
         elif make == "row element":
             x = _packed(sym.row_element(lam))
         else:
-            f = sym._sign_element(_packed(sym.e_lambda(lam)), lam)
+            f = sym._sign_table(lam).expanded()
             table = dict(f.table)
             last = max(table)  # the largest rank of its coset: never a representative
             if make == "drop":
@@ -405,18 +405,38 @@ class TestSignSide:
     def test_e_lambda_keeps_the_sign_table(self, monkeypatch):
         lam = Partition((2, 1, 1))
         assert not sym._row_side(lam)
-        e = sym.e_lambda(lam)
-        assert sym.alpha_extract(lam).alpha == sym.alpha_closed_form(lam)
-        h = sym._coset_table(e, lam)
-        assert h.blocks == column(lam)
+        qi = sym.alpha_extract(lam)
+        assert qi.alpha == sym.alpha_closed_form(lam)
+        on_row, h = sym._side_table(qi.element, lam)
+        assert not on_row and h.blocks == column(lam)
         monkeypatch.setattr(hecke, "_restricted", refuse_to_restrict)
-        assert sym._coset_table(e, lam) is h
-        assert central.twist_scalar(e, lam) == LaurentPoly.monomial(central.twist_exponent(lam))
+        assert sym._side_table(qi.element, lam) == (False, h)
+        assert central.twist_scalar(qi.element, lam) == LaurentPoly.monomial(
+            central.twist_exponent(lam)
+        )
 
-    def test_twist_scalar_refuses_an_element_outside_the_sign_ideal(self):
-        # The row element of (1,1,1) is the unit: not in B H_3.
-        with pytest.raises(ValueError, match="not in B H_n"):
-            central.twist_scalar(HeckeElement.unit(3), Partition((1, 1, 1)))
+    def test_twist_scalar_runs_any_other_element_on_the_row_side(self, monkeypatch):
+        # Only the element alpha_extract returns keeps f's table: e_lambda
+        # itself and an element read back from the machine format run on
+        # the row side, the latter after the membership check.
+        lam = Partition((2, 1, 1))
+        tau = LaurentPoly.monomial(central.twist_exponent(lam))
+        e = sym.e_lambda(lam)
+        back = HeckeElement.from_machine(e.to_machine())
+        calls = []
+
+        def counted(pk, blocks):
+            calls.append(blocks)
+            return _restricted(pk, blocks)
+
+        monkeypatch.setattr(hecke, "_restricted", counted)
+        assert central.twist_scalar(e, lam) == tau
+        assert central.twist_scalar(back, lam) == tau
+        assert calls == [row(lam)]
+        assert sym._side_table(back, lam)[0]
+        # The unit is in neither ideal: refused by the row side's check.
+        with pytest.raises(ValueError, match="not in R H_n"):
+            central.twist_scalar(HeckeElement.unit(4), lam)
 
 
 # -- the one-pass expansion --------------------------------------------------------
@@ -462,8 +482,7 @@ class TestOnePassExpansion:
 @pytest.mark.parametrize("lam", list(all_partitions(8)), ids=str)
 def test_eight_cell_expansions_are_the_chain_expansions(lam):
     e = sym.e_lambda(lam)
-    for on_row in (True, False):
-        h = sym._coset_table(e, lam, on_row)
+    for h in (sym._coset_table(e, lam), sym._sign_table(lam)):
         if h.blocks is not None:
             assert expanded(h) == chain_expanded(h, lam)
 
@@ -502,8 +521,7 @@ def test_e_lambda_runs_no_iota_and_no_row_blocks(lam, monkeypatch):
 def test_both_sides_give_the_same_scalars(lam):
     e = sym.e_lambda(lam)
     found = []
-    for on_row in (True, False):
-        h = sym._coset_table(e, lam, on_row)
+    for on_row, h in ((True, sym._coset_table(e, lam)), (False, sym._sign_table(lam))):
         squared = _extract(h, sym._mul_symmetrizer(h, lam, on_row))
         twisted = _extract(h, central._mul_full_twist(h))
         assert squared.proportional and twisted.proportional
@@ -513,8 +531,9 @@ def test_both_sides_give_the_same_scalars(lam):
 
 
 def check_kept_sign_table(lam):
+    # The sign table from its own chain, against f multiplied out from e.
     e = sym.e_lambda(lam)
-    h = sym._coset_table(e, lam, row=False)
+    h = sym._sign_table(lam)
     f = conjugated_by_products(e, lam)
     assert h.blocks == column(lam)
     assert plain(h) == plain(_restricted(_packed(f), column(lam)))
@@ -542,8 +561,8 @@ SIGN_SHAPES = [Partition((2, 1, 1)), Partition((2, 2, 1))]
 @pytest.mark.parametrize(
     "module, chain, error, call",
     [
-        (sym, "_mul_symmetrizer", NotQuasiIdempotent, lambda e, lam: sym.alpha_extract(lam)),
-        (central, "_mul_full_twist", NotEigenvector, central.twist_scalar),
+        (sym, "_mul_symmetrizer", NotQuasiIdempotent, sym.alpha_extract),
+        (central, "_mul_full_twist", NotEigenvector, central.twist_eigenvalue),
     ],
     ids=["square", "twist"],
 )
@@ -552,18 +571,17 @@ def test_a_sign_side_failure_reports_the_row_side_witness(
 ):
     # The same fault, planted at the end of a chain both sides run, must
     # raise the message, witness included, that the row side alone raises.
-    # (A fault inside the row chain before the column factor would not
-    # show: R h C is a multiple of e_lambda for every h.)
+    # The sign side's failure builds e and reruns on its row table.  (A
+    # fault inside the row chain before the column factor would not show:
+    # R h C is a multiple of e_lambda for every h.)
     assert not sym._row_side(lam)
-    e = sym.e_lambda(lam)
-    monkeypatch.setattr(sym, "e_lambda", lambda _: e)
     monkeypatch.setattr(module, chain, bumped(getattr(module, chain)))
     messages = []
     for forced_row in (False, True):
         if forced_row:
             monkeypatch.setattr(sym, "_row_side", lambda _: True)
         with pytest.raises(error) as raised:
-            call(e, lam)
+            call(lam)
         messages.append(str(raised.value))
     assert messages[0] == messages[1]
     assert "first mismatch at (" in messages[0]
@@ -605,7 +623,7 @@ def test_a_one_entry_table_fault_is_caught_by_the_closed_forms_alone(
     monkeypatch.setattr(
         module, chain, lambda x, *args: (faulty if x.blocks == sign else real)(x, *args)
     )
-    assert len(sym._coset_table(sym.e_lambda(ONE_COLUMN), ONE_COLUMN).table) == 1
+    assert len(sym._sign_table(ONE_COLUMN).table) == 1
     call()
     assert cli.main(["verify", "4"]) == 1
     lines = capsys.readouterr().out.splitlines()

@@ -191,10 +191,10 @@ def side_group_order(lam):
 def side_plain(e, lam):
     """
     The plain table whose coset table e's chains run on: e's own on the row
-    side, f = iota(w_d^-1 e w_d) on the sign side.
+    side, f = iota(w_d^-1 e w_d) on the sign side, expanded from the
+    sign table's own chain.
     """
-    x = _packed(e)
-    return x if sym._row_side(lam) else sym._sign_element(x, lam)
+    return _packed(e) if sym._row_side(lam) else sym._sign_table(lam).expanded()
 
 
 @pytest.fixture
@@ -230,14 +230,17 @@ def build_steps(lam):
     return sum(k * (k - 1) // 2 for k in lam.conjugate().parts) + 2 * oracles.length(d)
 
 
-def derivation_steps(lam):
+def side_build_steps(lam):
     """
-    The steps that derive the sign-side table f = iota(e w_d) w_{d^-1}^-1
-    from e: 2 length(d) on the sign side, none on the row side.
+    The steps that build the table of lam's side: the build's on the row
+    side; on the sign side f's own chain, w_{d^-1}, the row blocks and
+    w_{d^-1}^-1 on the coset table of B, in
+    sum of part(part-1)/2 + 2 length(d) steps.
     """
     if sym._row_side(lam):
-        return 0
-    return 2 * oracles.length(lam.column_reading_permutation())
+        return build_steps(lam)
+    d = lam.column_reading_permutation()
+    return sum(k * (k - 1) // 2 for k in lam.parts) + 2 * oracles.length(d)
 
 
 @pytest.mark.parametrize("lam", SMALL, ids=str)
@@ -252,9 +255,7 @@ class TestGeneratorSteps:
     def test_alpha_extract_builds_then_squares(self, lam, calls, touched):
         alpha_extract(lam)
         assert calls["__mul__"] == 0
-        assert calls["mul_generator"] == (
-            build_steps(lam) + e_lambda_steps(lam) + derivation_steps(lam)
-        )
+        assert calls["mul_generator"] == side_build_steps(lam) + e_lambda_steps(lam)
         # The square steps the coset table of e (row side) or of f (sign
         # side): each step touches the side's Young subgroup order times
         # fewer entries than the same step on the plain table.
@@ -275,15 +276,12 @@ class TestGeneratorSteps:
         calls.clear()
         twist_eigenvalue(lam)
         assert calls["__mul__"] == 0
-        assert calls["mul_generator"] == (
-            build_steps(lam) + derivation_steps(lam) + lam.n * (lam.n - 1)
-        )
+        assert calls["mul_generator"] == side_build_steps(lam) + lam.n * (lam.n - 1)
 
     def test_twist_touches_the_coset_table(self, lam, touched):
         steps = lam.n * (lam.n - 1)
-        e = e_lambda(lam)
+        e = alpha_extract(lam).element
         x = side_plain(e, lam)
-        sym._coset_table(e, lam)  # the sign side derives its table first
         del touched[:]
         central.twist_scalar(e, lam)
         coset = list(touched)

@@ -1,17 +1,19 @@
 """
 The named invariants behind ``qyoung verify``: the names they report, that
-a planted fault is reported under exactly its own name, and that the
-classical-limit predicate accepts the group-algebra symmetrizer and nothing
-near it.
+a planted fault is reported under exactly its own name, that the dense
+classical-limit oracle accepts the group-algebra symmetrizer and nothing
+near it, and that the classical check on coset tables agrees with that
+oracle on e_lambda and on perturbed tables of both sides.
 """
 
 import pytest
 
-from qyoung import invariants, symmetrizers
-from qyoung.hecke import HeckeElement
-from qyoung.laurent import ONE
+from qyoung import cli, invariants, symmetrizers
+from qyoung.hecke import _element, _Packed
+from qyoung.laurent import LaurentPoly, ONE
 from qyoung.partitions import Partition, all_partitions
 
+from . import oracles
 from .oracles import classical_young_symmetrizer
 
 
@@ -80,13 +82,15 @@ class TestDiagramChecks:
         assert list(taus) == [(2, 1)]
         assert taus[(2, 1)] == ONE
 
-    def test_classical_limit_stops_at_six_cells(self):
+    def test_classical_limit_at_every_size(self):
         def names(parts):
             checks = invariants.diagram_checks(Partition(parts), {})
+            assert failed(checks) == []
             return [name for name, _ in checks]
 
-        assert "classical limit vs group-algebra symmetrizer, lambda=3,2,1" in names((3, 2, 1))
-        assert not any(name.startswith("classical limit") for name in names((7,)))
+        for parts in [(3, 2, 1), (7,), (1,) * 7, (4, 4), (2, 2, 2, 2)]:
+            lam = Partition(parts)
+            assert f"classical limit vs group-algebra symmetrizer, lambda={lam}" in names(parts)
 
     def test_wrong_closed_form_is_named(self, monkeypatch):
         plant_wrong_alpha(monkeypatch, (2,))
@@ -97,30 +101,33 @@ class TestDiagramChecks:
         assert failed(invariants.diagram_checks(Partition((1, 1)), taus)) == []
 
     def test_wrong_classical_limit_is_named(self, monkeypatch):
-        real = HeckeElement.specialize_at_one
+        real = symmetrizers._side_at_one
 
-        def planted(self):
-            x = real(self)
+        def planted(e, lam):
+            row, x = real(e, lam)
             last = max(x)
-            x[last] = -x[last]
-            return x
+            return row, {**x, last: -x[last]}
 
-        monkeypatch.setattr(HeckeElement, "specialize_at_one", planted)
-        assert failed(invariants.diagram_checks(Partition((3, 2, 1)), {})) == [
-            "classical limit vs group-algebra symmetrizer, lambda=3,2,1"
-        ]
+        monkeypatch.setattr(symmetrizers, "_side_at_one", planted)
+        # One diagram of each side.
+        for parts, row in [((3, 2, 1), True), ((2, 2, 1, 1), False)]:
+            lam = Partition(parts)
+            assert symmetrizers._row_side(lam) == row
+            assert failed(invariants.diagram_checks(lam, {})) == [
+                f"classical limit vs group-algebra symmetrizer, lambda={lam}"
+            ]
 
 
 @pytest.mark.parametrize("k", range(1, 8))
 def test_classical_predicate_against_oracle(k):
     """
-    The predicate accepts the oracle's group-algebra symmetrizer c and
-    rejects 2c, c with one coefficient changed, c with one term removed and
-    the conjugate diagram's symmetrizer.
+    The dense oracle accepts the group-algebra symmetrizer c and rejects
+    2c, c with one coefficient changed, c with one term removed and the
+    conjugate diagram's symmetrizer.
     """
     for lam in all_partitions(k):
         c = classical_young_symmetrizer(lam.parts)
-        assert invariants.is_classical_symmetrizer(c, lam)
+        assert oracles.is_classical_symmetrizer(c, lam.parts)
         last = max(c)
         near = [
             {p: 2 * v for p, v in c.items()},
@@ -131,4 +138,118 @@ def test_classical_predicate_against_oracle(k):
         if conj != lam:
             near.append(classical_young_symmetrizer(conj.parts))
         for x in near:
-            assert not invariants.is_classical_symmetrizer(x, lam)
+            assert not oracles.is_classical_symmetrizer(x, lam.parts)
+
+
+# -- the classical check on coset tables ------------------------------------------
+
+
+def side_tables(lam):
+    """
+    Both sides' tables of e_lambda at s = 1, as (row, table): e's coset table
+    in R H_n and f's in B H_n, from their own chains, whatever lam's side.
+    """
+    e = symmetrizers.e_lambda(lam)
+    return [
+        (True, at_one(symmetrizers._coset_table(e, lam))),
+        (False, at_one(symmetrizers._sign_table(lam))),
+    ]
+
+
+def at_one(h):
+    """A coset table's entries at s = 1, by representative."""
+    return _element(h.with_blocks(None)).specialize_at_one()
+
+
+def dense_verdict(c, lam, row):
+    """
+    The dense oracle on the full table the coset table c stands for: R h at
+    s = 1 on the row side; on the sign side B h', taken back to
+    x = d iota(y) d^-1, since y = iota(d^-1 x d).
+    """
+    if row:
+        return oracles.is_classical_symmetrizer(
+            oracles.coset_expansion_at_one(c, lam.parts, 1), lam.parts
+        )
+    y = oracles.coset_expansion_at_one(c, lam.conjugate().parts, -1)
+    x = oracles.unconjugated(y, lam.column_reading_permutation())
+    return oracles.is_classical_symmetrizer(x, lam.parts)
+
+
+def check_against_the_oracle(lam, both_sides):
+    # The check on the table verify reads, and on both sides' tables when
+    # both_sides is set, against the oracle on e_lambda and on each table.
+    qi = symmetrizers.alpha_extract(lam)
+    row, c = symmetrizers._side_at_one(qi.element, lam)
+    assert row == symmetrizers._row_side(lam)
+    assert invariants.is_classical_coset_table(c, lam, row)
+    assert dense_verdict(c, lam, row)
+    assert oracles.is_classical_symmetrizer(qi.element.specialize_at_one(), lam.parts)
+    for on_row, table in side_tables(lam) if both_sides else []:
+        assert invariants.is_classical_coset_table(table, lam, on_row)
+        assert dense_verdict(table, lam, on_row)
+
+
+@pytest.mark.parametrize("lam", [lam for k in range(1, 8) for lam in all_partitions(k)], ids=str)
+def test_coset_check_agrees_with_the_dense_oracle(lam):
+    check_against_the_oracle(lam, both_sides=True)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("lam", list(all_partitions(8)), ids=str)
+def test_coset_check_agrees_with_the_dense_oracle_eight_cells(lam):
+    check_against_the_oracle(lam, both_sides=False)
+
+
+def perturbed(c, v, change):
+    if change == "changed":
+        out = {**c, v: c[v] + 1}
+    elif change == "dropped":
+        out = {p: x for p, x in c.items() if p != v}
+    else:
+        out = {**c, v: -c[v]}
+    return {p: x for p, x in out.items() if x}
+
+
+@pytest.mark.parametrize("change", ["changed", "dropped", "flipped"])
+@pytest.mark.parametrize("lam", [lam for k in range(1, 7) for lam in all_partitions(k)], ids=str)
+def test_coset_check_rejects_a_perturbed_table(lam, change):
+    # Up to seven entries of each side's table in turn, spread over it,
+    # the identity's among them; each verdict also the dense oracle's on
+    # the full table it stands for.
+    for row, c in side_tables(lam):
+        entries = sorted(c)
+        for v in entries[:: max(1, len(entries) // 6)]:
+            table = perturbed(c, v, change)
+            assert not invariants.is_classical_coset_table(table, lam, row), (row, v)
+            assert not dense_verdict(table, lam, row), (row, v)
+
+
+def scaled(chain, factor):
+    """chain with a planted fault: its table times factor."""
+
+    def faulty(lam):
+        h = chain(lam)
+        out = _Packed.zero(h.n)
+        out.add_times(h, LaurentPoly.from_int(factor))
+        return out
+
+    return faulty
+
+
+@pytest.mark.parametrize("factor", [-1, 2])
+@pytest.mark.parametrize(
+    "chain, first", [("_row_table", "1"), ("_sign_table", "1,1")], ids=["row", "sign"]
+)
+def test_a_fault_in_a_side_chain_is_named_by_the_classical_check(
+    chain, first, factor, monkeypatch, capsys
+):
+    # A multiple of the side's table squares and twists with the right
+    # scalars, so only the classical limit can see it.
+    monkeypatch.setattr(symmetrizers, chain, scaled(getattr(symmetrizers, chain), factor))
+    assert cli.main(["verify", "3"]) == 1
+    name = f"classical limit vs group-algebra symmetrizer, lambda={first}"
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"FAIL  {name}",
+        f"verification failed: {name}",
+    ]

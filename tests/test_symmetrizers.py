@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from qyoung import central, hecke
 from qyoung import permutations as perms
 from qyoung.central import twist_eigenvalue
 from qyoung.errors import NotQuasiIdempotent, TooLarge
@@ -236,3 +237,57 @@ class TestErrorPaths:
                 alpha_extract(lam)
             except NotQuasiIdempotent as exc:  # pragma: no cover
                 pytest.fail(f"unexpected failure for {lam}: {exc}")
+
+
+# -- the element alpha_extract returns -------------------------------------------
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """The number of coset-table expansions, R h or B h as a full table."""
+    calls = []
+    expanded = hecke._Packed.expanded
+
+    def spy(self):
+        calls.append(len(self.table))
+        return expanded(self)
+
+    monkeypatch.setattr(hecke._Packed, "expanded", spy)
+    return calls
+
+
+def check_public_element(lam, expansions):
+    # alpha_extract, twist_scalar and is_zero run on the side's table alone;
+    # the element is e_lambda, expanded when it is first read and kept.
+    qi = alpha_extract(lam)
+    assert not qi.element.is_zero()
+    assert central.twist_scalar(qi.element, lam) == LaurentPoly.monomial(
+        central.twist_exponent(lam)
+    )
+    assert expansions == []
+    e = e_lambda(lam)
+    assert qi.element == e
+    assert qi.element.to_machine() == e.to_machine()
+    assert qi.element.coeffs is qi.element.coeffs
+    read = len(expansions)
+    assert qi.to_machine()["element"] == e.to_machine()
+    assert len(expansions) == read  # expanded once, then kept
+
+
+@pytest.mark.parametrize("lam", list(partitions_up_to(7)), ids=str)
+def test_alpha_extract_returns_e_lambda_expanded_only_when_read(lam, expansions):
+    check_public_element(lam, expansions)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("lam", list(all_partitions(8)), ids=str)
+def test_alpha_extract_returns_e_lambda_expanded_only_when_read_eight_cells(lam, expansions):
+    check_public_element(lam, expansions)
+
+
+@pytest.mark.parametrize("lam", list(partitions_up_to(6)), ids=str)
+def test_twist_scalar_of_an_element_read_back(lam):
+    # Read back from the machine format, e keeps no table of either side:
+    # it runs on the row side, after the membership check.
+    e = HeckeElement.from_machine(alpha_extract(lam).element.to_machine())
+    assert central.twist_scalar(e, lam) == twist_eigenvalue(lam)

@@ -36,14 +36,20 @@ trees.  Compare ``at_ref_s`` between two trees.  The layers:
   build kept (one entry) to the 40320 entries of e_lambda;
 - ``square_44`` / ``square_8`` / ``square_1x8`` / ``square_2x1x6`` and
   ``twist_scalar_44`` / ``twist_scalar_8`` / ``twist_scalar_1x8`` /
-  ``twist_scalar_2x1x6``: squaring and twist-checking an already built
-  e_lambda of (4,4), (8), (1^8) and (2,1^6), from the element to the
-  extracted scalar.  The square is what ``alpha_extract`` runs after the
-  build: the table of the diagram's side (on the sign side derived from e
-  and restricted, every call, since each call starts from the table the
-  build kept), the chain on it and the extraction against it, through
+  ``twist_scalar_2x1x6``: squaring and twist-checking the element
+  ``alpha_extract`` builds for (4,4), (8), (1^8) and (2,1^6), which holds
+  the table of the diagram's side, from the element to the extracted
+  scalar.  The square is what ``alpha_extract`` runs after the build: the
+  chain on that table and the extraction against it, through
   ``symmetrizers._report_on_side``.  The twist is
-  ``central.twist_scalar(e, lam)``, on the table its warm-up call kept;
+  ``central.twist_scalar(e, lam)``;
+- ``sign_table_2x2x2x2`` / ``sign_table_1x8``: the sign side's build, f's
+  coset table from its own chain (``symmetrizers._sign_table``), for
+  (2,2,2,2) and (1^8);
+- ``classical_4x4`` / ``classical_2x2x2x2``: the classical-limit check of
+  ``qyoung verify`` on the same element for (4,4) (row side) and
+  (2,2,2,2) (sign side): the side's table read at s = 1 and tested by
+  ``invariants.is_classical_coset_table``;
 - ``strand_checks_5`` / ``strand_checks_8``: ``invariants.strand_checks``
   on 5 and 8 strands, the eigen-relations of a_n and b_n and the
   centrality of the full twist, each a general product of one generator
@@ -123,22 +129,26 @@ def _lazy(make):
 
 
 def _square(lam):
-    """The square of e_lambda(lam) and its scalar, from the built element."""
-    e = sym.e_lambda(lam)
-    built = e._ck  # the coset table the build kept, if any
-
-    def run():
-        e._ck = built
-        return sym._report_on_side(
-            e, lam, lambda h, row: sym._mul_symmetrizer(h, lam, row), lambda r: r.proportional
-        )
-
-    return run
+    """The square of e_lambda(lam) on its side's table, and its scalar."""
+    e = sym._symmetrizer_on_side(lam)
+    return lambda: sym._report_on_side(
+        e, lam, lambda h, row: sym._mul_symmetrizer(h, lam, row), lambda r: r.proportional
+    )
 
 
 def _twist(lam):
-    e = sym.e_lambda(lam)
+    e = sym._symmetrizer_on_side(lam)
     return lambda: central.twist_scalar(e, lam)
+
+
+def _classical(lam):
+    e = sym._symmetrizer_on_side(lam)
+
+    def run():
+        row, at_one = sym._side_at_one(e, lam)
+        return invariants.is_classical_coset_table(at_one, lam, row)
+
+    return run
 
 
 def layers() -> dict:
@@ -171,6 +181,10 @@ def layers() -> dict:
         lam = Partition(parts)
         out[f"square_{tag}"] = _lazy(lambda lam=lam: _square(lam))
         out[f"twist_scalar_{tag}"] = _lazy(lambda lam=lam: _twist(lam))
+    for tag, parts in {"2x2x2x2": (2, 2, 2, 2), "1x8": (1,) * 8}.items():
+        out[f"sign_table_{tag}"] = lambda lam=Partition(parts): sym._sign_table(lam)
+    for tag, parts in {"4x4": (4, 4), "2x2x2x2": (2, 2, 2, 2)}.items():
+        out[f"classical_{tag}"] = _lazy(lambda lam=Partition(parts): _classical(lam))
     return out
 
 
