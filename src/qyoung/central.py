@@ -82,25 +82,13 @@ def twist_eigenvalue(lam: Partition) -> LaurentPoly:
 def twist_scalar(e: HeckeElement, lam: Partition) -> LaurentPoly:
     """
     twist_eigenvalue on an already built symmetrizer e of the diagram lam:
-    e * ft multiplied out band by band on e's table of its side (see
-    ``symmetrizers._side_table``), the scalar extracted and checked on
-    every entry of that table.  The sign side runs only for the element
-    ``alpha_extract`` returns, which keeps the coset table of
-    f = iota(w_d^-1 e w_d) in B H_n, B the contiguous column factor, from
-    f's own chain; f * ft = tau f for the same tau since ft is central and
-    fixed by iota.  Every other e, e_lambda(lam) itself or one read back
-    through ``HeckeElement.from_machine``, runs on the row side, on its
-    coset table in the left ideal R H_n of lam's row factor R: the one its
-    build kept, or a restriction after the membership check, which raises
-    ValueError for an element outside the ideal.  On a failure the witness
-    is the row side's.  A table of one entry, as the sign side's for
-    (1^n), holds every candidate proportional, so a chain fault there
-    raises nothing and yields a wrong scalar: only the closed-form checks
-    of ``invariants`` catch it.
+    e * ft multiplied out band by band on e's table of its side, the
+    scalar extracted and checked on every entry of that table.  Which side
+    runs, the ValueError for an e outside the ideal of its side, and the
+    witness of a failure are those of ``symmetrizers._report_on_side``;
+    f * ft = tau f on the sign side since ft is central and fixed by iota.
     """
-    report = _report_on_side(
-        e, lam, lambda h, row: _mul_full_twist(h), lambda r: r.proportional
-    )
+    report = _report_on_side(e, lam, lambda h, side: _mul_full_twist(h), lambda r: r.proportional)
     if not report.proportional:
         raise NotEigenvector(
             f"full twist does not act on the {lam} symmetrizer by a scalar "

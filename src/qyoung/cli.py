@@ -160,7 +160,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             break
         for lam in all_partitions(k):
             started = time.perf_counter()
-            side = "row" if symmetrizers._row_side(lam) else "sign"
+            side = "row" if symmetrizers._own_side(lam).row else "sign"
             checks = invariants.diagram_checks(lam, taus)
             failures = record(checks, started, **{"lambda": list(lam.parts), "side": side})
             if failures:

@@ -20,40 +20,33 @@ and the classical limit, at every size.
 
 The classical limit needs no second product in the group algebra, and
 not even e_lambda's full table: it is read off the coset table the chains
-ran on (see ``symmetrizers``), one pass per transposition over at most
-the side's module size.  By von Neumann's lemma (Fulton-Harris,
-*Representation Theory*, Lemma 4.25) the classical Young symmetrizer x of
-the row-reading tableau, with row group P and column group Q, is the only
-element with coefficient 1 at the identity, p x = x for every p in P and
-x q = sgn(q) x for every q in Q.  The transpositions of adjacent cells
-generate P and Q, so only those are tested.  In one-line notation p t
-is p with the two positions t exchanges swapped, and t p is p with the
-two values swapped.
+ran on, one pass per transposition over at most the side's module size.
+By von Neumann's lemma (Fulton-Harris, *Representation Theory*, Lemma
+4.25) the classical Young symmetrizer x of the row-reading tableau, with
+row group P and column group Q, is the only element with coefficient 1 at
+the identity, p x = x for every p in P and x q = sgn(q) x for every q in
+Q.  The transpositions of adjacent cells generate P and Q, so only those
+are tested.  In one-line notation p t is p with the two positions t
+exchanges swapped, and t p is p with the two values swapped.
 
-Row side.  e = R h at s = 1 is x = sum over u in S_lambda = P and over
-the representatives v of c_v(1) u v, with c the coset table: x is c_v(1)
-on the whole coset P v.  So p x = x holds by construction, and
-x t = -x for a column transposition t says that x(w t) = -x(w) for every
-w = u v.  Since u v t lies in the coset of rep(v t), the representative
-of v t, this is c_rep(v t)(1) = -c_v(1).
+The chains of a side run on y = F w G w^-1 (see ``symmetrizers``): y = x
+on the row side, y = phi(x) = iota(d^-1 x d) on the sign side.  phi is a
+bijection of the group algebra that fixes the identity and reverses
+products, so by the lemma, on either side, y is the only element with
+coefficient 1 at the identity, u y = eps^length(u) y for u in the Young
+subgroup S_F of F's blocks and y r = -eps y for r = w t w^-1, t an
+adjacent transposition within G's blocks; eps is F's block unit at s = 1,
+1 on the row side and -1 on the sign side, and G's is -eps.  At s = 1
+F h is y = sum over u in S_F and over the representatives v of
+eps^length(u) c_v(1) u v, with c the coset table, so the first
+invariance holds by construction.  r swaps the positions w(a) and
+w(a + 1) for t = (a a+1), and writing v r = u' rep(v r), y r = -eps y
+becomes
 
-Sign side.  The chains run on f = iota(w_d^-1 e w_d) = B h', B the
-contiguous column factor, whose coset table c' is keyed by the
-representatives of S_lambda'.  phi(y) = iota(d^-1 y d) is a bijection of
-the group algebra that fixes the identity and reverses products, so by
-the lemma phi(x) is the only element with coefficient 1 at the
-identity, q' phi(x) = sgn(q') phi(x) for q' in d^-1 Q d = S_lambda' and
-phi(x) r = phi(x) for r in d^-1 P d.  At s = 1, B h' is
-sum of sgn(u) c'_v(1) u v over u in S_lambda', so the first condition
-holds by construction.  With t = (a b) a row transposition,
-r = d^-1 t d swaps the positions d^-1(a) and d^-1(b), and writing
-v r = u' rep(v r), phi(x)(v r) = phi(x)(v) becomes
-sgn(u') c'_rep(v r)(1) = c'_v(1).
+    eps^length(u') c_rep(v r)(1) = -eps c_v(1),
 
-Both rules say unit^length(u') c_rep(v t)(1) = -unit c_v(1), with the
-block unit at s = 1 (1 on the row side, -1 on the sign side), and on
-both sides the coefficient at the identity, a representative, must be 1.
-v -> rep(v t) is an involution of the cosets, so testing the entries of
+and the coefficient at the identity, a representative, must be 1.
+v -> rep(v r) is an involution of the cosets, so testing the entries of
 the table also covers the representatives it lacks, whose c_v is 0.
 ``is_classical_coset_table`` tests exactly this; the tests compare it with
 the dense predicate on e_lambda's full table and with the group-algebra
@@ -159,10 +152,10 @@ def diagram_checks(lam: Partition, taus: dict[tuple[int, ...], LaurentPoly]) -> 
 
 def is_classical_coset_table(c: dict[Perm, int], lam: Partition, row: bool) -> bool:
     """
-    Whether c, a coset table of lam's side at s = 1 keyed by the minimal
-    coset representatives, is that of the classical Young symmetrizer x of
-    lam's row-reading tableau (row side) or of iota(d^-1 x d) (sign side),
-    by the rules of the module docstring.
+    Whether c, a coset table of lam's row side (``row``) or sign side at
+    s = 1 keyed by the minimal coset representatives, is that of the
+    classical Young symmetrizer x of lam's row-reading tableau (row side)
+    or of iota(d^-1 x d) (sign side), by the rule of the module docstring.
 
     >>> is_classical_coset_table({(1, 2): 1}, Partition((2,)), True)
     True
@@ -173,27 +166,24 @@ def is_classical_coset_table(c: dict[Perm, int], lam: Partition, row: bool) -> b
     """
     if c.get(perms.identity(lam.n)) != 1:
         return False
-    label = {cell: k for k, cell in enumerate(lam.cells(), start=1)}
-    if row:
-        parts, unit = lam.parts, 1
-        # x t = -x for each column transposition t of adjacent cells.
-        swaps = [(a, label[i + 1, j]) for (i, j), a in label.items() if (i + 1, j) in label]
-    else:
-        parts, unit = lam.conjugate().parts, -1
-        # phi(x) r = phi(x) for r = d^-1 t d, t a row transposition of adjacent cells.
-        where = {v: pos for pos, v in enumerate(lam.column_reading_permutation(), start=1)}
-        swaps = [
-            (where[a], where[label[i, j + 1]]) for (i, j), a in label.items() if (i, j + 1) in label
-        ]
+    side = symmetrizers._side(lam, row)
+    w = perms.identity(lam.n)
+    for i in side.word:
+        w = perms.right_mult_gen(w, i)
+    # r = w t w^-1 swaps the positions w(a), w(a+1) for t = (a a+1) in G's blocks.
+    swaps = [
+        (w[a - 1], w[a]) for k, offset, _ in side.second for a in range(offset + 1, offset + k)
+    ]
     first: list[int] = []
-    for part in parts:
-        first += [len(first) + 1] * part
+    for k, _, _ in side.first:
+        first += [len(first) + 1] * k
+    eps = side.first[0][2].eval_at_one()
     for a, b in swaps:
         for v, cv in c.items():
-            w = list(v)
-            w[a - 1], w[b - 1] = w[b - 1], w[a - 1]
-            rep, odd = _representative(w, first)
-            if c.get(rep, 0) * (unit if odd else 1) != -unit * cv:
+            moved = list(v)
+            moved[a - 1], moved[b - 1] = moved[b - 1], moved[a - 1]
+            rep, odd = _representative(moved, first)
+            if c.get(rep, 0) * (eps if odd else 1) != -eps * cv:
                 return False
     return True
 

@@ -6,7 +6,7 @@ elements: the weighted sums of all basis braids on which every generator
 acts by the scalar s (respectively -s^-1).  For a general diagram, row
 symmetrizers are placed along the rows, column antisymmetrizers along the
 columns, and the column product is conjugated back to row-reading strand
-order; the product of the two sides squares to a nonzero scalar multiple of
+order; the product of the two squares to a nonzero scalar multiple of
 itself.  That scalar has the closed form
 
     alpha(diagram) = product over cells of  s^content * [hook length],
@@ -19,52 +19,45 @@ The diagram elements are never multiplied out through the general product.
 Every permutation of k strands is p' d with p' fixing the last strand and d
 a minimal coset representative, lengths adding (Dipper-James 1986, Gyoja
 1986), so right multiplication by a k-strand block takes k(k-1)/2 generator
-steps.  Right multiplication by e_lambda is the row blocks, then w_d, the
-column blocks and w_d^-1 for the column-reading permutation d:
+steps.
+
+A diagram has two sides, one formula.  With R the row factor, B the
+contiguous column factor (the column antisymmetrizers at the
+column-reading offsets), d the column-reading permutation and iota
+reversing products and fixing R, B and the full twist ft,
+
+    e_lambda = R w_d B w_d^-1,    f = iota(w_d^-1 e_lambda w_d) = B w_{d^-1} R w_{d^-1}^-1,
+
+each F w G w^-1 for one side (``_Side``): (F, w, G) = (R, w_d, B) on the
+row side and (B, w_{d^-1}, R) on the sign side, the block units s and
+-s^-1 trading places.  Right multiplication by it is the F blocks, then
+forward along the word of w, the G blocks and back with inverses, in
 
     sum of part(part-1)/2 + sum of column(column-1)/2 + 2 length(d)
 
-generator steps.  Squaring e_lambda is that action on e_lambda, and
-building it is the column half of that action, on the row factor (below).
-Each is a chain of the packed kernel in ``hecke``: every step and block
-sum runs on packed tables, whose digit-bound guard keeps them exact.
+generator steps on either side.  It lies in the left ideal F H_n, and so
+do its square and its twist, and f f = alpha f and f ft = tau f with the
+alpha and tau of e_lambda.  So the chains run on coset tables (see
+``hecke``): F h stored by its coefficients at the minimal coset
+representatives of F's Young subgroup, the product of its blocks' k!
+times fewer entries than F h.  The side's own table (``_table``) is
+w G w^-1 on the coset table of F = F 1, which has one entry, with no iota
+and nothing of the other side's.  ``e_lambda`` expands the row side's to
+R h in one pass (``hecke._Packed.expanded``): s^length(u) c_v' at u v' is
+written by rank arithmetic, with no step, and the kept table is tidy from
+the build.  When F's subgroup is trivial, every part 1 on the row side or
+(n) on the sign side, the tables are plain, and the build encodes just
+the unit.  The coset table of an element of the ideal is faithful, so the
+verdict and any witness are those of the full tables, and nothing is
+decoded.
 
-e_lambda = R C, with R the row factor and C the column factor, lies in the
-left ideal R H_n, and so do its square e R C and its twist e ft.  So the
-chains run on coset tables (see ``hecke``): R h stored by its coefficients
-at the minimal coset representatives of the row blocks' Young subgroup
-S_lambda, |S_lambda| = product of part! times fewer entries than R h
-itself.  Building e_lambda runs the column chain on the coset table of
-R = R 1, which has one entry, and expands the result h to R h in one
-pass (``hecke._Packed.expanded``): s^length(u) c_v' at u v' is written
-by rank arithmetic, with no step and no iota, and the kept table is tidy
-from the build.  When every part is 1, S_lambda is trivial and the chain
-runs on plain tables.  The build encodes just the unit.
-The coset table of an element of the ideal is faithful, so the verdict
-and any witness are those of the full tables, and nothing is decoded.
-
-That is the row side.  A column-heavy diagram has a small S_lambda and a
-large column subgroup S_lambda', of order product of lam'_j!, and its
-square and twist run on the sign side instead whenever that order is the
-larger (ties stay on the row side): (1^n) squares on one entry instead
-of n!.  With B the contiguous column factor, C = w_d B w_d^-1, and iota
-reversing products and fixing R, B and ft,
-
-    f = iota(w_d^-1 e w_d) = B w_{d^-1} R w_{d^-1}^-1
-
-lies in the left ideal B H_n, f f = alpha f and f ft = tau f, with the
-alpha and tau of e, so f's coset table for the column blocks (unit -s^-1)
-carries the same two scalars.  That table is built by its own chain, the
-mirror of e's: w_{d^-1}, the row blocks and w_{d^-1}^-1 on the coset
-table of B = B 1, in sum of part(part-1)/2 + 2 length(d) steps, with
-no iota and nothing of e's table (``_sign_table``).  The square is then
-the column blocks and the same chain again, as many steps as on the row
-side, and the twist is the same band product.  On a table of one entry,
-as for (1^n), every candidate is proportional, so there the chain
-yields the scalar and the closed-form checks of ``invariants`` are what
-test it.  A failure on the sign side is rerun on the row side, so that a
-witness is a permutation of e's own table, as on the row side; should
-the row side hold, the sign side's failure stands.
+A diagram's square and twist run on the side whose subgroup is the larger,
+the row side on a tie (``_own_side``): (1^n) squares on one entry instead
+of n!.  On a table of one entry every candidate is proportional, so there
+the chain yields the scalar and the closed-form checks of ``invariants``
+are what test it.  A failure on the sign side is rerun on the row side,
+so that a witness is a permutation of e_lambda's own table; should the
+row side hold, the sign side's failure stands.
 
 ``alpha_extract`` and ``central.twist_eigenvalue`` build only the table
 of lam's side, and ``qyoung verify`` reads nothing else: the squaring
@@ -72,13 +65,12 @@ scalar, the twist eigenvalue and the classical limit (``invariants``)
 all come from it.  The element ``alpha_extract`` returns is an ordinary
 HeckeElement held as that table alone (``hecke._coset_element``).  Its
 first read of ``coeffs`` or kernel use builds e_lambda as the public
-``e_lambda`` does, on the row side and expanded, behind the size guard,
-and keeps it; ``is_zero`` and the chains of its side never do.  Only
-that element keeps f's table.  Any other element, e_lambda(lam) itself
-among them, runs on the row side, on the coset table its build kept or a
-restriction made on the first use after the membership check.  So no
-element is restricted twice.  This module sees a packed table only
-through its steps, sums and blocks.
+``e_lambda`` does, behind the size guard, and keeps it; ``is_zero`` and
+the chains of its side never do.  Only that element keeps f's table.  Any
+other element, e_lambda(lam) itself among them, runs on the row side, on
+the coset table its build kept or a restriction made on the first use
+after the membership check, so no element is restricted twice.  This
+module sees a packed table only through its steps, sums and blocks.
 
 ``symmetrizer`` and ``antisymmetrizer`` are one enumeration of S_n, with
 coefficient u^length(p) for u = s or -s^-1, that never touches the
@@ -103,7 +95,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import permutations as perms
 from .errors import NotQuasiIdempotent
@@ -190,104 +182,95 @@ def _block_action(x: _Packed, k: int, offset: int, u: LaurentPoly) -> _Packed:
     return x
 
 
-def _mul_row(x: _Packed, lam: Partition) -> _Packed:
-    """x times the row factor: the row symmetrizers at the row-reading offsets."""
-    for k, offset in zip(lam.parts, lam.row_reading_offsets()):
-        x = _block_action(x, k, offset, S)
-    return x
+# The block sums of one side: (size, offset, unit) for each.
+_BlockList = tuple[tuple[int, int, LaurentPoly], ...]
 
 
-# The shape data of a diagram that every chain on it reads, computed once.
-
-
-@functools.cache
-def _column_word(lam: Partition) -> tuple[int, ...]:
-    """A reduced word of the column-reading permutation d."""
-    return perms.reduced_word(lam.column_reading_permutation())
-
-
-@functools.cache
-def _column_blocks(lam: Partition) -> tuple[tuple[int, int], ...]:
-    """The size and the column-reading offset of each column block."""
-    return tuple(zip(lam.conjugate().parts, lam.column_reading_offsets()))
-
-
-@functools.cache
-def _row_blocks(lam: Partition) -> Optional[_Blocks]:
-    """The row blocks of lam's coset tables, None when S_lambda is trivial."""
-    return _Blocks(lam.parts, True) if lam.parts[0] > 1 else None
-
-
-@functools.cache
-def _sign_blocks(lam: Partition) -> _Blocks:
-    """The column blocks of lam's sign-side coset tables."""
-    return _Blocks(lam.conjugate().parts, False)
-
-
-@functools.cache
-def _row_side(lam: Partition) -> bool:
+class _Side(NamedTuple):
     """
-    Whether lam's square and twist run on the row side: unless the column
+    One side of a diagram, whose symmetrizer is first w_word second
+    w_word^-1: on the row side (row=True) R w_d B w_d^-1 = e_lambda, on the
+    sign side B w_{d^-1} R w_{d^-1}^-1 = f.  ``blocks`` are the blocks of
+    the side's coset tables, those of ``first``, or None when their Young
+    subgroup is trivial and the tables are plain.
+    """
+
+    row: bool
+    blocks: Optional[_Blocks]
+    first: _BlockList
+    word: tuple[int, ...]
+    second: _BlockList
+
+
+@functools.cache
+def _side(lam: Partition, row: bool) -> _Side:
+    """lam's row side (row=True) or sign side, computed once."""
+    rows = tuple((k, offset, S) for k, offset in zip(lam.parts, lam.row_reading_offsets()))
+    columns = tuple(
+        (k, offset, NEG_S_INV)
+        for k, offset in zip(lam.conjugate().parts, lam.column_reading_offsets())
+    )
+    word = perms.reduced_word(lam.column_reading_permutation())
+    first, second = (rows, columns) if row else (columns, rows)
+    parts = tuple(k for k, _, _ in first)
+    blocks = _Blocks(parts, row) if parts[0] > 1 else None
+    return _Side(row, blocks, first, word if row else word[::-1], second)
+
+
+@functools.cache
+def _own_side(lam: Partition) -> _Side:
+    """
+    The side lam's square and twist run on: the row side unless the column
     blocks' Young subgroup is the larger, product of lam'_j! against
     product of lam_i!, so that the sign side's tables are the smaller.
     """
     rows, columns = (
-        math.prod(map(math.factorial, parts)) for parts in (lam.parts, _sign_blocks(lam).parts)
+        math.prod(map(math.factorial, parts)) for parts in (lam.parts, lam.conjugate().parts)
     )
-    return columns <= rows
+    return _side(lam, columns <= rows)
 
 
-def _mul_column_blocks(x: _Packed, lam: Partition) -> _Packed:
-    """x times B, the column antisymmetrizers at the column-reading offsets."""
-    for k, offset in _column_blocks(lam):
-        x = _block_action(x, k, offset, NEG_S_INV)
+def _mul_blocks(x: _Packed, blocks: _BlockList) -> _Packed:
+    """x times the block sums, each at its offset with its unit."""
+    for k, offset, u in blocks:
+        x = _block_action(x, k, offset, u)
     return x
 
 
-def _mul_column(x: _Packed, lam: Partition) -> _Packed:
+def _mul_conjugated(x: _Packed, side: _Side) -> _Packed:
     """
-    x times the column factor w_d * B * w_d^-1, with d the column-reading
-    permutation: forward along a reduced word of d, the blocks at the
-    column-reading offsets, then back with inverses.
+    x times w_word second w_word^-1: forward along the side's word, the
+    second blocks, then back with inverses.
     """
-    word = _column_word(lam)
-    for i in word:
+    for i in side.word:
         x = x.mul_generator(i)
-    x = _mul_column_blocks(x, lam)
-    for i in reversed(word):
+    x = _mul_blocks(x, side.second)
+    for i in reversed(side.word):
         x = x.mul_generator(i, -1)
     return x
 
 
-def _mul_conjugated_row(x: _Packed, lam: Partition) -> _Packed:
+def _mul_symmetrizer(x: _Packed, side: _Side) -> _Packed:
+    """x times the side's symmetrizer: e_lambda on the row side, f on the sign side."""
+    return _mul_conjugated(_mul_blocks(x, side.first), side)
+
+
+def _table(side: _Side) -> _Packed:
     """
-    x times w_{d^-1} R w_{d^-1}^-1: forward along the reversed word of d,
-    which is a reduced word of d^-1, the row blocks, then back with
-    inverses.
+    The side's symmetrizer as its own coset table: w_word second w_word^-1
+    on the coset table of the first blocks' sum, whose only entry is the
+    identity's, tidied; the plain chain, which is the symmetrizer itself,
+    when the blocks are trivial.
     """
-    word = _column_word(lam)
-    for i in reversed(word):
-        x = x.mul_generator(i)
-    x = _mul_row(x, lam)
-    for i in word:
-        x = x.mul_generator(i, -1)
-    return x
-
-
-def _mul_sign(x: _Packed, lam: Partition) -> _Packed:
-    """x times f = B w_{d^-1} R w_{d^-1}^-1: the column blocks, then the rest."""
-    return _mul_conjugated_row(_mul_column_blocks(x, lam), lam)
-
-
-def _mul_symmetrizer(x: _Packed, lam: Partition, row: bool) -> _Packed:
-    """x times e_lambda on the row side, times f on the sign side."""
-    return _mul_column(_mul_row(x, lam), lam) if row else _mul_sign(x, lam)
+    n = sum(k for k, _, _ in side.first)
+    h = _mul_conjugated(_packed(HeckeElement.unit(n)).with_blocks(side.blocks), side)
+    return h if h.blocks is None else h._tidied()
 
 
 def row_element(lam: Partition) -> HeckeElement:
     """Product of row symmetrizers placed at the row-reading offsets."""
     perms.check_size(f"the row element of lambda={lam}", lam.n)
-    return _element(_mul_row(_packed(HeckeElement.unit(lam.n)), lam))
+    return _element(_mul_blocks(_packed(HeckeElement.unit(lam.n)), _side(lam, True).first))
 
 
 def column_element(lam: Partition) -> HeckeElement:
@@ -296,38 +279,16 @@ def column_element(lam: Partition) -> HeckeElement:
     conjugated to row-reading strand order.
     """
     perms.check_size(f"the column element of lambda={lam}", lam.n)
-    return _element(_mul_column(_packed(HeckeElement.unit(lam.n)), lam))
+    return _element(_mul_conjugated(_packed(HeckeElement.unit(lam.n)), _side(lam, True)))
 
 
 def e_lambda(lam: Partition) -> HeckeElement:
     """The q-Young symmetrizer of the diagram, on exactly |diagram| strands."""
     perms.check_size(f"the symmetrizer of lambda={lam}", lam.n)
-    h = _row_table(lam)
+    h = _table(_side(lam, True))
     if h.blocks is None:
         return _element(h)
     return _element(h.expanded(), coset=h)
-
-
-def _row_table(lam: Partition) -> _Packed:
-    """
-    e_lambda's table on the row side: its coset table in R H_n, the column
-    chain on the coset table of R = R 1, whose only entry is the
-    identity's, tidied; the plain column chain, which is e_lambda itself,
-    when S_lambda is trivial.
-    """
-    unit = _packed(HeckeElement.unit(lam.n)).with_blocks(_row_blocks(lam))
-    h = _mul_column(unit, lam)
-    return h if h.blocks is None else h._tidied()
-
-
-def _sign_table(lam: Partition) -> _Packed:
-    """
-    The coset table in B H_n of f = B w_{d^-1} R w_{d^-1}^-1, from its own
-    chain: w_{d^-1} R w_{d^-1}^-1 on the coset table of B = B 1, whose only
-    entry is the identity's, tidied.
-    """
-    unit = _packed(HeckeElement.unit(lam.n)).with_blocks(_sign_blocks(lam))
-    return _mul_conjugated_row(unit, lam)._tidied()
 
 
 def _expansion(lam: Partition, h: _Packed) -> _Packed:
@@ -343,74 +304,66 @@ def _symmetrizer_on_side(lam: Partition) -> HeckeElement:
     kernel use, behind the size guard, and kept.  On the row side the held
     table is e_lambda's coset table, which expands to it.  On the sign side
     it is f's, and e_lambda is built on the row side when it is read.  When
-    S_lambda is trivial and lam is on the row side, that is for (1), the
-    table is e_lambda itself.
+    the side's blocks are trivial the table is plain, and it is e_lambda
+    itself: on the row side that is (1), and f = e_lambda when B and d are
+    trivial.
     """
     perms.check_size(f"the symmetrizer of lambda={lam}", lam.n)
-    if not _row_side(lam):
-        return _coset_element(_sign_table(lam), lambda: _expansion(lam, _row_table(lam)))
-    h = _row_table(lam)
+    side = _own_side(lam)
+    h = _table(side)
     if h.blocks is None:
         return _element(h)
-    return _coset_element(h, lambda: _expansion(lam, h))
+    return _coset_element(h, lambda: _expansion(lam, h if side.row else _table(_side(lam, True))))
 
 
-def _coset_table(e: HeckeElement, lam: Partition) -> _Packed:
+def _side_table(e: HeckeElement, lam: Partition, row: bool = False) -> tuple[_Side, _Packed]:
     """
-    e's table on the row side, tidy and kept on e: its coset table in
-    R H_n (e itself when S_lambda is trivial), for e_lambda the one its
-    build ran on.  Any other restriction checks membership and refuses e
-    outside the ideal.
+    The side e's chains run on and e's table there, tidy and kept on e.
+    That is lam's own side when e keeps the side's table: on the sign side
+    only the element of ``_symmetrizer_on_side`` keeps f's, which only its
+    own chain makes.  Every other e, and every e when ``row`` is set, runs
+    on the row side, on its coset table in R H_n (e itself when S_lambda is
+    trivial): for e_lambda the one its build ran on, for any other e a
+    restriction, which checks membership and refuses e outside the ideal.
     """
-    blocks = _row_blocks(lam)
-    if blocks is None:
-        return _packed(e)
-    return _coset_kept(e, blocks)
-
-
-def _side_table(e: HeckeElement, lam: Partition) -> tuple[bool, _Packed]:
-    """
-    The side e's chains run on, True for the row side, and e's table there.
-    The sign side's table is f's coset table, which only its own chain
-    makes (``_sign_table``) and only the element of ``_symmetrizer_on_side``
-    keeps.  Every other e runs on the row side (``_coset_table``).
-    """
-    if not _row_side(lam):
-        f = e._ck  # the coset table e keeps, read as it is
-        if f is not None and f.blocks == _sign_blocks(lam):
-            return False, f
-    return True, _coset_table(e, lam)
+    side = _side(lam, True) if row else _own_side(lam)
+    kept = e._ck  # the coset table e keeps, read as it is
+    if not side.row and (kept is None or kept.blocks != side.blocks):
+        side = _side(lam, True)
+    if side.blocks is None:
+        return side, _packed(e)
+    return side, _coset_kept(e, side.blocks)
 
 
 def _side_at_one(e: HeckeElement, lam: Partition) -> tuple[bool, dict[Perm, int]]:
     """
-    The side of e's chains and e's table there at s = 1, zeros dropped: on
-    a coset table, the c_v'(1) of the representatives v'.
+    Whether e's chains run on the row side, and e's table there at s = 1,
+    zeros dropped: on a coset table, the c_v'(1) of the representatives v'.
     """
-    row, h = _side_table(e, lam)
+    side, h = _side_table(e, lam)
     at_one = {v: c.eval_at_one() for v, c in _decode(h).items()}
-    return row, {v: c for v, c in at_one.items() if c}
+    return side.row, {v: c for v, c in at_one.items() if c}
 
 
 def _report_on_side(
     e: HeckeElement,
     lam: Partition,
-    chain: Callable[[_Packed, bool], _Packed],
+    chain: Callable[[_Packed, _Side], _Packed],
     held: Callable[[ScalarReport], bool],
 ) -> ScalarReport:
     """
-    The extraction of chain(h, row) against h, for e's table h on its side
-    (``_side_table``).  A sign-side report that fails ``held`` gives way to
-    the row side's when that fails too: its witness is a permutation of e's
-    own table, where the sign side's is one of f's.  The row side builds e
-    and restricts it, after the membership check, so only a failure pays
-    for that.
+    The extraction of chain(h, side) against h, for e's table h on its
+    side (``_side_table``, whose membership check raises ValueError for an
+    e outside R H_n).  A sign-side report that fails ``held`` gives way to
+    the row side's when that fails too: its witness is a permutation of
+    e's own table, where the sign side's is one of f's.  The row side
+    builds e and restricts it, so only a failure pays for that.
     """
-    row, h = _side_table(e, lam)
-    report = _extract(h, chain(h, row))
-    if not row and not held(report):
-        h = _coset_table(e, lam)
-        again = _extract(h, chain(h, True))
+    side, h = _side_table(e, lam)
+    report = _extract(h, chain(h, side))
+    if not side.row and not held(report):
+        side, h = _side_table(e, lam, row=True)
+        again = _extract(h, chain(h, side))
         if not held(again):
             return again
     return report
@@ -467,7 +420,7 @@ def alpha_extract(lam: Partition) -> QuasiIdempotent:
     report = _report_on_side(
         e,
         lam,
-        lambda h, row: _mul_symmetrizer(h, lam, row),
+        _mul_symmetrizer,
         lambda r: r.proportional and not r.scalar.is_zero(),
     )
     if not report.proportional:

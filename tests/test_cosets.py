@@ -56,7 +56,12 @@ def column(lam):
 
 def row_table(e, lam):
     """e's table on the row side, whatever lam's own side."""
-    return sym._coset_table(e, lam)
+    return sym._side_table(e, lam, row=True)[1]
+
+
+def sign_table(lam):
+    """f's table on the sign side, from its own chain, whatever lam's own side."""
+    return sym._table(sym._side(lam, False))
 
 
 def plain(pk):
@@ -75,8 +80,8 @@ def chain_expanded(h, lam):
     (B on the sign side), the row (column) blocks stepped on iota(h), since
     iota reverses products and fixes R and B.
     """
-    blocks = sym._mul_row if h.blocks.row else sym._mul_column_blocks
-    return _element(blocks(h.with_blocks(None).iota(), lam).iota())
+    first = sym._side(lam, h.blocks.row).first
+    return _element(sym._mul_blocks(h.with_blocks(None).iota(), first).iota())
 
 
 def coset_unit(lam):
@@ -84,7 +89,7 @@ def coset_unit(lam):
 
 
 def square(x, lam):
-    return sym._mul_column(sym._mul_row(x, lam), lam)
+    return sym._mul_symmetrizer(x, sym._side(lam, True))
 
 
 @functools.cache
@@ -230,8 +235,8 @@ class TestExpansion:
         lam = Partition((3, 2))
         e = sym.e_lambda(lam)
         monkeypatch.setattr(hecke, "_restricted", refuse_to_restrict)
-        h = sym._coset_table(e, lam)
-        assert sym._coset_table(e, lam) is h
+        h = row_table(e, lam)
+        assert row_table(e, lam) is h
         assert central.twist_scalar(e, lam) == central.twist_eigenvalue(lam)
         assert sym.alpha_extract(lam).alpha == sym.alpha_closed_form(lam)
 
@@ -277,7 +282,7 @@ class TestCosetChains:
     # chains on e_lambda, through the same chain functions, restricted.
 
     def test_build(self, lam):
-        h = sym._row_table(lam)
+        h = sym._table(sym._side(lam, True))
         e = sym.e_lambda(lam)
         assert expanded(h) == e
         assert plain(h) == plain(row_table(e, lam))
@@ -391,7 +396,7 @@ class TestSignSide:
         elif make == "row element":
             x = _packed(sym.row_element(lam))
         else:
-            f = sym._sign_table(lam).expanded()
+            f = sign_table(lam).expanded()
             table = dict(f.table)
             last = max(table)  # the largest rank of its coset: never a representative
             if make == "drop":
@@ -404,13 +409,13 @@ class TestSignSide:
 
     def test_e_lambda_keeps_the_sign_table(self, monkeypatch):
         lam = Partition((2, 1, 1))
-        assert not sym._row_side(lam)
+        assert not sym._own_side(lam).row
         qi = sym.alpha_extract(lam)
         assert qi.alpha == sym.alpha_closed_form(lam)
-        on_row, h = sym._side_table(qi.element, lam)
-        assert not on_row and h.blocks == column(lam)
+        side, h = sym._side_table(qi.element, lam)
+        assert not side.row and h.blocks == column(lam)
         monkeypatch.setattr(hecke, "_restricted", refuse_to_restrict)
-        assert sym._side_table(qi.element, lam) == (False, h)
+        assert sym._side_table(qi.element, lam) == (sym._side(lam, False), h)
         assert central.twist_scalar(qi.element, lam) == LaurentPoly.monomial(
             central.twist_exponent(lam)
         )
@@ -433,7 +438,7 @@ class TestSignSide:
         assert central.twist_scalar(e, lam) == tau
         assert central.twist_scalar(back, lam) == tau
         assert calls == [row(lam)]
-        assert sym._side_table(back, lam)[0]
+        assert sym._side_table(back, lam)[0].row
         # The unit is in neither ideal: refused by the row side's check.
         with pytest.raises(ValueError, match="not in R H_n"):
             central.twist_scalar(HeckeElement.unit(4), lam)
@@ -482,7 +487,7 @@ class TestOnePassExpansion:
 @pytest.mark.parametrize("lam", list(all_partitions(8)), ids=str)
 def test_eight_cell_expansions_are_the_chain_expansions(lam):
     e = sym.e_lambda(lam)
-    for h in (sym._coset_table(e, lam), sym._sign_table(lam)):
+    for h in (row_table(e, lam), sign_table(lam)):
         if h.blocks is not None:
             assert expanded(h) == chain_expanded(h, lam)
 
@@ -519,10 +524,16 @@ def test_e_lambda_runs_no_iota_and_no_row_blocks(lam, monkeypatch):
 
 @pytest.mark.parametrize("lam", list(partitions_up_to(7)), ids=str)
 def test_both_sides_give_the_same_scalars(lam):
+    # Both sides of every diagram, each forced: (n) on the sign side and
+    # (1^n) on the row side have a trivial Young subgroup, and then their
+    # tables are plain on either side.
     e = sym.e_lambda(lam)
     found = []
-    for on_row, h in ((True, sym._coset_table(e, lam)), (False, sym._sign_table(lam))):
-        squared = _extract(h, sym._mul_symmetrizer(h, lam, on_row))
+    sides = [(sym._side(lam, True), row_table(e, lam)), (sym._side(lam, False), sign_table(lam))]
+    for side, h in sides:
+        trivial = side.first[0][0] == 1
+        assert h.blocks == side.blocks and (h.blocks is None) == trivial
+        squared = _extract(h, sym._mul_symmetrizer(h, side))
         twisted = _extract(h, central._mul_full_twist(h))
         assert squared.proportional and twisted.proportional
         found.append((squared.scalar, twisted.scalar))
@@ -533,9 +544,9 @@ def test_both_sides_give_the_same_scalars(lam):
 def check_kept_sign_table(lam):
     # The sign table from its own chain, against f multiplied out from e.
     e = sym.e_lambda(lam)
-    h = sym._sign_table(lam)
+    h = sign_table(lam)
     f = conjugated_by_products(e, lam)
-    assert h.blocks == column(lam)
+    assert h.blocks == (column(lam) if len(lam.parts) > 1 else None)
     assert plain(h) == plain(_restricted(_packed(f), column(lam)))
     assert expanded(h) == f
 
@@ -574,12 +585,12 @@ def test_a_sign_side_failure_reports_the_row_side_witness(
     # The sign side's failure builds e and reruns on its row table.  (A
     # fault inside the row chain before the column factor would not show:
     # R h C is a multiple of e_lambda for every h.)
-    assert not sym._row_side(lam)
+    assert not sym._own_side(lam).row
     monkeypatch.setattr(module, chain, bumped(getattr(module, chain)))
     messages = []
     for forced_row in (False, True):
         if forced_row:
-            monkeypatch.setattr(sym, "_row_side", lambda _: True)
+            monkeypatch.setattr(sym, "_own_side", lambda lam: sym._side(lam, True))
         with pytest.raises(error) as raised:
             call(lam)
         messages.append(str(raised.value))
@@ -618,12 +629,12 @@ def test_a_one_entry_table_fault_is_caught_by_the_closed_forms_alone(
     # The sign side of (1^n) has one entry, so a chain fault there leaves
     # the candidate proportional: the extraction returns a wrong scalar and
     # raises nothing, and verify's closed-form checks are the only guard.
-    sign = sym._sign_blocks(ONE_COLUMN)
+    sign = sym._side(ONE_COLUMN, False).blocks
     real, faulty = getattr(module, chain), bumped(getattr(module, chain))
     monkeypatch.setattr(
         module, chain, lambda x, *args: (faulty if x.blocks == sign else real)(x, *args)
     )
-    assert len(sym._sign_table(ONE_COLUMN).table) == 1
+    assert len(sign_table(ONE_COLUMN).table) == 1
     call()
     assert cli.main(["verify", "4"]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -635,6 +646,9 @@ def test_a_one_entry_table_fault_is_caught_by_the_closed_forms_alone(
 
 def test_a_failure_on_the_sign_side_alone_still_raises(monkeypatch):
     lam = Partition((2, 1, 1))
-    monkeypatch.setattr(sym, "_mul_sign", bumped(sym._mul_sign))
+    real, faulty = sym._mul_symmetrizer, bumped(sym._mul_symmetrizer)
+    monkeypatch.setattr(
+        sym, "_mul_symmetrizer", lambda x, side: (real if side.row else faulty)(x, side)
+    )
     with pytest.raises(NotQuasiIdempotent, match="first mismatch at"):
         sym.alpha_extract(lam)

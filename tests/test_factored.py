@@ -40,7 +40,7 @@ def packed(action, x, *args):
 
 
 def square(e, lam):
-    return packed(lambda x: sym._mul_column(sym._mul_row(x, lam), lam), e)
+    return packed(sym._mul_symmetrizer, e, sym._side(lam, True))
 
 
 def shifted_block_product(build, sizes, offsets, n):
@@ -121,8 +121,8 @@ class TestInputsUnchanged:
         before = e.to_machine()
         x = _packed(e)
         table = dict(x.table)
-        sym._mul_row(x, lam)
-        sym._mul_column(x, lam)
+        sym._mul_blocks(x, sym._side(lam, True).first)
+        sym._mul_conjugated(x, sym._side(lam, True))
         central._mul_full_twist(x)
         assert x.table == table
         central.twist_scalar(e, lam)
@@ -184,7 +184,7 @@ def side_group_order(lam):
     lam on the row side and over lam' on the sign side: how many times
     fewer entries a coset step touches.
     """
-    parts = lam.parts if sym._row_side(lam) else lam.conjugate().parts
+    parts = lam.parts if sym._own_side(lam).row else lam.conjugate().parts
     return math.prod(math.factorial(k) for k in parts)
 
 
@@ -194,7 +194,8 @@ def side_plain(e, lam):
     side, f = iota(w_d^-1 e w_d) on the sign side, expanded from the
     sign table's own chain.
     """
-    return _packed(e) if sym._row_side(lam) else sym._sign_table(lam).expanded()
+    side = sym._own_side(lam)
+    return _packed(e) if side.row else sym._table(side).expanded()
 
 
 @pytest.fixture
@@ -237,7 +238,7 @@ def side_build_steps(lam):
     w_{d^-1}^-1 on the coset table of B, in
     sum of part(part-1)/2 + 2 length(d) steps.
     """
-    if sym._row_side(lam):
+    if sym._own_side(lam).row:
         return build_steps(lam)
     d = lam.column_reading_permutation()
     return sum(k * (k - 1) // 2 for k in lam.parts) + 2 * oracles.length(d)
@@ -263,7 +264,7 @@ class TestGeneratorSteps:
         coset = touched[len(touched) - steps :]
         x = side_plain(e_lambda(lam), lam)
         del touched[:]
-        sym._mul_symmetrizer(x, lam, sym._row_side(lam))
+        sym._mul_symmetrizer(x, sym._own_side(lam))
         assert [size * side_group_order(lam) for size in coset] == touched
         assert all(size <= math.factorial(lam.n) // side_group_order(lam) for size in coset)
 

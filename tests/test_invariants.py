@@ -112,7 +112,7 @@ class TestDiagramChecks:
         # One diagram of each side.
         for parts, row in [((3, 2, 1), True), ((2, 2, 1, 1), False)]:
             lam = Partition(parts)
-            assert symmetrizers._row_side(lam) == row
+            assert symmetrizers._own_side(lam).row == row
             assert failed(invariants.diagram_checks(lam, {})) == [
                 f"classical limit vs group-algebra symmetrizer, lambda={lam}"
             ]
@@ -151,8 +151,8 @@ def side_tables(lam):
     """
     e = symmetrizers.e_lambda(lam)
     return [
-        (True, at_one(symmetrizers._coset_table(e, lam))),
-        (False, at_one(symmetrizers._sign_table(lam))),
+        (True, at_one(symmetrizers._side_table(e, lam, row=True)[1])),
+        (False, at_one(symmetrizers._table(symmetrizers._side(lam, False)))),
     ]
 
 
@@ -181,7 +181,7 @@ def check_against_the_oracle(lam, both_sides):
     # both_sides is set, against the oracle on e_lambda and on each table.
     qi = symmetrizers.alpha_extract(lam)
     row, c = symmetrizers._side_at_one(qi.element, lam)
-    assert row == symmetrizers._row_side(lam)
+    assert row == symmetrizers._own_side(lam).row
     assert invariants.is_classical_coset_table(c, lam, row)
     assert dense_verdict(c, lam, row)
     assert oracles.is_classical_symmetrizer(qi.element.specialize_at_one(), lam.parts)
@@ -228,8 +228,8 @@ def test_coset_check_rejects_a_perturbed_table(lam, change):
 def scaled(chain, factor):
     """chain with a planted fault: its table times factor."""
 
-    def faulty(lam):
-        h = chain(lam)
+    def faulty(side):
+        h = chain(side)
         out = _Packed.zero(h.n)
         out.add_times(h, LaurentPoly.from_int(factor))
         return out
@@ -238,15 +238,17 @@ def scaled(chain, factor):
 
 
 @pytest.mark.parametrize("factor", [-1, 2])
-@pytest.mark.parametrize(
-    "chain, first", [("_row_table", "1"), ("_sign_table", "1,1")], ids=["row", "sign"]
-)
+@pytest.mark.parametrize("row, first", [(True, "1"), (False, "1,1")], ids=["row", "sign"])
 def test_a_fault_in_a_side_chain_is_named_by_the_classical_check(
-    chain, first, factor, monkeypatch, capsys
+    row, first, factor, monkeypatch, capsys
 ):
     # A multiple of the side's table squares and twists with the right
     # scalars, so only the classical limit can see it.
-    monkeypatch.setattr(symmetrizers, chain, scaled(getattr(symmetrizers, chain), factor))
+    real = symmetrizers._table
+    faulty = scaled(real, factor)
+    monkeypatch.setattr(
+        symmetrizers, "_table", lambda side: (faulty if side.row == row else real)(side)
+    )
     assert cli.main(["verify", "3"]) == 1
     name = f"classical limit vs group-algebra symmetrizer, lambda={first}"
     assert capsys.readouterr().out.splitlines()[-2:] == [

@@ -44,8 +44,8 @@ trees.  Compare ``at_ref_s`` between two trees.  The layers:
   ``symmetrizers._report_on_side``.  The twist is
   ``central.twist_scalar(e, lam)``;
 - ``sign_table_2x2x2x2`` / ``sign_table_1x8``: the sign side's build, f's
-  coset table from its own chain (``symmetrizers._sign_table``), for
-  (2,2,2,2) and (1^8);
+  coset table from its own chain (``symmetrizers._table`` of the sign
+  side), for (2,2,2,2) and (1^8);
 - ``classical_4x4`` / ``classical_2x2x2x2``: the classical-limit check of
   ``qyoung verify`` on the same element for (4,4) (row side) and
   (2,2,2,2) (sign side): the side's table read at s = 1 and tested by
@@ -131,9 +131,7 @@ def _lazy(make):
 def _square(lam):
     """The square of e_lambda(lam) on its side's table, and its scalar."""
     e = sym._symmetrizer_on_side(lam)
-    return lambda: sym._report_on_side(
-        e, lam, lambda h, row: sym._mul_symmetrizer(h, lam, row), lambda r: r.proportional
-    )
+    return lambda: sym._report_on_side(e, lam, sym._mul_symmetrizer, lambda r: r.proportional)
 
 
 def _twist(lam):
@@ -182,7 +180,7 @@ def layers() -> dict:
         out[f"square_{tag}"] = _lazy(lambda lam=lam: _square(lam))
         out[f"twist_scalar_{tag}"] = _lazy(lambda lam=lam: _twist(lam))
     for tag, parts in {"2x2x2x2": (2, 2, 2, 2), "1x8": (1,) * 8}.items():
-        out[f"sign_table_{tag}"] = lambda lam=Partition(parts): sym._sign_table(lam)
+        out[f"sign_table_{tag}"] = lambda side=sym._side(Partition(parts), False): sym._table(side)
     for tag, parts in {"4x4": (4, 4), "2x2x2x2": (2, 2, 2, 2)}.items():
         out[f"classical_{tag}"] = _lazy(lambda lam=Partition(parts): _classical(lam))
     return out
