@@ -35,21 +35,37 @@ forward along the word of w, the G blocks and back with inverses, in
 
     sum of part(part-1)/2 + sum of column(column-1)/2 + 2 length(d)
 
-generator steps on either side.  It lies in the left ideal F H_n, and so
-do its square and its twist, and f f = alpha f and f ft = tau f with the
-alpha and tau of e_lambda.  So the chains run on coset tables (see
-``hecke``): F h stored by its coefficients at the minimal coset
-representatives of F's Young subgroup, the product of its blocks' k!
-times fewer entries than F h.  The side's own table (``_table``) is
-w G w^-1 on the coset table of F = F 1, which has one entry, with no iota
-and nothing of the other side's.  ``e_lambda`` expands the row side's to
-R h in one pass (``hecke._Packed.expanded``): s^length(u) c_v' at u v' is
-written by rank arithmetic, with no step, and the kept table is tidy from
-the build.  When F's subgroup is trivial, every part 1 on the row side or
-(n) on the sign side, the tables are plain, and the build encodes just
-the unit.  The coset table of an element of the ideal is faithful, so the
-verdict and any witness are those of the full tables, and nothing is
-decoded.
+generator steps on either side: what squaring pays.  It lies in the left
+ideal F H_n, and so do its square and its twist, and f f = alpha f and
+f ft = tau f with the alpha and tau of e_lambda.  So the chains run on
+coset tables (see ``hecke``): F h stored by its coefficients at the
+minimal coset representatives of F's Young subgroup, the product of its
+blocks' k! times fewer entries than F h.
+
+The side's own table (``_table``), w G w^-1 on the coset table of F 1, is
+one expansion with no block sum.  A row and a column share at most one
+cell, so S_F and w S_G w^-1 meet only in 1, and w is the shortest element
+of S_F w S_G; every element of that double coset is then u w v for one u
+in S_F and one v in S_G, lengths adding (Dipper-James 1986), and each w v
+is the minimal representative of its S_F coset.  Hence, with u_G the unit
+of G's blocks,
+
+    F w G = sum over v in S_G of u_G^length(v) F w_{w v}
+
+is the plain table w G read as a coset table of F, exactly.  The build
+expands the one-entry coset table of G at w^-1 in one pass to
+G w_{w^-1} = sum of u_G^length(v) w_{v w^-1} (``hecke._Packed.expanded``:
+each entry written by rank arithmetic, with no step), mirrors it by one
+iota to w G, reads that with F's blocks and makes the length(w) inverse
+steps: the product of G's blocks' k! entries, one iota and length(d)
+steps on either side, and nothing of the other side's table.
+``column_element`` is the row side's w_d B stepped back as a plain table,
+and ``row_element`` is R's one-entry coset table expanded.  ``e_lambda``
+expands the row side's table to R h in the same one pass, and the kept
+table is tidy from the build.  When F's subgroup is trivial, every part 1
+on the row side or (n) on the sign side, the tables are plain.  The coset
+table of an element of the ideal is faithful, so the verdict and any
+witness are those of the full tables, and nothing is decoded.
 
 A diagram's square and twist run on the side whose subgroup is the larger,
 the row side on a tie (``_own_side``): (1^n) squares on one entry instead
@@ -70,7 +86,8 @@ the chains of its side never do.  Only that element keeps f's table.  Any
 other element, e_lambda(lam) itself among them, runs on the row side, on
 the coset table its build kept or a restriction made on the first use
 after the membership check, so no element is restricted twice.  This
-module sees a packed table only through its steps, sums and blocks.
+module sees a packed table only through its steps, sums, blocks,
+expansion and iota.
 
 ``symmetrizer`` and ``antisymmetrizer`` are one enumeration of S_n, with
 coefficient u^length(p) for u = s or -s^-1, that never touches the
@@ -85,8 +102,8 @@ process), since the factored steps hold dense packed tables.
 Every builder refuses more than 8 cells or strands through the one size
 guard, ``permutations.check_size``, and so does the expansion of the
 element ``alpha_extract`` returns.  Build, square and twist on the side's
-table take 0.19 s for all 22 diagrams of 8 cells together, the slowest,
-(3,3,2), 0.03 s, on one 2-core host (CPython 3.11.7).
+table take 0.16-0.19 s for all 22 diagrams of 8 cells together, the
+slowest, (3,3,2), 0.02-0.03 s, on one 2-core host (CPython 3.11.7).
 """
 
 from __future__ import annotations
@@ -157,10 +174,11 @@ def antisymmetrizer(n: int) -> HeckeElement:
 def _block_action(x: _Packed, k: int, offset: int, u: LaurentPoly) -> _Packed:
     """
     x times the k-strand block sum of u^length(p) * w_p over S_k, placed on
-    strands offset+1..offset+k, in k(k-1)/2 generator steps.  Each p in S_m
-    is uniquely p' d with p' in S_{m-1} and d = s_{m-1} s_{m-2} .. s_{m-j} a
-    minimal coset representative, lengths adding, so the block a_m on the
-    first m strands of the block is
+    strands offset+1..offset+k, in k(k-1)/2 generator steps; only the
+    square's chain (``_mul_symmetrizer``) runs it, since the builds expand
+    instead.  Each p in S_m is uniquely p' d with p' in S_{m-1} and
+    d = s_{m-1} s_{m-2} .. s_{m-j} a minimal coset representative, lengths
+    adding, so the block a_m on the first m strands of the block is
 
         a_m = a_{m-1} * sum_{j<m} u^j g_{offset+m-1} .. g_{offset+m-j}.
 
@@ -192,7 +210,10 @@ class _Side(NamedTuple):
     w_word^-1: on the row side (row=True) R w_d B w_d^-1 = e_lambda, on the
     sign side B w_{d^-1} R w_{d^-1}^-1 = f.  ``blocks`` are the blocks of
     the side's coset tables, those of ``first``, or None when their Young
-    subgroup is trivial and the tables are plain.
+    subgroup is trivial and the tables are plain.  The side's table is
+    built from second w_word^-1 (``_start``): the coset table of one entry
+    at ``start_at``, the permutation of w_word^-1, with ``start_blocks``,
+    the blocks of ``second``, or None when those are trivial.
     """
 
     row: bool
@@ -200,6 +221,17 @@ class _Side(NamedTuple):
     first: _BlockList
     word: tuple[int, ...]
     second: _BlockList
+    start_blocks: Optional[_Blocks]
+    start_at: Perm
+
+
+def _coset_blocks(blocks: _BlockList) -> Optional[_Blocks]:
+    """
+    The coset-table blocks of a block list, their side read off its unit,
+    or None when every block is one strand.
+    """
+    parts = tuple(k for k, _, _ in blocks)
+    return _Blocks(parts, blocks[0][2] == S) if parts[0] > 1 else None
 
 
 @functools.cache
@@ -210,11 +242,19 @@ def _side(lam: Partition, row: bool) -> _Side:
         (k, offset, NEG_S_INV)
         for k, offset in zip(lam.conjugate().parts, lam.column_reading_offsets())
     )
-    word = perms.reduced_word(lam.column_reading_permutation())
+    d = lam.column_reading_permutation()
+    word = perms.reduced_word(d)
     first, second = (rows, columns) if row else (columns, rows)
-    parts = tuple(k for k, _, _ in first)
-    blocks = _Blocks(parts, row) if parts[0] > 1 else None
-    return _Side(row, blocks, first, word if row else word[::-1], second)
+    # w_word^-1 is w_{d^-1} on the row side and w_d on the sign side.
+    return _Side(
+        row,
+        _coset_blocks(first),
+        first,
+        word if row else word[::-1],
+        second,
+        _coset_blocks(second),
+        perms.inverse(d) if row else d,
+    )
 
 
 @functools.cache
@@ -231,9 +271,19 @@ def _own_side(lam: Partition) -> _Side:
 
 
 def _mul_blocks(x: _Packed, blocks: _BlockList) -> _Packed:
-    """x times the block sums, each at its offset with its unit."""
+    """
+    x times the block sums, each at its offset with its unit, for the
+    square's chain (``_mul_symmetrizer``) alone.
+    """
     for k, offset, u in blocks:
         x = _block_action(x, k, offset, u)
+    return x
+
+
+def _mul_word_inverse(x: _Packed, side: _Side) -> _Packed:
+    """x times w_word^-1: back along the side's word with inverses."""
+    for i in reversed(side.word):
+        x = x.mul_generator(i, -1)
     return x
 
 
@@ -244,10 +294,7 @@ def _mul_conjugated(x: _Packed, side: _Side) -> _Packed:
     """
     for i in side.word:
         x = x.mul_generator(i)
-    x = _mul_blocks(x, side.second)
-    for i in reversed(side.word):
-        x = x.mul_generator(i, -1)
-    return x
+    return _mul_word_inverse(_mul_blocks(x, side.second), side)
 
 
 def _mul_symmetrizer(x: _Packed, side: _Side) -> _Packed:
@@ -255,31 +302,49 @@ def _mul_symmetrizer(x: _Packed, side: _Side) -> _Packed:
     return _mul_conjugated(_mul_blocks(x, side.first), side)
 
 
+def _start(side: _Side) -> _Packed:
+    """
+    w_word second as a plain table: second w_word^-1, held as its coset
+    table of one entry, expanded in one pass to the sum of
+    u^length(v) w_{v w_word^-1} over the second blocks' subgroup, u their
+    unit, and mirrored by one iota, which fixes the block sums and
+    reverses the product.
+    """
+    one = _packed(HeckeElement.basis_element(len(side.start_at), side.start_at))
+    return one.with_blocks(side.start_blocks).expanded().iota()
+
+
 def _table(side: _Side) -> _Packed:
     """
-    The side's symmetrizer as its own coset table: w_word second w_word^-1
-    on the coset table of the first blocks' sum, whose only entry is the
-    identity's, tidied; the plain chain, which is the symmetrizer itself,
-    when the blocks are trivial.
+    The side's symmetrizer as its own coset table, tidied: w_word second
+    (``_start``) read with the first blocks, exact since each w_word v is
+    a minimal coset representative of their subgroup (see the module
+    docstring), then length(w_word) inverse steps.  When the first blocks
+    are trivial the table is plain and is the symmetrizer itself.
     """
-    n = sum(k for k, _, _ in side.first)
-    h = _mul_conjugated(_packed(HeckeElement.unit(n)).with_blocks(side.blocks), side)
+    h = _mul_word_inverse(_start(side).with_blocks(side.blocks), side)
     return h if h.blocks is None else h._tidied()
 
 
 def row_element(lam: Partition) -> HeckeElement:
-    """Product of row symmetrizers placed at the row-reading offsets."""
+    """
+    Product of row symmetrizers placed at the row-reading offsets: R's
+    one-entry coset table, R 1, expanded, with no step.
+    """
     perms.check_size(f"the row element of lambda={lam}", lam.n)
-    return _element(_mul_blocks(_packed(HeckeElement.unit(lam.n)), _side(lam, True).first))
+    side = _side(lam, True)
+    return _element(_packed(HeckeElement.unit(lam.n)).with_blocks(side.blocks).expanded())
 
 
 def column_element(lam: Partition) -> HeckeElement:
     """
     Product of column antisymmetrizers at the column-reading offsets,
-    conjugated to row-reading strand order.
+    conjugated to row-reading strand order: w_d B from the row side's
+    start, then the length(d) inverse steps.
     """
     perms.check_size(f"the column element of lambda={lam}", lam.n)
-    return _element(_mul_conjugated(_packed(HeckeElement.unit(lam.n)), _side(lam, True)))
+    side = _side(lam, True)
+    return _element(_mul_word_inverse(_start(side), side))
 
 
 def e_lambda(lam: Partition) -> HeckeElement:
@@ -321,7 +386,7 @@ def _side_table(e: HeckeElement, lam: Partition, row: bool = False) -> tuple[_Si
     The side e's chains run on and e's table there, tidy and kept on e.
     That is lam's own side when e keeps the side's table: on the sign side
     only the element of ``_symmetrizer_on_side`` keeps f's, which only its
-    own chain makes.  Every other e, and every e when ``row`` is set, runs
+    own build makes.  Every other e, and every e when ``row`` is set, runs
     on the row side, on its coset table in R H_n (e itself when S_lambda is
     trivial): for e_lambda the one its build ran on, for any other e a
     restriction, which checks membership and refuses e outside the ideal.

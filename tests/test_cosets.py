@@ -494,8 +494,10 @@ def test_eight_cell_expansions_are_the_chain_expansions(lam):
 
 @pytest.mark.parametrize("lam", list(partitions_up_to(6)), ids=str)
 def test_e_lambda_runs_no_iota_and_no_row_blocks(lam, monkeypatch):
-    # The build is the column chain on R's coset table and one expansion:
-    # no iota, and no block action with the row unit s.
+    # The build is one expansion of the start, one iota on its product of
+    # lam'_j! entries (w_d B), the inverse steps and e_lambda's expansion:
+    # no block sum with either unit, and no iota but the start's.  (The
+    # name predates the start's iota.)
     units, iotas = [], []
     block_action, iota = sym._block_action, _Packed.iota
 
@@ -510,8 +512,8 @@ def test_e_lambda_runs_no_iota_and_no_row_blocks(lam, monkeypatch):
     monkeypatch.setattr(sym, "_block_action", spied_block_action)
     monkeypatch.setattr(_Packed, "iota", spied_iota)
     e = sym.e_lambda(lam)
-    assert iotas == []
-    assert set(units) <= {sym.NEG_S_INV}
+    assert units == []
+    assert iotas == [math.prod(map(math.factorial, lam.conjugate().parts))]
     if lam.parts[0] > 1:
         # Kept tidy from the build: the first chain on e tidies nothing.
         kept = e._pk
@@ -520,6 +522,92 @@ def test_e_lambda_runs_no_iota_and_no_row_blocks(lam, monkeypatch):
         assert (again.table, again.val, again.k, again.bound, again.low) == (
             kept.table, kept.val, kept.k, kept.bound, kept.low
         )
+
+
+# -- the start: one expansion instead of the chain ----------------------------------
+
+
+def chain_table(side):
+    """
+    The side's table by the chain the start replaced, which the square
+    still runs: w_word, the second blocks and w_word^-1 stepped on the
+    one-entry coset table of the first blocks, tidied.
+    """
+    n = sum(k for k, _, _ in side.first)
+    one = _packed(HeckeElement.unit(n)).with_blocks(side.blocks)
+    return sym._mul_conjugated(one, side)._tidied()
+
+
+def state(pk):
+    return pk.table, pk.val, pk.k, pk.bound, pk.low, pk.blocks
+
+
+def check_table_from_the_start(side):
+    # The same ints, V, K, B and low: a plain table, which _table leaves
+    # as its steps made it, is compared tidied.
+    h = sym._table(side)
+    if h.blocks is None:
+        h = h._tidied()
+    assert state(h) == state(chain_table(side))
+
+
+def word_permutation(side, n):
+    w = perms.identity(n)
+    for i in side.word:
+        w = perms.right_mult_gen(w, i)
+    return w
+
+
+def second_factor(side, n):
+    """The side's second blocks by the general product, each enumerated without the kernel."""
+    out = HeckeElement.unit(n)
+    for k, offset, u in side.second:
+        out = out * sym._one_dimensional(k, u).shift_embed(offset, n)
+    return out
+
+
+BOTH_SIDES = pytest.mark.parametrize("on_row", [True, False], ids=["row", "sign"])
+
+
+@BOTH_SIDES
+@pytest.mark.parametrize("lam", list(partitions_up_to(7)), ids=str)
+def test_side_table_from_the_start_is_the_chain_table(lam, on_row):
+    check_table_from_the_start(sym._side(lam, on_row))
+
+
+@pytest.mark.slow
+@BOTH_SIDES
+@pytest.mark.parametrize("lam", list(all_partitions(8)), ids=str)
+def test_side_table_from_the_start_is_the_chain_table_eight_cells(lam, on_row):
+    check_table_from_the_start(sym._side(lam, on_row))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("lam", list(all_partitions(9)), ids=str)
+def test_own_side_table_from_the_start_is_the_chain_table_nine_cells(lam):
+    check_table_from_the_start(sym._own_side(lam))
+
+
+@BOTH_SIDES
+@pytest.mark.parametrize("lam", list(partitions_up_to(7)), ids=str)
+def test_the_start_holds_one_minimal_representative_per_block_permutation(lam, on_row):
+    # w G has one entry w v for each v in G's subgroup, and each w v is a
+    # minimal coset representative of F's, so that reading it with F's
+    # blocks merges and loses nothing.
+    side = sym._side(lam, on_row)
+    start = sym._start(side)
+    assert start.blocks is None
+    assert len(start.table) == math.prod(math.factorial(k) for k, _, _ in side.second)
+    reps = set(representatives(tuple(k for k, _, _ in side.first)))
+    assert {hecke._unrank(lam.n, r) for r in start.table} <= reps
+
+
+@BOTH_SIDES
+@pytest.mark.parametrize("lam", list(partitions_up_to(5)), ids=str)
+def test_the_start_is_the_product_of_the_word_and_the_second_blocks(lam, on_row):
+    side = sym._side(lam, on_row)
+    w = HeckeElement.basis_element(lam.n, word_permutation(side, lam.n))
+    assert _element(sym._start(side)) == w * second_factor(side, lam.n)
 
 
 @pytest.mark.parametrize("lam", list(partitions_up_to(7)), ids=str)

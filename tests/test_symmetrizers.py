@@ -12,6 +12,7 @@ import pytest
 
 from qyoung import central, hecke
 from qyoung import permutations as perms
+from qyoung import symmetrizers as sym
 from qyoung.central import twist_eigenvalue
 from qyoung.errors import NotQuasiIdempotent, TooLarge
 from qyoung.hecke import HeckeElement, extract_scalar
@@ -244,27 +245,39 @@ class TestErrorPaths:
 
 @pytest.fixture
 def expansions(monkeypatch):
-    """The number of coset-table expansions, R h or B h as a full table."""
+    """
+    The table size of each coset-table expansion, R h or B h as a full
+    table, in order, and "e_lambda" for each call of
+    ``symmetrizers._expansion``, which expands the element alpha_extract
+    returns.
+    """
     calls = []
-    expanded = hecke._Packed.expanded
+    expanded, expansion = hecke._Packed.expanded, sym._expansion
 
     def spy(self):
         calls.append(len(self.table))
         return expanded(self)
 
+    def spied_expansion(lam, h):
+        calls.append("e_lambda")
+        return expansion(lam, h)
+
     monkeypatch.setattr(hecke._Packed, "expanded", spy)
+    monkeypatch.setattr(sym, "_expansion", spied_expansion)
     return calls
 
 
 def check_public_element(lam, expansions):
-    # alpha_extract, twist_scalar and is_zero run on the side's table alone;
-    # the element is e_lambda, expanded when it is first read and kept.
+    # alpha_extract, twist_scalar and is_zero run on the side's table alone:
+    # they never reach e_lambda's expansion, and expand nothing but the
+    # builds' one-entry starts.  The element is e_lambda, expanded when it
+    # is first read and kept.
     qi = alpha_extract(lam)
     assert not qi.element.is_zero()
     assert central.twist_scalar(qi.element, lam) == LaurentPoly.monomial(
         central.twist_exponent(lam)
     )
-    assert expansions == []
+    assert expansions and set(expansions) == {1}
     e = e_lambda(lam)
     assert qi.element == e
     assert qi.element.to_machine() == e.to_machine()

@@ -28,12 +28,16 @@ trees.  Compare ``at_ref_s`` between two trees.  The layers:
 - ``alpha_extract_44`` / ``twist_44``: the same calls on the 8-cell diagram
   (4,4), whose e_lambda holds 24192 of the 40320 basis braids of H_8; the
   warm-up call fills the S_8 rank memos;
-- ``build_43`` / ``build_7`` / ``build_2x1x5``: ``e_lambda`` of the 7-cell
-  diagrams (4,3), (7) and (2,1^5): the column chain on R's coset table and
-  its expansion to R h, which writes all 5040 entries of (7) and 1440 of
-  (2,1^5) from one and 720 coset entries;
-- ``expand_8``: that expansion alone for (8), from the coset table the
-  build kept (one entry) to the 40320 entries of e_lambda;
+- ``build_43`` / ``build_7`` / ``build_2x1x5`` / ``build_1x7``: ``e_lambda``
+  of the 7-cell diagrams (4,3), (7), (2,1^5) and (1^7): the start w_d B
+  expanded from one entry, one iota, the length(d) inverse steps on R's
+  coset table and its expansion to R h, which writes all 5040 entries of
+  (7) and 1440 of (2,1^5) from one and 720 coset entries; (1^7) is the
+  start alone, all 5040 entries of b_7 written by the first expansion;
+- ``row_element_8``: ``row_element`` of (8), R's one-entry coset table
+  expanded to all 40320 entries of a_8, with no step;
+- ``expand_8``: the same expansion alone, from the coset table that
+  e_lambda's build of (8) kept (one entry) to its 40320 entries;
 - ``square_44`` / ``square_8`` / ``square_1x8`` / ``square_2x1x6`` and
   ``twist_scalar_44`` / ``twist_scalar_8`` / ``twist_scalar_1x8`` /
   ``twist_scalar_2x1x6``: squaring and twist-checking the element
@@ -44,7 +48,7 @@ trees.  Compare ``at_ref_s`` between two trees.  The layers:
   ``symmetrizers._report_on_side``.  The twist is
   ``central.twist_scalar(e, lam)``;
 - ``sign_table_2x2x2x2`` / ``sign_table_1x8``: the sign side's build, f's
-  coset table from its own chain (``symmetrizers._table`` of the sign
+  coset table from its own build (``symmetrizers._table`` of the sign
   side), for (2,2,2,2) and (1^8);
 - ``classical_4x4`` / ``classical_2x2x2x2``: the classical-limit check of
   ``qyoung verify`` on the same element for (4,4) (row side) and
@@ -170,6 +174,8 @@ def layers() -> dict:
         "build_43": lambda: sym.e_lambda(lam7),
         "build_7": lambda: sym.e_lambda(Partition((7,))),
         "build_2x1x5": lambda: sym.e_lambda(Partition((2, 1, 1, 1, 1, 1))),
+        "build_1x7": lambda: sym.e_lambda(Partition((1,) * 7)),
+        "row_element_8": lambda: sym.row_element(Partition((8,))),
         "expand_8": _lazy(lambda: sym.e_lambda(Partition((8,)))._ck.expanded),
         "strand_checks_5": lambda: invariants.strand_checks(5),
         "strand_checks_8": lambda: invariants.strand_checks(8),
