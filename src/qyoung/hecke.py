@@ -121,9 +121,10 @@ Young subgroup with the other one-dimensional unit: for the column blocks
 of lambda, of sizes the parts of the conjugate diagram, and
 B = sum over u of (-s^-1)^length(u) w_u their antisymmetrizers, with
 g_j B = B g_j = -s^-1 B, the left ideal B H_n has the basis B w_v'.  So
-``blocks`` (``_Blocks``) carries the block sizes and the block unit, s on
-the row side and -s^-1 on the sign side.  A coset table is faithful on
-three counts:
+``blocks`` (``_Blocks``), the one record of a side's blocks, holds the
+block sizes and the side, and gives the offsets and the block unit, s on
+the row side and -s^-1 on the sign side; it is None when every block is
+one strand, and the table plain.  A coset table is faithful on three counts:
 
 - restriction to the representatives is injective on the ideal, since the
   coefficient at w_v' is c_v' itself;
@@ -210,7 +211,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import permutations as perms
-from .laurent import MAX_EXPONENT_SPAN, LaurentPoly, ONE, ZERO
+from .laurent import MAX_EXPONENT_SPAN, LaurentPoly, NEG_S_INV, ONE, S, ZERO
 from .permutations import Perm
 
 # The quadratic-relation parameter z = s - s^-1.
@@ -752,13 +753,28 @@ def _partner_shifts(n: int, i: int) -> tuple[int, int, list[int]]:
 
 class _Blocks(NamedTuple):
     """
-    The blocks of a coset table: the sizes of its contiguous blocks of
-    strand values, and its side, which fixes the block unit: s for the row
-    blocks (row=True), -s^-1 for the column blocks (row=False).
+    The blocks of a coset table, the one record of a side's blocks: the
+    sizes of its contiguous blocks of strand values, and its side, which
+    fixes the block unit: s for the row blocks (row=True), -s^-1 for the
+    column blocks (row=False).  ``of`` gives None when every block is one
+    strand: the subgroup is trivial and the table plain.
     """
 
     parts: tuple[int, ...]
     row: bool
+
+    @staticmethod
+    def of(parts: tuple[int, ...], row: bool) -> Optional[_Blocks]:
+        return _Blocks(parts, row) if max(parts) > 1 else None
+
+    @property
+    def offsets(self) -> tuple[int, ...]:
+        """The strand offset of each block: the sum of the sizes before it."""
+        return tuple(itertools.accumulate(self.parts[:-1], initial=0))
+
+    @property
+    def unit(self) -> LaurentPoly:
+        return S if self.row else NEG_S_INV
 
 
 @functools.cache
@@ -794,8 +810,7 @@ def _restricted(pk: _Packed, blocks: _Blocks) -> _Packed:
     _check_readable(pk)
     n, k, mirror = pk.n, pk.k, pk.iota().table
     lower: set[int] = set()
-    start = 0
-    for part in blocks.parts:
+    for part, start in zip(blocks.parts, blocks.offsets):
         for j in range(start + 1, start + part):
             weight, size, shifts = _partner_shifts(n, j)
             for p, c in mirror.items():
@@ -810,7 +825,6 @@ def _restricted(pk: _Packed, blocks: _Blocks) -> _Packed:
                 if not held:
                     ideal = "R H_n for the row" if blocks.row else "B H_n for the column"
                     raise ValueError(f"the table is not in {ideal} blocks {blocks.parts}")
-        start += part
     inverse = _inverse_memo(n)  # holds every rank of x since the iota above
     out = {r: c for r, c in pk.table.items() if inverse[r] not in lower}
     return _Packed(n, out, pk.val, k, pk.bound, pk.low, blocks=blocks)

@@ -48,7 +48,9 @@ becomes
 and the coefficient at the identity, a representative, must be 1.
 v -> rep(v r) is an involution of the cosets, so testing the entries of
 the table also covers the representatives it lacks, whose c_v is 0.
-``is_classical_coset_table`` tests exactly this; the tests compare it with
+``is_classical_coset_table`` tests exactly this, with F's and G's blocks,
+eps and w read off the side's record (``symmetrizers._side``: G's unit is
+-eps, and a trivial subgroup's blocks are None); the tests compare it with
 the dense predicate on e_lambda's full table and with the group-algebra
 product of ``tests/oracles.py``.
 
@@ -167,17 +169,16 @@ def is_classical_coset_table(c: dict[Perm, int], lam: Partition, row: bool) -> b
     if c.get(perms.identity(lam.n)) != 1:
         return False
     side = symmetrizers._side(lam, row)
-    w = perms.identity(lam.n)
-    for i in side.word:
-        w = perms.right_mult_gen(w, i)
+    w, f, g = side.at, side.first, side.second
+    if g is None:
+        return True  # no r to test: G's subgroup is trivial
     # r = w t w^-1 swaps the positions w(a), w(a+1) for t = (a a+1) in G's blocks.
-    swaps = [
-        (w[a - 1], w[a]) for k, offset, _ in side.second for a in range(offset + 1, offset + k)
-    ]
-    first: list[int] = []
-    for k, _, _ in side.first:
-        first += [len(first) + 1] * k
-    eps = side.first[0][2].eval_at_one()
+    swaps = [(w[a - 1], w[a]) for k, at in zip(g.parts, g.offsets) for a in range(at + 1, at + k)]
+    eps = -g.unit.eval_at_one()
+    # first[v - 1]: the smallest value of v's block of F, v itself when F is None.
+    first = list(range(1, lam.n + 1))
+    if f is not None:
+        first = [at + 1 for k, at in zip(f.parts, f.offsets) for _ in range(k)]
     for a, b in swaps:
         for v, cv in c.items():
             moved = list(v)

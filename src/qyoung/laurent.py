@@ -273,6 +273,8 @@ class LaurentPoly:
 ZERO = LaurentPoly(0, ())
 ONE = LaurentPoly(0, (1,))
 S = LaurentPoly(1, (1,))
+# The eigenvalue of every generator on the one-column element.
+NEG_S_INV = LaurentPoly(-1, (-1,))
 
 
 # -- dense sums --------------------------------------------------------------------

@@ -129,12 +129,9 @@ from .hecke import (
     _Packed,
     _trusted,
 )
-from .laurent import LaurentPoly, ONE, S, qint
+from .laurent import NEG_S_INV, LaurentPoly, ONE, S, qint
 from .partitions import Partition
 from .permutations import Perm
-
-# The eigenvalue of every generator on the one-column element.
-NEG_S_INV = LaurentPoly.monomial(-1, -1)
 
 
 def _one_dimensional(n: int, u: LaurentPoly) -> HeckeElement:
@@ -200,61 +197,33 @@ def _block_action(x: _Packed, k: int, offset: int, u: LaurentPoly) -> _Packed:
     return x
 
 
-# The block sums of one side: (size, offset, unit) for each.
-_BlockList = tuple[tuple[int, int, LaurentPoly], ...]
-
-
 class _Side(NamedTuple):
     """
     One side of a diagram, whose symmetrizer is first w_word second
     w_word^-1: on the row side (row=True) R w_d B w_d^-1 = e_lambda, on the
-    sign side B w_{d^-1} R w_{d^-1}^-1 = f.  ``blocks`` are the blocks of
-    the side's coset tables, those of ``first``, or None when their Young
-    subgroup is trivial and the tables are plain.  The side's table is
-    built from second w_word^-1 (``_start``): the coset table of one entry
-    at ``start_at``, the permutation of w_word^-1, with ``start_blocks``,
-    the blocks of ``second``, or None when those are trivial.
+    sign side B w_{d^-1} R w_{d^-1}^-1 = f.  ``first`` and ``second`` are
+    the blocks (``hecke._Blocks``: sizes, offsets, unit) of the two
+    factors, each None when its Young subgroup is trivial; ``first`` are
+    those of the side's coset tables, plain when it is None.  ``at`` is
+    the permutation of w_word: d on the row side, d^-1 on the sign side.
     """
 
     row: bool
-    blocks: Optional[_Blocks]
-    first: _BlockList
+    first: Optional[_Blocks]
     word: tuple[int, ...]
-    second: _BlockList
-    start_blocks: Optional[_Blocks]
-    start_at: Perm
-
-
-def _coset_blocks(blocks: _BlockList) -> Optional[_Blocks]:
-    """
-    The coset-table blocks of a block list, their side read off its unit,
-    or None when every block is one strand.
-    """
-    parts = tuple(k for k, _, _ in blocks)
-    return _Blocks(parts, blocks[0][2] == S) if parts[0] > 1 else None
+    second: Optional[_Blocks]
+    at: Perm
 
 
 @functools.cache
 def _side(lam: Partition, row: bool) -> _Side:
     """lam's row side (row=True) or sign side, computed once."""
-    rows = tuple((k, offset, S) for k, offset in zip(lam.parts, lam.row_reading_offsets()))
-    columns = tuple(
-        (k, offset, NEG_S_INV)
-        for k, offset in zip(lam.conjugate().parts, lam.column_reading_offsets())
-    )
+    rows, columns = _Blocks.of(lam.parts, True), _Blocks.of(lam.conjugate().parts, False)
     d = lam.column_reading_permutation()
     word = perms.reduced_word(d)
-    first, second = (rows, columns) if row else (columns, rows)
-    # w_word^-1 is w_{d^-1} on the row side and w_d on the sign side.
-    return _Side(
-        row,
-        _coset_blocks(first),
-        first,
-        word if row else word[::-1],
-        second,
-        _coset_blocks(second),
-        perms.inverse(d) if row else d,
-    )
+    if row:
+        return _Side(row, rows, word, columns, d)
+    return _Side(row, columns, word[::-1], rows, perms.inverse(d))
 
 
 @functools.cache
@@ -270,13 +239,15 @@ def _own_side(lam: Partition) -> _Side:
     return _side(lam, columns <= rows)
 
 
-def _mul_blocks(x: _Packed, blocks: _BlockList) -> _Packed:
+def _mul_blocks(x: _Packed, blocks: Optional[_Blocks]) -> _Packed:
     """
-    x times the block sums, each at its offset with its unit, for the
-    square's chain (``_mul_symmetrizer``) alone.
+    x times the block sums, each at its offset with the blocks' unit (x
+    itself for None, every block one strand), for the square's chain
+    (``_mul_symmetrizer``) alone.
     """
-    for k, offset, u in blocks:
-        x = _block_action(x, k, offset, u)
+    if blocks is not None:
+        for k, offset in zip(blocks.parts, blocks.offsets):
+            x = _block_action(x, k, offset, blocks.unit)
     return x
 
 
@@ -305,13 +276,13 @@ def _mul_symmetrizer(x: _Packed, side: _Side) -> _Packed:
 def _start(side: _Side) -> _Packed:
     """
     w_word second as a plain table: second w_word^-1, held as its coset
-    table of one entry, expanded in one pass to the sum of
-    u^length(v) w_{v w_word^-1} over the second blocks' subgroup, u their
-    unit, and mirrored by one iota, which fixes the block sums and
-    reverses the product.
+    table of one entry at the inverse of ``at``, expanded in one pass to
+    the sum of u^length(v) w_{v w_word^-1} over the second blocks'
+    subgroup, u their unit, and mirrored by one iota, which fixes the
+    block sums and reverses the product.
     """
-    one = _packed(HeckeElement.basis_element(len(side.start_at), side.start_at))
-    return one.with_blocks(side.start_blocks).expanded().iota()
+    one = _packed(HeckeElement.basis_element(len(side.at), perms.inverse(side.at)))
+    return one.with_blocks(side.second).expanded().iota()
 
 
 def _table(side: _Side) -> _Packed:
@@ -322,7 +293,7 @@ def _table(side: _Side) -> _Packed:
     docstring), then length(w_word) inverse steps.  When the first blocks
     are trivial the table is plain and is the symmetrizer itself.
     """
-    h = _mul_word_inverse(_start(side).with_blocks(side.blocks), side)
+    h = _mul_word_inverse(_start(side).with_blocks(side.first), side)
     return h if h.blocks is None else h._tidied()
 
 
@@ -333,7 +304,7 @@ def row_element(lam: Partition) -> HeckeElement:
     """
     perms.check_size(f"the row element of lambda={lam}", lam.n)
     side = _side(lam, True)
-    return _element(_packed(HeckeElement.unit(lam.n)).with_blocks(side.blocks).expanded())
+    return _element(_packed(HeckeElement.unit(lam.n)).with_blocks(side.first).expanded())
 
 
 def column_element(lam: Partition) -> HeckeElement:
@@ -393,11 +364,11 @@ def _side_table(e: HeckeElement, lam: Partition, row: bool = False) -> tuple[_Si
     """
     side = _side(lam, True) if row else _own_side(lam)
     kept = e._ck  # the coset table e keeps, read as it is
-    if not side.row and (kept is None or kept.blocks != side.blocks):
+    if not side.row and (kept is None or kept.blocks != side.first):
         side = _side(lam, True)
-    if side.blocks is None:
+    if side.first is None:
         return side, _packed(e)
-    return side, _coset_kept(e, side.blocks)
+    return side, _coset_kept(e, side.first)
 
 
 def _side_at_one(e: HeckeElement, lam: Partition) -> tuple[bool, dict[Perm, int]]:

@@ -1,0 +1,35 @@
+"""
+A smoke test of ``tools/bench_kernel.py``: its layers reach private names of
+the package (``symmetrizers._block_action``, ``_side``, ``_table``,
+``_report_on_side``, ``_side_at_one``, an element's ``_ck``), so a refactor
+that renames one must fail here rather than in the next timing run.
+"""
+
+import importlib.util
+import pathlib
+
+TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_kernel.py"
+
+# The one layer whose single call takes seconds: products with three dense
+# elements of 40320 terms.  Every other layer runs in milliseconds.
+DENSE = {"strand_checks_8"}
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("bench_kernel", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_layer_runs_once():
+    layers = _tool().layers()
+    assert DENSE <= set(layers)
+    for name, run in layers.items():
+        if name not in DENSE:
+            run()
+
+
+def test_a_layer_is_timed_raw_and_at_reference_speed():
+    timing = _tool()._time_layer("build_43", 1)
+    assert set(timing) == {"s", "at_ref_s"} and all(t > 0 for t in timing.values())

@@ -8,11 +8,19 @@ Measures whatever ``qyoung`` is importable, so one script times two trees:
 prints one JSON object mapping each layer to ``{"s": ..., "at_ref_s": ...}``:
 its median seconds over the repeats (one call per repeat, after one untimed
 warm-up call that fills the lazy caches), and the median of the same calls
-scaled to reference speed.  A fixed reference loop of pure-Python work is
-timed after every call, and each call's time is multiplied by
-REFERENCE_NOMINAL_S over the loop's, so that a host running slower or
-faster from one run to the next does not read as a difference between
-trees.  Compare ``at_ref_s`` between two trees.  The layers:
+scaled to reference speed.  Each layer is timed in a fresh process of its
+own, one layer at a time, so that the heap and the caches earlier layers
+leave behind cannot skew a later one's timings.  The processes run with
+glibc's mmap and trim thresholds fixed (``FIXED_MALLOC``): by default each
+large free moves them, so whether a layer's large tables are page-faulted
+afresh on every call depends on what the process allocated before, even
+at import.  (8)'s expansion read 5.8-10.6 ms in fresh processes of one
+tree as the allocations before it varied, and 8.3-8.7 ms with the
+thresholds fixed (2-core host, CPython 3.11.7, glibc 2.36).  A fixed
+reference loop of pure-Python work is timed after every call, and each
+call's time is multiplied by REFERENCE_NOMINAL_S over the loop's, so that
+a host running slower or faster from one run to the next does not read as
+a difference between trees.  Compare ``at_ref_s`` between two trees.  The layers:
 
 - ``mul_generator_s6`` / ``mul_generator_s7``: g_i and g_i^-1 for every i,
   applied to e_lambda of (3,3) (504 of 720 terms) and of (4,3) (2016 of
@@ -69,6 +77,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
+import os
 import statistics
 from time import perf_counter
 
@@ -84,6 +94,9 @@ LONGEST = (6, 5, 4, 3, 2, 1)
 # The reference loop's seconds at reference speed: about its time on a
 # 2-core host running CPython 3.11.7.
 REFERENCE_NOMINAL_S = 0.010
+# 32 MB, the largest mmap threshold glibc accepts on 64-bit hosts; setting
+# either turns off glibc's moving thresholds.  Other C libraries ignore both.
+FIXED_MALLOC = {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "33554432"}
 
 
 def reference_loop() -> float:
@@ -192,17 +205,27 @@ def layers() -> dict:
     return out
 
 
-def measure(repeat: int) -> dict[str, dict[str, float]]:
-    out = {}
-    for name, run in layers().items():
+def _time_layer(name: str, repeat: int) -> dict[str, float]:
+    """One layer's median seconds, raw and at reference speed."""
+    run = layers()[name]
+    run()
+    times, scaled = [], []
+    for _ in range(repeat):
+        t0 = perf_counter()
         run()
-        times, scaled = [], []
-        for _ in range(repeat):
-            t0 = perf_counter()
-            run()
-            times.append(perf_counter() - t0)
-            scaled.append(times[-1] * REFERENCE_NOMINAL_S / reference_loop())
-        out[name] = {"s": statistics.median(times), "at_ref_s": statistics.median(scaled)}
+        times.append(perf_counter() - t0)
+        scaled.append(times[-1] * REFERENCE_NOMINAL_S / reference_loop())
+    return {"s": statistics.median(times), "at_ref_s": statistics.median(scaled)}
+
+
+def measure(repeat: int) -> dict[str, dict[str, float]]:
+    """Every layer's timings, each layer in a fresh process, one at a time."""
+    os.environ.update(FIXED_MALLOC)  # read by each spawned process's C library at start
+    spawn = multiprocessing.get_context("spawn")
+    out = {}
+    for name in layers():
+        with spawn.Pool(1) as pool:
+            out[name] = pool.apply(_time_layer, (name, repeat))
     return out
 
 
