@@ -86,7 +86,13 @@ them) when a product expands the other factor through iota, and the word
 costs (L, G) of its table that the general product's side rule reads.
 So a dense factor used in many products is mirrored and scanned once.  A
 product's result starts with neither, not even the table it is the iota
-of, which would hold a second table as large as its own.
+of, which would hold a second table as large as its own.  An element of
+R H_n may also keep a coset table (``_ck``, below).  A row-side one is
+always the element's own: its packed table restricted to the
+representatives, or the table its build or product ran on, which expands
+to it.  A sign-side one is held only by the element of
+``symmetrizers._symmetrizer_on_side`` of a column-heavy diagram, and is
+the table of f, another element, so the product never walks it.
 
 Ranks.  Encoding turns each permutation into its rank and decoding turns
 it back, so inside a chain no permutation tuple is built or hashed.  The
@@ -166,13 +172,13 @@ The digits are those of the c_v', so K, B, the zero low digits and a tidy
 table's tidiness carry over.  A coset table is never an element: iota,
 which does not keep the ideal, and ``_element`` refuse one, so it is
 expanded first.  An element of the ideal may keep its coset table beside its
-packed table: the one the chain that built it ran on, or the restriction
-made on the first use, which checks membership in the ideal
-(``_coset_kept``).  So no element is restricted twice.  An element held
-as a coset table alone (``_coset_element``) keeps the one its chains run
-on, which for the symmetrizer of a column-heavy diagram is the sign-side
-table of another element, f (see ``symmetrizers``); it is read as it is,
-never restricted.
+packed table: the one the chain that built it, or the right product that
+made it, ran on, or the restriction made on the first use, which checks
+membership in the ideal (``_coset_kept``).  So no element is restricted
+twice.  An element held as a coset table alone (``_coset_element``) keeps
+the one its chains run on, which for the symmetrizer of a column-heavy
+diagram is the sign-side table of another element, f (see
+``symmetrizers``); it is read as it is, never restricted.
 
 A general product expands one factor through reduced words, sharing common
 prefixes so that dense products cost one generator step per distinct
@@ -193,6 +199,18 @@ element's many words, walked over it, would grow the tables toward
 costs its length(q) steps and nothing else: the chain of steps along its
 word is the product itself, with no sum to accumulate, and on the left the
 dense factor's iota is the one it keeps, so only the result is mirrored.
+
+When x keeps its own coset table h, x y = R (h y), so y's words are walked
+over h, whose tables hold at most n!/|S_lambda| entries, and the result
+is expanded once.  The bound of that walk reads h: L(y) min(n!/|S_lambda|,
+G(h)), since w_v' w_u has at most 2^length(v') terms, so R w_v' w_u meets
+at most that many cosets.  x's own (L, G) are read off h as well, with no
+expansion (``_costs``), so an element held as its coset table alone is
+priced, and multiplied on the right, without being built.  The result
+keeps h y beside its expansion, so a chain of right products stays on
+it.  A scalar y (no word to walk) is left off this path: x * 1 holds x's
+own packed table.  Elements enumerated term by term, as ``symmetrizer(n)``
+and the full twist are, keep no coset table.
 
 Elements are immutable values.  ``coeffs`` is a read-only view keyed by
 permutation tuples, and the constructor rejects any key that is not a
@@ -371,19 +389,27 @@ class HeckeElement:
     def __mul__(self, other: HeckeElement) -> HeckeElement:
         """
         The algebra product.  Expands the factor whose walk has the smaller
-        bound on its term updates, L(expanded) min(n!, G(other)) with L the
-        sum of word lengths and G the sum of 2^length (see the module
-        docstring): the right one directly, the left one as
-        iota(iota(other) * iota(self)).
+        bound on its term updates, L(expanded) min(size, G(walked)) with L
+        the sum of word lengths, G the sum of 2^length and size the entries
+        a table of the walk can hold (see the module docstring): the right
+        one directly, over self's own coset table when it keeps one, the
+        left one as iota(iota(other) * iota(self)).
         """
         self._check_same_n(other)
         if self.is_zero() or other.is_zero():
             return HeckeElement.zero(self.n)
         words_x, spread_x = _costs(self)
         words_y, spread_y = _costs(other)
-        size = math.factorial(self.n)
-        if words_y * min(size, spread_x) <= words_x * min(size, spread_y):
-            return _element(_expand_right(_packed(self), other))
+        size = walked = math.factorial(self.n)
+        own = _own_coset(self) if words_y else None  # x * 1 keeps x's own table
+        if own is not None:
+            walked //= len(_length_pattern(own.blocks.parts))
+            spread_x = _word_costs(own)[1]
+        if words_y * min(walked, spread_x) <= words_x * min(size, spread_y):
+            if own is None:
+                return _element(_expand_right(_packed(self), other))
+            h = _expand_right(_coset_kept(self, own.blocks), other)
+            return _element(h.expanded(), coset=h)
         return _element(_expand_right(_mirrored(other), _iota(self)).iota())
 
     # -- embeddings and conjugation -------------------------------------------
@@ -699,10 +725,23 @@ def _perm_of(n: int, r: int) -> Perm:
 
 
 def _costs(x: HeckeElement) -> tuple[int, int]:
-    """x's (L, G) for the side rule, scanned on the first use and kept on x."""
+    """
+    x's (L, G) for the side rule, scanned on the first use and kept on x:
+    from x's own coset table when it keeps one, never expanded for it.  An
+    entry c_v' of R h stands for the w_{u v'} of length length(u) +
+    length(v'), u in S_lambda, so L(R h) = |S_lambda| L(h) + |h| times the
+    sum of length(u), and G(R h) = G(h) times the sum of 2^length(u).
+    """
     wc = x._wc
     if wc is None:
-        wc = x._wc = _word_costs(_kept(x))
+        own = _own_coset(x)
+        if own is None:
+            wc = _word_costs(_kept(x))
+        else:
+            (words, spread), pattern = _word_costs(own), _length_pattern(own.blocks.parts)
+            words = len(pattern) * words + len(own.table) * sum(pattern)
+            wc = words, spread * sum(1 << ell for ell in pattern)
+        x._wc = wc
     return wc
 
 
@@ -1184,13 +1223,15 @@ def _mirrored(x: HeckeElement) -> _Packed:
 def _element(pk: _Packed, coset: Optional[_Packed] = None) -> HeckeElement:
     """
     The element a kernel result stands for, holding only its packed table,
-    and keeping ``coset``, when given, as its tidy coset table: the build
-    that expanded ``coset`` to pk passes it.  A coset table
-    stands for R h (or B h), not for its own entries, so it is refused as
-    pk.
+    and keeping ``coset``, when given, as its coset table: the build or
+    product that expanded ``coset`` to pk passes it, and a plain one, its
+    own expansion, is not kept.  A coset table stands for R h (or B h), not
+    for its own entries, so it is refused as pk.
     """
     if pk.blocks is not None:
         raise ValueError("a coset table is not an element; expand it first")
+    if coset is not None and coset.blocks is None:
+        coset = None
     elem = object.__new__(HeckeElement)
     elem.n, elem._coeffs, elem._pk, elem._ck = pk.n, None, pk, coset
     elem._ik = elem._wc = elem._make = None
@@ -1199,10 +1240,11 @@ def _element(pk: _Packed, coset: Optional[_Packed] = None) -> HeckeElement:
 
 def _coset_element(coset: _Packed, make: Callable[[], _Packed]) -> HeckeElement:
     """
-    An element held as the tidy coset table its chains run on and nothing
-    else: make() builds its packed table on the first read of ``coeffs`` or
-    kernel use, and the element keeps it.  ``is_zero`` reads the coset
-    table, which is zero exactly when the element is.
+    An element held as the tidy coset table its chains run on (on the sign
+    side f's, not its own) and nothing else: make() builds its packed
+    table on the first read of ``coeffs`` or kernel use, and the element
+    keeps it.  ``is_zero`` reads the coset table, which is zero exactly
+    when the element is.
     """
     elem = object.__new__(HeckeElement)
     elem.n, elem._coeffs, elem._pk, elem._ck = coset.n, None, None, coset
@@ -1214,14 +1256,23 @@ def _coset_element(coset: _Packed, make: Callable[[], _Packed]) -> HeckeElement:
 def _coset_kept(x: HeckeElement, blocks: _Blocks) -> _Packed:
     """
     x's coset table for the blocks, tidy and kept on x: the one x was built
-    with, or else a restriction of x's packed table made on the first use,
-    which refuses a table outside the ideal of the blocks.  x keeps one
-    coset table; the blocks tell which.
+    with, tidied on the first use if it is a product's, or else a
+    restriction of x's packed table made on the first use, which refuses a
+    table outside the ideal of the blocks.  x keeps one coset table; the
+    blocks tell which.
     """
     ck = x._ck
     if ck is None or ck.blocks != blocks:
         ck = x._ck = _restricted(_kept(x), blocks)._tidied()
+    elif not ck.tidy:
+        ck = x._ck = ck._tidied()
     return ck
+
+
+def _own_coset(x: HeckeElement) -> Optional[_Packed]:
+    """x's own coset table as kept, or None: a sign-side one is f's (``_coset_element``)."""
+    ck = x._ck
+    return ck if ck is not None and ck.blocks.row else None
 
 
 def _encode(x: HeckeElement) -> _Packed:

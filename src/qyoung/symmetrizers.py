@@ -300,11 +300,12 @@ def _table(side: _Side) -> _Packed:
 def row_element(lam: Partition) -> HeckeElement:
     """
     Product of row symmetrizers placed at the row-reading offsets: R's
-    one-entry coset table, R 1, expanded, with no step.
+    one-entry coset table, R 1, expanded, with no step, and kept, so that
+    a right product steps that one entry.
     """
     perms.check_size(f"the row element of lambda={lam}", lam.n)
-    side = _side(lam, True)
-    return _element(_packed(HeckeElement.unit(lam.n)).with_blocks(side.first).expanded())
+    one = _packed(HeckeElement.unit(lam.n)).with_blocks(_side(lam, True).first)
+    return _element(one.expanded(), coset=one)
 
 
 def column_element(lam: Partition) -> HeckeElement:
@@ -322,8 +323,6 @@ def e_lambda(lam: Partition) -> HeckeElement:
     """The q-Young symmetrizer of the diagram, on exactly |diagram| strands."""
     perms.check_size(f"the symmetrizer of lambda={lam}", lam.n)
     h = _table(_side(lam, True))
-    if h.blocks is None:
-        return _element(h)
     return _element(h.expanded(), coset=h)
 
 

@@ -18,7 +18,7 @@ from qyoung.hecke import HeckeElement, Z, _element, _encode, _packed, _Packed, e
 from qyoung.laurent import MAX_EXPONENT_SPAN, LaurentPoly, ONE, S, ZERO
 from qyoung.central import full_twist
 from qyoung.partitions import Partition, all_partitions
-from qyoung.symmetrizers import antisymmetrizer, e_lambda, symmetrizer
+from qyoung.symmetrizers import alpha_extract, antisymmetrizer, e_lambda, row_element, symmetrizer
 
 from . import oracles
 from .oracles import group_algebra_mul
@@ -636,7 +636,19 @@ def term_steps(monkeypatch):
 
 
 def direct_branch(x, y):
-    """x * y with y expanded through its reduced words."""
+    """
+    x * y with y expanded through its reduced words, as a plain table: over
+    x's own coset table and then expanded, as the product does, when x
+    keeps one and y is not a scalar, and over x's packed table otherwise.
+    """
+    own = hecke._own_coset(x)
+    if own is not None and hecke._costs(y)[0]:
+        return hecke._expand_right(hecke._coset_kept(x, own.blocks), y).expanded()
+    return plain_branch(x, y)
+
+
+def plain_branch(x, y):
+    """x * y with y expanded through its reduced words over x's packed table."""
     return hecke._expand_right(_packed(x), y)
 
 
@@ -718,6 +730,100 @@ class TestBranchesAgree:
         assert direct == (x * y).coeffs
         if n <= 4:
             assert direct == kernel_free_product(x, y).coeffs
+
+
+def row_coset_factors(lam):
+    """
+    The elements of R H_n that keep their own row-side coset table, or
+    whose kept table is f's on the sign side (``alpha_extract``'s element
+    of a column-heavy diagram), each made afresh.
+    """
+    return {
+        "e_lambda": lambda: e_lambda(lam),
+        "row_element": lambda: row_element(lam),
+        "alpha_extract": lambda: alpha_extract(lam).element,
+    }
+
+
+class TestCosetProducts:
+    # x * y for an x of R H_n that keeps its own coset table h is R (h y):
+    # y's words walked over h, one expansion at the end.  Each result is
+    # checked, as a decoded mapping, against y's words walked over x's
+    # plain table, and against the kernel-free product while H_n is small.
+    # alpha_extract's element holds f's sign-side table for a column-heavy
+    # diagram, which is not its own and must not be walked.
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_right_products_are_the_plain_table_products(self, data):
+        n = data.draw(st.integers(2, 6))
+        lam = data.draw(st.sampled_from(list(all_partitions(n))))
+        name = data.draw(st.sampled_from(sorted(row_coset_factors(lam))))
+        y = data.draw(mixed_element(n, n < 6 and data.draw(st.booleans())))
+        if y.is_zero():
+            return
+        make = row_coset_factors(lam)[name]
+        product = make() * y
+        plain = _element(plain_branch(make(), y)).coeffs
+        assert product.coeffs == plain
+        assert (product * y).coeffs == _element(plain_branch(HeckeElement(n, plain), y)).coeffs
+        if n <= 4:
+            assert product.coeffs == kernel_free_product(make(), y).coeffs
+
+    @pytest.mark.parametrize("lam", [Partition(p) for p in ((2, 1, 1), (2, 2, 1, 1), (1, 1, 1, 1))], ids=str)
+    def test_an_element_holding_the_sign_table_is_not_walked_on_it(self, lam):
+        x = alpha_extract(lam).element
+        assert x._ck is not None and not x._ck.blocks.row and hecke._own_coset(x) is None
+        y = basis(lam.n, *range(lam.n, 0, -1)) + gen(lam.n, 1).scale(S)
+        assert (x * y).coeffs == (e_lambda(lam) * y).coeffs
+        assert (x * y)._ck is None
+
+    def test_each_step_reads_at_most_one_entry_per_coset(self, term_steps, monkeypatch):
+        # (3,3) has 720 / (3! 3!) = 20 minimal coset representatives.
+        sizes, counted = [], _Packed.mul_generator
+        monkeypatch.setattr(
+            _Packed,
+            "mul_generator",
+            lambda self, i, sign=1: sizes.append(len(self.table)) or counted(self, i, sign),
+        )
+        e, plain = e_lambda(Partition((3, 3))), e_lambda(Partition((3, 3)))
+        for p in ((6, 5, 4, 3, 2, 1), (3, 6, 4, 1, 5, 2), (2, 3, 4, 5, 6, 1)):
+            w = basis(6, *p)
+            sizes.clear()
+            assert term_steps(lambda: e * w) == sum(sizes) <= perms.length(p) * 720 // 36
+            assert len(sizes) == perms.length(p) and max(sizes) <= 720 // 36
+            assert (e * w).coeffs == _element(plain_branch(plain, w)).coeffs
+
+    def test_a_chain_of_right_products_stays_on_the_coset_table(self):
+        lam = Partition((2, 2))
+        y, x = basis(4, 2, 4, 1, 3), row_element(lam)
+        once = x * y
+        assert once._ck is not None and once._ck.blocks == x._ck.blocks and not once._ck.tidy
+        twice = once * y
+        assert once._ck.tidy and twice._ck is not None
+        assert len(twice._ck.table) < len(twice.coeffs)
+        assert twice == row_element(lam) * (y * y)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_costs_read_off_the_coset_table_are_those_of_the_element(self, n):
+        for lam in all_partitions(n):
+            e = e_lambda(lam)
+            assert hecke._costs(e) == hecke._word_costs(_packed(e))
+
+    def test_a_product_is_priced_and_run_without_expanding_the_element(self):
+        lam = Partition((3, 3))
+        x = alpha_extract(lam).element
+        assert x._ck.blocks.row and x._pk is None
+        e, w = e_lambda(lam), basis(6, 3, 6, 4, 1, 5, 2)
+        assert hecke._costs(x) == hecke._word_costs(_packed(e))
+        product = x * w
+        assert x._pk is None
+        assert product == e * w
+
+    def test_row_element_keeps_the_one_entry_coset_table(self):
+        x = row_element(Partition((3, 2, 1)))
+        assert len(x._ck.table) == 1 and x._ck.blocks == hecke._Blocks((3, 2, 1), True)
+        assert row_element(Partition((1, 1, 1)))._ck is None
 
 
 def mirrored(x):

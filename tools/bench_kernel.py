@@ -32,6 +32,11 @@ a difference between trees.  Compare ``at_ref_s`` between two trees.  The layers
   product w_p * ft_6 for the longest p, of length 15.  The side rule
   expands the one-term w_p, through iota when it is the left factor and
   directly when it is the right one, so these layers time both branches;
+- ``e6_long_braid`` / ``e6_sparse``: the products e_lambda(3,3) * w_p for
+  p = LONG_BRAID and e_lambda(3,3) * y for SPARSE_Y, two terms of lengths
+  2 and 4 as in the benchmark's sparse factors.  y is expanded directly,
+  its words walked over the 20-entry coset table that e_lambda keeps, and
+  the result expanded once to its 504 entries;
 - ``alpha_extract_43`` / ``twist_eigenvalue_43``: the public calls;
 - ``alpha_extract_44`` / ``twist_44``: the same calls on the 8-cell diagram
   (4,4), whose e_lambda holds 24192 of the 40320 basis braids of H_8; the
@@ -85,12 +90,14 @@ from time import perf_counter
 from qyoung import central, hecke, invariants
 from qyoung import symmetrizers as sym
 from qyoung.hecke import HeckeElement
-from qyoung.laurent import S
+from qyoung.laurent import LaurentPoly, S
 from qyoung.partitions import Partition
 
 # A permutation of length 9 in S_6, and the longest one, of length 15.
 LONG_BRAID = (3, 6, 4, 1, 5, 2)
 LONGEST = (6, 5, 4, 3, 2, 1)
+# A sparse factor in H_6: two terms, of lengths 2 and 4.
+SPARSE_Y = {(2, 1, 3, 5, 4, 6): S, (1, 4, 2, 6, 3, 5): LaurentPoly(-1, (2, 0, -1))}
 # The reference loop's seconds at reference speed: about its time on a
 # 2-core host running CPython 3.11.7.
 REFERENCE_NOMINAL_S = 0.010
@@ -173,6 +180,7 @@ def layers() -> dict:
     a6, ft6 = sym.symmetrizer(6), central.full_twist(6)
     w = HeckeElement.basis_element(6, LONG_BRAID)
     w0 = HeckeElement.basis_element(6, LONGEST)
+    y = HeckeElement(6, SPARSE_Y)
     out = {
         "mul_generator_s6": _every_generator(e6),
         "mul_generator_s7": _every_generator(e7),
@@ -180,6 +188,8 @@ def layers() -> dict:
         "long_braid_a6": lambda: w * a6,
         "a6_long_braid": lambda: a6 * w,
         "long_braid_ft6": lambda: w0 * ft6,
+        "e6_long_braid": lambda: e6 * w,
+        "e6_sparse": lambda: e6 * y,
         "alpha_extract_43": lambda: sym.alpha_extract(lam7),
         "twist_eigenvalue_43": lambda: central.twist_eigenvalue(lam7),
         "alpha_extract_44": lambda: sym.alpha_extract(lam8),
