@@ -209,8 +209,10 @@ expansion (``_costs``), so an element held as its coset table alone is
 priced, and multiplied on the right, without being built.  The result
 keeps h y beside its expansion, so a chain of right products stays on
 it.  A scalar y (no word to walk) is left off this path: x * 1 holds x's
-own packed table.  Elements enumerated term by term, as ``symmetrizer(n)``
-and the full twist are, keep no coset table.
+own packed table.  A lone step or rescaling of such an x runs on h too
+and keeps its result, so a chain of ``mul_generator`` calls on e_lambda
+steps h's entries, not e_lambda's.  Elements written by rank, as
+``symmetrizer(n)`` is, and the full twist keep no coset table.
 
 Elements are immutable values.  ``coeffs`` is a read-only view keyed by
 permutation tuples, and the constructor rejects any key that is not a
@@ -369,22 +371,26 @@ class HeckeElement:
             a = LaurentPoly.from_int(a)
         if a.is_zero() or self.is_zero():
             return HeckeElement.zero(self.n)
+        own = _own_coset(self)
         out = _Packed.zero(self.n)
-        out.add_times(_packed(self), a)
-        return _element(out)
+        out.add_times(_packed(self) if own is None else _coset_kept(self, own.blocks), a)
+        return _element(out.expanded(), coset=out)
 
     # -- multiplication ------------------------------------------------------
 
     def mul_generator(self, i: int, sign: int = 1) -> HeckeElement:
         """
         Right multiplication by g_i (sign=+1) or g_i^-1 (sign=-1), pair by
-        pair through the rewriting rule: the one-step packed chain.
+        pair through the rewriting rule: the one-step packed chain, on
+        self's own coset table when it keeps one, as in ``__mul__``.
         """
         if not 1 <= i <= self.n - 1:
             raise IndexError(f"generator index {i} out of range for {self.n} strands")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        return _element(_packed(self).mul_generator(i, sign))
+        own = _own_coset(self)
+        h = (_packed(self) if own is None else _coset_kept(self, own.blocks)).mul_generator(i, sign)
+        return _element(h.expanded(), coset=h)
 
     def __mul__(self, other: HeckeElement) -> HeckeElement:
         """
@@ -724,6 +730,14 @@ def _perm_of(n: int, r: int) -> Perm:
     return p
 
 
+def _inverse_rank(n: int, r: int) -> int:
+    """The rank of p^-1 for the p of rank r in S_n, stored both ways in the inverse memo."""
+    inverse = _inverse_memo(n)
+    q = inverse[r] = _rank(perms.inverse(_unrank(n, r)))
+    inverse[q] = r
+    return q
+
+
 def _costs(x: HeckeElement) -> tuple[int, int]:
     """
     x's (L, G) for the side rule, scanned on the first use and kept on x:
@@ -987,8 +1001,7 @@ class _Packed:
         for p, c in self.table.items():
             q = inverse.get(p)
             if q is None:
-                q = inverse[p] = _rank(perms.inverse(_unrank(n, p)))
-                inverse[q] = p
+                q = _inverse_rank(n, p)
             table[q] = c
         return _Packed(self.n, table, self.val, self.k, self.bound, self.low, self.tidy)
 

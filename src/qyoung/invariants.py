@@ -3,14 +3,38 @@ The named invariants that ``qyoung verify`` and the acceptance tests check.
 
 Each check is a ``(name, ok)`` pair: the name says what was compared and
 on which strand count or diagram, and ``ok`` is the result of an exact
-``==`` between two sides that were both multiplied out.  Nothing here
+comparison between two sides that were both multiplied out (or, for the
+full twist's centrality, between a product and its iota).  Nothing here
 assumes a closed form; the closed forms are what the products are
 compared against.
 
 ``strand_checks(n)`` covers H_n itself: the eigen-relations of the one-row
 element a_n (every generator acts by s) and the one-column element b_n
 (every generator acts by -s^-1), each on both sides, and the centrality of
-the full twist against every generator.
+the full twist against every generator.  They run on packed tables, as the
+chains do: one generator step per relation, compared as kept.  The right
+relation x g_i = u x, for x = a_n, u = s or x = b_n, u = -s^-1, is one
+step of x's table against u x, built once per n.  The left one is checked
+mirrored.  iota fixes g_i and the scalar u and reverses products, so
+iota(g_i x) = iota(x) g_i, and since iota is a bijection
+
+    g_i x = u x   exactly when   iota(x) g_i = u iota(x):
+
+x is mirrored once per n and stepped on the right, and no result is
+mirrored back.  Centrality goes the same way.  The full twist is the
+square of w_w0 with w0 its own inverse, so iota fixes it whenever iota
+reverses products, and that is checked first: iota(ft) = ft.  Then
+iota(ft g_i) = g_i ft, so
+
+    ft g_i = g_i ft   exactly when   ft g_i is fixed by iota,
+
+one step per generator instead of two, each result compared entry by
+entry with itself at the inverse ranks.  Should iota(ft) = ft fail, every
+centrality check fails with it, since none of them then holds by this
+argument.  The multiplications are real: only the full twist is built
+through the general product, and every relation is a step compared with a
+table built without one.  a_n and b_n themselves are written by rank
+(``symmetrizers``), with no step, expansion or iota.
 
 ``diagram_checks(lam, taus)`` covers one diagram: the squaring
 scalar against its closed form and against the hook product at s = 1, the
@@ -63,8 +87,8 @@ from __future__ import annotations
 
 from . import central, symmetrizers
 from . import permutations as perms
-from .hecke import HeckeElement
-from .laurent import LaurentPoly, S
+from .hecke import HeckeElement, _element, _inverse_memo, _inverse_rank, _packed, _Packed
+from .laurent import NEG_S_INV, LaurentPoly, S
 from .partitions import Partition
 from .permutations import Perm
 
@@ -74,7 +98,8 @@ Check = tuple[str, bool]
 def strand_checks(n: int) -> list[Check]:
     """
     The eigen-relations of a_n and b_n and the centrality of the full
-    twist, for every generator g_i of H_n.
+    twist, for every generator g_i of H_n, on packed tables as the module
+    docstring derives them: one element's tables at a time.
 
     >>> checks = strand_checks(2)
     >>> for name, ok in checks:
@@ -84,29 +109,58 @@ def strand_checks(n: int) -> list[Check]:
     True full-twist centrality, n=2, i=1
     """
     out: list[Check] = []
-    an = symmetrizers.symmetrizer(n)
-    bn = symmetrizers.antisymmetrizer(n)
-    an_s = an.scale(S)
-    bn_neg_sinv = bn.scale(symmetrizers.NEG_S_INV)
+    rows = _eigen_relations(symmetrizers.symmetrizer(n), S)
+    columns = _eigen_relations(symmetrizers.antisymmetrizer(n), NEG_S_INV)
+    for i, (row, column) in enumerate(zip(rows, columns), 1):
+        out.append((f"eigen-relation for the row element, n={n}, i={i}", row))
+        out.append((f"eigen-relation for the column element, n={n}, i={i}", column))
+    ft = _packed(central.full_twist(n))
+    fixed = _iota_fixed(ft)
     for i in range(1, n):
-        g = HeckeElement.generator(n, i)
         out.append(
-            (
-                f"eigen-relation for the row element, n={n}, i={i}",
-                g * an == an_s and an * g == an_s,
-            )
+            (f"full-twist centrality, n={n}, i={i}", fixed and _iota_fixed(ft.mul_generator(i)))
         )
-        out.append(
-            (
-                f"eigen-relation for the column element, n={n}, i={i}",
-                g * bn == bn_neg_sinv and bn * g == bn_neg_sinv,
-            )
-        )
-    ft = central.full_twist(n)
-    for i in range(1, n):
-        g = HeckeElement.generator(n, i)
-        out.append((f"full-twist centrality, n={n}, i={i}", ft * g == g * ft))
     return out
+
+
+def _eigen_relations(x: HeckeElement, u: LaurentPoly) -> list[bool]:
+    """
+    For each g_i of x's H_n, whether x g_i = u x and g_i x = u x: one step
+    of x's table against u x, and one step of iota(x)'s against u iota(x),
+    each reference built once at the valuation the steps keep.
+    """
+    plain = _packed(x)
+    sides = [(t, _element(_unit_times(t, u))) for t in (plain, plain.iota())]
+    return [all(_element(t.mul_generator(i)) == ref for t, ref in sides) for i in range(1, x.n)]
+
+
+def _unit_times(pk: _Packed, u: LaurentPoly) -> _Packed:
+    """
+    u times a tidy packed table, for u = s or -s^-1, at the table's own
+    valuation: each entry shifted by one digit, the sign applied, and one
+    zero low digit gained or spent.
+    """
+    (sign,), e, k = u.coeffs, u.val, pk.k
+    values = {c: sign * (c << k if e > 0 else c >> k) for c in set(pk.table.values())}
+    table = {r: values[c] for r, c in pk.table.items()}
+    return _Packed(pk.n, table, pk.val, k, pk.bound, pk.low + e)
+
+
+def _iota_fixed(pk: _Packed) -> bool:
+    """
+    Whether iota fixes a plain packed table: each entry against the entry
+    at its inverse rank, read through the inverse-rank memo, so that no
+    mirrored table is built.  iota moves entries unchanged, so V and K
+    already agree.
+    """
+    n, inverse, table = pk.n, _inverse_memo(pk.n), pk.table
+    for r, c in table.items():
+        q = inverse.get(r)
+        if q is None:
+            q = _inverse_rank(n, r)
+        if table.get(q) != c:
+            return False
+    return True
 
 
 def diagram_checks(lam: Partition, taus: dict[tuple[int, ...], LaurentPoly]) -> list[Check]:

@@ -87,17 +87,19 @@ other element, e_lambda(lam) itself among them, runs on the row side, on
 the coset table its build kept or a restriction made on the first use
 after the membership check, so no element is restricted twice.  This
 module sees a packed table only through its steps, sums, blocks,
-expansion and iota.
+expansion and iota, and writes one only for a_n and b_n (below).
 
 ``symmetrizer`` and ``antisymmetrizer`` are one enumeration of S_n, with
-coefficient u^length(p) for u = s or -s^-1, that never touches the
-kernel, so that the eigen-relations ``qyoung verify`` checks on them test
-the kernel against something built outside it; its keys are permutations
-by construction, so it skips the constructor's key checks.  Each length
-is read off the Lehmer code, so the enumeration costs no more than the
-factored action (a_8 in 0.033-0.045 s against 0.043 s on one 2-core host,
-CPython 3.11.7), and it peaks lower (21 MB against 26 MB for the whole
-process), since the factored steps hold dense packed tables.
+coefficient u^length(p) for u = s or -s^-1, written straight into the
+packed table by rank: the kernel's table format, but none of its steps,
+sums, expansions or iota, so that the eigen-relations ``qyoung verify``
+checks on them test the step against something built without it.  Rank
+order is the lexicographic order of the Lehmer codes, whose digit sums are
+the lengths, so no permutation is built, ranked or hashed and every entry
+is one of n(n-1)/2 + 1 shared ints; ``coeffs`` decodes the table on its
+first read, as for any kernel result.  a_8 takes 3-5 ms, and the process
+that builds it peaks at 20 MB, where the mapping it was enumerated as
+before took 13-33 ms and 24 MB (one 2-core host, CPython 3.11.7).
 
 Every builder refuses more than 8 cells or strands through the one size
 guard, ``permutations.check_size``, and so does the expansion of the
@@ -109,7 +111,6 @@ slowest, (3,3,2), 0.02-0.03 s, on one 2-core host (CPython 3.11.7).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -119,6 +120,7 @@ from .errors import NotQuasiIdempotent
 from .hecke import (
     HeckeElement,
     ScalarReport,
+    _REBASE,
     _Blocks,
     _coset_element,
     _coset_kept,
@@ -127,7 +129,6 @@ from .hecke import (
     _extract,
     _packed,
     _Packed,
-    _trusted,
 )
 from .laurent import NEG_S_INV, LaurentPoly, ONE, S, qint
 from .partitions import Partition
@@ -136,19 +137,25 @@ from .permutations import Perm
 
 def _one_dimensional(n: int, u: LaurentPoly) -> HeckeElement:
     """
-    The sum of u^length(p) * w_p over S_n, enumerated term by term without
-    the kernel; the coefficients come from one list of powers of u.  The
-    enumeration is made, and so guarded, before the powers.  Each length is
-    the digit sum of the Lehmer code, and the codes, the tuples with j-th
-    digit below n - j, run in lexicographic order alongside the
-    permutations, since both orders are that of the rank.
+    The sum of u^length(p) * w_p over S_n, for the unit u = s or -s^-1,
+    written as its packed table by rank without the kernel, guarded first.
+    The rank's digits in the factorial base are the Lehmer code, so the
+    lengths of S_m in rank order are d + l for the leading digit d below m
+    and each length l of S_(m-1) in rank order.  Every entry is one of the
+    n(n-1)/2 + 1 packed powers of u, with K = 64, V the lowest exponent
+    less _REBASE and B = 1, as an encode would leave the table.
     """
-    everything = perms.all_permutations(n)
-    powers = [ONE]
-    for _ in range(n * (n - 1) // 2):
-        powers.append(powers[-1] * u)
-    codes = itertools.product(*map(range, range(n, 0, -1)))
-    return _trusted(n, {p: powers[sum(code)] for p, code in zip(everything, codes)})
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    perms.check_size(f"the enumeration of S_{n}", n)
+    lengths = [0]
+    for m in range(2, n + 1):
+        lengths = [d + ell for d in range(m) for ell in lengths]
+    (sign,), e = u.coeffs, u.val
+    val = min(0, e * n * (n - 1) // 2) - _REBASE
+    powers = [sign**ell << 64 * (e * ell - val) for ell in range(n * (n - 1) // 2 + 1)]
+    table = dict(enumerate(map(powers.__getitem__, lengths)))
+    return _element(_Packed(n, table, val, 64, 1, _REBASE, tidy=True))
 
 
 def symmetrizer(n: int) -> HeckeElement:
@@ -279,10 +286,12 @@ def _start(side: _Side) -> _Packed:
     table of one entry at the inverse of ``at``, expanded in one pass to
     the sum of u^length(v) w_{v w_word^-1} over the second blocks'
     subgroup, u their unit, and mirrored by one iota, which fixes the
-    block sums and reverses the product.
+    block sums and reverses the product.  An empty word, for (n) and
+    (1^n), needs no iota: w_word second is the block sum itself.
     """
     one = _packed(HeckeElement.basis_element(len(side.at), perms.inverse(side.at)))
-    return one.with_blocks(side.second).expanded().iota()
+    start = one.with_blocks(side.second).expanded()
+    return start.iota() if side.word else start
 
 
 def _table(side: _Side) -> _Packed:

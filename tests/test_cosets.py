@@ -242,7 +242,9 @@ class TestExpansion:
 
     def test_any_other_element_is_restricted_once(self, monkeypatch):
         lam = Partition((3, 2))
-        e = sym.e_lambda(lam).scale(2)
+        # Built from its mapping: e_lambda(lam).scale(2) keeps e_lambda's
+        # coset table and is never restricted.
+        e = HeckeElement(lam.n, sym.e_lambda(lam).scale(2).coeffs)
         calls = []
 
         def counted(pk, blocks):
@@ -252,6 +254,8 @@ class TestExpansion:
         monkeypatch.setattr(hecke, "_restricted", counted)
         first = central.twist_scalar(e, lam)
         assert central.twist_scalar(e, lam) == first
+        assert calls == [row(lam)]
+        assert central.twist_scalar(sym.e_lambda(lam).scale(2), lam) == first
         assert calls == [row(lam)]
 
     def test_a_coset_table_is_no_element(self):
@@ -496,8 +500,9 @@ def test_eight_cell_expansions_are_the_chain_expansions(lam):
 def test_e_lambda_runs_no_iota_and_no_row_blocks(lam, monkeypatch):
     # The build is one expansion of the start, one iota on its product of
     # lam'_j! entries (w_d B), the inverse steps and e_lambda's expansion:
-    # no block sum with either unit, and no iota but the start's.  (The
-    # name predates the start's iota.)
+    # no block sum with either unit, and no iota but the start's, which
+    # (n) and (1^n), with d = 1, skip since B is iota-fixed.  (The name
+    # predates the start's iota.)
     units, iotas = [], []
     block_action, iota = sym._block_action, _Packed.iota
 
@@ -513,7 +518,10 @@ def test_e_lambda_runs_no_iota_and_no_row_blocks(lam, monkeypatch):
     monkeypatch.setattr(_Packed, "iota", spied_iota)
     e = sym.e_lambda(lam)
     assert units == []
-    assert iotas == [math.prod(map(math.factorial, lam.conjugate().parts))]
+    if len(lam.parts) == 1 or lam.parts[0] == 1:
+        assert iotas == []
+    else:
+        assert iotas == [math.prod(map(math.factorial, lam.conjugate().parts))]
     if lam.parts[0] > 1:
         # Kept tidy from the build: the first chain on e tidies nothing.
         kept = e._pk

@@ -79,6 +79,20 @@ class TestOneRowAndOneColumn:
             expected = an.scale(LaurentPoly.monomial(perms.length(p)))
             assert HeckeElement.basis_element(n, p) * an == expected
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_tables_written_by_rank_are_the_encoded_enumeration(self, n):
+        # The kernel-free mapping {p: u^length(p)}, encoded, against the
+        # table written by rank: the same ints, V, K, B and low.
+        for build, u in ((symmetrizer, S), (antisymmetrizer, NEG_S_INV)):
+            mapping = {p: u ** perms.length(p) for p in perms.all_permutations(n)}
+            written, encoded = hecke._kept(build(n)), hecke._encode(HeckeElement(n, mapping))
+            assert written.tidy and written.blocks is None
+            assert (written.table, written.val, written.k, written.bound, written.low) == (
+                encoded.table, encoded.val, encoded.k, encoded.bound, encoded.low
+            )
+            if n <= 6:
+                assert build(n).coeffs == mapping
+
     def test_guard(self):
         with pytest.raises(TooLarge):
             symmetrizer(9)

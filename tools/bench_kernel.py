@@ -24,7 +24,9 @@ a difference between trees.  Compare ``at_ref_s`` between two trees.  The layers
 
 - ``mul_generator_s6`` / ``mul_generator_s7``: g_i and g_i^-1 for every i,
   applied to e_lambda of (3,3) (504 of 720 terms) and of (4,3) (2016 of
-  5040 terms), each as a lone ``HeckeElement.mul_generator`` call;
+  5040 terms), each as a lone ``HeckeElement.mul_generator`` call, which
+  steps the 14 entries of the coset table e_lambda keeps and expands the
+  result;
 - ``block_action_43``: the first row block of squaring e_lambda (4,3), as
   one chain from the element to the element;
 - ``long_braid_a6`` / ``a6_long_braid``: the products w_p * a_6 and
@@ -69,9 +71,11 @@ a difference between trees.  Compare ``at_ref_s`` between two trees.  The layers
   ``invariants.is_classical_coset_table``;
 - ``strand_checks_5`` / ``strand_checks_8``: ``invariants.strand_checks``
   on 5 and 8 strands, the eigen-relations of a_n and b_n and the
-  centrality of the full twist, each a general product of one generator
-  with a dense element of n! terms; every call builds its a_n, b_n and
-  full twist afresh, as ``qyoung verify`` does.
+  centrality of the full twist, each one generator step of a dense packed
+  table of n! entries: a_n's and b_n's, their iota (the left relations,
+  checked mirrored) and the full twist's (checked fixed by iota); every
+  call writes its a_n and b_n and builds its full twist afresh, as
+  ``qyoung verify`` does.
 
 The chain layer starts from the element's kept packed table and ends in an
 element holding the result's (``hecke._packed`` and ``hecke._element``), so
