@@ -100,9 +100,9 @@ step finds the partner rank rank(p s_i) by rank arithmetic: s_i changes
 two Lehmer digits of p, so the rank moves by one of (n-i+1)(n-i) shifts,
 read from a short list per (n, i) indexed by those two digits; the length
 went up exactly when the partner rank is the larger, so nothing else is
-stored.  The conversions, and inversion on ranks for iota, are computed
-from Lehmer codes and remembered per strand count, only for the
-permutations met so far.  No table covers all of S_n, but a step still
+stored.  The conversions, and inversion on ranks for iota and
+restriction, are computed from Lehmer codes and remembered per strand
+count, only for the permutations met so far.  No table covers all of S_n, but a step still
 costs more as n grows: the shift list of (n, i) holds (n-i+1)(n-i) ints of
 up to log2(n!) bits, so g_1 * g_1 on 500 strands takes about 0.3 s and
 146 MB (2-core host, CPython 3.11.7).  Concurrent chains may fill a memo,
@@ -171,12 +171,13 @@ block sizes m, and the entry is (-1)^length(u) (c_v' << K (top - length(u))).
 The digits are those of the c_v', so K, B, the zero low digits and a tidy
 table's tidiness carry over.  A coset table is never an element: iota,
 which does not keep the ideal, and ``_element`` refuse one, so it is
-expanded first.  An element of the ideal may keep its coset table beside its
-packed table: the one the chain that built it, or the right product that
-made it, ran on, or the restriction made on the first use, which checks
-membership in the ideal (``_coset_kept``).  So no element is restricted
-twice.  An element held as a coset table alone (``_coset_element``) keeps
-the one its chains run on, which for the symmetrizer of a column-heavy
+expanded first.  An element of the ideal may keep its coset table beside
+its packed table: the one the chain that built it, or the right product
+that made it, ran on, or the restriction made on the first use, which
+checks membership in the ideal by expanding the restriction back
+(``_coset_kept``, ``_restricted``).  So no element is restricted twice.
+An element held as a coset table alone (``_coset_element``) keeps the
+one its chains run on, which for the symmetrizer of a column-heavy
 diagram is the sign-side table of another element, f (see
 ``symmetrizers``); it is read as it is, never restricted.
 
@@ -211,8 +212,9 @@ keeps h y beside its expansion, so a chain of right products stays on
 it.  A scalar y (no word to walk) is left off this path: x * 1 holds x's
 own packed table.  A lone step or rescaling of such an x runs on h too
 and keeps its result, so a chain of ``mul_generator`` calls on e_lambda
-steps h's entries, not e_lambda's.  Elements written by rank, as
-``symmetrizer(n)`` is, and the full twist keep no coset table.
+steps h's entries, not e_lambda's.  a_n and b_n, which
+``symmetrizer(n)`` and ``antisymmetrizer(n)`` expand from the unit's
+one-entry coset table, and the full twist keep no coset table.
 
 Elements are immutable values.  ``coeffs`` is a read-only view keyed by
 permutation tuples, and the constructor rejects any key that is not a
@@ -731,10 +733,12 @@ def _perm_of(n: int, r: int) -> Perm:
 
 
 def _inverse_rank(n: int, r: int) -> int:
-    """The rank of p^-1 for the p of rank r in S_n, stored both ways in the inverse memo."""
+    """The rank of p^-1 for the p of rank r in S_n, through the inverse memo, stored both ways."""
     inverse = _inverse_memo(n)
-    q = inverse[r] = _rank(perms.inverse(_unrank(n, r)))
-    inverse[q] = r
+    q = inverse.get(r)
+    if q is None:
+        q = inverse[r] = _rank(perms.inverse(_unrank(n, r)))
+        inverse[q] = r
     return q
 
 
@@ -849,38 +853,45 @@ def _within_block(blocks: _Blocks, i: int, p: Perm) -> bool:
 
 def _restricted(pk: _Packed, blocks: _Blocks) -> _Packed:
     """
-    The coset table of a plain table x of the ideal of the blocks (R H_n
-    on the row side, B H_n on the sign side): its entries at the minimal
-    coset representatives of the blocks' Young subgroup.  A table outside
-    the ideal is refused.  x lies in R H_n exactly when g_j x = s x for
-    every s_j in the subgroup, that is, when y = iota(x) has
-    y[p s_j] = s y[p] whenever p s_j is the longer: the pair rule's
-    out[p s_j] = y[p] + z y[p s_j] then equals s y[p s_j] by itself.  In the
-    same way x lies in B H_n exactly when y[p] = -s y[p s_j].  The same pass
-    finds the representatives: v is one when each block's values stand in
-    increasing order, so when iota(v) steps up under every such s_j.
+    The coset table h of a plain table x of the ideal of the blocks (R H_n
+    on the row side, B H_n on the sign side): x's entries at the minimal
+    coset representatives of the blocks' Young subgroup, the permutations
+    whose values of each block stand in increasing order.  A table outside
+    the ideal is refused: x lies in it exactly when x equals the expansion
+    of h.  That expansion is F h by construction (F = R or B), so an x
+    equal to it lies in the ideal.  Conversely an x of the ideal is the sum
+    of c_v' F w_v' over the representatives, and F w_v' is the only basis
+    element that reaches w_v', with coefficient 1, so x's entry at v' is
+    c_v': h holds the c_v', and x = F h.  That is restriction being
+    injective on the ideal.
     """
-    _check_readable(pk)
-    n, k, mirror = pk.n, pk.k, pk.iota().table
-    lower: set[int] = set()
-    for part, start in zip(blocks.parts, blocks.offsets):
-        for j in range(start + 1, start + part):
-            weight, size, shifts = _partner_shifts(n, j)
-            for p, c in mirror.items():
-                q = p + shifts[p // weight % size]
-                if q < p:
-                    lower.add(p)
-                    held = q in mirror
-                elif blocks.row:
-                    held = mirror.get(q) == c << k
-                else:
-                    held = -(mirror.get(q, 0) << k) == c
-                if not held:
-                    ideal = "R H_n for the row" if blocks.row else "B H_n for the column"
-                    raise ValueError(f"the table is not in {ideal} blocks {blocks.parts}")
-    inverse = _inverse_memo(n)  # holds every rank of x since the iota above
-    out = {r: c for r, c in pk.table.items() if inverse[r] not in lower}
-    return _Packed(n, out, pk.val, k, pk.bound, pk.low, blocks=blocks)
+    n = pk.n
+    steps = [
+        _partner_shifts(n, j)
+        for part, start in zip(blocks.parts, blocks.offsets)
+        for j in range(start + 1, start + part)
+    ]
+    table = {r: c for r, c in pk.table.items() if _is_representative(_inverse_rank(n, r), steps)}
+    h = _Packed(n, table, pk.val, pk.k, pk.bound, pk.low, blocks=blocks)
+    mine, theirs = _aligned(h.expanded(), pk)
+    if mine != theirs:
+        ideal = "R H_n for the row" if blocks.row else "B H_n for the column"
+        raise ValueError(f"the table is not in {ideal} blocks {blocks.parts}")
+    return h
+
+
+def _is_representative(q: int, steps: list[tuple[int, int, list[int]]]) -> bool:
+    """
+    Whether the v with v^-1 of rank q is a minimal coset representative,
+    for the partner shifts of the s_j that join two values of one block:
+    the values j and j+1 of a block stand in increasing order in v exactly
+    when v^-1 steps up under s_j, that is, when its partner rank is the
+    larger.
+    """
+    for weight, size, shifts in steps:
+        if shifts[q // weight % size] < 0:
+            return False
+    return True
 
 
 @functools.cache
@@ -942,10 +953,10 @@ class _Packed:
     is tidy (as an encode leaves it, with exactly _REBASE zero low digits
     and B its true largest digit), and the blocks of a coset table (None
     on a plain one).  Chains start from ``_packed(x)`` and end in
-    ``_element(result)``; only this module reads the fields.  Steps return
-    new tables; ``add_times`` accumulates into its own table in place, so
-    an accumulator starts as ``copy()`` or ``zero(n)``, never as a table an
-    element holds.
+    ``_element(result)``; only this module builds one or reads the
+    fields.  Steps return new tables; ``add_times`` accumulates into its
+    own table in place, so an accumulator starts as ``copy()`` or
+    ``zero(n)``, never as a table an element holds.
     """
 
     __slots__ = ("n", "table", "val", "k", "bound", "low", "tidy", "blocks")
@@ -1004,6 +1015,33 @@ class _Packed:
                 q = _inverse_rank(n, p)
             table[q] = c
         return _Packed(self.n, table, self.val, self.k, self.bound, self.low, self.tidy)
+
+    def iota_fixed(self) -> bool:
+        """
+        Whether iota fixes a plain packed table: each entry against the entry
+        at its inverse rank, read through the inverse-rank memo, so that no
+        mirrored table is built.  iota moves entries unchanged, so V and K
+        already agree.
+        """
+        n, inverse, table = self.n, _inverse_memo(self.n), self.table
+        for r, c in table.items():
+            q = inverse.get(r)
+            if q is None:
+                q = _inverse_rank(n, r)
+            if table.get(q) != c:
+                return False
+        return True
+
+    def times_unit(self, u: LaurentPoly) -> _Packed:
+        """
+        u times a tidy packed table, for u = s or -s^-1, at the table's own
+        valuation: each entry shifted by one digit, the sign applied, and one
+        zero low digit gained or spent.
+        """
+        (sign,), e, k = u.coeffs, u.val, self.k
+        values = {c: sign * (c << k if e > 0 else c >> k) for c in set(self.table.values())}
+        table = {r: values[c] for r, c in self.table.items()}
+        return _Packed(self.n, table, self.val, k, self.bound, self.low + e)
 
     def expanded(self) -> _Packed:
         """

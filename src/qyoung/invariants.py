@@ -33,8 +33,12 @@ entry with itself at the inverse ranks.  Should iota(ft) = ft fail, every
 centrality check fails with it, since none of them then holds by this
 argument.  The multiplications are real: only the full twist is built
 through the general product, and every relation is a step compared with a
-table built without one.  a_n and b_n themselves are written by rank
-(``symmetrizers``), with no step, expansion or iota.
+table built without one.  a_n and b_n themselves are the unit's one-entry
+coset table for one block of n strands, expanded by rank arithmetic
+(``symmetrizers``), with no step or iota; every e_lambda is built by that
+expansion too, so a fault in it fails these relations.  The references,
+the mirrored tables and the iota test are ``hecke._Packed``'s own
+(``times_unit``, ``iota``, ``iota_fixed``): this module reads no table.
 
 ``diagram_checks(lam, taus)`` covers one diagram: the squaring
 scalar against its closed form and against the hook product at s = 1, the
@@ -87,7 +91,7 @@ from __future__ import annotations
 
 from . import central, symmetrizers
 from . import permutations as perms
-from .hecke import HeckeElement, _element, _inverse_memo, _inverse_rank, _packed, _Packed
+from .hecke import HeckeElement, _element, _packed
 from .laurent import NEG_S_INV, LaurentPoly, S
 from .partitions import Partition
 from .permutations import Perm
@@ -115,10 +119,10 @@ def strand_checks(n: int) -> list[Check]:
         out.append((f"eigen-relation for the row element, n={n}, i={i}", row))
         out.append((f"eigen-relation for the column element, n={n}, i={i}", column))
     ft = _packed(central.full_twist(n))
-    fixed = _iota_fixed(ft)
+    fixed = ft.iota_fixed()
     for i in range(1, n):
         out.append(
-            (f"full-twist centrality, n={n}, i={i}", fixed and _iota_fixed(ft.mul_generator(i)))
+            (f"full-twist centrality, n={n}, i={i}", fixed and ft.mul_generator(i).iota_fixed())
         )
     return out
 
@@ -130,37 +134,8 @@ def _eigen_relations(x: HeckeElement, u: LaurentPoly) -> list[bool]:
     each reference built once at the valuation the steps keep.
     """
     plain = _packed(x)
-    sides = [(t, _element(_unit_times(t, u))) for t in (plain, plain.iota())]
+    sides = [(t, _element(t.times_unit(u))) for t in (plain, plain.iota())]
     return [all(_element(t.mul_generator(i)) == ref for t, ref in sides) for i in range(1, x.n)]
-
-
-def _unit_times(pk: _Packed, u: LaurentPoly) -> _Packed:
-    """
-    u times a tidy packed table, for u = s or -s^-1, at the table's own
-    valuation: each entry shifted by one digit, the sign applied, and one
-    zero low digit gained or spent.
-    """
-    (sign,), e, k = u.coeffs, u.val, pk.k
-    values = {c: sign * (c << k if e > 0 else c >> k) for c in set(pk.table.values())}
-    table = {r: values[c] for r, c in pk.table.items()}
-    return _Packed(pk.n, table, pk.val, k, pk.bound, pk.low + e)
-
-
-def _iota_fixed(pk: _Packed) -> bool:
-    """
-    Whether iota fixes a plain packed table: each entry against the entry
-    at its inverse rank, read through the inverse-rank memo, so that no
-    mirrored table is built.  iota moves entries unchanged, so V and K
-    already agree.
-    """
-    n, inverse, table = pk.n, _inverse_memo(pk.n), pk.table
-    for r, c in table.items():
-        q = inverse.get(r)
-        if q is None:
-            q = _inverse_rank(n, r)
-        if table.get(q) != c:
-            return False
-    return True
 
 
 def diagram_checks(lam: Partition, taus: dict[tuple[int, ...], LaurentPoly]) -> list[Check]:

@@ -87,19 +87,19 @@ other element, e_lambda(lam) itself among them, runs on the row side, on
 the coset table its build kept or a restriction made on the first use
 after the membership check, so no element is restricted twice.  This
 module sees a packed table only through its steps, sums, blocks,
-expansion and iota, and writes one only for a_n and b_n (below).
+expansion and iota, and writes none: ``hecke`` alone does.
 
-``symmetrizer`` and ``antisymmetrizer`` are one enumeration of S_n, with
-coefficient u^length(p) for u = s or -s^-1, written straight into the
-packed table by rank: the kernel's table format, but none of its steps,
-sums, expansions or iota, so that the eigen-relations ``qyoung verify``
-checks on them test the step against something built without it.  Rank
-order is the lexicographic order of the Lehmer codes, whose digit sums are
-the lengths, so no permutation is built, ranked or hashed and every entry
-is one of n(n-1)/2 + 1 shared ints; ``coeffs`` decodes the table on its
-first read, as for any kernel result.  a_8 takes 3-5 ms, and the process
-that builds it peaks at 20 MB, where the mapping it was enumerated as
-before took 13-33 ms and 24 MB (one 2-core host, CPython 3.11.7).
+``symmetrizer`` and ``antisymmetrizer`` are the sum of u^length(p) w_p
+over S_n, for u = s or -s^-1: the unit's one-entry coset table for the
+single block of n strands, expanded, as ``row_element`` expands R's.
+Each entry is written once by the rank arithmetic of the expansion,
+with none of the kernel's steps, sums or iota, so that the
+eigen-relations ``qyoung verify`` checks on them test the step against
+something built without it; and since every e_lambda is built by the
+same expansion, a fault in it fails those relations as well.  ``coeffs``
+decodes the table on its first read, as for any kernel result.  a_8
+takes 5-6 ms, and the process that builds it peaks at 20 MB (one 2-core
+host, CPython 3.11.7).
 
 Every builder refuses more than 8 cells or strands through the one size
 guard, ``permutations.check_size``, and so does the expansion of the
@@ -120,7 +120,6 @@ from .errors import NotQuasiIdempotent
 from .hecke import (
     HeckeElement,
     ScalarReport,
-    _REBASE,
     _Blocks,
     _coset_element,
     _coset_kept,
@@ -130,32 +129,21 @@ from .hecke import (
     _packed,
     _Packed,
 )
-from .laurent import NEG_S_INV, LaurentPoly, ONE, S, qint
+from .laurent import NEG_S_INV, LaurentPoly, ONE, qint
 from .partitions import Partition
 from .permutations import Perm
 
 
-def _one_dimensional(n: int, u: LaurentPoly) -> HeckeElement:
+def _one_dimensional(n: int, row: bool) -> HeckeElement:
     """
-    The sum of u^length(p) * w_p over S_n, for the unit u = s or -s^-1,
-    written as its packed table by rank without the kernel, guarded first.
-    The rank's digits in the factorial base are the Lehmer code, so the
-    lengths of S_m in rank order are d + l for the leading digit d below m
-    and each length l of S_(m-1) in rank order.  Every entry is one of the
-    n(n-1)/2 + 1 packed powers of u, with K = 64, V the lowest exponent
-    less _REBASE and B = 1, as an encode would leave the table.
+    The sum of u^length(p) * w_p over S_n, u = s for the row side (``row``)
+    and -s^-1 for the sign side, guarded first: the unit's one-entry coset
+    table for the single block of n strands, expanded.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     perms.check_size(f"the enumeration of S_{n}", n)
-    lengths = [0]
-    for m in range(2, n + 1):
-        lengths = [d + ell for d in range(m) for ell in lengths]
-    (sign,), e = u.coeffs, u.val
-    val = min(0, e * n * (n - 1) // 2) - _REBASE
-    powers = [sign**ell << 64 * (e * ell - val) for ell in range(n * (n - 1) // 2 + 1)]
-    table = dict(enumerate(map(powers.__getitem__, lengths)))
-    return _element(_Packed(n, table, val, 64, 1, _REBASE, tidy=True))
+    return _element(_packed(HeckeElement.unit(n)).with_blocks(_Blocks.of((n,), row)).expanded())
 
 
 def symmetrizer(n: int) -> HeckeElement:
@@ -164,7 +152,7 @@ def symmetrizer(n: int) -> HeckeElement:
     Every generator, and more generally every basis braid w_p, acts on it by
     s to the crossing number.
     """
-    return _one_dimensional(n, S)
+    return _one_dimensional(n, True)
 
 
 def antisymmetrizer(n: int) -> HeckeElement:
@@ -172,7 +160,7 @@ def antisymmetrizer(n: int) -> HeckeElement:
     The one-column element: sum of (-s)^(-length(p)) * w_p, on which every
     generator acts by -s^-1.
     """
-    return _one_dimensional(n, NEG_S_INV)
+    return _one_dimensional(n, False)
 
 
 def _block_action(x: _Packed, k: int, offset: int, u: LaurentPoly) -> _Packed:

@@ -213,7 +213,7 @@ class TestExpansion:
         assert back.blocks == row(lam)
         assert plain(back) == plain(h)
 
-    @pytest.mark.parametrize("change", ["drop", "double"])
+    @pytest.mark.parametrize("change", ["drop", "double", "double first", "stray"])
     @pytest.mark.parametrize("lam", SMALL_SHAPES, ids=str)
     def test_a_table_outside_the_ideal_is_refused(self, lam, change):
         e = _packed(sym.e_lambda(lam))
@@ -221,9 +221,13 @@ class TestExpansion:
         last = max(table)  # the largest rank of its coset: never a representative
         if change == "drop":
             del table[last]
-        else:
+        elif change == "double":
             table[last] *= 2
-        with pytest.raises(ValueError):
+        elif change == "double first":
+            table[min(table)] *= 2  # the identity: a representative
+        else:
+            table[min(set(range(math.factorial(lam.n))) - set(table))] = table[last]
+        with pytest.raises(ValueError, match="not in R H_n"):
             _restricted(_Packed(e.n, table, e.val, e.k, e.bound, e.low), row(lam))
 
     def test_twist_scalar_refuses_an_element_outside_the_ideal(self):
@@ -391,7 +395,9 @@ class TestSignSide:
         assert expanded(h) == _element(x)
 
     @pytest.mark.parametrize("lam", SMALL_SHAPES, ids=str)
-    @pytest.mark.parametrize("make", ["unit", "generator", "row element", "drop", "double"])
+    @pytest.mark.parametrize(
+        "make", ["unit", "generator", "row element", "drop", "double", "double first", "stray"]
+    )
     def test_a_table_outside_the_ideal_is_refused(self, lam, make):
         if make == "unit":
             x = _packed(HeckeElement.unit(lam.n))
@@ -405,8 +411,12 @@ class TestSignSide:
             last = max(table)  # the largest rank of its coset: never a representative
             if make == "drop":
                 del table[last]
-            else:
+            elif make == "double":
                 table[last] *= 2
+            elif make == "double first":
+                table[min(table)] *= 2  # the identity: a representative
+            else:
+                table[min(set(range(math.factorial(lam.n))) - set(table))] = table[last]
             x = _Packed(f.n, table, f.val, f.k, f.bound, f.low)
         with pytest.raises(ValueError, match="not in B H_n"):
             _restricted(x, column(lam))
@@ -570,7 +580,8 @@ def second_factor(side, n):
     out, g = HeckeElement.unit(n), side.second
     if g is not None:
         for k, offset in zip(g.parts, g.offsets):
-            out = out * sym._one_dimensional(k, g.unit).shift_embed(offset, n)
+            block = {p: g.unit ** perms.length(p) for p in perms.all_permutations(k)}
+            out = out * HeckeElement(k, block).shift_embed(offset, n)
     return out
 
 

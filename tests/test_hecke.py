@@ -1,8 +1,10 @@
 """The algebra kernel: rewriting rule, products, embeddings, extraction."""
 
+import ast
 import collections
 import concurrent.futures
 import itertools
+import pathlib
 import random
 import sys
 import threading
@@ -1049,6 +1051,32 @@ def test_strand_checks_pay_only_for_their_steps(kernel_calls, n, steps, iotas, s
     assert kernel_calls["add_times"] <= 4
     assert kernel_calls["iota"] <= iotas
     assert kernel_calls["_word_costs"] <= scans
+
+
+# The fields of a packed table (``val`` is left out: LaurentPoly has one
+# too) and the kernel's digit and rank internals.
+PACKED_FIELDS = {"table", "k", "bound", "low", "tidy"}
+KERNEL_INTERNALS = {"_REBASE", "_inverse_memo", "_inverse_rank"}
+
+
+def test_only_hecke_builds_or_reads_packed_tables():
+    # The modules built on the kernel see a packed table only through its
+    # methods: none makes one, reads its fields or imports the internals.
+    found = []
+    for module in ("symmetrizers.py", "invariants.py", "central.py", "cli.py"):
+        path = pathlib.Path(hecke.__file__).with_name(module)
+        for node in ast.walk(ast.parse(path.read_text(), module)):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                if getattr(callee, "id", getattr(callee, "attr", None)) == "_Packed":
+                    found.append((module, node.lineno, "_Packed(...)"))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if node.attr in PACKED_FIELDS | KERNEL_INTERNALS:
+                    found.append((module, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names if a.name in KERNEL_INTERNALS]
+                found += [(module, node.lineno, name) for name in names]
+    assert found == []
 
 
 class TestClassicalLimit:

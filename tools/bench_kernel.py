@@ -53,6 +53,13 @@ a difference between trees.  Compare ``at_ref_s`` between two trees.  The layers
   expanded to all 40320 entries of a_8, with no step;
 - ``expand_8``: the same expansion alone, from the coset table that
   e_lambda's build of (8) kept (one entry) to its 40320 entries;
+- ``one_dimensional_8``: ``symmetrizer(8)`` and ``antisymmetrizer(8)``,
+  a_8 and b_8, each the unit's one-entry coset table for one block of 8
+  strands expanded to its 40320 entries;
+- ``restrict_8`` / ``restrict_2x2x2x2``: ``hecke._restricted`` of
+  e_lambda's packed table to its row blocks, for (8) (40320 entries, one
+  representative) and (2,2,2,2) (19200 entries), warm: the entries at the
+  representatives kept and expanded back to check membership;
 - ``square_44`` / ``square_8`` / ``square_1x8`` / ``square_2x1x6`` and
   ``twist_scalar_44`` / ``twist_scalar_8`` / ``twist_scalar_1x8`` /
   ``twist_scalar_2x1x6``: squaring and twist-checking the element
@@ -74,8 +81,8 @@ a difference between trees.  Compare ``at_ref_s`` between two trees.  The layers
   centrality of the full twist, each one generator step of a dense packed
   table of n! entries: a_n's and b_n's, their iota (the left relations,
   checked mirrored) and the full twist's (checked fixed by iota); every
-  call writes its a_n and b_n and builds its full twist afresh, as
-  ``qyoung verify`` does.
+  call expands its a_n and b_n from one entry and builds its full twist
+  afresh, as ``qyoung verify`` does.
 
 The chain layer starts from the element's kept packed table and ends in an
 element holding the result's (``hecke._packed`` and ``hecke._element``), so
@@ -177,6 +184,12 @@ def _classical(lam):
     return run
 
 
+def _restrict(lam):
+    """The restriction of e_lambda(lam)'s packed table to its row blocks."""
+    x, blocks = hecke._packed(sym.e_lambda(lam)), hecke._Blocks(lam.parts, True)
+    return lambda: hecke._restricted(x, blocks)
+
+
 def layers() -> dict:
     lam6, lam7, lam8 = Partition((3, 3)), Partition((4, 3)), Partition((4, 4))
     e6, e7 = sym.e_lambda(lam6), sym.e_lambda(lam7)
@@ -204,6 +217,7 @@ def layers() -> dict:
         "build_1x7": lambda: sym.e_lambda(Partition((1,) * 7)),
         "row_element_8": lambda: sym.row_element(Partition((8,))),
         "expand_8": _lazy(lambda: sym.e_lambda(Partition((8,)))._ck.expanded),
+        "one_dimensional_8": lambda: (sym.symmetrizer(8), sym.antisymmetrizer(8)),
         "strand_checks_5": lambda: invariants.strand_checks(5),
         "strand_checks_8": lambda: invariants.strand_checks(8),
     }
@@ -216,6 +230,8 @@ def layers() -> dict:
         out[f"sign_table_{tag}"] = lambda side=sym._side(Partition(parts), False): sym._table(side)
     for tag, parts in {"4x4": (4, 4), "2x2x2x2": (2, 2, 2, 2)}.items():
         out[f"classical_{tag}"] = _lazy(lambda lam=Partition(parts): _classical(lam))
+    for tag, parts in {"8": (8,), "2x2x2x2": (2, 2, 2, 2)}.items():
+        out[f"restrict_{tag}"] = _lazy(lambda parts=parts: _restrict(Partition(parts)))
     return out
 
 
