@@ -860,10 +860,10 @@ def _restricted(pk: _Packed, blocks: _Blocks) -> _Packed:
     the ideal is refused: x lies in it exactly when x equals the expansion
     of h.  That expansion is F h by construction (F = R or B), so an x
     equal to it lies in the ideal.  Conversely an x of the ideal is the sum
-    of c_v' F w_v' over the representatives, and F w_v' is the only basis
-    element that reaches w_v', with coefficient 1, so x's entry at v' is
-    c_v': h holds the c_v', and x = F h.  That is restriction being
-    injective on the ideal.
+    of c_v' F w_v' over the representatives, and of that basis only F w_v'
+    holds w_v', with coefficient 1, so x's entry at v' is c_v': h holds
+    the c_v', and x = F h.  That is restriction being injective on the
+    ideal.
     """
     n = pk.n
     steps = [
