@@ -87,12 +87,12 @@ costs (L, G) of its table that the general product's side rule reads.
 So a dense factor used in many products is mirrored and scanned once.  A
 product's result starts with neither, not even the table it is the iota
 of, which would hold a second table as large as its own.  An element of
-R H_n may also keep a coset table (``_ck``, below).  A row-side one is
-always the element's own: its packed table restricted to the
-representatives, or the table its build or product ran on, which expands
-to it.  A sign-side one is held only by the element of
-``symmetrizers._symmetrizer_on_side`` of a column-heavy diagram, and is
-the table of f, another element, so the product never walks it.
+R H_n or B H_n may also keep a coset table (``_ck``, below).  On either
+side it is the element's own (``_own_coset``): its packed table
+restricted to the representatives, or the table its build or product ran
+on, which expands to it.  One element alone keeps another's: that of
+``symmetrizers._symmetrizer_on_side`` of a column-heavy diagram holds the
+sign-side table of f, so the product never walks it.
 
 Ranks.  Encoding turns each permutation into its rank and decoding turns
 it back, so inside a chain no permutation tuple is built or hashed.  The
@@ -172,8 +172,8 @@ The digits are those of the c_v', so K, B, the zero low digits and a tidy
 table's tidiness carry over.  A coset table is never an element: iota,
 which does not keep the ideal, and ``_element`` refuse one, so it is
 expanded first.  An element of the ideal may keep its coset table beside
-its packed table: the one the chain that built it, or the right product
-that made it, ran on, or the restriction made on the first use, which
+its packed table: the one the chain that built it, or the product that
+made it, ran on, or the restriction made on the first use, which
 checks membership in the ideal by expanding the restriction back
 (``_coset_kept``, ``_restricted``).  So no element is restricted twice.
 An element held as a coset table alone (``_coset_element``) keeps the
@@ -201,20 +201,37 @@ costs its length(q) steps and nothing else: the chain of steps along its
 word is the product itself, with no sum to accumulate, and on the left the
 dense factor's iota is the one it keeps, so only the result is mirrored.
 
-When x keeps its own coset table h, x y = R (h y), so y's words are walked
-over h, whose tables hold at most n!/|S_lambda| entries, and the result
-is expanded once.  The bound of that walk reads h: L(y) min(n!/|S_lambda|,
-G(h)), since w_v' w_u has at most 2^length(v') terms, so R w_v' w_u meets
-at most that many cosets.  x's own (L, G) are read off h as well, with no
-expansion (``_costs``), so an element held as its coset table alone is
-priced, and multiplied on the right, without being built.  The result
-keeps h y beside its expansion, so a chain of right products stays on
-it.  A scalar y (no word to walk) is left off this path: x * 1 holds x's
-own packed table.  A lone step or rescaling of such an x runs on h too
-and keeps its result, so a chain of ``mul_generator`` calls on e_lambda
-steps h's entries, not e_lambda's.  a_n and b_n, which
-``symmetrizer(n)`` and ``antisymmetrizer(n)`` expand from the unit's
-one-entry coset table, and the full twist keep no coset table.
+When x keeps its own coset table h, x y = R (h y) (B (h y) on the sign
+side), so y's words are walked over h, whose tables hold at most
+n!/|S_lambda| entries, and the result is expanded once.  The bound of
+that walk reads h: L(y) min(n!/|S_lambda|, G(h)), since w_v' w_u has at
+most 2^length(v') terms, so R w_v' w_u meets at most that many cosets.
+x's own (L, G) are read off h as well, with no expansion (``_costs``), so
+an element held as its coset table alone is priced, and multiplied on
+the right, without being built.  The result keeps h y beside its
+expansion, so a chain of right products stays on it.  A scalar y (no
+word to walk) is left off this path: x * 1 holds x's own packed table.
+A lone step or rescaling of such an x runs on h too and keeps its
+result, so a chain of ``mul_generator`` calls on e_lambda steps h's
+entries, not e_lambda's.
+
+Call y c F when its own coset table has exactly one entry, at the
+identity (rank 0): a_n and b_n (``symmetrizer(n)`` and
+``antisymmetrizer(n)`` keep the unit's one-entry table beside its
+expansion), e_lambda of (n) and (1^n), ``row_element``, and their
+rescalings.  iota fixes c F: it fixes F, since S_F is closed under
+inverses and keeps lengths, and c is a scalar.  So x y = iota(c F
+iota(x)): iota(x)'s words are walked over y's one entry, and the result
+is expanded once and mirrored once.  Every table of that walk is
+c F w_u for a prefix u, one coset, so the side rule prices the walk from
+y's table, at L(x) times G = 1, as it prices the right walk from x's.
+When the walk ends at one entry at the identity again, the result is
+c' F, which iota fixes: it is kept with its coset table and not
+mirrored.  For a single block, as for a_n and b_n, F H_n is
+Z[s, s^-1] F, so that is every nonzero result, and w_p a_6 steps one
+entry length(p) times and expands it once, as a_6 w_p does.  A left
+product by any other element, e_lambda of any other diagram among them,
+goes through iota as above.  The full twist keeps no coset table.
 
 Elements are immutable values.  ``coeffs`` is a read-only view keyed by
 permutation tuples, and the constructor rejects any key that is not a
@@ -401,7 +418,10 @@ class HeckeElement:
         the sum of word lengths, G the sum of 2^length and size the entries
         a table of the walk can hold (see the module docstring): the right
         one directly, over self's own coset table when it keeps one, the
-        left one as iota(iota(other) * iota(self)).
+        left one as iota(iota(other) * iota(self)), over other's one entry
+        when other is c F, whose walk holds one entry (G = 1).  A walk over
+        c F that ends at one entry at the identity is c' F, fixed by iota,
+        and is kept as it is, with its coset table.
         """
         self._check_same_n(other)
         if self.is_zero() or other.is_zero():
@@ -413,12 +433,22 @@ class HeckeElement:
         if own is not None:
             walked //= len(_length_pattern(own.blocks.parts))
             spread_x = _word_costs(own)[1]
+        fixed = _own_coset(other)
+        if fixed is not None and fixed.table.keys() == {0}:
+            spread_y = 1  # other is c F: each table of the walk holds one entry
+        else:
+            fixed = None
         if words_y * min(walked, spread_x) <= words_x * min(size, spread_y):
             if own is None:
                 return _element(_expand_right(_packed(self), other))
             h = _expand_right(_coset_kept(self, own.blocks), other)
             return _element(h.expanded(), coset=h)
-        return _element(_expand_right(_mirrored(other), _iota(self)).iota())
+        if fixed is None:
+            return _element(_expand_right(_mirrored(other), _iota(self)).iota())
+        h = _expand_right(_coset_kept(other, fixed.blocks), _iota(self))
+        if h.table.keys() == {0}:
+            return _element(h.expanded(), coset=h)  # c' F, which iota fixes
+        return _element(h.expanded().iota())
 
     # -- embeddings and conjugation -------------------------------------------
 
@@ -1321,9 +1351,14 @@ def _coset_kept(x: HeckeElement, blocks: _Blocks) -> _Packed:
 
 
 def _own_coset(x: HeckeElement) -> Optional[_Packed]:
-    """x's own coset table as kept, or None: a sign-side one is f's (``_coset_element``)."""
+    """
+    x's own coset table as kept, or None.  A kept table is x's own, on
+    either side, unless it is f's: that one only an element held as its
+    coset table alone (``_coset_element``) keeps, on the sign side, which
+    is ``symmetrizers._symmetrizer_on_side``'s for a column-heavy diagram.
+    """
     ck = x._ck
-    return ck if ck is not None and ck.blocks.row else None
+    return ck if ck is not None and (ck.blocks.row or x._make is None) else None
 
 
 def _encode(x: HeckeElement) -> _Packed:

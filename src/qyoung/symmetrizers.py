@@ -82,12 +82,13 @@ all come from it.  The element ``alpha_extract`` returns is an ordinary
 HeckeElement held as that table alone (``hecke._coset_element``).  Its
 first read of ``coeffs`` or kernel use builds e_lambda as the public
 ``e_lambda`` does, behind the size guard, and keeps it; ``is_zero`` and
-the chains of its side never do.  Only that element keeps f's table.  Any
-other element, e_lambda(lam) itself among them, runs on the row side, on
-the coset table its build kept or a restriction made on the first use
-after the membership check, so no element is restricted twice.  This
-module sees a packed table only through its steps, sums, blocks,
-expansion and iota, and writes none: ``hecke`` alone does.
+the chains of its side never do.  Only that element keeps f's table, as
+a table not its own.  Any other element runs on the row side, on the
+coset table its build kept or a restriction made on the first use after
+the membership check, so no element is restricted twice; e_lambda of
+(1^n) keeps its own sign-side table, which is f's since d = 1, and runs
+on it.  This module sees a packed table only through its steps, sums,
+blocks, expansion and iota, and writes none: ``hecke`` alone does.
 
 ``symmetrizer`` and ``antisymmetrizer`` are the sum of u^length(p) w_p
 over S_n, for u = s or -s^-1: the unit's one-entry coset table for the
@@ -96,10 +97,13 @@ Each entry is written once by the rank arithmetic of the expansion,
 with none of the kernel's steps, sums or iota, so that the
 eigen-relations ``qyoung verify`` checks on them test the step against
 something built without it; and since every e_lambda is built by the
-same expansion, a fault in it fails those relations as well.  ``coeffs``
-decodes the table on its first read, as for any kernel result.  a_8
-takes 5-6 ms, and the process that builds it peaks at 20 MB (one 2-core
-host, CPython 3.11.7).
+same expansion, a fault in it fails those relations as well.  Both keep
+that one-entry table beside the expansion, as ``row_element`` does, so
+that a product with either, on either side, steps one entry and expands
+once (``hecke``); the strand checks step the expansion itself.
+``coeffs`` decodes the table on its first read, as for any kernel
+result.  a_8 takes 5-6 ms, and the process that builds it peaks at 20 MB
+(one 2-core host, CPython 3.11.7).
 
 Every builder refuses more than 8 cells or strands through the one size
 guard, ``permutations.check_size``, and so does the expansion of the
@@ -129,7 +133,7 @@ from .hecke import (
     _packed,
     _Packed,
 )
-from .laurent import NEG_S_INV, LaurentPoly, ONE, qint
+from .laurent import LaurentPoly, ONE, qint
 from .partitions import Partition
 from .permutations import Perm
 
@@ -138,12 +142,13 @@ def _one_dimensional(n: int, row: bool) -> HeckeElement:
     """
     The sum of u^length(p) * w_p over S_n, u = s for the row side (``row``)
     and -s^-1 for the sign side, guarded first: the unit's one-entry coset
-    table for the single block of n strands, expanded.
+    table for the single block of n strands, expanded and kept.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     perms.check_size(f"the enumeration of S_{n}", n)
-    return _element(_packed(HeckeElement.unit(n)).with_blocks(_Blocks.of((n,), row)).expanded())
+    one = _packed(HeckeElement.unit(n)).with_blocks(_Blocks.of((n,), row))
+    return _element(one.expanded(), coset=one)
 
 
 def symmetrizer(n: int) -> HeckeElement:
@@ -298,7 +303,7 @@ def row_element(lam: Partition) -> HeckeElement:
     """
     Product of row symmetrizers placed at the row-reading offsets: R's
     one-entry coset table, R 1, expanded, with no step, and kept, so that
-    a right product steps that one entry.
+    a product on either side steps that one entry.
     """
     perms.check_size(f"the row element of lambda={lam}", lam.n)
     one = _packed(HeckeElement.unit(lam.n)).with_blocks(_side(lam, True).first)
@@ -317,9 +322,17 @@ def column_element(lam: Partition) -> HeckeElement:
 
 
 def e_lambda(lam: Partition) -> HeckeElement:
-    """The q-Young symmetrizer of the diagram, on exactly |diagram| strands."""
+    """
+    The q-Young symmetrizer of the diagram, on exactly |diagram| strands:
+    the row side's table expanded and kept.  For (1^n), R = 1 and d = 1,
+    so e_lambda is B = b_n, and it is built and kept as b_n is, from B's
+    one-entry sign-side table.
+    """
     perms.check_size(f"the symmetrizer of lambda={lam}", lam.n)
-    h = _table(_side(lam, True))
+    side = _side(lam, True)
+    if side.first is None:
+        side = _side(lam, False)  # (1^n): R = 1 and d = 1, so e_lambda = B = f
+    h = _table(side)
     return _element(h.expanded(), coset=h)
 
 
@@ -352,11 +365,13 @@ def _side_table(e: HeckeElement, lam: Partition, row: bool = False) -> tuple[_Si
     """
     The side e's chains run on and e's table there, tidy and kept on e.
     That is lam's own side when e keeps the side's table: on the sign side
-    only the element of ``_symmetrizer_on_side`` keeps f's, which only its
-    own build makes.  Every other e, and every e when ``row`` is set, runs
-    on the row side, on its coset table in R H_n (e itself when S_lambda is
-    trivial): for e_lambda the one its build ran on, for any other e a
-    restriction, which checks membership and refuses e outside the ideal.
+    the element of ``_symmetrizer_on_side`` keeps f's, which only its own
+    build makes, and for (1^n), where f = e_lambda, e_lambda, b_n and their
+    products keep their own.  Every other e, and every e when ``row`` is
+    set, runs on the row side, on its coset table in R H_n (e itself when
+    S_lambda is trivial): for e_lambda the one its build ran on, for any
+    other e a restriction, which checks membership and refuses e outside
+    the ideal.
     """
     side = _side(lam, True) if row else _own_side(lam)
     kept = e._ck  # the coset table e keeps, read as it is

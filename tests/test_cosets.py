@@ -35,7 +35,7 @@ from qyoung.hecke import (
     _Packed,
     _restricted,
 )
-from qyoung.laurent import LaurentPoly, ONE, S
+from qyoung.laurent import NEG_S_INV, LaurentPoly, ONE, S
 from qyoung.partitions import Partition, all_partitions
 
 
@@ -635,7 +635,7 @@ def check_side_record(lam, side):
     # None exactly when its Young subgroup is trivial, and w is the fold of
     # the word: d on the row side, d^-1 on the sign side.
     rows = (lam.parts, lam.row_reading_offsets(), S)
-    columns = (lam.conjugate().parts, lam.column_reading_offsets(), sym.NEG_S_INV)
+    columns = (lam.conjugate().parts, lam.column_reading_offsets(), NEG_S_INV)
     for blocks, (parts, offsets, unit) in zip(
         (side.first, side.second), (rows, columns) if side.row else (columns, rows)
     ):

@@ -15,7 +15,7 @@ from qyoung import central, hecke
 from qyoung import symmetrizers as sym
 from qyoung.central import full_twist, twist_eigenvalue
 from qyoung.hecke import HeckeElement, _element, _packed, _Packed
-from qyoung.laurent import S
+from qyoung.laurent import NEG_S_INV, S
 from qyoung.partitions import Partition, all_partitions
 from qyoung.symmetrizers import (
     alpha_extract,
@@ -110,7 +110,7 @@ class TestInputsUnchanged:
     def test_block_actions(self, lam):
         x = _packed(e_lambda(lam))
         before = dict(x.table)
-        for u in (S, sym.NEG_S_INV):
+        for u in (S, NEG_S_INV):
             for k in range(2, lam.n + 1):
                 sym._block_action(x, k, lam.n - k, u)
         assert x.table == before

@@ -659,6 +659,22 @@ def iota_branch(x, y):
     return hecke._expand_right(_packed(y).iota(), hecke._iota(x)).iota()
 
 
+def one_entry(y):
+    """Whether y is c F: it keeps its own coset table, of one entry, at the identity."""
+    own = hecke._own_coset(y)
+    return own is not None and own.table.keys() == {0}
+
+
+def one_entry_branch(x, y):
+    """
+    x * y for y = c F, as iota(c F iota(x)): iota(x)'s words walked over
+    y's one-entry coset table, expanded, and mirrored unless the walk ends
+    at the identity alone, where the result is c' F, fixed by iota.
+    """
+    h = hecke._expand_right(hecke._coset_kept(y, hecke._own_coset(y).blocks), hecke._iota(x))
+    return h.expanded() if h.table.keys() == {0} else h.expanded().iota()
+
+
 class TestSideRule:
     # The product expands one factor's reduced words over the other; the
     # tables of that walk grow toward 2^length of the unexpanded factor's
@@ -673,24 +689,34 @@ class TestSideRule:
                 w = basis(n, *p)
                 for d in dense:
                     for x, y in ((w, d), (d, w)):
-                        direct = term_steps(lambda: direct_branch(x, y))
-                        through = term_steps(lambda: iota_branch(x, y))
+                        branches = [direct_branch, iota_branch]
+                        if one_entry(y):
+                            branches.append(one_entry_branch)
+                        steps = [term_steps(lambda: branch(x, y)) for branch in branches]
                         chosen = term_steps(lambda: x * y)
-                        assert chosen in (direct, through)
-                        other = through if chosen == direct else direct
-                        assert chosen <= 2 * other, (n, p, x is w)
+                        assert chosen in steps
+                        assert chosen <= 2 * min(steps), (n, p, x is w)
                         chosen_total += chosen
-                        cheaper_total += min(direct, through)
+                        cheaper_total += min(steps)
         assert chosen_total <= 1.01 * cheaper_total
 
     def test_long_braids_are_expanded_on_either_side(self, term_steps):
-        # w_p a_6 with length(p) = 9: a_6's 720 words walked over w_p grow
+        # w_p ft_6 with length(p) = 9: ft_6's 720 words walked over w_p grow
         # tables toward 2^9 terms, so w_p is the factor to expand.
-        a6, w = symmetrizer(6), basis(6, 3, 6, 4, 1, 5, 2)
-        for x, y in ((w, a6), (a6, w)):
+        ft6, w = full_twist(6), basis(6, 3, 6, 4, 1, 5, 2)
+        for x, y in ((w, ft6), (ft6, w)):
             direct = term_steps(lambda: direct_branch(x, y))
             through = term_steps(lambda: iota_branch(x, y))
             assert term_steps(lambda: x * y) == min(direct, through) < max(direct, through)
+        # a_6 and b_6 keep one entry, so w_p's 9 steps run on it on either
+        # side, below both dense branches.
+        for d in (symmetrizer(6), antisymmetrizer(6)):
+            walked = term_steps(lambda: one_entry_branch(w, d))
+            assert term_steps(lambda: w * d) == walked == 9
+            dense = [term_steps(lambda: branch(w, d)) for branch in (direct_branch, iota_branch)]
+            assert walked < min(dense)
+            assert term_steps(lambda: d * w) == term_steps(lambda: direct_branch(d, w)) == 9
+            assert 9 < term_steps(lambda: iota_branch(d, w))
 
 
 def mixed_element(n, dense):
@@ -729,6 +755,40 @@ class TestBranchesAgree:
         direct = _element(direct_branch(x, y)).coeffs
         through = _element(iota_branch(x, y)).coeffs
         assert direct == through
+        assert direct == (x * y).coeffs
+        if n <= 4:
+            assert direct == kernel_free_product(x, y).coeffs
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_the_one_entry_walk_gives_the_product(self, data):
+        # y is c F (a_n, b_n, e_(n), e_(1^n) or R, rescaled), or R w_p,
+        # whose one entry may lie off the identity, where y is not c F and
+        # not fixed by iota.
+        n = data.draw(st.integers(2, 6))
+        lam = data.draw(st.sampled_from([lam for lam in all_partitions(n) if lam.parts[0] > 1]))
+        p = data.draw(st.permutations(range(1, n + 1)).map(tuple))
+        y = data.draw(
+            st.sampled_from(
+                [
+                    lambda: symmetrizer(n),
+                    lambda: antisymmetrizer(n),
+                    lambda: e_lambda(Partition((n,))),
+                    lambda: e_lambda(Partition((1,) * n)),
+                    lambda: row_element(lam),
+                    lambda: row_element(lam) * basis(n, *p),
+                ]
+            )
+        )()
+        c = data.draw(st.sampled_from((ONE, LaurentPoly.monomial(0, -1), LaurentPoly(-1, (2, 0, -1)))))
+        y = y.scale(c)
+        x = data.draw(mixed_element(n, n < 6 and data.draw(st.booleans())))
+        if x.is_zero():
+            return
+        direct = _element(direct_branch(x, y)).coeffs
+        assert direct == _element(iota_branch(x, y)).coeffs
+        if one_entry(y):
+            assert direct == _element(one_entry_branch(x, y)).coeffs
         assert direct == (x * y).coeffs
         if n <= 4:
             assert direct == kernel_free_product(x, y).coeffs
@@ -1007,28 +1067,33 @@ class TestKeptIota:
         assert hecke._mirrored(x) is kept is x._ik
 
     def test_results_keep_no_iota(self):
-        a4, w = symmetrizer(4), basis(4, 3, 1, 4, 2)
-        assert (w * a4)._ik is None and (a4 * w)._ik is None
-        assert a4._ik is not None  # w * a4 expanded w through iota
+        ft4, w = full_twist(4), basis(4, 3, 1, 4, 2)
+        assert (w * ft4)._ik is None and (ft4 * w)._ik is None
+        assert ft4._ik is not None  # w * ft4 expanded w through iota
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """
-    Counts of packed steps, add_times calls, packed iotas and word-cost
-    scans.  Only ``hecke`` and the chains call them, through ``_Packed`` and
-    the module's globals.
+    Counts of packed steps, add_times calls, packed iotas, expansions and
+    word-cost scans, and of the entries the steps read ("stepped") with the
+    most one step read ("widest").  Only ``hecke`` and the chains call
+    them, through ``_Packed`` and the module's globals.
     """
     counts = collections.Counter()
     for owner, name in (
         (_Packed, "mul_generator"),
         (_Packed, "add_times"),
         (_Packed, "iota"),
+        (_Packed, "expanded"),
         (hecke, "_word_costs"),
     ):
 
         def spy(*args, _name=name, _original=getattr(owner, name), **kwargs):
             counts[_name] += 1
+            if _name == "mul_generator":
+                counts["stepped"] += len(args[0].table)
+                counts["widest"] = max(counts["widest"], len(args[0].table))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, spy)
@@ -1051,6 +1116,48 @@ def test_strand_checks_pay_only_for_their_steps(kernel_calls, n, steps, iotas, s
     assert kernel_calls["add_times"] <= 4
     assert kernel_calls["iota"] <= iotas
     assert kernel_calls["_word_costs"] <= scans
+
+
+LONG_BRAID = (3, 6, 4, 1, 5, 2)  # length 9
+
+
+def test_products_with_a_n_and_b_n_step_their_one_entry(kernel_calls):
+    # a_6 and b_6 are c F: on the right w_p's 9 letters step the one-entry
+    # coset table, on the left iota(w_p)'s do, and the walk ends at the
+    # identity alone, so nothing is mirrored; one expansion either way.
+    a6, b6, w = symmetrizer(6), antisymmetrizer(6), basis(6, *LONG_BRAID)
+    for x, y, expected in (
+        (w, a6, a6.scale(S**9)),
+        (a6, w, a6.scale(S**9)),
+        (w, b6, b6.scale(LaurentPoly.monomial(-9, -1))),
+        (b6, w, b6.scale(LaurentPoly.monomial(-9, -1))),
+    ):
+        kernel_calls.clear()
+        product = x * y
+        assert kernel_calls["mul_generator"] == kernel_calls["stepped"] == 9
+        assert kernel_calls["expanded"] == 1 and kernel_calls["iota"] == 0
+        assert product == expected and one_entry(product)
+    assert a6._ik is None and b6._ik is None
+
+
+def test_a_left_product_by_r_mirrors_only_its_result(kernel_calls):
+    # R of (3,3) keeps one entry at the identity, but R H_6 has 20 cosets:
+    # R iota(w_p) lands on another coset, so the result is mirrored, once.
+    r, w = row_element(Partition((3, 3))), basis(6, *LONG_BRAID)
+    product = w * r
+    assert kernel_calls["widest"] <= 20 and kernel_calls["iota"] == 1
+    assert hecke._own_coset(product) is None
+    assert product.coeffs == kernel_free_product(w, r).coeffs
+
+
+def test_one_entry_off_the_identity_is_not_taken_as_fixed_by_iota():
+    # R w_p, p a minimal coset representative of (3,3) other than the
+    # identity, keeps one entry, at rank(p): it is not c F, and iota does
+    # not fix it, so a left product by it goes through iota as before.
+    y = row_element(Partition((3, 3))) * basis(6, 1, 4, 2, 5, 3, 6)
+    assert len(y._ck.table) == 1 and not one_entry(y)
+    w = basis(6, *LONG_BRAID)
+    assert (w * y).coeffs == kernel_free_product(w, y).coeffs
 
 
 # The fields of a packed table (``val`` is left out: LaurentPoly has one

@@ -34,6 +34,15 @@ Q = S**2
 NEG_S_INV = LaurentPoly.monomial(-1, -1)
 
 
+def with_mapping_copies(*elements):
+    """
+    The elements as built, which keep their one-entry coset table, and
+    their copies built from mappings, which keep none: so each relation
+    runs on the one entry and on the dense table alike.
+    """
+    return [elements, tuple(HeckeElement(x.n, dict(x.coeffs)) for x in elements)]
+
+
 def partitions_up_to(k_max):
     for k in range(1, k_max + 1):
         yield from all_partitions(k)
@@ -50,10 +59,10 @@ class TestOneRowAndOneColumn:
         assert antisymmetrizer(2).coeffs == {(1, 2): ONE, (2, 1): NEG_S_INV}
 
     def test_two_strand_eigen_equations(self):
-        a2, b2 = symmetrizer(2), antisymmetrizer(2)
-        assert a2.mul_generator(1) == a2.scale(S)
-        assert a2.mul_generator(1).coeffs == {(1, 2): S, (2, 1): S**2}
-        assert b2.mul_generator(1) == b2.scale(NEG_S_INV)
+        for a2, b2 in with_mapping_copies(symmetrizer(2), antisymmetrizer(2)):
+            assert a2.mul_generator(1) == a2.scale(S)
+            assert a2.mul_generator(1).coeffs == {(1, 2): S, (2, 1): S**2}
+            assert b2.mul_generator(1) == b2.scale(NEG_S_INV)
 
     def test_squares_of_small_elements(self):
         a3 = symmetrizer(3)
@@ -64,20 +73,20 @@ class TestOneRowAndOneColumn:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_eigen_relations_all_generators(self, n):
-        an, bn = symmetrizer(n), antisymmetrizer(n)
-        for i in range(1, n):
-            g = HeckeElement.generator(n, i)
-            assert g * an == an.scale(S)
-            assert an * g == an.scale(S)
-            assert g * bn == bn.scale(NEG_S_INV)
-            assert bn * g == bn.scale(NEG_S_INV)
+        for an, bn in with_mapping_copies(symmetrizer(n), antisymmetrizer(n)):
+            for i in range(1, n):
+                g = HeckeElement.generator(n, i)
+                assert g * an == an.scale(S)
+                assert an * g == an.scale(S)
+                assert g * bn == bn.scale(NEG_S_INV)
+                assert bn * g == bn.scale(NEG_S_INV)
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_basis_braids_act_by_length_power(self, n):
-        an = symmetrizer(n)
-        for p in perms.all_permutations(n):
-            expected = an.scale(LaurentPoly.monomial(perms.length(p)))
-            assert HeckeElement.basis_element(n, p) * an == expected
+        for (an,) in with_mapping_copies(symmetrizer(n)):
+            for p in perms.all_permutations(n):
+                expected = an.scale(LaurentPoly.monomial(perms.length(p)))
+                assert HeckeElement.basis_element(n, p) * an == expected
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_tables_written_by_rank_are_the_encoded_enumeration(self, n):

@@ -29,16 +29,25 @@ a difference between trees.  Compare ``at_ref_s`` between two trees.  The layers
   result;
 - ``block_action_43``: the first row block of squaring e_lambda (4,3), as
   one chain from the element to the element;
-- ``long_braid_a6`` / ``a6_long_braid``: the products w_p * a_6 and
-  a_6 * w_p for p = LONG_BRAID, of length 9, and ``long_braid_ft6``: the
-  product w_p * ft_6 for the longest p, of length 15.  The side rule
-  expands the one-term w_p, through iota when it is the left factor and
-  directly when it is the right one, so these layers time both branches;
+- ``long_braid_a6`` / ``a6_long_braid`` and ``long_braid_b6`` /
+  ``b6_long_braid``: the products w_p * a_6, a_6 * w_p, w_p * b_6 and
+  b_6 * w_p for p = LONG_BRAID, of length 9.  a_6 and b_6 keep the unit's
+  one-entry coset table, so on either side w_p's 9 letters step that one
+  entry and the result is expanded once, with no iota;
+- ``long_braid_ft6`` / ``ft6_long_braid``: the products w_p * ft_6 and
+  ft_6 * w_p for the longest p, of length 15.  The full twist keeps no
+  coset table, and the side rule expands the one-term w_p, through iota
+  when it is the left factor and directly when it is the right one, so
+  these layers time both dense branches;
 - ``e6_long_braid`` / ``e6_sparse``: the products e_lambda(3,3) * w_p for
   p = LONG_BRAID and e_lambda(3,3) * y for SPARSE_Y, two terms of lengths
   2 and 4 as in the benchmark's sparse factors.  y is expanded directly,
   its words walked over the 20-entry coset table that e_lambda keeps, and
   the result expanded once to its 504 entries;
+- ``sparse_e1x6`` / ``e1x6_sparse``: the products y * e_lambda(1^6) and
+  e_lambda(1^6) * y for the same y.  e_lambda(1^6) is b_6 and keeps its
+  one-entry sign-side table, so y's words are walked over that one entry
+  on either side and the result expanded once;
 - ``alpha_extract_43`` / ``twist_eigenvalue_43``: the public calls;
 - ``alpha_extract_44`` / ``twist_44``: the same calls on the 8-cell diagram
   (4,4), whose e_lambda holds 24192 of the 40320 basis braids of H_8; the
@@ -194,7 +203,8 @@ def layers() -> dict:
     lam6, lam7, lam8 = Partition((3, 3)), Partition((4, 3)), Partition((4, 4))
     e6, e7 = sym.e_lambda(lam6), sym.e_lambda(lam7)
     first_row_block = _chain(lambda x: sym._block_action(x, 4, 0, S))
-    a6, ft6 = sym.symmetrizer(6), central.full_twist(6)
+    a6, b6, ft6 = sym.symmetrizer(6), sym.antisymmetrizer(6), central.full_twist(6)
+    e1x6 = sym.e_lambda(Partition((1,) * 6))
     w = HeckeElement.basis_element(6, LONG_BRAID)
     w0 = HeckeElement.basis_element(6, LONGEST)
     y = HeckeElement(6, SPARSE_Y)
@@ -204,9 +214,14 @@ def layers() -> dict:
         "block_action_43": lambda: first_row_block(e7),
         "long_braid_a6": lambda: w * a6,
         "a6_long_braid": lambda: a6 * w,
+        "long_braid_b6": lambda: w * b6,
+        "b6_long_braid": lambda: b6 * w,
         "long_braid_ft6": lambda: w0 * ft6,
+        "ft6_long_braid": lambda: ft6 * w0,
         "e6_long_braid": lambda: e6 * w,
         "e6_sparse": lambda: e6 * y,
+        "sparse_e1x6": lambda: y * e1x6,
+        "e1x6_sparse": lambda: e1x6 * y,
         "alpha_extract_43": lambda: sym.alpha_extract(lam7),
         "twist_eigenvalue_43": lambda: central.twist_eigenvalue(lam7),
         "alpha_extract_44": lambda: sym.alpha_extract(lam8),
