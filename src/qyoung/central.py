@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from . import permutations as perms
 from .errors import NotEigenvector
-from .hecke import HeckeElement, _element, _packed, _Packed
+from .hecke import HeckeElement, ScalarReport, _element, _extract, _packed, _Packed
 from .laurent import LaurentPoly
 from .partitions import Partition
 # e_lambda is bound here too, as ``central.e_lambda``, for callers that
 # reach it through this module.
-from .symmetrizers import _report_on_side, _symmetrizer_on_side, e_lambda
+from .symmetrizers import _own_table, _report_on_side, _Side, _side_table, e_lambda
 
 
 def half_twist(n: int) -> HeckeElement:
@@ -73,22 +73,40 @@ def twist_eigenvalue(lam: Partition) -> LaurentPoly:
     The scalar by which the full twist multiplies the symmetrizer of the
     given diagram.  The twist is central, so ft * e = e * ft, and e * ft is
     multiplied out band by band before the scalar is extracted and checked
-    as in ``twist_scalar``, on the table of the diagram's side alone: the
-    symmetrizer is never expanded.
+    (``_twist``), on the table of the diagram's side alone
+    (``symmetrizers._own_table``): the symmetrizer is never expanded.
     """
-    return twist_scalar(_symmetrizer_on_side(lam), lam)
+    return _twist(lam, *_own_table(lam))
+
+
+def _twist(lam: Partition, side: _Side, h: _Packed) -> LaurentPoly:
+    """
+    The twist eigenvalue from lam's table h on the side: h * ft multiplied
+    out band by band, the scalar extracted and checked on every entry of
+    h.  A failure's witness is that of ``symmetrizers._report_on_side``;
+    f * ft = tau f on the sign side since ft is central and fixed by iota.
+    """
+    return _eigenvalue(
+        lam,
+        _report_on_side(lam, side, h, lambda h, side: _mul_full_twist(h), lambda r: r.proportional),
+    )
 
 
 def twist_scalar(e: HeckeElement, lam: Partition) -> LaurentPoly:
     """
     twist_eigenvalue on an already built symmetrizer e of the diagram lam:
-    e * ft multiplied out band by band on e's table of its side, the
-    scalar extracted and checked on every entry of that table.  Which side
-    runs, the ValueError for an e outside the ideal of its side, and the
-    witness of a failure are those of ``symmetrizers._report_on_side``;
-    f * ft = tau f on the sign side since ft is central and fixed by iota.
+    e * ft multiplied out band by band on e's own table of its side
+    (``symmetrizers._side_table``, whose membership check raises
+    ValueError for an e outside R H_n), the scalar extracted and checked
+    on every entry of that table.  The table is e's own, so a failure's
+    witness is a permutation of e's and nothing is rerun.
     """
-    report = _report_on_side(e, lam, lambda h, side: _mul_full_twist(h), lambda r: r.proportional)
+    h = _side_table(e, lam)[1]
+    return _eigenvalue(lam, _extract(h, _mul_full_twist(h)))
+
+
+def _eigenvalue(lam: Partition, report: ScalarReport) -> LaurentPoly:
+    """The report's scalar, or NotEigenvector with its witness."""
     if not report.proportional:
         raise NotEigenvector(
             f"full twist does not act on the {lam} symmetrizer by a scalar "

@@ -66,10 +66,7 @@ result (a generator step, a product, a conjugation, a rescaling, and the
 chains that ``symmetrizers`` and ``central`` build) holds only its packed
 table.  The first kernel use of an element encodes its mapping and keeps
 the packed table; the first read of ``coeffs`` decodes the packed table and
-keeps the mapping.  A third form holds neither: an element made by
-``_coset_element`` holds only the coset table its chains run on (below)
-and how to build its packed table, which its first kernel use or read of
-``coeffs`` does, once.  A chain starts from the kept table and never writes
+keeps the mapping.  A chain starts from the kept table and never writes
 into it: the only table written in place is an accumulator made fresh for
 one sum, so a result may share an input's table (x * 1 holds x's own).
 The first chain to start from a kernel result tidies the kept
@@ -87,12 +84,10 @@ costs (L, G) of its table that the general product's side rule reads.
 So a dense factor used in many products is mirrored and scanned once.  A
 product's result starts with neither, not even the table it is the iota
 of, which would hold a second table as large as its own.  An element of
-R H_n or B H_n may also keep a coset table (``_ck``, below).  On either
-side it is the element's own (``_own_coset``): its packed table
-restricted to the representatives, or the table its build or product ran
-on, which expands to it.  One element alone keeps another's: that of
-``symmetrizers._symmetrizer_on_side`` of a column-heavy diagram holds the
-sign-side table of f, so the product never walks it.
+R H_n or B H_n may also keep its own coset table (``_ck``, below): its
+packed table restricted to the representatives, or the table its build
+or product ran on, which expands to it.  Every table an element keeps is
+its own.
 
 Ranks.  Encoding turns each permutation into its rank and decoding turns
 it back, so inside a chain no permutation tuple is built or hashed.  The
@@ -176,10 +171,6 @@ its packed table: the one the chain that built it, or the product that
 made it, ran on, or the restriction made on the first use, which
 checks membership in the ideal by expanding the restriction back
 (``_coset_kept``, ``_restricted``).  So no element is restricted twice.
-An element held as a coset table alone (``_coset_element``) keeps the
-one its chains run on, which for the symmetrizer of a column-heavy
-diagram is the sign-side table of another element, f (see
-``symmetrizers``); it is read as it is, never restricted.
 
 A general product expands one factor through reduced words, sharing common
 prefixes so that dense products cost one generator step per distinct
@@ -206,11 +197,10 @@ side), so y's words are walked over h, whose tables hold at most
 n!/|S_lambda| entries, and the result is expanded once.  The bound of
 that walk reads h: L(y) min(n!/|S_lambda|, G(h)), since w_v' w_u has at
 most 2^length(v') terms, so R w_v' w_u meets at most that many cosets.
-x's own (L, G) are read off h as well, with no expansion (``_costs``), so
-an element held as its coset table alone is priced, and multiplied on
-the right, without being built.  The result keeps h y beside its
-expansion, so a chain of right products stays on it.  A scalar y (no
-word to walk) is left off this path: x * 1 holds x's own packed table.
+x's own (L, G) are read off h as well (``_costs``).  The result keeps
+h y beside its expansion, so a chain of right products stays on it.  A
+scalar y (no word to walk) is left off this path: x * 1 holds x's own
+packed table.
 A lone step or rescaling of such an x runs on h too and keeps its
 result, so a chain of ``mul_generator`` calls on e_lambda steps h's
 entries, not e_lambda's.
@@ -278,7 +268,7 @@ class HeckeElement:
     new elements.
     """
 
-    __slots__ = ("n", "_coeffs", "_pk", "_ck", "_ik", "_wc", "_make")
+    __slots__ = ("n", "_coeffs", "_pk", "_ck", "_ik", "_wc")
 
     def __init__(self, n: int, coeffs: Mapping[Perm, LaurentPoly]):
         if n < 1:
@@ -299,7 +289,7 @@ class HeckeElement:
             raise ValueError(f"a key with a non-int entry is not a permutation of 1..{n}")
         self.n = n
         self._coeffs = MappingProxyType(table)
-        self._pk = self._ck = self._ik = self._wc = self._make = None
+        self._pk = self._ck = self._ik = self._wc = None
 
     @property
     def coeffs(self) -> Mapping[Perm, LaurentPoly]:
@@ -340,8 +330,6 @@ class HeckeElement:
 
     def is_zero(self) -> bool:
         pk = self._pk
-        if pk is None and self._coeffs is None:
-            pk = self._ck  # held as its coset table alone, zero exactly when that is
         return not (self._coeffs if pk is None else pk.table)
 
     def support(self) -> list[Perm]:
@@ -355,8 +343,8 @@ class HeckeElement:
             return NotImplemented
         if self.n != other.n:
             return False
-        # Two mappings, neither packed nor to be built: compare the mappings.
-        if not (self._pk or other._pk or self._make or other._make):
+        # Two mappings, neither packed: compare the mappings.
+        if not (self._pk or other._pk):
             return self._coeffs == other._coeffs
         a, b = _kept(self), _kept(other)
         if len(a.table) != len(b.table):
@@ -390,7 +378,7 @@ class HeckeElement:
             a = LaurentPoly.from_int(a)
         if a.is_zero() or self.is_zero():
             return HeckeElement.zero(self.n)
-        own = _own_coset(self)
+        own = self._ck
         out = _Packed.zero(self.n)
         out.add_times(_packed(self) if own is None else _coset_kept(self, own.blocks), a)
         return _element(out.expanded(), coset=out)
@@ -407,7 +395,7 @@ class HeckeElement:
             raise IndexError(f"generator index {i} out of range for {self.n} strands")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        own = _own_coset(self)
+        own = self._ck
         h = (_packed(self) if own is None else _coset_kept(self, own.blocks)).mul_generator(i, sign)
         return _element(h.expanded(), coset=h)
 
@@ -429,11 +417,11 @@ class HeckeElement:
         words_x, spread_x = _costs(self)
         words_y, spread_y = _costs(other)
         size = walked = math.factorial(self.n)
-        own = _own_coset(self) if words_y else None  # x * 1 keeps x's own table
+        own = self._ck if words_y else None  # x * 1 keeps x's own table
         if own is not None:
             walked //= len(_length_pattern(own.blocks.parts))
             spread_x = _word_costs(own)[1]
-        fixed = _own_coset(other)
+        fixed = other._ck
         if fixed is not None and fixed.table.keys() == {0}:
             spread_y = 1  # other is c F: each table of the walk holds one entry
         else:
@@ -589,7 +577,7 @@ def _trusted(n: int, table: dict[Perm, LaurentPoly]) -> HeckeElement:
     """
     elem = object.__new__(HeckeElement)
     elem.n, elem._coeffs = n, MappingProxyType(table)
-    elem._pk = elem._ck = elem._ik = elem._wc = elem._make = None
+    elem._pk = elem._ck = elem._ik = elem._wc = None
     return elem
 
 
@@ -782,7 +770,7 @@ def _costs(x: HeckeElement) -> tuple[int, int]:
     """
     wc = x._wc
     if wc is None:
-        own = _own_coset(x)
+        own = x._ck
         if own is None:
             wc = _word_costs(_kept(x))
         else:
@@ -1280,13 +1268,11 @@ def _packed(x: HeckeElement) -> _Packed:
 def _kept(x: HeckeElement) -> _Packed:
     """
     x's packed table as it is kept, for reading without a chain: encoded
-    from x's mapping, or built by x's ``_make`` when x is held as a coset
-    table alone, on the first use.
+    from x's mapping on the first use.
     """
     pk = x._pk
     if pk is None:
-        make = x._make
-        pk = x._pk = _encode(x) if make is None else make()
+        pk = x._pk = _encode(x)
     return pk
 
 
@@ -1304,9 +1290,9 @@ def _mirrored(x: HeckeElement) -> _Packed:
 def _element(pk: _Packed, coset: Optional[_Packed] = None) -> HeckeElement:
     """
     The element a kernel result stands for, holding only its packed table,
-    and keeping ``coset``, when given, as its coset table: the build or
-    product that expanded ``coset`` to pk passes it, and a plain one, its
-    own expansion, is not kept.  A coset table stands for R h (or B h), not
+    and keeping ``coset``, when given, as its own coset table: the build
+    or product that expanded ``coset`` to pk passes it, and a plain one,
+    pk itself, is not kept.  A coset table stands for R h (or B h), not
     for its own entries, so it is refused as pk.
     """
     if pk.blocks is not None:
@@ -1315,32 +1301,17 @@ def _element(pk: _Packed, coset: Optional[_Packed] = None) -> HeckeElement:
         coset = None
     elem = object.__new__(HeckeElement)
     elem.n, elem._coeffs, elem._pk, elem._ck = pk.n, None, pk, coset
-    elem._ik = elem._wc = elem._make = None
-    return elem
-
-
-def _coset_element(coset: _Packed, make: Callable[[], _Packed]) -> HeckeElement:
-    """
-    An element held as the tidy coset table its chains run on (on the sign
-    side f's, not its own) and nothing else: make() builds its packed
-    table on the first read of ``coeffs`` or kernel use, and the element
-    keeps it.  ``is_zero`` reads the coset table, which is zero exactly
-    when the element is.
-    """
-    elem = object.__new__(HeckeElement)
-    elem.n, elem._coeffs, elem._pk, elem._ck = coset.n, None, None, coset
     elem._ik = elem._wc = None
-    elem._make = make
     return elem
 
 
 def _coset_kept(x: HeckeElement, blocks: _Blocks) -> _Packed:
     """
-    x's coset table for the blocks, tidy and kept on x: the one x was built
-    with, tidied on the first use if it is a product's, or else a
+    x's own coset table for the blocks, tidy and kept on x: the one x was
+    built with, tidied on the first use if it is a product's, or else a
     restriction of x's packed table made on the first use, which refuses a
-    table outside the ideal of the blocks.  x keeps one coset table; the
-    blocks tell which.
+    table outside the ideal of the blocks.  x keeps one coset table, its
+    own; the blocks tell which.
     """
     ck = x._ck
     if ck is None or ck.blocks != blocks:
@@ -1348,17 +1319,6 @@ def _coset_kept(x: HeckeElement, blocks: _Blocks) -> _Packed:
     elif not ck.tidy:
         ck = x._ck = ck._tidied()
     return ck
-
-
-def _own_coset(x: HeckeElement) -> Optional[_Packed]:
-    """
-    x's own coset table as kept, or None.  A kept table is x's own, on
-    either side, unless it is f's: that one only an element held as its
-    coset table alone (``_coset_element``) keeps, on the sign side, which
-    is ``symmetrizers._symmetrizer_on_side``'s for a column-heavy diagram.
-    """
-    ck = x._ck
-    return ck if ck is not None and (ck.blocks.row or x._make is None) else None
 
 
 def _encode(x: HeckeElement) -> _Packed:

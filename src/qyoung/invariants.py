@@ -83,8 +83,11 @@ the dense predicate on e_lambda's full table and with the group-algebra
 product of ``tests/oracles.py``.
 
 The package is reached through module attributes (``symmetrizers.
-alpha_extract``, ``central.twist_scalar``), not names bound at import, so
-that whatever wraps those attributes sees every call made from here.
+_own_table``, ``symmetrizers._alpha``, ``central._twist``), not names
+bound at import, so that whatever wraps those attributes sees every call
+made from here.  ``diagram_checks`` calls none of the public
+``alpha_extract``, ``twist_eigenvalue`` or ``twist_scalar``: it builds
+the side's table once and hands it to each check.
 """
 
 from __future__ import annotations
@@ -141,20 +144,20 @@ def _eigen_relations(x: HeckeElement, u: LaurentPoly) -> list[bool]:
 def diagram_checks(lam: Partition, taus: dict[tuple[int, ...], LaurentPoly]) -> list[Check]:
     """
     The squaring-scalar, twist-eigenvalue, conjugation and classical-limit
-    checks for one diagram, building its symmetrizer once.  The twist
-    eigenvalue is recorded in ``taus`` under ``lam.parts``; the conjugation
-    check runs when the conjugate diagram's eigenvalue is already there.
+    checks for one diagram, all on the table of its side, built once
+    (``symmetrizers._own_table``).  The twist eigenvalue is recorded in
+    ``taus`` under ``lam.parts``; the conjugation check runs when the
+    conjugate diagram's eigenvalue is already there.
     """
     out: list[Check] = []
-    qi = symmetrizers.alpha_extract(lam)
-    out.append(
-        (f"alpha closed form, lambda={lam}", qi.alpha == symmetrizers.alpha_closed_form(lam))
-    )
+    side, h = symmetrizers._own_table(lam)
+    alpha = symmetrizers._alpha(lam, side, h)
+    out.append((f"alpha closed form, lambda={lam}", alpha == symmetrizers.alpha_closed_form(lam)))
     hooks = 1
-    for h in lam.hook_lengths():
-        hooks *= h
-    out.append((f"alpha at s=1 vs hook product, lambda={lam}", qi.alpha.eval_at_one() == hooks))
-    tau = central.twist_scalar(qi.element, lam)
+    for hook in lam.hook_lengths():
+        hooks *= hook
+    out.append((f"alpha at s=1 vs hook product, lambda={lam}", alpha.eval_at_one() == hooks))
+    tau = central._twist(lam, side, h)
     taus[lam.parts] = tau
     out.append(
         (
@@ -171,11 +174,10 @@ def diagram_checks(lam: Partition, taus: dict[tuple[int, ...], LaurentPoly]) -> 
                 taus[conj] == tau.invert_variable(),
             )
         )
-    row, at_one = symmetrizers._side_at_one(qi.element, lam)
     out.append(
         (
             f"classical limit vs group-algebra symmetrizer, lambda={lam}",
-            is_classical_coset_table(at_one, lam, row),
+            is_classical_coset_table(symmetrizers._at_one(h), lam, side.row),
         )
     )
     return out

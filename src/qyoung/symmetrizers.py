@@ -71,24 +71,21 @@ A diagram's square and twist run on the side whose subgroup is the larger,
 the row side on a tie (``_own_side``): (1^n) squares on one entry instead
 of n!.  On a table of one entry every candidate is proportional, so there
 the chain yields the scalar and the closed-form checks of ``invariants``
-are what test it.  A failure on the sign side is rerun on the row side,
-so that a witness is a permutation of e_lambda's own table; should the
-row side hold, the sign side's failure stands.
+are what test it.  A failure on the sign side is rerun on the row side's
+table, so that a witness is a permutation of e_lambda's own table;
+should the row side hold, the sign side's failure stands.
 
-``alpha_extract`` and ``central.twist_eigenvalue`` build only the table
-of lam's side, and ``qyoung verify`` reads nothing else: the squaring
-scalar, the twist eigenvalue and the classical limit (``invariants``)
-all come from it.  The element ``alpha_extract`` returns is an ordinary
-HeckeElement held as that table alone (``hecke._coset_element``).  Its
-first read of ``coeffs`` or kernel use builds e_lambda as the public
-``e_lambda`` does, behind the size guard, and keeps it; ``is_zero`` and
-the chains of its side never do.  Only that element keeps f's table, as
-a table not its own.  Any other element runs on the row side, on the
-coset table its build kept or a restriction made on the first use after
-the membership check, so no element is restricted twice; e_lambda of
-(1^n) keeps its own sign-side table, which is f's since d = 1, and runs
-on it.  This module sees a packed table only through its steps, sums,
-blocks, expansion and iota, and writes none: ``hecke`` alone does.
+``alpha_extract``, ``central.twist_eigenvalue`` and ``qyoung verify``
+build lam's side and its table once (``_own_table``) and hand that pair
+to the square, the twist and the classical limit (``invariants``), so
+e_lambda is not expanded.  The element ``alpha_extract`` returns is
+e_lambda, built by ``e_lambda`` on its first read.  An element keeps
+only its own tables: e_lambda of (1^n) its sign-side table, which is f's
+since d = 1, and any other element the row side's, the one its build or
+product kept or a restriction made on the first use after the
+membership check.  This module sees a packed table only through its
+steps, sums, blocks, expansion and iota, and writes none: ``hecke``
+alone does.
 
 ``symmetrizer`` and ``antisymmetrizer`` are the sum of u^length(p) w_p
 over S_n, for u = s or -s^-1: the unit's one-entry coset table for the
@@ -106,8 +103,7 @@ result.  a_8 takes 5-6 ms, and the process that builds it peaks at 20 MB
 (one 2-core host, CPython 3.11.7).
 
 Every builder refuses more than 8 cells or strands through the one size
-guard, ``permutations.check_size``, and so does the expansion of the
-element ``alpha_extract`` returns.  Build, square and twist on the side's
+guard, ``permutations.check_size``.  Build, square and twist on the side's
 table take 0.16-0.19 s for all 22 diagrams of 8 cells together, the
 slowest, (3,3,2), 0.02-0.03 s, on one 2-core host (CPython 3.11.7).
 """
@@ -125,7 +121,6 @@ from .hecke import (
     HeckeElement,
     ScalarReport,
     _Blocks,
-    _coset_element,
     _coset_kept,
     _decode,
     _element,
@@ -336,45 +331,29 @@ def e_lambda(lam: Partition) -> HeckeElement:
     return _element(h.expanded(), coset=h)
 
 
-def _expansion(lam: Partition, h: _Packed) -> _Packed:
-    """e_lambda's packed table R h from its row-side table h, behind the size guard."""
-    perms.check_size(f"the symmetrizer of lambda={lam}", lam.n)
-    return h.expanded()
-
-
-def _symmetrizer_on_side(lam: Partition) -> HeckeElement:
+def _own_table(lam: Partition) -> tuple[_Side, _Packed]:
     """
-    e_lambda held as the table its chains run on, on lam's side, and
-    expanded only when it is read: built on the first read of ``coeffs`` or
-    kernel use, behind the size guard, and kept.  On the row side the held
-    table is e_lambda's coset table, which expands to it.  On the sign side
-    it is f's, and e_lambda is built on the row side when it is read.  When
-    the side's blocks are trivial the table is plain, and it is e_lambda
-    itself: on the row side that is (1), and f = e_lambda when B and d are
-    trivial.
+    lam's own side (``_own_side``) and the symmetrizer's table there,
+    behind the size guard: e_lambda's coset table on the row side, f's on
+    the sign side, plain when the side's first blocks are trivial.
     """
     perms.check_size(f"the symmetrizer of lambda={lam}", lam.n)
     side = _own_side(lam)
-    h = _table(side)
-    if h.blocks is None:
-        return _element(h)
-    return _coset_element(h, lambda: _expansion(lam, h if side.row else _table(_side(lam, True))))
+    return side, _table(side)
 
 
-def _side_table(e: HeckeElement, lam: Partition, row: bool = False) -> tuple[_Side, _Packed]:
+def _side_table(e: HeckeElement, lam: Partition) -> tuple[_Side, _Packed]:
     """
-    The side e's chains run on and e's table there, tidy and kept on e.
-    That is lam's own side when e keeps the side's table: on the sign side
-    the element of ``_symmetrizer_on_side`` keeps f's, which only its own
-    build makes, and for (1^n), where f = e_lambda, e_lambda, b_n and their
-    products keep their own.  Every other e, and every e when ``row`` is
-    set, runs on the row side, on its coset table in R H_n (e itself when
-    S_lambda is trivial): for e_lambda the one its build ran on, for any
-    other e a restriction, which checks membership and refuses e outside
-    the ideal.
+    The side e's chains run on and e's own table there, tidy and kept on
+    e.  That is lam's sign side when e keeps its own table of it, as
+    e_lambda and b_n of (1^n) and their products do, where f = e_lambda.
+    Every other e runs on the row side, on its coset table in R H_n (e
+    itself when S_lambda is trivial): the one its build or product kept,
+    or a restriction, which checks membership and refuses e outside the
+    ideal.
     """
-    side = _side(lam, True) if row else _own_side(lam)
-    kept = e._ck  # the coset table e keeps, read as it is
+    side = _own_side(lam)
+    kept = e._ck
     if not side.row and (kept is None or kept.blocks != side.first):
         side = _side(lam, True)
     if side.first is None:
@@ -382,34 +361,34 @@ def _side_table(e: HeckeElement, lam: Partition, row: bool = False) -> tuple[_Si
     return side, _coset_kept(e, side.first)
 
 
-def _side_at_one(e: HeckeElement, lam: Partition) -> tuple[bool, dict[Perm, int]]:
+def _at_one(h: _Packed) -> dict[Perm, int]:
     """
-    Whether e's chains run on the row side, and e's table there at s = 1,
-    zeros dropped: on a coset table, the c_v'(1) of the representatives v'.
+    A side's table at s = 1, zeros dropped: on a coset table, the c_v'(1)
+    of the representatives v'.
     """
-    side, h = _side_table(e, lam)
     at_one = {v: c.eval_at_one() for v, c in _decode(h).items()}
-    return side.row, {v: c for v, c in at_one.items() if c}
+    return {v: c for v, c in at_one.items() if c}
 
 
 def _report_on_side(
-    e: HeckeElement,
     lam: Partition,
+    side: _Side,
+    h: _Packed,
     chain: Callable[[_Packed, _Side], _Packed],
     held: Callable[[ScalarReport], bool],
 ) -> ScalarReport:
     """
-    The extraction of chain(h, side) against h, for e's table h on its
-    side (``_side_table``, whose membership check raises ValueError for an
-    e outside R H_n).  A sign-side report that fails ``held`` gives way to
-    the row side's when that fails too: its witness is a permutation of
-    e's own table, where the sign side's is one of f's.  The row side
-    builds e and restricts it, so only a failure pays for that.
+    The extraction of chain(h, side) against h, for lam's table h on the
+    side (``_own_table``).  A sign-side report that fails ``held`` gives
+    way to the row side's when that fails too: its witness is a
+    permutation of e_lambda's own table, where the sign side's is one of
+    f's.  Only a failure builds the row side's table, and e_lambda is not
+    expanded.
     """
-    side, h = _side_table(e, lam)
     report = _extract(h, chain(h, side))
     if not side.row and not held(report):
-        side, h = _side_table(e, lam, row=True)
+        side = _side(lam, True)
+        h = _table(side)
         again = _extract(h, chain(h, side))
         if not held(again):
             return again
@@ -434,11 +413,17 @@ def alpha_closed_form(lam: Partition) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class QuasiIdempotent:
-    """A symmetrizer together with its verified squaring scalar."""
+    """
+    A diagram's symmetrizer together with its verified squaring scalar:
+    ``element`` is e_lambda, built on its first read and kept.
+    """
 
     lam: Partition
-    element: HeckeElement
     alpha: LaurentPoly
+
+    @functools.cached_property
+    def element(self) -> HeckeElement:
+        return e_lambda(self.lam)
 
     def to_machine(self) -> dict:
         return {
@@ -448,25 +433,23 @@ class QuasiIdempotent:
         }
 
 
-def alpha_extract(lam: Partition) -> QuasiIdempotent:
+def _alpha(lam: Partition, side: _Side, h: _Packed) -> LaurentPoly:
     """
-    Build the symmetrizer on its side's coset table, square it there, and
-    extract the scalar by exact division.  The square is a real product,
-    only factored, and the scalar is verified on every entry of that table;
-    a failure raises NotQuasiIdempotent since it can only mean a kernel
-    convention bug.  A table of one entry, as the sign side's for (1^n),
-    holds every candidate proportional, so a chain fault there raises
-    nothing and yields a wrong scalar: only the closed-form checks of
-    ``invariants`` (``qyoung verify``) catch it.  The returned element is
-    e_lambda, held as that table (``_symmetrizer_on_side``): it is
-    expanded, once, only when it is read.
+    The squaring scalar of lam's symmetrizer, from its table h on the side
+    (``_own_table``): the square is a real product, only factored, and the
+    scalar is verified on every entry of h; a failure raises
+    NotQuasiIdempotent since it can only mean a kernel convention bug.  A
+    table of one entry, as the sign side's for (1^n), holds every
+    candidate proportional, so a chain fault there raises nothing and
+    yields a wrong scalar: only the closed-form checks of ``invariants``
+    (``qyoung verify``) catch it.
     """
-    e = _symmetrizer_on_side(lam)
-    if e.is_zero():
+    if _element(h.with_blocks(None)).is_zero():  # the c_v' as a plain table
         raise NotQuasiIdempotent(f"symmetrizer of {lam} is zero")
     report = _report_on_side(
-        e,
         lam,
+        side,
+        h,
         _mul_symmetrizer,
         lambda r: r.proportional and not r.scalar.is_zero(),
     )
@@ -477,4 +460,13 @@ def alpha_extract(lam: Partition) -> QuasiIdempotent:
         )
     if report.scalar.is_zero():
         raise NotQuasiIdempotent(f"squaring scalar of {lam} vanishes")
-    return QuasiIdempotent(lam, e, report.scalar)
+    return report.scalar
+
+
+def alpha_extract(lam: Partition) -> QuasiIdempotent:
+    """
+    Build the symmetrizer's table on its side, square it there and
+    extract the scalar by exact division (``_alpha``).  The returned
+    element is e_lambda, expanded, once, only when it is read.
+    """
+    return QuasiIdempotent(lam, _alpha(lam, *_own_table(lam)))

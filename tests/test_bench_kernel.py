@@ -1,8 +1,9 @@
 """
 A smoke test of ``tools/bench_kernel.py``: its layers reach private names of
 the package (``symmetrizers._block_action``, ``_side``, ``_table``,
-``_report_on_side``, ``_side_at_one``, an element's ``_ck``), so a refactor
-that renames one must fail here rather than in the next timing run.
+``_own_table``, ``_report_on_side``, ``_at_one``, ``central._twist``, an
+element's ``_ck``), so a refactor that renames one must fail here rather
+than in the next timing run.
 """
 
 import importlib.util

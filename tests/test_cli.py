@@ -406,16 +406,16 @@ class TestVerifyMachineFormat:
 def test_verify_builds_each_symmetrizer_once(capsys, monkeypatch):
     from qyoung import central, symmetrizers
 
-    # Each symmetrizer is built once, on its side's table, and never
+    # Each symmetrizer's table is built once, on its side, and never
     # expanded: e_lambda, the full build, is not called at all.
     builds, expanded = [], []
-    real = symmetrizers._symmetrizer_on_side
+    real = symmetrizers._own_table
 
     def counting(lam, *args, **kwargs):
         builds.append(lam)
         return real(lam, *args, **kwargs)
 
-    monkeypatch.setattr(symmetrizers, "_symmetrizer_on_side", counting)
+    monkeypatch.setattr(symmetrizers, "_own_table", counting)
     monkeypatch.setattr(symmetrizers, "e_lambda", lambda lam: expanded.append(lam))
     monkeypatch.setattr(central, "e_lambda", lambda lam: expanded.append(lam))
     code, _, _ = run(capsys, "verify", "4")

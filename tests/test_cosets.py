@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qyoung import central, cli, hecke
+from qyoung import central, cli, hecke, invariants
 from qyoung import permutations as perms
 from qyoung import symmetrizers as sym
 from qyoung.errors import NotEigenvector, NotQuasiIdempotent
@@ -56,7 +56,8 @@ def column(lam):
 
 def row_table(e, lam):
     """e's table on the row side, whatever lam's own side."""
-    return sym._side_table(e, lam, row=True)[1]
+    blocks = sym._side(lam, True).first
+    return _packed(e) if blocks is None else hecke._coset_kept(e, blocks)
 
 
 def sign_table(lam):
@@ -422,22 +423,29 @@ class TestSignSide:
             _restricted(x, column(lam))
 
     def test_e_lambda_keeps_the_sign_table(self, monkeypatch):
+        # alpha_extract and twist_eigenvalue of a sign-side diagram step
+        # only f's table from its own build: nothing is restricted.
         lam = Partition((2, 1, 1))
-        assert not sym._own_side(lam).row
-        qi = sym.alpha_extract(lam)
-        assert qi.alpha == sym.alpha_closed_form(lam)
-        side, h = sym._side_table(qi.element, lam)
+        side, h = sym._own_table(lam)
         assert not side.row and h.blocks == column(lam)
+        stepped, real = set(), _Packed.mul_generator
+
+        def spy(self, i, sign=1):
+            stepped.add(self.blocks)
+            return real(self, i, sign)
+
         monkeypatch.setattr(hecke, "_restricted", refuse_to_restrict)
-        assert sym._side_table(qi.element, lam) == (sym._side(lam, False), h)
-        assert central.twist_scalar(qi.element, lam) == LaurentPoly.monomial(
+        monkeypatch.setattr(_Packed, "mul_generator", spy)
+        assert sym.alpha_extract(lam).alpha == sym.alpha_closed_form(lam)
+        assert central.twist_eigenvalue(lam) == LaurentPoly.monomial(
             central.twist_exponent(lam)
         )
+        assert stepped == {column(lam)}
 
     def test_twist_scalar_runs_any_other_element_on_the_row_side(self, monkeypatch):
-        # Only the element alpha_extract returns keeps f's table: e_lambda
-        # itself and an element read back from the machine format run on
-        # the row side, the latter after the membership check.
+        # No element keeps f's table: e_lambda itself and an element read
+        # back from the machine format run on the row side, the latter
+        # after the membership check.
         lam = Partition((2, 1, 1))
         tau = LaurentPoly.monomial(central.twist_exponent(lam))
         e = sym.e_lambda(lam)
@@ -712,11 +720,20 @@ def test_a_sign_side_failure_reports_the_row_side_witness(
 ):
     # The same fault, planted at the end of a chain both sides run, must
     # raise the message, witness included, that the row side alone raises.
-    # The sign side's failure builds e and reruns on its row table.  (A
-    # fault inside the row chain before the column factor would not show:
-    # R h C is a multiple of e_lambda for every h.)
+    # The sign side's failure reruns on the row side's table from its own
+    # build: e_lambda is not built, and every expansion is of a one-entry
+    # table.  (A fault inside the row chain before the column factor would
+    # not show: R h C is a multiple of e_lambda for every h.)
     assert not sym._own_side(lam).row
     monkeypatch.setattr(module, chain, bumped(getattr(module, chain)))
+    builds, expansions, real = [], [], _Packed.expanded
+
+    def spy(self):
+        expansions.append(len(self.table))
+        return real(self)
+
+    monkeypatch.setattr(sym, "e_lambda", lambda lam: builds.append(lam))
+    monkeypatch.setattr(_Packed, "expanded", spy)
     messages = []
     for forced_row in (False, True):
         if forced_row:
@@ -724,8 +741,25 @@ def test_a_sign_side_failure_reports_the_row_side_witness(
         with pytest.raises(error) as raised:
             call(lam)
         messages.append(str(raised.value))
+        if not forced_row:  # one start expanded by each side's build
+            assert builds == [] and expansions == [1, 1]
     assert messages[0] == messages[1]
     assert "first mismatch at (" in messages[0]
+
+
+@pytest.mark.parametrize("lam", SIGN_SHAPES + [Partition((1, 1, 1, 1))], ids=str)
+def test_diagram_checks_step_only_the_sign_table(lam, monkeypatch):
+    # verify builds a sign-side diagram's table once and hands it to the
+    # square and the twist: every step is of a table with the column blocks.
+    stepped, real = [], _Packed.mul_generator
+
+    def spy(self, i, sign=1):
+        stepped.append(self.blocks)
+        return real(self, i, sign)
+
+    monkeypatch.setattr(_Packed, "mul_generator", spy)
+    assert all(ok for _, ok in invariants.diagram_checks(lam, {}))
+    assert stepped and set(stepped) == {column(lam)}
 
 
 ONE_COLUMN = Partition((1, 1, 1, 1))

@@ -269,10 +269,10 @@ class TestGeneratorSteps:
 
     def test_twist_touches_the_coset_table(self, lam, touched):
         steps = lam.n * (lam.n - 1)
-        e = alpha_extract(lam).element
-        x = side_plain(e, lam)
+        side, h = sym._own_table(lam)
+        x = side_plain(e_lambda(lam), lam)
         del touched[:]
-        central.twist_scalar(e, lam)
+        central._twist(lam, side, h)
         coset = list(touched)
         del touched[:]
         central._mul_full_twist(x)

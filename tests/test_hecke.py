@@ -643,7 +643,7 @@ def direct_branch(x, y):
     x's own coset table and then expanded, as the product does, when x
     keeps one and y is not a scalar, and over x's packed table otherwise.
     """
-    own = hecke._own_coset(x)
+    own = x._ck
     if own is not None and hecke._costs(y)[0]:
         return hecke._expand_right(hecke._coset_kept(x, own.blocks), y).expanded()
     return plain_branch(x, y)
@@ -661,7 +661,7 @@ def iota_branch(x, y):
 
 def one_entry(y):
     """Whether y is c F: it keeps its own coset table, of one entry, at the identity."""
-    own = hecke._own_coset(y)
+    own = y._ck
     return own is not None and own.table.keys() == {0}
 
 
@@ -671,7 +671,7 @@ def one_entry_branch(x, y):
     y's one-entry coset table, expanded, and mirrored unless the walk ends
     at the identity alone, where the result is c' F, fixed by iota.
     """
-    h = hecke._expand_right(hecke._coset_kept(y, hecke._own_coset(y).blocks), hecke._iota(x))
+    h = hecke._expand_right(hecke._coset_kept(y, y._ck.blocks), hecke._iota(x))
     return h.expanded() if h.table.keys() == {0} else h.expanded().iota()
 
 
@@ -795,15 +795,10 @@ class TestBranchesAgree:
 
 
 def row_coset_factors(lam):
-    """
-    The elements of R H_n that keep their own row-side coset table, or
-    whose kept table is f's on the sign side (``alpha_extract``'s element
-    of a column-heavy diagram), each made afresh.
-    """
+    """The elements of R H_n that keep their own coset table, each made afresh."""
     return {
         "e_lambda": lambda: e_lambda(lam),
         "row_element": lambda: row_element(lam),
-        "alpha_extract": lambda: alpha_extract(lam).element,
     }
 
 
@@ -812,8 +807,6 @@ class TestCosetProducts:
     # y's words walked over h, one expansion at the end.  Each result is
     # checked, as a decoded mapping, against y's words walked over x's
     # plain table, and against the kernel-free product while H_n is small.
-    # alpha_extract's element holds f's sign-side table for a column-heavy
-    # diagram, which is not its own and must not be walked.
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -831,14 +824,6 @@ class TestCosetProducts:
         assert (product * y).coeffs == _element(plain_branch(HeckeElement(n, plain), y)).coeffs
         if n <= 4:
             assert product.coeffs == kernel_free_product(make(), y).coeffs
-
-    @pytest.mark.parametrize("lam", [Partition(p) for p in ((2, 1, 1), (2, 2, 1, 1), (1, 1, 1, 1))], ids=str)
-    def test_an_element_holding_the_sign_table_is_not_walked_on_it(self, lam):
-        x = alpha_extract(lam).element
-        assert x._ck is not None and not x._ck.blocks.row and hecke._own_coset(x) is None
-        y = basis(lam.n, *range(lam.n, 0, -1)) + gen(lam.n, 1).scale(S)
-        assert (x * y).coeffs == (e_lambda(lam) * y).coeffs
-        assert (x * y)._ck is None
 
     def test_each_step_reads_at_most_one_entry_per_coset(self, term_steps, monkeypatch):
         # (3,3) has 720 / (3! 3!) = 20 minimal coset representatives.
@@ -872,16 +857,6 @@ class TestCosetProducts:
             e = e_lambda(lam)
             assert hecke._costs(e) == hecke._word_costs(_packed(e))
 
-    def test_a_product_is_priced_and_run_without_expanding_the_element(self):
-        lam = Partition((3, 3))
-        x = alpha_extract(lam).element
-        assert x._ck.blocks.row and x._pk is None
-        e, w = e_lambda(lam), basis(6, 3, 6, 4, 1, 5, 2)
-        assert hecke._costs(x) == hecke._word_costs(_packed(e))
-        product = x * w
-        assert x._pk is None
-        assert product == e * w
-
     def test_row_element_keeps_the_one_entry_coset_table(self):
         x = row_element(Partition((3, 2, 1)))
         assert len(x._ck.table) == 1 and x._ck.blocks == hecke._Blocks((3, 2, 1), True)
@@ -896,8 +871,7 @@ class TestLoneStepsOnTheCosetTable:
     # A lone g_i, g_i^-1 or rescaling of an x that keeps its own coset table
     # h runs on h and keeps the result, as a right product does; each result
     # is checked, as a decoded mapping, against the same step or rescaling
-    # of x's plain packed table.  f's sign-side table, held by
-    # alpha_extract's element of a column-heavy diagram, is not walked.
+    # of x's plain packed table.
     SCALARS = (
         S,
         LaurentPoly.monomial(-1, -1),
@@ -907,16 +881,16 @@ class TestLoneStepsOnTheCosetTable:
 
     @pytest.mark.parametrize("lam", diagrams_up_to(6), ids=str)
     def test_steps_are_the_plain_table_steps(self, lam):
-        for name, make in row_coset_factors(lam).items():
+        for make in row_coset_factors(lam).values():
             x = make()
-            plain = _packed(e_lambda(lam) if name == "alpha_extract" else make())
-            own = hecke._own_coset(x)
+            plain = _packed(make())
+            own = x._ck
             for i in range(1, lam.n):
                 for sign in (1, -1):
                     stepped = x.mul_generator(i, sign)
                     assert stepped.coeffs == _element(plain.mul_generator(i, sign)).coeffs
                     if own is None:
-                        assert hecke._own_coset(stepped) is None
+                        assert stepped._ck is None
                     else:
                         assert stepped._ck.blocks == own.blocks
                         # Each coset entry stands for |S_lambda| entries.
@@ -925,16 +899,16 @@ class TestLoneStepsOnTheCosetTable:
 
     @pytest.mark.parametrize("lam", diagrams_up_to(6), ids=str)
     def test_rescalings_are_the_plain_table_rescalings(self, lam):
-        for name, make in row_coset_factors(lam).items():
+        for make in row_coset_factors(lam).values():
             x = make()
-            plain = _packed(e_lambda(lam) if name == "alpha_extract" else make())
-            own = hecke._own_coset(x)
+            plain = _packed(make())
+            own = x._ck
             for c in self.SCALARS:
                 scaled = x.scale(c)
                 expected = _Packed.zero(lam.n)
                 expected.add_times(plain, c)
                 assert scaled.coeffs == _element(expected).coeffs
-                assert (hecke._own_coset(scaled) is None) == (own is None)
+                assert (scaled._ck is None) == (own is None)
 
     def test_a_chain_of_lone_steps_reads_only_the_coset_table(self, monkeypatch):
         # (3,3): 504 entries of e_lambda against at most 720 / (3! 3!) = 20
@@ -951,13 +925,6 @@ class TestLoneStepsOnTheCosetTable:
             x = x.mul_generator(i).mul_generator(i, -1).scale(S)
         assert max(sizes) <= 720 // 36 and len(e.coeffs) == 504
         assert x == e.scale(S**5)
-
-    def test_a_sign_side_table_is_not_stepped(self):
-        x = alpha_extract(Partition((2, 1, 1))).element
-        assert not x._ck.blocks.row
-        e = e_lambda(Partition((2, 1, 1)))
-        assert x.mul_generator(2) == e.mul_generator(2) and x.mul_generator(2)._ck is None
-        assert x.scale(S) == e.scale(S) and x.scale(S)._ck is None
 
 
 def mirrored(x):
@@ -1146,7 +1113,7 @@ def test_a_left_product_by_r_mirrors_only_its_result(kernel_calls):
     r, w = row_element(Partition((3, 3))), basis(6, *LONG_BRAID)
     product = w * r
     assert kernel_calls["widest"] <= 20 and kernel_calls["iota"] == 1
-    assert hecke._own_coset(product) is None
+    assert product._ck is None
     assert product.coeffs == kernel_free_product(w, r).coeffs
 
 
@@ -1158,6 +1125,49 @@ def test_one_entry_off_the_identity_is_not_taken_as_fixed_by_iota():
     assert len(y._ck.table) == 1 and not one_entry(y)
     w = basis(6, *LONG_BRAID)
     assert (w * y).coeffs == kernel_free_product(w, y).coeffs
+
+
+def test_alpha_extract_element_of_one_column_steps_its_one_entry(kernel_calls):
+    # The element alpha_extract returns for (1^6) is e_lambda, which keeps
+    # its own one-entry sign-side table (f = e_lambda, since d = 1): a right
+    # product by w_p steps that one entry length(p) times.
+    lam, w = Partition((1,) * 6), basis(6, *LONG_BRAID)
+    x = alpha_extract(lam).element
+    kernel_calls.clear()
+    product = x * w
+    assert kernel_calls["mul_generator"] == kernel_calls["stepped"] == 9
+    assert product == e_lambda(lam) * w
+
+
+def public_elements(lam):
+    """
+    The elements the public builders make for lam's diagram and strand
+    count, each with a product on either side, a step and a rescaling.
+    """
+    n = lam.n
+    w = basis(n, *range(n, 0, -1))
+    built = [
+        e_lambda(lam),
+        row_element(lam),
+        symmetrizer(n),
+        antisymmetrizer(n),
+        alpha_extract(lam).element,
+    ]
+    out = []
+    for x in built:
+        out += [x, x * w, w * x, x.scale(LaurentPoly(-1, (2, 0, -1)))]
+        if n > 1:
+            out.append(x.mul_generator(n - 1, -1))
+    return out
+
+
+@pytest.mark.parametrize("lam", diagrams_up_to(6), ids=str)
+def test_every_kept_coset_table_is_the_elements_own(lam):
+    # A kept coset table expands to the packed table of the element that
+    # keeps it, on either side: no element holds another's.
+    for x in public_elements(lam):
+        if x._ck is not None:
+            assert _element(x._ck.expanded()).coeffs == x.coeffs
 
 
 # The fields of a packed table (``val`` is left out: LaurentPoly has one

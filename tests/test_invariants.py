@@ -8,8 +8,8 @@ oracle on e_lambda and on perturbed tables of both sides.
 
 import pytest
 
-from qyoung import cli, invariants, symmetrizers
-from qyoung.hecke import _element, _Packed
+from qyoung import cli, hecke, invariants, symmetrizers
+from qyoung.hecke import _element, _packed, _Packed
 from qyoung.laurent import LaurentPoly, ONE
 from qyoung.partitions import Partition, all_partitions
 
@@ -101,14 +101,14 @@ class TestDiagramChecks:
         assert failed(invariants.diagram_checks(Partition((1, 1)), taus)) == []
 
     def test_wrong_classical_limit_is_named(self, monkeypatch):
-        real = symmetrizers._side_at_one
+        real = symmetrizers._at_one
 
-        def planted(e, lam):
-            row, x = real(e, lam)
+        def planted(h):
+            x = real(h)
             last = max(x)
-            return row, {**x, last: -x[last]}
+            return {**x, last: -x[last]}
 
-        monkeypatch.setattr(symmetrizers, "_side_at_one", planted)
+        monkeypatch.setattr(symmetrizers, "_at_one", planted)
         # One diagram of each side.
         for parts, row in [((3, 2, 1), True), ((2, 2, 1, 1), False)]:
             lam = Partition(parts)
@@ -151,9 +151,15 @@ def side_tables(lam):
     """
     e = symmetrizers.e_lambda(lam)
     return [
-        (True, at_one(symmetrizers._side_table(e, lam, row=True)[1])),
+        (True, at_one(row_table(e, lam))),
         (False, at_one(symmetrizers._table(symmetrizers._side(lam, False)))),
     ]
+
+
+def row_table(e, lam):
+    """e's table on the row side, whatever lam's own side."""
+    blocks = symmetrizers._side(lam, True).first
+    return _packed(e) if blocks is None else hecke._coset_kept(e, blocks)
 
 
 def at_one(h):
@@ -179,12 +185,13 @@ def dense_verdict(c, lam, row):
 def check_against_the_oracle(lam, both_sides):
     # The check on the table verify reads, and on both sides' tables when
     # both_sides is set, against the oracle on e_lambda and on each table.
-    qi = symmetrizers.alpha_extract(lam)
-    row, c = symmetrizers._side_at_one(qi.element, lam)
-    assert row == symmetrizers._own_side(lam).row
+    side, h = symmetrizers._own_table(lam)
+    row, c = side.row, symmetrizers._at_one(h)
+    assert side == symmetrizers._own_side(lam)
     assert invariants.is_classical_coset_table(c, lam, row)
     assert dense_verdict(c, lam, row)
-    assert oracles.is_classical_symmetrizer(qi.element.specialize_at_one(), lam.parts)
+    e = symmetrizers.alpha_extract(lam).element
+    assert oracles.is_classical_symmetrizer(e.specialize_at_one(), lam.parts)
     for on_row, table in side_tables(lam) if both_sides else []:
         assert invariants.is_classical_coset_table(table, lam, on_row)
         assert dense_verdict(table, lam, on_row)

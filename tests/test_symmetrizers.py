@@ -271,43 +271,40 @@ def expansions(monkeypatch):
     """
     The table size of each coset-table expansion, R h or B h as a full
     table, in order, and "e_lambda" for each call of
-    ``symmetrizers._expansion``, which expands the element alpha_extract
+    ``symmetrizers.e_lambda``, which builds the element alpha_extract
     returns.
     """
     calls = []
-    expanded, expansion = hecke._Packed.expanded, sym._expansion
+    expanded, build = hecke._Packed.expanded, sym.e_lambda
 
     def spy(self):
         calls.append(len(self.table))
         return expanded(self)
 
-    def spied_expansion(lam, h):
+    def spied_build(lam):
         calls.append("e_lambda")
-        return expansion(lam, h)
+        return build(lam)
 
     monkeypatch.setattr(hecke._Packed, "expanded", spy)
-    monkeypatch.setattr(sym, "_expansion", spied_expansion)
+    monkeypatch.setattr(sym, "e_lambda", spied_build)
     return calls
 
 
 def check_public_element(lam, expansions):
-    # alpha_extract, twist_scalar and is_zero run on the side's table alone:
-    # they never reach e_lambda's expansion, and expand nothing but the
-    # builds' one-entry starts.  The element is e_lambda, expanded when it
-    # is first read and kept.
+    # alpha_extract runs on the side's table alone: it never calls
+    # e_lambda, and expands nothing but the build's one-entry start.  The
+    # element is e_lambda, built by one call on its first read and kept.
     qi = alpha_extract(lam)
-    assert not qi.element.is_zero()
-    assert central.twist_scalar(qi.element, lam) == LaurentPoly.monomial(
-        central.twist_exponent(lam)
-    )
     assert expansions and set(expansions) == {1}
-    e = e_lambda(lam)
-    assert qi.element == e
-    assert qi.element.to_machine() == e.to_machine()
-    assert qi.element.coeffs is qi.element.coeffs
-    read = len(expansions)
+    expansions.clear()
+    e = qi.element
+    assert expansions[0] == "e_lambda" and expansions.count("e_lambda") == 1
+    expansions.clear()
+    assert qi.element is e and e.coeffs is e.coeffs
     assert qi.to_machine()["element"] == e.to_machine()
-    assert len(expansions) == read  # expanded once, then kept
+    assert expansions == []  # built once, then kept
+    assert central.twist_scalar(e, lam) == LaurentPoly.monomial(central.twist_exponent(lam))
+    assert e == sym.e_lambda(lam)
 
 
 @pytest.mark.parametrize("lam", list(partitions_up_to(7)), ids=str)

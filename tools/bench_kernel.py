@@ -71,19 +71,20 @@ a difference between trees.  Compare ``at_ref_s`` between two trees.  The layers
   representatives kept and expanded back to check membership;
 - ``square_44`` / ``square_8`` / ``square_1x8`` / ``square_2x1x6`` and
   ``twist_scalar_44`` / ``twist_scalar_8`` / ``twist_scalar_1x8`` /
-  ``twist_scalar_2x1x6``: squaring and twist-checking the element
-  ``alpha_extract`` builds for (4,4), (8), (1^8) and (2,1^6), which holds
-  the table of the diagram's side, from the element to the extracted
-  scalar.  The square is what ``alpha_extract`` runs after the build: the
-  chain on that table and the extraction against it, through
-  ``symmetrizers._report_on_side``.  The twist is
-  ``central.twist_scalar(e, lam)``;
+  ``twist_scalar_2x1x6``: squaring and twist-checking the table of the
+  diagram's side (``symmetrizers._own_table``) for (4,4), (8), (1^8) and
+  (2,1^6), from the table to the extracted scalar.  The square is what
+  ``alpha_extract`` runs after the build: the chain on that table and the
+  extraction against it, through ``symmetrizers._report_on_side``.  The
+  twist is ``central._twist`` on the same table, as ``qyoung verify``
+  runs it;
 - ``sign_table_2x2x2x2`` / ``sign_table_1x8``: the sign side's build, f's
   coset table from its own build (``symmetrizers._table`` of the sign
   side), for (2,2,2,2) and (1^8);
 - ``classical_4x4`` / ``classical_2x2x2x2``: the classical-limit check of
-  ``qyoung verify`` on the same element for (4,4) (row side) and
-  (2,2,2,2) (sign side): the side's table read at s = 1 and tested by
+  ``qyoung verify`` on the same table for (4,4) (row side) and
+  (2,2,2,2) (sign side): the side's table read at s = 1
+  (``symmetrizers._at_one``) and tested by
   ``invariants.is_classical_coset_table``;
 - ``strand_checks_5`` / ``strand_checks_8``: ``invariants.strand_checks``
   on 5 and 8 strands, the eigen-relations of a_n and b_n and the
@@ -174,23 +175,18 @@ def _lazy(make):
 
 def _square(lam):
     """The square of e_lambda(lam) on its side's table, and its scalar."""
-    e = sym._symmetrizer_on_side(lam)
-    return lambda: sym._report_on_side(e, lam, sym._mul_symmetrizer, lambda r: r.proportional)
+    side, h = sym._own_table(lam)
+    return lambda: sym._report_on_side(lam, side, h, sym._mul_symmetrizer, lambda r: r.proportional)
 
 
 def _twist(lam):
-    e = sym._symmetrizer_on_side(lam)
-    return lambda: central.twist_scalar(e, lam)
+    side, h = sym._own_table(lam)
+    return lambda: central._twist(lam, side, h)
 
 
 def _classical(lam):
-    e = sym._symmetrizer_on_side(lam)
-
-    def run():
-        row, at_one = sym._side_at_one(e, lam)
-        return invariants.is_classical_coset_table(at_one, lam, row)
-
-    return run
+    side, h = sym._own_table(lam)
+    return lambda: invariants.is_classical_coset_table(sym._at_one(h), lam, side.row)
 
 
 def _restrict(lam):
