@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from . import permutations as perms
 from .errors import NotEigenvector
-from .hecke import HeckeElement, ScalarReport, _element, _extract, _packed, _Packed
+from .hecke import HeckeElement, _element, _packed, _Packed
 from .laurent import LaurentPoly
 from .partitions import Partition
 # e_lambda is bound here too, as ``central.e_lambda``, for callers that
 # reach it through this module.
-from .symmetrizers import _own_table, _report_on_side, _Side, _side_table, e_lambda
+from .symmetrizers import _own_table, _report_on_side, _Side, e_lambda
 
 
 def half_twist(n: int) -> HeckeElement:
@@ -74,7 +74,9 @@ def twist_eigenvalue(lam: Partition) -> LaurentPoly:
     given diagram.  The twist is central, so ft * e = e * ft, and e * ft is
     multiplied out band by band before the scalar is extracted and checked
     (``_twist``), on the table of the diagram's side alone
-    (``symmetrizers._own_table``): the symmetrizer is never expanded.
+    (``symmetrizers._own_table``): the symmetrizer is never expanded.  For
+    an element e already in hand, on the public API, the scalar is
+    ``extract_scalar(e, e * full_twist(n))``.
     """
     return _twist(lam, *_own_table(lam))
 
@@ -83,30 +85,13 @@ def _twist(lam: Partition, side: _Side, h: _Packed) -> LaurentPoly:
     """
     The twist eigenvalue from lam's table h on the side: h * ft multiplied
     out band by band, the scalar extracted and checked on every entry of
-    h.  A failure's witness is that of ``symmetrizers._report_on_side``;
-    f * ft = tau f on the sign side since ft is central and fixed by iota.
+    h, or NotEigenvector.  A failure's witness is that of
+    ``symmetrizers._report_on_side``; f * ft = tau f on the sign side
+    since ft is central and fixed by iota.
     """
-    return _eigenvalue(
-        lam,
-        _report_on_side(lam, side, h, lambda h, side: _mul_full_twist(h), lambda r: r.proportional),
+    report = _report_on_side(
+        lam, side, h, lambda h, side: _mul_full_twist(h), lambda r: r.proportional
     )
-
-
-def twist_scalar(e: HeckeElement, lam: Partition) -> LaurentPoly:
-    """
-    twist_eigenvalue on an already built symmetrizer e of the diagram lam:
-    e * ft multiplied out band by band on e's own table of its side
-    (``symmetrizers._side_table``, whose membership check raises
-    ValueError for an e outside R H_n), the scalar extracted and checked
-    on every entry of that table.  The table is e's own, so a failure's
-    witness is a permutation of e's and nothing is rerun.
-    """
-    h = _side_table(e, lam)[1]
-    return _eigenvalue(lam, _extract(h, _mul_full_twist(h)))
-
-
-def _eigenvalue(lam: Partition, report: ScalarReport) -> LaurentPoly:
-    """The report's scalar, or NotEigenvector with its witness."""
     if not report.proportional:
         raise NotEigenvector(
             f"full twist does not act on the {lam} symmetrizer by a scalar "

@@ -84,10 +84,9 @@ costs (L, G) of its table that the general product's side rule reads.
 So a dense factor used in many products is mirrored and scanned once.  A
 product's result starts with neither, not even the table it is the iota
 of, which would hold a second table as large as its own.  An element of
-R H_n or B H_n may also keep its own coset table (``_ck``, below): its
-packed table restricted to the representatives, or the table its build
-or product ran on, which expands to it.  Every table an element keeps is
-its own.
+R H_n or B H_n may also keep its own coset table (``_ck``, below): the
+table its build or product ran on, which expands to it.  Every table an
+element keeps is its own.
 
 Ranks.  Encoding turns each permutation into its rank and decoding turns
 it back, so inside a chain no permutation tuple is built or hashed.  The
@@ -95,9 +94,9 @@ step finds the partner rank rank(p s_i) by rank arithmetic: s_i changes
 two Lehmer digits of p, so the rank moves by one of (n-i+1)(n-i) shifts,
 read from a short list per (n, i) indexed by those two digits; the length
 went up exactly when the partner rank is the larger, so nothing else is
-stored.  The conversions, and inversion on ranks for iota and
-restriction, are computed from Lehmer codes and remembered per strand
-count, only for the permutations met so far.  No table covers all of S_n, but a step still
+stored.  The conversions, and inversion on ranks for iota, are computed
+from Lehmer codes and remembered per strand count, only for the
+permutations met so far.  No table covers all of S_n, but a step still
 costs more as n grows: the shift list of (n, i) holds (n-i+1)(n-i) ints of
 up to log2(n!) bits, so g_1 * g_1 on 500 strands takes about 0.3 s and
 146 MB (2-core host, CPython 3.11.7).  Concurrent chains may fill a memo,
@@ -125,10 +124,11 @@ g_j B = B g_j = -s^-1 B, the left ideal B H_n has the basis B w_v'.  So
 ``blocks`` (``_Blocks``), the one record of a side's blocks, holds the
 block sizes and the side, and gives the offsets and the block unit, s on
 the row side and -s^-1 on the sign side; it is None when every block is
-one strand, and the table plain.  A coset table is faithful on three counts:
+one strand, and the table plain.  Chains, ``==`` and scalar extraction
+on coset tables are exact, for three reasons:
 
-- restriction to the representatives is injective on the ideal, since the
-  coefficient at w_v' is c_v' itself;
+- the coefficient of w_v' in R h is c_v' itself, so two elements of the
+  ideal are equal exactly when their coset tables are;
 - the smallest rank in a coset is its representative, and two elements
   of the ideal differ on a whole coset or nowhere on it, so scalar
   extraction on coset tables pins the same term and reports the same
@@ -147,8 +147,8 @@ So the step tests the blocks only for a term whose partner is missing
 per (blocks, i) filled for the ranks met, and reads the unit once per
 step of a coset table; a plain table's step never reads it.
 
-Expansion, the inverse of restriction (``_Packed.expanded``), writes each
-entry of R h once, by rank arithmetic, with no step and no iota.  u in
+Expansion (``_Packed.expanded``) writes each entry of R h from its coset
+table once, by rank arithmetic, with no step and no iota.  u in
 S_lambda only relabels the values within each block, and a block's values
 are contiguous, so u v' has the Lehmer digits of v' except at the
 positions of block values.  There each block's values stand in
@@ -168,9 +168,9 @@ table's tidiness carry over.  A coset table is never an element: iota,
 which does not keep the ideal, and ``_element`` refuse one, so it is
 expanded first.  An element of the ideal may keep its coset table beside
 its packed table: the one the chain that built it, or the product that
-made it, ran on, or the restriction made on the first use, which
-checks membership in the ideal by expanding the restriction back
-(``_coset_kept``, ``_restricted``).  So no element is restricted twice.
+made it, ran on, so a coset table comes from a build or a product
+alone.  A chain on an element starts from the table it keeps
+(``_chain_start``): that coset table, or else its packed table.
 
 A general product expands one factor through reduced words, sharing common
 prefixes so that dense products cost one generator step per distinct
@@ -378,9 +378,8 @@ class HeckeElement:
             a = LaurentPoly.from_int(a)
         if a.is_zero() or self.is_zero():
             return HeckeElement.zero(self.n)
-        own = self._ck
         out = _Packed.zero(self.n)
-        out.add_times(_packed(self) if own is None else _coset_kept(self, own.blocks), a)
+        out.add_times(_chain_start(self), a)
         return _element(out.expanded(), coset=out)
 
     # -- multiplication ------------------------------------------------------
@@ -395,8 +394,7 @@ class HeckeElement:
             raise IndexError(f"generator index {i} out of range for {self.n} strands")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        own = self._ck
-        h = (_packed(self) if own is None else _coset_kept(self, own.blocks)).mul_generator(i, sign)
+        h = _chain_start(self).mul_generator(i, sign)
         return _element(h.expanded(), coset=h)
 
     def __mul__(self, other: HeckeElement) -> HeckeElement:
@@ -429,11 +427,11 @@ class HeckeElement:
         if words_y * min(walked, spread_x) <= words_x * min(size, spread_y):
             if own is None:
                 return _element(_expand_right(_packed(self), other))
-            h = _expand_right(_coset_kept(self, own.blocks), other)
+            h = _expand_right(_chain_start(self), other)
             return _element(h.expanded(), coset=h)
         if fixed is None:
             return _element(_expand_right(_mirrored(other), _iota(self)).iota())
-        h = _expand_right(_coset_kept(other, fixed.blocks), _iota(self))
+        h = _expand_right(_chain_start(other), _iota(self))
         if h.table.keys() == {0}:
             return _element(h.expanded(), coset=h)  # c' F, which iota fixes
         return _element(h.expanded().iota())
@@ -869,49 +867,6 @@ def _within_block(blocks: _Blocks, i: int, p: Perm) -> bool:
     return block[p[i - 1] - 1] == block[p[i] - 1]
 
 
-def _restricted(pk: _Packed, blocks: _Blocks) -> _Packed:
-    """
-    The coset table h of a plain table x of the ideal of the blocks (R H_n
-    on the row side, B H_n on the sign side): x's entries at the minimal
-    coset representatives of the blocks' Young subgroup, the permutations
-    whose values of each block stand in increasing order.  A table outside
-    the ideal is refused: x lies in it exactly when x equals the expansion
-    of h.  That expansion is F h by construction (F = R or B), so an x
-    equal to it lies in the ideal.  Conversely an x of the ideal is the sum
-    of c_v' F w_v' over the representatives, and of that basis only F w_v'
-    holds w_v', with coefficient 1, so x's entry at v' is c_v': h holds
-    the c_v', and x = F h.  That is restriction being injective on the
-    ideal.
-    """
-    n = pk.n
-    steps = [
-        _partner_shifts(n, j)
-        for part, start in zip(blocks.parts, blocks.offsets)
-        for j in range(start + 1, start + part)
-    ]
-    table = {r: c for r, c in pk.table.items() if _is_representative(_inverse_rank(n, r), steps)}
-    h = _Packed(n, table, pk.val, pk.k, pk.bound, pk.low, blocks=blocks)
-    mine, theirs = _aligned(h.expanded(), pk)
-    if mine != theirs:
-        ideal = "R H_n for the row" if blocks.row else "B H_n for the column"
-        raise ValueError(f"the table is not in {ideal} blocks {blocks.parts}")
-    return h
-
-
-def _is_representative(q: int, steps: list[tuple[int, int, list[int]]]) -> bool:
-    """
-    Whether the v with v^-1 of rank q is a minimal coset representative,
-    for the partner shifts of the s_j that join two values of one block:
-    the values j and j+1 of a block stand in increasing order in v exactly
-    when v^-1 steps up under s_j, that is, when its partner rank is the
-    larger.
-    """
-    for weight, size, shifts in steps:
-        if shifts[q // weight % size] < 0:
-            return False
-    return True
-
-
 @functools.cache
 def _weights_memo(parts: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     """Per block sizes: the weights of each representative's movable digits, by rank."""
@@ -1064,8 +1019,7 @@ class _Packed:
     def expanded(self) -> _Packed:
         """
         R h (B h on the sign side) as a plain table, from its coset table
-        h, the inverse of ``_restricted``; a plain table is its own
-        expansion.  Each entry is written once, by the rank rule (see the
+        h; a plain table is its own expansion.  Each entry is written once, by the rank rule (see the
         module docstring).  All representatives move one digit at a time:
         each rank r so far becomes r + j w for j below the digit's range, w
         the digit's weight in its representative.  The entry of u v' is c_v'
@@ -1305,18 +1259,16 @@ def _element(pk: _Packed, coset: Optional[_Packed] = None) -> HeckeElement:
     return elem
 
 
-def _coset_kept(x: HeckeElement, blocks: _Blocks) -> _Packed:
+def _chain_start(x: HeckeElement) -> _Packed:
     """
-    x's own coset table for the blocks, tidy and kept on x: the one x was
-    built with, tidied on the first use if it is a product's, or else a
-    restriction of x's packed table made on the first use, which refuses a
-    table outside the ideal of the blocks.  x keeps one coset table, its
-    own; the blocks tell which.
+    The table a chain on x starts from, tidy and kept on x: x's own coset
+    table when it keeps one, tidied on the first use if it is a product's,
+    or else x's packed table (``_packed``).
     """
     ck = x._ck
-    if ck is None or ck.blocks != blocks:
-        ck = x._ck = _restricted(_kept(x), blocks)._tidied()
-    elif not ck.tidy:
+    if ck is None:
+        return _packed(x)
+    if not ck.tidy:
         ck = x._ck = ck._tidied()
     return ck
 

@@ -86,8 +86,8 @@ The package is reached through module attributes (``symmetrizers.
 _own_table``, ``symmetrizers._alpha``, ``central._twist``), not names
 bound at import, so that whatever wraps those attributes sees every call
 made from here.  ``diagram_checks`` calls none of the public
-``alpha_extract``, ``twist_eigenvalue`` or ``twist_scalar``: it builds
-the side's table once and hands it to each check.
+``alpha_extract`` or ``twist_eigenvalue``: it builds the side's table
+once and hands it to each check.
 """
 
 from __future__ import annotations

@@ -81,11 +81,10 @@ to the square, the twist and the classical limit (``invariants``), so
 e_lambda is not expanded.  The element ``alpha_extract`` returns is
 e_lambda, built by ``e_lambda`` on its first read.  An element keeps
 only its own tables: e_lambda of (1^n) its sign-side table, which is f's
-since d = 1, and any other element the row side's, the one its build or
-product kept or a restriction made on the first use after the
-membership check.  This module sees a packed table only through its
-steps, sums, blocks, expansion and iota, and writes none: ``hecke``
-alone does.
+since d = 1, e_lambda of any other diagram the row side's, and a product
+or step of one of them the table its chain ran on.  This module sees a
+packed table only through its steps, sums, blocks, expansion and iota,
+and writes none: ``hecke`` alone does.
 
 ``symmetrizer`` and ``antisymmetrizer`` are the sum of u^length(p) w_p
 over S_n, for u = s or -s^-1: the unit's one-entry coset table for the
@@ -121,7 +120,6 @@ from .hecke import (
     HeckeElement,
     ScalarReport,
     _Blocks,
-    _coset_kept,
     _decode,
     _element,
     _extract,
@@ -340,25 +338,6 @@ def _own_table(lam: Partition) -> tuple[_Side, _Packed]:
     perms.check_size(f"the symmetrizer of lambda={lam}", lam.n)
     side = _own_side(lam)
     return side, _table(side)
-
-
-def _side_table(e: HeckeElement, lam: Partition) -> tuple[_Side, _Packed]:
-    """
-    The side e's chains run on and e's own table there, tidy and kept on
-    e.  That is lam's sign side when e keeps its own table of it, as
-    e_lambda and b_n of (1^n) and their products do, where f = e_lambda.
-    Every other e runs on the row side, on its coset table in R H_n (e
-    itself when S_lambda is trivial): the one its build or product kept,
-    or a restriction, which checks membership and refuses e outside the
-    ideal.
-    """
-    side = _own_side(lam)
-    kept = e._ck
-    if not side.row and (kept is None or kept.blocks != side.first):
-        side = _side(lam, True)
-    if side.first is None:
-        return side, _packed(e)
-    return side, _coset_kept(e, side.first)
 
 
 def _at_one(h: _Packed) -> dict[Perm, int]:

@@ -28,7 +28,7 @@ import pytest
 import qyoung
 from qyoung import invariants
 from qyoung import permutations as perms
-from qyoung.central import full_twist, murphy, twist_eigenvalue, twist_scalar
+from qyoung.central import full_twist, murphy, twist_eigenvalue
 from qyoung.hecke import HeckeElement, extract_scalar
 from qyoung.laurent import LaurentPoly, ONE, S
 from qyoung.partitions import all_partitions
@@ -154,9 +154,8 @@ def test_performance_gate_seven_cells():
 def test_performance_gate_eight_cells():
     started = time.monotonic()
     for lam in all_partitions(8):
-        qi = alpha_extract(lam)
-        assert qi.alpha == alpha_closed_form(lam)
-        assert twist_scalar(qi.element, lam) == LaurentPoly.monomial(2 * sum(lam.contents()))
+        assert alpha_extract(lam).alpha == alpha_closed_form(lam)
+        assert twist_eigenvalue(lam) == LaurentPoly.monomial(2 * sum(lam.contents()))
     report("slow suite: quasi-idempotency and twist eigenvalues at 8 cells", started, 60)
 
 

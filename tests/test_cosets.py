@@ -4,10 +4,10 @@ representatives of S_lambda, with R the row element of lambda, and on the
 sign side those of B h, with B the contiguous column factor.
 
 Every coset chain is checked against the plain chain it replaces, run
-through the same functions on the expanded table and restricted at the
-end.  The kernel's one-pass expansion (``_Packed.expanded``) is checked
-against the general product R * h (or B * h) and against the chain it
-replaced, iota(iota(h) R) (``chain_expanded``).  The row-side tests force
+through the same functions on the expanded table, by expanding the coset
+chain's result.  The kernel's one-pass expansion (``_Packed.expanded``)
+is checked against the general product R * h (or B * h) and against the
+chain it replaced, iota(iota(h) R) (``chain_expanded``).  The row-side tests force
 the row side (``row_table``) for every diagram, so they cover the
 diagrams whose own side is the sign side too.
 """
@@ -33,7 +33,6 @@ from qyoung.hecke import (
     _extract,
     _packed,
     _Packed,
-    _restricted,
 )
 from qyoung.laurent import NEG_S_INV, LaurentPoly, ONE, S
 from qyoung.partitions import Partition, all_partitions
@@ -57,7 +56,11 @@ def column(lam):
 def row_table(e, lam):
     """e's table on the row side, whatever lam's own side."""
     blocks = sym._side(lam, True).first
-    return _packed(e) if blocks is None else hecke._coset_kept(e, blocks)
+    if blocks is None:
+        return _packed(e)
+    h = hecke._chain_start(e)
+    assert h.blocks == blocks
+    return h
 
 
 def sign_table(lam):
@@ -105,10 +108,6 @@ def representatives(parts):
         if all(seen == sorted(seen) for seen in values.values()):
             out.append(p)
     return out
-
-
-def refuse_to_restrict(pk, blocks):
-    raise AssertionError("restricted a table whose coset table was kept")
 
 
 SMALL_SHAPES = [Partition((2, 1)), Partition((3, 2)), Partition((2, 2, 1))]
@@ -171,6 +170,15 @@ def expansion_cases(draw, on_row=None):
     return lam, h
 
 
+def check_expansion_at_the_representatives(h):
+    # Read at the representatives, the expansion gives h back: h's entries
+    # at h's ranks, and no other representative.
+    x = expanded(h)
+    reps = set(representatives(h.blocks.parts))
+    assert {p for p in x.coeffs if p in reps} == {hecke._perm_of(h.n, r) for r in h.table}
+    assert all(x.coeffs[p] == c for p, c in plain(h).coeffs.items())
+
+
 def words(n):
     """Words of up to 8 generators g_i^(+-1) on n strands."""
     letter = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
@@ -180,11 +188,13 @@ def words(n):
 class TestRepresentatives:
     @pytest.mark.parametrize("lam", list(partitions_up_to(6)), ids=str)
     def test_restriction_keeps_the_representatives(self, lam):
+        # e_lambda's kept row table holds e's own coefficients at the
+        # representatives in e's support, and nothing else.
         e = sym.e_lambda(lam)
-        h = _restricted(_packed(e), row(lam))
+        h = row_table(e, lam)
         kept = sorted(hecke._perm_of(lam.n, r) for r in h.table)
         assert kept == [p for p in representatives(lam.parts) if p in e.coeffs]
-        assert all(h.table[hecke._rank(p)] == _packed(e).table[hecke._rank(p)] for p in kept)
+        assert all(plain(h).coeffs[p] == e.coeffs[p] for p in kept)
 
     @pytest.mark.parametrize("lam", SMALL_SHAPES, ids=str)
     def test_smallest_rank_of_a_coset_is_its_representative(self, lam):
@@ -209,59 +219,26 @@ class TestExpansion:
     @given(coset_elements())
     @settings(max_examples=60, deadline=None)
     def test_restriction_after_expansion_is_the_identity(self, case):
-        lam, h = case
-        back = _restricted(h.expanded(), row(lam))
-        assert back.blocks == row(lam)
-        assert plain(back) == plain(h)
-
-    @pytest.mark.parametrize("change", ["drop", "double", "double first", "stray"])
-    @pytest.mark.parametrize("lam", SMALL_SHAPES, ids=str)
-    def test_a_table_outside_the_ideal_is_refused(self, lam, change):
-        e = _packed(sym.e_lambda(lam))
-        table = dict(e.table)
-        last = max(table)  # the largest rank of its coset: never a representative
-        if change == "drop":
-            del table[last]
-        elif change == "double":
-            table[last] *= 2
-        elif change == "double first":
-            table[min(table)] *= 2  # the identity: a representative
-        else:
-            table[min(set(range(math.factorial(lam.n))) - set(table))] = table[last]
-        with pytest.raises(ValueError, match="not in R H_n"):
-            _restricted(_Packed(e.n, table, e.val, e.k, e.bound, e.low), row(lam))
-
-    def test_twist_scalar_refuses_an_element_outside_the_ideal(self):
-        # b_3 has as many terms as a_3 but lies outside a_3 H_3.
-        with pytest.raises(ValueError):
-            central.twist_scalar(sym.antisymmetrizer(3), Partition((3,)))
+        check_expansion_at_the_representatives(case[1])
 
     def test_e_lambda_keeps_the_coset_table_it_was_built_on(self, monkeypatch):
+        # A step or product of e_lambda, like its square, steps only the
+        # row table its build kept.
         lam = Partition((3, 2))
         e = sym.e_lambda(lam)
-        monkeypatch.setattr(hecke, "_restricted", refuse_to_restrict)
         h = row_table(e, lam)
         assert row_table(e, lam) is h
-        assert central.twist_scalar(e, lam) == central.twist_eigenvalue(lam)
+        want = _element(_packed(e).mul_generator(2))
+        stepped, real = set(), _Packed.mul_generator
+
+        def spy(self, i, sign=1):
+            stepped.add(self.blocks)
+            return real(self, i, sign)
+
+        monkeypatch.setattr(_Packed, "mul_generator", spy)
+        assert e.mul_generator(2) == want == e * HeckeElement.generator(lam.n, 2)
         assert sym.alpha_extract(lam).alpha == sym.alpha_closed_form(lam)
-
-    def test_any_other_element_is_restricted_once(self, monkeypatch):
-        lam = Partition((3, 2))
-        # Built from its mapping: e_lambda(lam).scale(2) keeps e_lambda's
-        # coset table and is never restricted.
-        e = HeckeElement(lam.n, sym.e_lambda(lam).scale(2).coeffs)
-        calls = []
-
-        def counted(pk, blocks):
-            calls.append(blocks)
-            return _restricted(pk, blocks)
-
-        monkeypatch.setattr(hecke, "_restricted", counted)
-        first = central.twist_scalar(e, lam)
-        assert central.twist_scalar(e, lam) == first
-        assert calls == [row(lam)]
-        assert central.twist_scalar(sym.e_lambda(lam).scale(2), lam) == first
-        assert calls == [row(lam)]
+        assert stepped == {row(lam)}
 
     def test_a_coset_table_is_no_element(self):
         h = coset_unit(Partition((2, 1)))
@@ -281,34 +258,31 @@ class TestCosetSteps:
             h = h.mul_generator(i, sign)
             x = x.mul_generator(i, sign)
             assert h.blocks == row(lam)
-            assert plain(h) == plain(_restricted(x, row(lam)))
-        assert expanded(h) == _element(x)
+            assert expanded(h) == _element(x)
 
 
 @pytest.mark.parametrize("lam", list(partitions_up_to(6)), ids=str)
 class TestCosetChains:
-    # The coset chains of alpha_extract and twist_scalar against the plain
-    # chains on e_lambda, through the same chain functions, restricted.
+    # The coset chains of the square and the twist against the plain chains
+    # on e_lambda, through the same chain functions, expanded.
 
     def test_build(self, lam):
         h = sym._table(sym._side(lam, True))
         e = sym.e_lambda(lam)
         assert expanded(h) == e
         assert plain(h) == plain(row_table(e, lam))
-        assert plain(h) == plain(_restricted(_packed(e), row(lam)))
 
     def test_square(self, lam):
         e = sym.e_lambda(lam)
         h = row_table(e, lam)
         want = square(_packed(e), lam)
-        assert plain(square(h, lam)) == plain(_restricted(want, row(lam)))
         assert expanded(square(h, lam)) == _element(want)
 
     def test_twist(self, lam):
         e = sym.e_lambda(lam)
         h = row_table(e, lam)
         want = central._mul_full_twist(_packed(e))
-        assert plain(central._mul_full_twist(h)) == plain(_restricted(want, row(lam)))
+        assert expanded(central._mul_full_twist(h)) == _element(want)
 
 
 @pytest.mark.parametrize("lam", SMALL_SHAPES, ids=str)
@@ -378,10 +352,7 @@ class TestSignSide:
     @given(sign_coset_elements())
     @settings(max_examples=60, deadline=None)
     def test_restriction_after_expansion_is_the_identity(self, case):
-        lam, h = case
-        back = _restricted(h.expanded(), column(lam))
-        assert back.blocks == column(lam)
-        assert plain(back) == plain(h)
+        check_expansion_at_the_representatives(case[1])
 
     @given(sign_coset_elements(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -392,39 +363,11 @@ class TestSignSide:
             h = h.mul_generator(i, sign)
             x = x.mul_generator(i, sign)
             assert h.blocks == column(lam)
-            assert plain(h) == plain(_restricted(x, column(lam)))
-        assert expanded(h) == _element(x)
-
-    @pytest.mark.parametrize("lam", SMALL_SHAPES, ids=str)
-    @pytest.mark.parametrize(
-        "make", ["unit", "generator", "row element", "drop", "double", "double first", "stray"]
-    )
-    def test_a_table_outside_the_ideal_is_refused(self, lam, make):
-        if make == "unit":
-            x = _packed(HeckeElement.unit(lam.n))
-        elif make == "generator":
-            x = _packed(HeckeElement.generator(lam.n, 1))
-        elif make == "row element":
-            x = _packed(sym.row_element(lam))
-        else:
-            f = sign_table(lam).expanded()
-            table = dict(f.table)
-            last = max(table)  # the largest rank of its coset: never a representative
-            if make == "drop":
-                del table[last]
-            elif make == "double":
-                table[last] *= 2
-            elif make == "double first":
-                table[min(table)] *= 2  # the identity: a representative
-            else:
-                table[min(set(range(math.factorial(lam.n))) - set(table))] = table[last]
-            x = _Packed(f.n, table, f.val, f.k, f.bound, f.low)
-        with pytest.raises(ValueError, match="not in B H_n"):
-            _restricted(x, column(lam))
+            assert expanded(h) == _element(x)
 
     def test_e_lambda_keeps_the_sign_table(self, monkeypatch):
         # alpha_extract and twist_eigenvalue of a sign-side diagram step
-        # only f's table from its own build: nothing is restricted.
+        # only f's table from its own build, and no table of e_lambda.
         lam = Partition((2, 1, 1))
         side, h = sym._own_table(lam)
         assert not side.row and h.blocks == column(lam)
@@ -434,36 +377,12 @@ class TestSignSide:
             stepped.add(self.blocks)
             return real(self, i, sign)
 
-        monkeypatch.setattr(hecke, "_restricted", refuse_to_restrict)
         monkeypatch.setattr(_Packed, "mul_generator", spy)
         assert sym.alpha_extract(lam).alpha == sym.alpha_closed_form(lam)
         assert central.twist_eigenvalue(lam) == LaurentPoly.monomial(
             central.twist_exponent(lam)
         )
         assert stepped == {column(lam)}
-
-    def test_twist_scalar_runs_any_other_element_on_the_row_side(self, monkeypatch):
-        # No element keeps f's table: e_lambda itself and an element read
-        # back from the machine format run on the row side, the latter
-        # after the membership check.
-        lam = Partition((2, 1, 1))
-        tau = LaurentPoly.monomial(central.twist_exponent(lam))
-        e = sym.e_lambda(lam)
-        back = HeckeElement.from_machine(e.to_machine())
-        calls = []
-
-        def counted(pk, blocks):
-            calls.append(blocks)
-            return _restricted(pk, blocks)
-
-        monkeypatch.setattr(hecke, "_restricted", counted)
-        assert central.twist_scalar(e, lam) == tau
-        assert central.twist_scalar(back, lam) == tau
-        assert calls == [row(lam)]
-        assert sym._side_table(back, lam)[0].row
-        # The unit is in neither ideal: refused by the row side's check.
-        with pytest.raises(ValueError, match="not in R H_n"):
-            central.twist_scalar(HeckeElement.unit(4), lam)
 
 
 # -- the one-pass expansion --------------------------------------------------------
@@ -685,7 +604,6 @@ def check_kept_sign_table(lam):
     h = sign_table(lam)
     f = conjugated_by_products(e, lam)
     assert h.blocks == (column(lam) if len(lam.parts) > 1 else None)
-    assert plain(h) == plain(_restricted(_packed(f), column(lam)))
     assert expanded(h) == f
 
 

@@ -125,7 +125,7 @@ class TestInputsUnchanged:
         sym._mul_conjugated(x, sym._side(lam, True))
         central._mul_full_twist(x)
         assert x.table == table
-        central.twist_scalar(e, lam)
+        central._mul_full_twist(hecke._chain_start(e))
         assert e.to_machine() == before
 
     def test_alpha_extract_returns_the_unsquared_element(self, lam):
@@ -141,7 +141,7 @@ class TestInputsUnchanged:
         fresh = state(_packed(e_lambda(lam)))
         e = alpha_extract(lam).element
         assert state(_packed(e)) == fresh
-        central.twist_scalar(e, lam)
+        central._mul_full_twist(hecke._chain_start(e))
         assert state(_packed(e)) == fresh
 
 
@@ -297,10 +297,9 @@ class TestOneConversionPerChain:
         assert conversions == collections.Counter(_encode=1)  # the start
 
     def test_twist_scalar(self, lam, conversions):
-        e = e_lambda(lam)
-        conversions.clear()
-        central.twist_scalar(e, lam)
-        assert conversions == collections.Counter()
+        # The twist's scalar by twist_eigenvalue: the start, and nothing decoded.
+        central.twist_eigenvalue(lam)
+        assert conversions == collections.Counter(_encode=1)
 
 
 def test_step_count_of_a_hook():

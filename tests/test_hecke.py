@@ -643,9 +643,8 @@ def direct_branch(x, y):
     x's own coset table and then expanded, as the product does, when x
     keeps one and y is not a scalar, and over x's packed table otherwise.
     """
-    own = x._ck
-    if own is not None and hecke._costs(y)[0]:
-        return hecke._expand_right(hecke._coset_kept(x, own.blocks), y).expanded()
+    if x._ck is not None and hecke._costs(y)[0]:
+        return hecke._expand_right(hecke._chain_start(x), y).expanded()
     return plain_branch(x, y)
 
 
@@ -671,7 +670,7 @@ def one_entry_branch(x, y):
     y's one-entry coset table, expanded, and mirrored unless the walk ends
     at the identity alone, where the result is c' F, fixed by iota.
     """
-    h = hecke._expand_right(hecke._coset_kept(y, y._ck.blocks), hecke._iota(x))
+    h = hecke._expand_right(hecke._chain_start(y), hecke._iota(x))
     return h.expanded() if h.table.keys() == {0} else h.expanded().iota()
 
 
@@ -1171,14 +1170,17 @@ def test_every_kept_coset_table_is_the_elements_own(lam):
 
 
 # The fields of a packed table (``val`` is left out: LaurentPoly has one
-# too) and the kernel's digit and rank internals.
+# too), the tables an element keeps, and the kernel's digit and rank
+# internals.
 PACKED_FIELDS = {"table", "k", "bound", "low", "tidy"}
+KEPT_TABLES = {"_pk", "_ck", "_ik", "_wc"}
 KERNEL_INTERNALS = {"_REBASE", "_inverse_memo", "_inverse_rank"}
 
 
 def test_only_hecke_builds_or_reads_packed_tables():
     # The modules built on the kernel see a packed table only through its
-    # methods: none makes one, reads its fields or imports the internals.
+    # methods: none makes one, reads its fields or an element's kept
+    # tables, or imports the internals.
     found = []
     for module in ("symmetrizers.py", "invariants.py", "central.py", "cli.py"):
         path = pathlib.Path(hecke.__file__).with_name(module)
@@ -1188,7 +1190,7 @@ def test_only_hecke_builds_or_reads_packed_tables():
                 if getattr(callee, "id", getattr(callee, "attr", None)) == "_Packed":
                     found.append((module, node.lineno, "_Packed(...)"))
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                if node.attr in PACKED_FIELDS | KERNEL_INTERNALS:
+                if node.attr in PACKED_FIELDS | KEPT_TABLES | KERNEL_INTERNALS:
                     found.append((module, node.lineno, node.attr))
             elif isinstance(node, ast.ImportFrom):
                 names = [a.name for a in node.names if a.name in KERNEL_INTERNALS]

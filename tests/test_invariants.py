@@ -159,7 +159,7 @@ def side_tables(lam):
 def row_table(e, lam):
     """e's table on the row side, whatever lam's own side."""
     blocks = symmetrizers._side(lam, True).first
-    return _packed(e) if blocks is None else hecke._coset_kept(e, blocks)
+    return _packed(e) if blocks is None else hecke._chain_start(e)
 
 
 def at_one(h):

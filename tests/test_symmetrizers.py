@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from qyoung import central, hecke
+from qyoung import hecke
 from qyoung import permutations as perms
 from qyoung import symmetrizers as sym
 from qyoung.central import twist_eigenvalue
@@ -303,7 +303,6 @@ def check_public_element(lam, expansions):
     assert qi.element is e and e.coeffs is e.coeffs
     assert qi.to_machine()["element"] == e.to_machine()
     assert expansions == []  # built once, then kept
-    assert central.twist_scalar(e, lam) == LaurentPoly.monomial(central.twist_exponent(lam))
     assert e == sym.e_lambda(lam)
 
 
@@ -316,11 +315,3 @@ def test_alpha_extract_returns_e_lambda_expanded_only_when_read(lam, expansions)
 @pytest.mark.parametrize("lam", list(all_partitions(8)), ids=str)
 def test_alpha_extract_returns_e_lambda_expanded_only_when_read_eight_cells(lam, expansions):
     check_public_element(lam, expansions)
-
-
-@pytest.mark.parametrize("lam", list(partitions_up_to(6)), ids=str)
-def test_twist_scalar_of_an_element_read_back(lam):
-    # Read back from the machine format, e keeps no table of either side:
-    # it runs on the row side, after the membership check.
-    e = HeckeElement.from_machine(alpha_extract(lam).element.to_machine())
-    assert central.twist_scalar(e, lam) == twist_eigenvalue(lam)

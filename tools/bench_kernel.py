@@ -65,13 +65,9 @@ a difference between trees.  Compare ``at_ref_s`` between two trees.  The layers
 - ``one_dimensional_8``: ``symmetrizer(8)`` and ``antisymmetrizer(8)``,
   a_8 and b_8, each the unit's one-entry coset table for one block of 8
   strands expanded to its 40320 entries;
-- ``restrict_8`` / ``restrict_2x2x2x2``: ``hecke._restricted`` of
-  e_lambda's packed table to its row blocks, for (8) (40320 entries, one
-  representative) and (2,2,2,2) (19200 entries), warm: the entries at the
-  representatives kept and expanded back to check membership;
 - ``square_44`` / ``square_8`` / ``square_1x8`` / ``square_2x1x6`` and
-  ``twist_scalar_44`` / ``twist_scalar_8`` / ``twist_scalar_1x8`` /
-  ``twist_scalar_2x1x6``: squaring and twist-checking the table of the
+  ``twist_table_44`` / ``twist_table_8`` / ``twist_table_1x8`` /
+  ``twist_table_2x1x6``: squaring and twist-checking the table of the
   diagram's side (``symmetrizers._own_table``) for (4,4), (8), (1^8) and
   (2,1^6), from the table to the extracted scalar.  The square is what
   ``alpha_extract`` runs after the build: the chain on that table and the
@@ -189,12 +185,6 @@ def _classical(lam):
     return lambda: invariants.is_classical_coset_table(sym._at_one(h), lam, side.row)
 
 
-def _restrict(lam):
-    """The restriction of e_lambda(lam)'s packed table to its row blocks."""
-    x, blocks = hecke._packed(sym.e_lambda(lam)), hecke._Blocks(lam.parts, True)
-    return lambda: hecke._restricted(x, blocks)
-
-
 def layers() -> dict:
     lam6, lam7, lam8 = Partition((3, 3)), Partition((4, 3)), Partition((4, 4))
     e6, e7 = sym.e_lambda(lam6), sym.e_lambda(lam7)
@@ -236,13 +226,11 @@ def layers() -> dict:
     for tag, parts in shapes.items():
         lam = Partition(parts)
         out[f"square_{tag}"] = _lazy(lambda lam=lam: _square(lam))
-        out[f"twist_scalar_{tag}"] = _lazy(lambda lam=lam: _twist(lam))
+        out[f"twist_table_{tag}"] = _lazy(lambda lam=lam: _twist(lam))
     for tag, parts in {"2x2x2x2": (2, 2, 2, 2), "1x8": (1,) * 8}.items():
         out[f"sign_table_{tag}"] = lambda side=sym._side(Partition(parts), False): sym._table(side)
     for tag, parts in {"4x4": (4, 4), "2x2x2x2": (2, 2, 2, 2)}.items():
         out[f"classical_{tag}"] = _lazy(lambda lam=Partition(parts): _classical(lam))
-    for tag, parts in {"8": (8,), "2x2x2x2": (2, 2, 2, 2)}.items():
-        out[f"restrict_{tag}"] = _lazy(lambda parts=parts: _restrict(Partition(parts)))
     return out
 
 
