@@ -11,9 +11,11 @@ walks the reduced words of up to n! basis braids.
 
 The full twist acts on every symmetrizer by a monomial.  The exponent has
 the closed form 2 * (sum of cell contents), but ``twist_eigenvalue`` never
-asserts that: it multiplies out the action along the factored route, which
-centrality makes equal to the twist times the symmetrizer, and extracts the
-scalar, keeping the closed form as a cross-check for callers.
+asserts that: it multiplies out the action along the factored route and
+extracts the scalar, keeping the closed form as a cross-check for callers.
+It runs on the table of the side's start x = y w, y the side's symmetrizer
+and w invertible, which holds |S_G| entries where y's fills the module;
+centrality makes x ft = tau x equivalent to y ft = tau y (``_twist``).
 """
 
 from __future__ import annotations
@@ -71,26 +73,29 @@ def _mul_full_twist(x: _Packed) -> _Packed:
 def twist_eigenvalue(lam: Partition) -> LaurentPoly:
     """
     The scalar by which the full twist multiplies the symmetrizer of the
-    given diagram.  The twist is central, so ft * e = e * ft, and e * ft is
-    multiplied out band by band before the scalar is extracted and checked
-    (``_twist``), on the table of the diagram's side alone
-    (``symmetrizers._own_table``): the symmetrizer is never expanded.  For
-    an element e already in hand, on the public API, the scalar is
-    ``extract_scalar(e, e * full_twist(n))``.
+    given diagram, read off the table of its side's start
+    (``symmetrizers._own_table``) by ``_twist``: the symmetrizer is never
+    built.  For an element e already in hand, on the public API, the
+    scalar is ``extract_scalar(e, e * full_twist(n))``.
     """
     return _twist(lam, *_own_table(lam))
 
 
-def _twist(lam: Partition, side: _Side, h: _Packed) -> LaurentPoly:
+def _twist(lam: Partition, side: _Side, x: _Packed) -> LaurentPoly:
     """
-    The twist eigenvalue from lam's table h on the side: h * ft multiplied
-    out band by band, the scalar extracted and checked on every entry of
-    h, or NotEigenvector.  A failure's witness is that of
-    ``symmetrizers._report_on_side``; f * ft = tau f on the sign side
-    since ft is central and fixed by iota.
+    The twist eigenvalue from the table x of lam's start on the side, x =
+    y w for the side's symmetrizer y (e_lambda or f) and w = w_d or
+    w_{d^-1}: x * ft multiplied out band by band, the scalar extracted and
+    checked on every entry of x, or NotEigenvector.  Since ft is central,
+    x ft = y ft w, so x ft = tau x exactly when y ft = tau y, and f ft =
+    tau f gives e_lambda's tau since ft is fixed by iota.  That rests on
+    the centrality of ft, which ``qyoung verify N`` checks for every
+    generator on every strand count through N (``invariants.strand_checks``)
+    before any diagram runs.  A failure's witness is that of
+    ``symmetrizers._report_on_side``, a permutation of x's table.
     """
     report = _report_on_side(
-        lam, side, h, lambda h, side: _mul_full_twist(h), lambda r: r.proportional
+        lam, side, x, lambda x, side: _mul_full_twist(x), lambda r: r.proportional
     )
     if not report.proportional:
         raise NotEigenvector(

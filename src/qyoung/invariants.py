@@ -18,10 +18,16 @@ step of x's table against u x, built once per n.  The left one is checked
 mirrored.  iota fixes g_i and the scalar u and reverses products, so
 iota(g_i x) = iota(x) g_i, and since iota is a bijection
 
-    g_i x = u x   exactly when   iota(x) g_i = u iota(x):
+    g_i x = u x   exactly when   iota(x) g_i = u iota(x).
 
-x is mirrored once per n and stepped on the right, and no result is
-mirrored back.  Centrality goes the same way.  The full twist is the
+iota fixes a_n and b_n, each a sum over S_n with weights that depend on
+the length alone, and length(p^-1) = length(p); so x's table is tested
+fixed by iota once per n, entry by entry against the entry at the inverse
+rank, and then iota(x) = x makes the right step alone decide the left
+relation too, as it does for centrality below.  Should the test fail, x is
+mirrored once and stepped on the right as well, so a table that iota does
+not fix gets both relations checked, each by its own step, and no result
+is mirrored back.  Centrality goes the same way.  The full twist is the
 square of w_w0 with w0 its own inverse, so iota fixes it whenever iota
 reverses products, and that is checked first: iota(ft) = ft.  Then
 iota(ft g_i) = g_i ft, so
@@ -47,53 +53,60 @@ the conjugation symmetry tau(lam') = tau(lam)(s^-1) once both are known,
 and the classical limit, at every size.
 
 The classical limit needs no second product in the group algebra, and
-not even e_lambda's full table: it is read off the coset table the chains
-ran on, one pass per transposition over at most the side's module size.
-By von Neumann's lemma (Fulton-Harris, *Representation Theory*, Lemma
-4.25) the classical Young symmetrizer x of the row-reading tableau, with
-row group P and column group Q, is the only element with coefficient 1 at
-the identity, p x = x for every p in P and x q = sgn(q) x for every q in
-Q.  The transpositions of adjacent cells generate P and Q, so only those
-are tested.  In one-line notation p t is p with the two positions t
-exchanges swapped, and t p is p with the two values swapped.
+not even e_lambda's full table: it is read off the coset table of the
+side's start x that the chains ran on, one pass per transposition over
+its |S_G| entries.  By von Neumann's lemma (Fulton-Harris,
+*Representation Theory*, Lemma 4.25) the classical Young symmetrizer z of
+the row-reading tableau, with row group P and column group Q, is the only
+element with coefficient 1 at the identity, p z = z for every p in P and
+z q = sgn(q) z for every q in Q.  The transpositions of adjacent cells
+generate P and Q, so only those are tested.  In one-line notation p t is
+p with the two positions t exchanges swapped, and t p is p with the two
+values swapped.
 
-The chains of a side run on y = F w G w^-1 (see ``symmetrizers``): y = x
-on the row side, y = phi(x) = iota(d^-1 x d) on the sign side.  phi is a
-bijection of the group algebra that fixes the identity and reverses
-products, so by the lemma, on either side, y is the only element with
-coefficient 1 at the identity, u y = eps^length(u) y for u in the Young
-subgroup S_F of F's blocks and y r = -eps y for r = w t w^-1, t an
+A side's symmetrizer is y = F w G w^-1 (see ``symmetrizers``): y = z on
+the row side, y = phi(z) = iota(d^-1 z d) on the sign side, at s = 1.
+phi is a bijection of the group algebra that fixes the identity and
+reverses products, so by the lemma, on either side, y is the only element
+with coefficient 1 at the identity, u y = eps^length(u) y for u in the
+Young subgroup S_F of F's blocks and y r = -eps y for r = w t w^-1, t an
 adjacent transposition within G's blocks; eps is F's block unit at s = 1,
-1 on the row side and -1 on the sign side, and G's is -eps.  At s = 1
-F h is y = sum over u in S_F and over the representatives v of
-eps^length(u) c_v(1) u v, with c the coset table, so the first
-invariance holds by construction.  r swaps the positions w(a) and
-w(a + 1) for t = (a a+1), and writing v r = u' rep(v r), y r = -eps y
-becomes
+1 on the row side and -1 on the sign side, and G's is -eps.  The chains
+run on the start x = F w G = y w, and right multiplication by w is a
+bijection, so with X = y w at s = 1 the three conditions read
 
-    eps^length(u') c_rep(v r)(1) = -eps c_v(1),
+    X has coefficient 1 at w,   u X = eps^length(u) X,   X t = -eps X,
 
-and the coefficient at the identity, a representative, must be 1.
-v -> rep(v r) is an involution of the cosets, so testing the entries of
-the table also covers the representatives it lacks, whose c_v is 0.
-``is_classical_coset_table`` tests exactly this, with F's and G's blocks,
-eps and w read off the side's record (``symmetrizers._side``: G's unit is
--eps, and a trivial subgroup's blocks are None); the tests compare it with
-the dense predicate on e_lambda's full table and with the group-algebra
-product of ``tests/oracles.py``.
+the last since y w t = y r w: X is the only element with these three
+properties, and no swap is conjugated by w.  At s = 1 the coset table c
+of x stands for X = sum over u in S_F and over the representatives v of
+eps^length(u) c_v(1) u v, so the second holds by construction.  t =
+(a a+1) swaps the positions a and a + 1, and writing v t = u' rep(v t),
+X t = -eps X becomes
+
+    eps^length(u') c_rep(v t)(1) = -eps c_v(1),
+
+and the coefficient at w, a representative since w is the shortest
+element of S_F w S_G, must be 1.  v -> rep(v t) is an involution of the
+cosets, so testing the entries of the table also covers the
+representatives it lacks, whose c_v is 0.  ``is_classical_coset_table``
+tests exactly this, with F's and G's blocks, eps and w read off the side's
+record (``symmetrizers._side``: G's unit is -eps, and a trivial
+subgroup's blocks are None); the tests compare it with the dense
+predicate on the full table X stands for, taken back to y by w^-1, and
+with the group-algebra product of ``tests/oracles.py`` times w.
 
 The package is reached through module attributes (``symmetrizers.
 _own_table``, ``symmetrizers._alpha``, ``central._twist``), not names
 bound at import, so that whatever wraps those attributes sees every call
 made from here.  ``diagram_checks`` calls none of the public
-``alpha_extract`` or ``twist_eigenvalue``: it builds the side's table
-once and hands it to each check.
+``alpha_extract`` or ``twist_eigenvalue``: it builds the table of the
+side's start once and hands it to each check.
 """
 
 from __future__ import annotations
 
 from . import central, symmetrizers
-from . import permutations as perms
 from .hecke import HeckeElement, _element, _packed
 from .laurent import NEG_S_INV, LaurentPoly, S
 from .partitions import Partition
@@ -133,31 +146,33 @@ def strand_checks(n: int) -> list[Check]:
 def _eigen_relations(x: HeckeElement, u: LaurentPoly) -> list[bool]:
     """
     For each g_i of x's H_n, whether x g_i = u x and g_i x = u x: one step
-    of x's table against u x, and one step of iota(x)'s against u iota(x),
-    each reference built once at the valuation the steps keep.
+    of x's table against u x, and, unless iota fixes that table, one step
+    of iota(x)'s against u iota(x), each reference built once at the
+    valuation the steps keep.
     """
     plain = _packed(x)
-    sides = [(t, _element(t.times_unit(u))) for t in (plain, plain.iota())]
+    tables = [plain] if plain.iota_fixed() else [plain, plain.iota()]
+    sides = [(t, _element(t.times_unit(u))) for t in tables]
     return [all(_element(t.mul_generator(i)) == ref for t, ref in sides) for i in range(1, x.n)]
 
 
 def diagram_checks(lam: Partition, taus: dict[tuple[int, ...], LaurentPoly]) -> list[Check]:
     """
     The squaring-scalar, twist-eigenvalue, conjugation and classical-limit
-    checks for one diagram, all on the table of its side, built once
-    (``symmetrizers._own_table``).  The twist eigenvalue is recorded in
-    ``taus`` under ``lam.parts``; the conjugation check runs when the
+    checks for one diagram, all on the table of its side's start, built
+    once (``symmetrizers._own_table``).  The twist eigenvalue is recorded
+    in ``taus`` under ``lam.parts``; the conjugation check runs when the
     conjugate diagram's eigenvalue is already there.
     """
     out: list[Check] = []
-    side, h = symmetrizers._own_table(lam)
-    alpha = symmetrizers._alpha(lam, side, h)
+    side, x = symmetrizers._own_table(lam)
+    alpha = symmetrizers._alpha(lam, side, x)
     out.append((f"alpha closed form, lambda={lam}", alpha == symmetrizers.alpha_closed_form(lam)))
     hooks = 1
     for hook in lam.hook_lengths():
         hooks *= hook
     out.append((f"alpha at s=1 vs hook product, lambda={lam}", alpha.eval_at_one() == hooks))
-    tau = central._twist(lam, side, h)
+    tau = central._twist(lam, side, x)
     taus[lam.parts] = tau
     out.append(
         (
@@ -177,7 +192,7 @@ def diagram_checks(lam: Partition, taus: dict[tuple[int, ...], LaurentPoly]) -> 
     out.append(
         (
             f"classical limit vs group-algebra symmetrizer, lambda={lam}",
-            is_classical_coset_table(symmetrizers._at_one(h), lam, side.row),
+            is_classical_coset_table(symmetrizers._at_one(x), lam, side.row),
         )
     )
     return out
@@ -185,10 +200,12 @@ def diagram_checks(lam: Partition, taus: dict[tuple[int, ...], LaurentPoly]) -> 
 
 def is_classical_coset_table(c: dict[Perm, int], lam: Partition, row: bool) -> bool:
     """
-    Whether c, a coset table of lam's row side (``row``) or sign side at
-    s = 1 keyed by the minimal coset representatives, is that of the
-    classical Young symmetrizer x of lam's row-reading tableau (row side)
-    or of iota(d^-1 x d) (sign side), by the rule of the module docstring.
+    Whether c, the coset table at s = 1 of the start of lam's row side
+    (``row``) or sign side, keyed by the minimal coset representatives, is
+    that of y w, for y the classical Young symmetrizer of lam's row-reading
+    tableau and w = d (row side), or y = iota(d^-1 y' d) for y' that
+    symmetrizer and w = d^-1 (sign side), by the rule of the module
+    docstring.
 
     >>> is_classical_coset_table({(1, 2): 1}, Partition((2,)), True)
     True
@@ -196,15 +213,23 @@ def is_classical_coset_table(c: dict[Perm, int], lam: Partition, row: bool) -> b
     False
     >>> is_classical_coset_table({(1, 2): 1}, Partition((1, 1)), False)
     True
+
+    For (2,1), d = (1, 3, 2): the start's table, and e_lambda's own, which
+    the rule rejects since d is not 1.
+
+    >>> is_classical_coset_table({(1, 3, 2): 1, (3, 1, 2): -1}, Partition((2, 1)), True)
+    True
+    >>> is_classical_coset_table({(1, 2, 3): 1, (3, 1, 2): -1}, Partition((2, 1)), True)
+    False
     """
-    if c.get(perms.identity(lam.n)) != 1:
-        return False
     side = symmetrizers._side(lam, row)
-    w, f, g = side.at, side.first, side.second
+    if c.get(side.at) != 1:
+        return False
+    f, g = side.first, side.second
     if g is None:
-        return True  # no r to test: G's subgroup is trivial
-    # r = w t w^-1 swaps the positions w(a), w(a+1) for t = (a a+1) in G's blocks.
-    swaps = [(w[a - 1], w[a]) for k, at in zip(g.parts, g.offsets) for a in range(at + 1, at + k)]
+        return True  # no t to test: G's subgroup is trivial
+    # t = (a a+1) within G's blocks swaps the positions a and a+1.
+    swaps = [(a, a + 1) for k, at in zip(g.parts, g.offsets) for a in range(at + 1, at + k)]
     eps = -g.unit.eval_at_one()
     # first[v - 1]: the smallest value of v's block of F, v itself when F is None.
     first = list(range(1, lam.n + 1))

@@ -31,34 +31,31 @@ reversing products and fixing R, B and the full twist ft,
 each F w G w^-1 for one side (``_Side``): (F, w, G) = (R, w_d, B) on the
 row side and (B, w_{d^-1}, R) on the sign side, the block units s and
 -s^-1 trading places.  Right multiplication by it is the F blocks, then
-forward along the word of w, the G blocks and back with inverses, in
+forward along the word of w, the G blocks and back with inverses.  It
+lies in the left ideal F H_n, and so do its square and its twist, and
+f f = alpha f and f ft = tau f with the alpha and tau of e_lambda.  So
+the chains run on coset tables (see ``hecke``): F h stored by its
+coefficients at the minimal coset representatives of F's Young subgroup,
+the product of its blocks' k! times fewer entries than F h.
 
-    sum of part(part-1)/2 + sum of column(column-1)/2 + 2 length(d)
-
-generator steps on either side: what squaring pays.  It lies in the left
-ideal F H_n, and so do its square and its twist, and f f = alpha f and
-f ft = tau f with the alpha and tau of e_lambda.  So the chains run on
-coset tables (see ``hecke``): F h stored by its coefficients at the
-minimal coset representatives of F's Young subgroup, the product of its
-blocks' k! times fewer entries than F h.
-
-The side's own table (``_table``), w G w^-1 on the coset table of F 1, is
-one expansion with no block sum.  A row and a column share at most one
-cell, so S_F and w S_G w^-1 meet only in 1, and w is the shortest element
-of S_F w S_G; every element of that double coset is then u w v for one u
-in S_F and one v in S_G, lengths adding (Dipper-James 1986), and each w v
-is the minimal representative of its S_F coset.  Hence, with u_G the unit
-of G's blocks,
+The side's start (``_start``), x = F w G = y w for y the side's
+symmetrizer, is one expansion with no block sum and no step.  A row and a
+column share at most one cell, so S_F and w S_G w^-1 meet only in 1, and w
+is the shortest element of S_F w S_G; every element of that double coset
+is then u w v for one u in S_F and one v in S_G, lengths adding
+(Dipper-James 1986), and each w v is the minimal representative of its
+S_F coset.  Hence, with u_G the unit of G's blocks,
 
     F w G = sum over v in S_G of u_G^length(v) F w_{w v}
 
-is the plain table w G read as a coset table of F, exactly.  The build
-expands the one-entry coset table of G at w^-1 in one pass to
-G w_{w^-1} = sum of u_G^length(v) w_{v w^-1} (``hecke._Packed.expanded``:
-each entry written by rank arithmetic, with no step), mirrors it by one
-iota to w G, reads that with F's blocks and makes the length(w) inverse
-steps: the product of G's blocks' k! entries, one iota and length(d)
-steps on either side, and nothing of the other side's table.
+is the plain table w G read as a coset table of F, exactly, with |S_G|
+entries.  The build expands the one-entry coset table of G at w^-1 in one
+pass to G w_{w^-1} = sum of u_G^length(v) w_{v w^-1} (``hecke._Packed.
+expanded``: each entry written by rank arithmetic, with no step), mirrors
+it by one iota to w G and reads that with F's blocks: the product of G's
+blocks' k! entries and one iota on either side, tidy as built, and
+nothing of the other side's table.  ``_table`` makes the length(w)
+inverse steps from x to y's own table, for ``e_lambda`` alone:
 ``column_element`` is the row side's w_d B stepped back as a plain table,
 and ``row_element`` is R's one-entry coset table expanded.  ``e_lambda``
 expands the row side's table to R h in the same one pass, and the kept
@@ -67,24 +64,41 @@ on the row side or (n) on the sign side, the tables are plain.  The coset
 table of an element of the ideal is faithful, so the verdict and any
 witness are those of the full tables, and nothing is decoded.
 
-A diagram's square and twist run on the side whose subgroup is the larger,
-the row side on a tie (``_own_side``): (1^n) squares on one entry instead
-of n!.  On a table of one entry every candidate is proportional, so there
-the chain yields the scalar and the closed-form checks of ``invariants``
-are what test it.  A failure on the sign side is rerun on the row side's
-table, so that a witness is a permutation of e_lambda's own table;
-should the row side hold, the sign side's failure stands.
-
 ``alpha_extract``, ``central.twist_eigenvalue`` and ``qyoung verify``
-build lam's side and its table once (``_own_table``) and hand that pair
-to the square, the twist and the classical limit (``invariants``), so
-e_lambda is not expanded.  The element ``alpha_extract`` returns is
-e_lambda, built by ``e_lambda`` on its first read.  An element keeps
-only its own tables: e_lambda of (1^n) its sign-side table, which is f's
-since d = 1, e_lambda of any other diagram the row side's, and a product
-or step of one of them the table its chain ran on.  This module sees a
-packed table only through its steps, sums, blocks, expansion and iota,
-and writes none: ``hecke`` alone does.
+build lam's side and its start once (``_own_table``) and read every
+diagram check off x, never off y.  w is invertible, so
+
+    y y = alpha y   exactly when   y y w = alpha x,
+
+and the square's chain (``_mul_symmetrizer``) is x w^-1 F w G: the
+length(w) inverse steps, which give y's table, the F blocks, forward along
+the word of w and the G blocks, in
+
+    sum of part(part-1)/2 + sum of column(column-1)/2 + 2 length(d)
+
+generator steps on either side, compared with x's entries.  The full
+twist is central, so x ft = tau x exactly when y ft = tau y, and the
+twist steps x's |S_G| entries where y's table fills the module
+(``central._twist``).  The classical limit reads x at s = 1
+(``invariants``).  The square and the twist run on the side whose
+subgroup is the larger, the row side on a tie (``_own_side``): (1^n)
+squares on one entry instead of n!.  On a table of one entry, as x's for
+(n) and (1^n), every candidate is proportional, so a fault in the
+square's or the twist's chain there yields a wrong scalar and raises
+nothing: only the closed-form checks of ``invariants`` catch it.  There
+w = 1 and every generator acts on x by one block unit, so a fault that
+keeps the number of steps, as a wrong letter in a band word does, leaves
+even the scalar unchanged on them: larger diagrams catch it.  A
+failure on the sign side is rerun on the row side's start, so that a
+witness is a permutation of the table of x = e_lambda w_d, not of
+e_lambda's own; should the row side hold, the sign side's failure stands.
+The element ``alpha_extract`` returns is e_lambda, built by ``e_lambda``
+on its first read.  An element keeps only its own tables: e_lambda of
+(1^n) its sign-side table, which is f's since d = 1, e_lambda of any
+other diagram the row side's, and a product or step of one of them the
+table its chain ran on.  This module sees a packed table only through its
+steps, sums, blocks, expansion and iota, and writes none: ``hecke``
+alone does.
 
 ``symmetrizer`` and ``antisymmetrizer`` are the sum of u^length(p) w_p
 over S_n, for u = s or -s^-1: the unit's one-entry coset table for the
@@ -102,9 +116,7 @@ result.  a_8 takes 5-6 ms, and the process that builds it peaks at 20 MB
 (one 2-core host, CPython 3.11.7).
 
 Every builder refuses more than 8 cells or strands through the one size
-guard, ``permutations.check_size``.  Build, square and twist on the side's
-table take 0.16-0.19 s for all 22 diagrams of 8 cells together, the
-slowest, (3,3,2), 0.02-0.03 s, on one 2-core host (CPython 3.11.7).
+guard, ``permutations.check_size``.
 """
 
 from __future__ import annotations
@@ -251,44 +263,44 @@ def _mul_word_inverse(x: _Packed, side: _Side) -> _Packed:
     return x
 
 
-def _mul_conjugated(x: _Packed, side: _Side) -> _Packed:
+def _mul_symmetrizer(x: _Packed, side: _Side) -> _Packed:
     """
-    x times w_word second w_word^-1: forward along the side's word, the
-    second blocks, then back with inverses.
+    The square's chain: x w_word^-1 first w_word second, the inverse
+    steps, the first blocks, forward along the side's word, then the
+    second blocks.  On the side's start x = y w_word, y the side's
+    symmetrizer, it is y y w_word (see the module docstring).
     """
+    x = _mul_blocks(_mul_word_inverse(x, side), side.first)
     for i in side.word:
         x = x.mul_generator(i)
-    return _mul_word_inverse(_mul_blocks(x, side.second), side)
-
-
-def _mul_symmetrizer(x: _Packed, side: _Side) -> _Packed:
-    """x times the side's symmetrizer: e_lambda on the row side, f on the sign side."""
-    return _mul_conjugated(_mul_blocks(x, side.first), side)
+    return _mul_blocks(x, side.second)
 
 
 def _start(side: _Side) -> _Packed:
     """
-    w_word second as a plain table: second w_word^-1, held as its coset
-    table of one entry at the inverse of ``at``, expanded in one pass to
-    the sum of u^length(v) w_{v w_word^-1} over the second blocks'
+    The side's start x = first w_word second as its own coset table, tidy
+    as built: w_word second, read with the first blocks, exact since each
+    w_word v is a minimal coset representative of their subgroup (see the
+    module docstring).  w_word second is second w_word^-1, held as its
+    coset table of one entry at the inverse of ``at``, expanded in one
+    pass to the sum of u^length(v) w_{v w_word^-1} over the second blocks'
     subgroup, u their unit, and mirrored by one iota, which fixes the
     block sums and reverses the product.  An empty word, for (n) and
-    (1^n), needs no iota: w_word second is the block sum itself.
+    (1^n), needs no iota: w_word second is the block sum itself.  When the
+    first blocks are trivial the table is plain and is x itself.
     """
     one = _packed(HeckeElement.basis_element(len(side.at), perms.inverse(side.at)))
     start = one.with_blocks(side.second).expanded()
-    return start.iota() if side.word else start
+    return (start.iota() if side.word else start).with_blocks(side.first)
 
 
 def _table(side: _Side) -> _Packed:
     """
-    The side's symmetrizer as its own coset table, tidied: w_word second
-    (``_start``) read with the first blocks, exact since each w_word v is
-    a minimal coset representative of their subgroup (see the module
-    docstring), then length(w_word) inverse steps.  When the first blocks
-    are trivial the table is plain and is the symmetrizer itself.
+    The side's symmetrizer as its own coset table, tidied: the start
+    (``_start``), then length(w_word) inverse steps, for ``e_lambda``
+    alone.
     """
-    h = _mul_word_inverse(_start(side).with_blocks(side.first), side)
+    h = _mul_word_inverse(_start(side), side)
     return h if h.blocks is None else h._tidied()
 
 
@@ -306,12 +318,12 @@ def row_element(lam: Partition) -> HeckeElement:
 def column_element(lam: Partition) -> HeckeElement:
     """
     Product of column antisymmetrizers at the column-reading offsets,
-    conjugated to row-reading strand order: w_d B from the row side's
-    start, then the length(d) inverse steps.
+    conjugated to row-reading strand order: w_d B, the row side's start
+    read as a plain table, then the length(d) inverse steps.
     """
     perms.check_size(f"the column element of lambda={lam}", lam.n)
     side = _side(lam, True)
-    return _element(_mul_word_inverse(_start(side), side))
+    return _element(_mul_word_inverse(_start(side).with_blocks(None), side))
 
 
 def e_lambda(lam: Partition) -> HeckeElement:
@@ -331,13 +343,13 @@ def e_lambda(lam: Partition) -> HeckeElement:
 
 def _own_table(lam: Partition) -> tuple[_Side, _Packed]:
     """
-    lam's own side (``_own_side``) and the symmetrizer's table there,
-    behind the size guard: e_lambda's coset table on the row side, f's on
-    the sign side, plain when the side's first blocks are trivial.
+    lam's own side (``_own_side``) and the table of its start there, x =
+    e_lambda w_d on the row side and f w_{d^-1} on the sign side, behind
+    the size guard: no step and no tidy (``_start``).
     """
     perms.check_size(f"the symmetrizer of lambda={lam}", lam.n)
     side = _own_side(lam)
-    return side, _table(side)
+    return side, _start(side)
 
 
 def _at_one(h: _Packed) -> dict[Perm, int]:
@@ -352,23 +364,23 @@ def _at_one(h: _Packed) -> dict[Perm, int]:
 def _report_on_side(
     lam: Partition,
     side: _Side,
-    h: _Packed,
+    x: _Packed,
     chain: Callable[[_Packed, _Side], _Packed],
     held: Callable[[ScalarReport], bool],
 ) -> ScalarReport:
     """
-    The extraction of chain(h, side) against h, for lam's table h on the
-    side (``_own_table``).  A sign-side report that fails ``held`` gives
-    way to the row side's when that fails too: its witness is a
-    permutation of e_lambda's own table, where the sign side's is one of
-    f's.  Only a failure builds the row side's table, and e_lambda is not
-    expanded.
+    The extraction of chain(x, side) against x, for the table x of lam's
+    start on the side (``_own_table``).  A sign-side report that fails
+    ``held`` gives way to the row side's when that fails too: its witness
+    is a permutation of the row side's start e_lambda w_d, where the sign
+    side's is one of f w_{d^-1}.  Only a failure builds the row side's
+    start, and e_lambda is not built.
     """
-    report = _extract(h, chain(h, side))
+    report = _extract(x, chain(x, side))
     if not side.row and not held(report):
         side = _side(lam, True)
-        h = _table(side)
-        again = _extract(h, chain(h, side))
+        x = _start(side)
+        again = _extract(x, chain(x, side))
         if not held(again):
             return again
     return report
@@ -412,23 +424,24 @@ class QuasiIdempotent:
         }
 
 
-def _alpha(lam: Partition, side: _Side, h: _Packed) -> LaurentPoly:
+def _alpha(lam: Partition, side: _Side, x: _Packed) -> LaurentPoly:
     """
-    The squaring scalar of lam's symmetrizer, from its table h on the side
-    (``_own_table``): the square is a real product, only factored, and the
-    scalar is verified on every entry of h; a failure raises
-    NotQuasiIdempotent since it can only mean a kernel convention bug.  A
-    table of one entry, as the sign side's for (1^n), holds every
-    candidate proportional, so a chain fault there raises nothing and
-    yields a wrong scalar: only the closed-form checks of ``invariants``
-    (``qyoung verify``) catch it.
+    The squaring scalar of lam's symmetrizer y, from the table x = y w of
+    its start on the side (``_own_table``): the square is a real product,
+    only factored, y y w against x (``_mul_symmetrizer``), and the scalar
+    is verified on every entry of x; a failure raises NotQuasiIdempotent
+    since it can only mean a kernel convention bug, with a witness that is
+    a permutation of x's table (``_report_on_side``).  A table of one
+    entry, as x's for (n) and (1^n), holds every candidate proportional,
+    so a chain fault there raises nothing and yields a wrong scalar: only
+    the closed-form checks of ``invariants`` (``qyoung verify``) catch it.
     """
-    if _element(h.with_blocks(None)).is_zero():  # the c_v' as a plain table
+    if _element(x.with_blocks(None)).is_zero():  # the c_v' as a plain table
         raise NotQuasiIdempotent(f"symmetrizer of {lam} is zero")
     report = _report_on_side(
         lam,
         side,
-        h,
+        x,
         _mul_symmetrizer,
         lambda r: r.proportional and not r.scalar.is_zero(),
     )
@@ -444,8 +457,10 @@ def _alpha(lam: Partition, side: _Side, h: _Packed) -> LaurentPoly:
 
 def alpha_extract(lam: Partition) -> QuasiIdempotent:
     """
-    Build the symmetrizer's table on its side, square it there and
-    extract the scalar by exact division (``_alpha``).  The returned
-    element is e_lambda, expanded, once, only when it is read.
+    Build the table of the symmetrizer's start on its side, square the
+    symmetrizer there and extract the scalar by exact division against the
+    start (``_alpha``), a failure's witness a permutation of the start's
+    table.  The returned element is e_lambda, expanded, once, only when it
+    is read.
     """
     return QuasiIdempotent(lam, _alpha(lam, *_own_table(lam)))

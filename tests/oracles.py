@@ -149,6 +149,20 @@ def unconjugated(y: dict[Perm, int], d: Perm) -> dict[Perm, int]:
     return {compose(compose(d, inverse(w)), d_inv): c for w, c in y.items()}
 
 
+def classical_start(parts: Sequence[int], d: Perm, row: bool) -> dict[Perm, int]:
+    """
+    The start of a diagram's row side (``row``) or sign side at s = 1, from
+    the classical Young symmetrizer z and the column-reading permutation d:
+    z d on the row side, iota(d^-1 z d) d^-1 on the sign side.
+    """
+    z = classical_young_symmetrizer(parts)
+    if row:
+        return group_algebra_mul(z, {d: 1})
+    d_inv = inverse(d)
+    y = {inverse(compose(compose(d_inv, p), d)): c for p, c in z.items()}
+    return group_algebra_mul(y, {d_inv: 1})
+
+
 def count_standard_tableaux(parts: Sequence[int]) -> int:
     """
     Brute force: place 1..n one at a time, each in any row that still has

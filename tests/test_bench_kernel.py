@@ -1,9 +1,11 @@
 """
 A smoke test of ``tools/bench_kernel.py``: its layers reach private names of
 the package (``symmetrizers._block_action``, ``_side``, ``_table``,
-``_own_table``, ``_report_on_side``, ``_at_one``, ``central._twist``, an
-element's ``_ck``), so a refactor that renames one must fail here rather
-than in the next timing run.
+``_own_table``, ``_mul_symmetrizer``, ``_report_on_side``, ``_at_one``,
+``central._twist``, an element's ``_ck``), so a refactor that renames one
+must fail here rather than in the next timing run.  The ``start_*``,
+``square_*``, ``twist_table_*`` and ``classical_*`` layers all run on the
+table of the side's start.
 """
 
 import importlib.util
@@ -26,6 +28,8 @@ def _tool():
 def test_every_layer_runs_once():
     layers = _tool().layers()
     assert DENSE <= set(layers)
+    for tag in ("44", "8", "1x8", "2x1x6"):
+        assert {f"start_{tag}", f"square_{tag}", f"twist_table_{tag}"} <= set(layers)
     for name, run in layers.items():
         if name not in DENSE:
             run()

@@ -93,7 +93,13 @@ def coset_unit(lam):
 
 
 def square(x, lam):
+    """The row side's square chain on x: x w_d^-1 R w_d B."""
     return sym._mul_symmetrizer(x, sym._side(lam, True))
+
+
+def start_table(lam, on_row=True):
+    """The table of the start x = F w G of lam's row side (or sign side)."""
+    return sym._start(sym._side(lam, on_row))
 
 
 @functools.cache
@@ -288,18 +294,18 @@ class TestCosetChains:
 @pytest.mark.parametrize("lam", SMALL_SHAPES, ids=str)
 @pytest.mark.parametrize("where", ["first", "last"])
 def test_perturbed_candidate_gives_the_same_witness(lam, where):
-    # One entry of the square's coset table bumped by 1: the coset
-    # extraction and the extraction on the expanded elements must agree on
-    # the scalar, the verdict and the witness.
-    e = sym.e_lambda(lam)
-    h = row_table(e, lam)
-    cand = square(h, lam)
+    # One entry of the square's coset table, on the start x = e w_d, bumped
+    # by 1: the coset extraction and the extraction on the expanded
+    # elements must agree on the scalar, the verdict and the witness.
+    x = start_table(lam)
+    cand = square(x, lam)
+    assert _extract(x, cand).proportional
     r = min(cand.table) if where == "first" else max(cand.table)
     bump = HeckeElement.basis_element(lam.n, hecke._perm_of(lam.n, r))
     bumped = cand.copy()
     bumped.add_times(_packed(bump).with_blocks(row(lam)), ONE)
-    coset = _extract(h, bumped)
-    full = hecke.extract_scalar(e, expanded(bumped))
+    coset = _extract(x, bumped)
+    full = hecke.extract_scalar(expanded(x), expanded(bumped))
     assert not coset.proportional and not full.proportional
     assert (coset.scalar, coset.witness) == (full.scalar, full.witness)
     if where == "last":
@@ -474,12 +480,14 @@ def test_e_lambda_runs_no_iota_and_no_row_blocks(lam, monkeypatch):
 
 def chain_table(side):
     """
-    The side's table by the chain the start replaced, which the square
-    still runs: w_word, the second blocks and w_word^-1 stepped on the
-    one-entry coset table of the first blocks, tidied.
+    The side's table by the chain the start replaced: w_word, the second
+    blocks and w_word^-1 stepped on the one-entry coset table of the first
+    blocks, tidied.
     """
-    one = _packed(HeckeElement.unit(len(side.at))).with_blocks(side.first)
-    return sym._mul_conjugated(one, side)._tidied()
+    x = _packed(HeckeElement.unit(len(side.at))).with_blocks(side.first)
+    for i in side.word:
+        x = x.mul_generator(i)
+    return sym._mul_word_inverse(sym._mul_blocks(x, side.second), side)._tidied()
 
 
 def state(pk):
@@ -488,11 +496,15 @@ def state(pk):
 
 def check_table_from_the_start(side):
     # The same ints, V, K, B and low: a plain table, which _table leaves
-    # as its steps made it, is compared tidied.
+    # as its steps made it, is compared tidied.  The start's own table,
+    # which verify reads, is tidy as built: tidying it changes nothing.
     h = sym._table(side)
     if h.blocks is None:
         h = h._tidied()
     assert state(h) == state(chain_table(side))
+    x = sym._start(side)
+    assert x.tidy and x.blocks == side.first
+    assert state(x) == state(x._tidied())
 
 
 def word_permutation(side, n):
@@ -542,8 +554,9 @@ def test_the_start_holds_one_minimal_representative_per_block_permutation(lam, o
     # blocks merges and loses nothing.
     rows, columns = lam.parts, lam.conjugate().parts
     first, second = (rows, columns) if on_row else (columns, rows)
-    start = sym._start(sym._side(lam, on_row))
-    assert start.blocks is None
+    side = sym._side(lam, on_row)
+    start = sym._start(side)
+    assert start.blocks == side.first
     assert len(start.table) == math.prod(map(math.factorial, second))
     reps = set(representatives(first))
     assert {hecke._unrank(lam.n, r) for r in start.table} <= reps
@@ -554,7 +567,7 @@ def test_the_start_holds_one_minimal_representative_per_block_permutation(lam, o
 def test_the_start_is_the_product_of_the_word_and_the_second_blocks(lam, on_row):
     side = sym._side(lam, on_row)
     w = HeckeElement.basis_element(lam.n, word_permutation(side, lam.n))
-    assert _element(sym._start(side)) == w * second_factor(side, lam.n)
+    assert _element(sym._start(side).with_blocks(None)) == w * second_factor(side, lam.n)
 
 
 def check_side_record(lam, side):
@@ -578,20 +591,20 @@ def check_side_record(lam, side):
 def test_both_sides_give_the_same_scalars(lam):
     # Both sides of every diagram, each forced: (n) on the sign side and
     # (1^n) on the row side have a trivial Young subgroup, and then their
-    # tables are plain on either side.  The side records are checked
-    # through 8 cells, the scalars through 7: squaring (1^8) and (2,1^6)
-    # on the row side alone takes seconds.
+    # tables are plain on either side.  The square and the twist run on
+    # each side's start x and are extracted against it.  The side records
+    # are checked through 8 cells, the scalars through 7: squaring (1^8)
+    # and (2,1^6) on the row side alone takes seconds.
     for on_row in (True, False):
         check_side_record(lam, sym._side(lam, on_row))
     if lam.n > 7:
         return
-    e = sym.e_lambda(lam)
     found = []
-    sides = [(sym._side(lam, True), row_table(e, lam)), (sym._side(lam, False), sign_table(lam))]
-    for side, h in sides:
-        assert h.blocks == side.first
-        squared = _extract(h, sym._mul_symmetrizer(h, side))
-        twisted = _extract(h, central._mul_full_twist(h))
+    for side in (sym._side(lam, True), sym._side(lam, False)):
+        x = sym._start(side)
+        assert x.blocks == side.first
+        squared = _extract(x, sym._mul_symmetrizer(x, side))
+        twisted = _extract(x, central._mul_full_twist(x))
         assert squared.proportional and twisted.proportional
         found.append((squared.scalar, twisted.scalar))
     closed = (sym.alpha_closed_form(lam), LaurentPoly.monomial(central.twist_exponent(lam)))
@@ -638,8 +651,8 @@ def test_a_sign_side_failure_reports_the_row_side_witness(
 ):
     # The same fault, planted at the end of a chain both sides run, must
     # raise the message, witness included, that the row side alone raises.
-    # The sign side's failure reruns on the row side's table from its own
-    # build: e_lambda is not built, and every expansion is of a one-entry
+    # The sign side's failure reruns on the row side's start, built on its
+    # own: e_lambda is not built, and every expansion is of a one-entry
     # table.  (A fault inside the row chain before the column factor would
     # not show: R h C is a multiple of e_lambda for every h.)
     assert not sym._own_side(lam).row

@@ -39,8 +39,14 @@ def packed(action, x, *args):
     return _element(action(_packed(x), *args))
 
 
+def word(lam):
+    """w_d, for d the column-reading permutation of lam."""
+    return HeckeElement.basis_element(lam.n, lam.column_reading_permutation())
+
+
 def square(e, lam):
-    return packed(sym._mul_symmetrizer, e, sym._side(lam, True))
+    """The square's chain on the row side's start x = e w_d: x w_d^-1 R w_d B = e e w_d."""
+    return packed(sym._mul_symmetrizer, e * word(lam), sym._side(lam, True))
 
 
 def shifted_block_product(build, sizes, offsets, n):
@@ -58,7 +64,7 @@ SMALL = list(partitions_up_to(5))
 class TestAgainstGeneralProduct:
     def test_square(self, lam):
         e = e_lambda(lam)
-        assert square(e, lam) == e * e
+        assert square(e, lam) == e * e * word(lam)
 
     def test_full_twist_action(self, lam):
         e = e_lambda(lam)
@@ -85,7 +91,7 @@ class TestAgainstGeneralProduct:
 @pytest.mark.parametrize("lam", list(all_partitions(6)), ids=str)
 def test_six_cell_square_against_general_product(lam):
     e = e_lambda(lam)
-    assert square(e, lam) == e * e
+    assert square(e, lam) == e * e * word(lam)
 
 
 @pytest.mark.parametrize("lam", list(partitions_up_to(4)), ids=str)
@@ -122,7 +128,7 @@ class TestInputsUnchanged:
         x = _packed(e)
         table = dict(x.table)
         sym._mul_blocks(x, sym._side(lam, True).first)
-        sym._mul_conjugated(x, sym._side(lam, True))
+        sym._mul_symmetrizer(x, sym._side(lam, True))
         central._mul_full_twist(x)
         assert x.table == table
         central._mul_full_twist(hecke._chain_start(e))
@@ -188,14 +194,13 @@ def side_group_order(lam):
     return math.prod(math.factorial(k) for k in parts)
 
 
-def side_plain(e, lam):
+def side_plain(lam):
     """
-    The plain table whose coset table e's chains run on: e's own on the row
-    side, f = iota(w_d^-1 e w_d) on the sign side, expanded from the
-    sign table's own chain.
+    The plain table whose coset table the chains of lam's own side run on:
+    the side's start x = F w G, e_lambda w_d on the row side and
+    f w_{d^-1} on the sign side, expanded.
     """
-    side = sym._own_side(lam)
-    return _packed(e) if side.row else sym._table(side).expanded()
+    return sym._start(sym._own_side(lam)).expanded()
 
 
 @pytest.fixture
@@ -216,7 +221,7 @@ def conversions(monkeypatch):
 
 
 def e_lambda_steps(lam):
-    """Row blocks, column blocks, and w_d with its inverse around the columns."""
+    """Row blocks, column blocks, and w_d^-1 and w_d around the row blocks: the square on x."""
     blocks = lam.parts + lam.conjugate().parts
     d = lam.column_reading_permutation()
     return sum(k * (k - 1) // 2 for k in blocks) + 2 * oracles.length(d)
@@ -224,10 +229,10 @@ def e_lambda_steps(lam):
 
 def build_steps(lam):
     """
-    The steps that build the table of either side: length(w) inverse steps,
-    for w = d on the row side and w = d^-1 on the sign side, so length(d)
-    on both.  The start's expansion to w B (w R on the sign side) and
-    e_lambda's to R h take none.
+    The steps that build e_lambda's table: length(d) inverse steps from the
+    row side's start.  The start itself, its expansion to w_d B and
+    e_lambda's to R h take none, and the start is what the square and the
+    twist read.
     """
     return oracles.length(lam.column_reading_permutation())
 
@@ -235,22 +240,25 @@ def build_steps(lam):
 @pytest.mark.parametrize("lam", SMALL, ids=str)
 class TestGeneratorSteps:
     def test_square(self, lam, calls):
-        e = e_lambda(lam)
+        e_lambda(lam)
         assert calls == collections.Counter(mul_generator=build_steps(lam))
         calls.clear()
-        square(e, lam)
+        side = sym._side(lam, True)
+        x = sym._start(side)
+        assert calls == collections.Counter()
+        sym._mul_symmetrizer(x, side)
         assert calls == collections.Counter(mul_generator=e_lambda_steps(lam))
 
     def test_alpha_extract_builds_then_squares(self, lam, calls, touched):
         alpha_extract(lam)
         assert calls["__mul__"] == 0
-        assert calls["mul_generator"] == build_steps(lam) + e_lambda_steps(lam)
-        # The square steps the coset table of e (row side) or of f (sign
-        # side): each step touches the side's Young subgroup order times
-        # fewer entries than the same step on the plain table.
-        steps = e_lambda_steps(lam)
-        coset = touched[len(touched) - steps :]
-        x = side_plain(e_lambda(lam), lam)
+        assert calls["mul_generator"] == e_lambda_steps(lam)
+        # The square steps the coset table of e w_d (row side) or of
+        # f w_{d^-1} (sign side): each step touches the side's Young
+        # subgroup order times fewer entries than the same step on the
+        # plain table.
+        coset = list(touched)
+        x = side_plain(lam)
         del touched[:]
         sym._mul_symmetrizer(x, sym._own_side(lam))
         assert [size * side_group_order(lam) for size in coset] == touched
@@ -265,19 +273,23 @@ class TestGeneratorSteps:
         calls.clear()
         twist_eigenvalue(lam)
         assert calls["__mul__"] == 0
-        assert calls["mul_generator"] == build_steps(lam) + lam.n * (lam.n - 1)
+        assert calls["mul_generator"] == lam.n * (lam.n - 1)
 
     def test_twist_touches_the_coset_table(self, lam, touched):
         steps = lam.n * (lam.n - 1)
-        side, h = sym._own_table(lam)
-        x = side_plain(e_lambda(lam), lam)
+        side, x = sym._own_table(lam)
+        plain = side_plain(lam)
         del touched[:]
-        central._twist(lam, side, h)
+        central._twist(lam, side, x)
         coset = list(touched)
         del touched[:]
-        central._mul_full_twist(x)
+        central._mul_full_twist(plain)
         assert len(coset) == steps
         assert [size * side_group_order(lam) for size in coset] == touched
+        # The start holds one entry per element of the second blocks' subgroup.
+        second = lam.conjugate().parts if side.row else lam.parts
+        if steps:
+            assert coset[0] == math.prod(map(math.factorial, second))
 
 
 @pytest.mark.parametrize("lam", SMALL, ids=str)

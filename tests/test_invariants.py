@@ -9,8 +9,8 @@ oracle on e_lambda and on perturbed tables of both sides.
 import pytest
 
 from qyoung import cli, hecke, invariants, symmetrizers
-from qyoung.hecke import _element, _packed, _Packed
-from qyoung.laurent import LaurentPoly, ONE
+from qyoung.hecke import HeckeElement, _element, _packed, _Packed
+from qyoung.laurent import NEG_S_INV, LaurentPoly, ONE, S
 from qyoung.partitions import Partition, all_partitions
 
 from . import oracles
@@ -52,6 +52,56 @@ class TestStrandChecks:
         assert failed(invariants.strand_checks(2)) == [
             "eigen-relation for the column element, n=2, i=1"
         ]
+
+
+def two_table_verdicts(x, u):
+    """
+    Per g_i, whether x g_i = u x and g_i x = u x, each relation by its own
+    step: x's table and iota(x)'s, whether or not iota fixes x.
+    """
+    plain = _packed(x)
+    sides = [(t, _element(t.times_unit(u))) for t in (plain, plain.iota())]
+    return [all(_element(t.mul_generator(i)) == ref for t, ref in sides) for i in range(1, x.n)]
+
+
+def product_verdicts(x, u):
+    """The same verdicts by the general product."""
+    g = [HeckeElement.generator(x.n, i) for i in range(1, x.n)]
+    return [x * gi == x.scale(u) and gi * x == x.scale(u) for gi in g]
+
+
+class TestEigenRelations:
+    # a_n and b_n are fixed by iota, so one right step decides both
+    # relations; a table that iota does not fix takes the mirrored step too.
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_one_dimensional_elements_are_fixed_by_iota(self, n):
+        for x, u in ((symmetrizers.symmetrizer(n), S), (symmetrizers.antisymmetrizer(n), NEG_S_INV)):
+            assert _packed(x).iota_fixed()
+            assert invariants._eigen_relations(x, u) == [True] * (n - 1)
+
+    @pytest.mark.parametrize("n", range(3, 6))
+    @pytest.mark.parametrize("row", [True, False], ids=["a_n", "b_n"])
+    def test_an_asymmetric_table_gets_the_two_table_verdicts(self, n, row):
+        build, u = (symmetrizers.symmetrizer, S) if row else (symmetrizers.antisymmetrizer, NEG_S_INV)
+        x = build(n)
+        # a_n or b_n with one entry changed, at a p with p^-1 != p.
+        p = (2, 3, 1) + tuple(range(4, n + 1))
+        planted = x + HeckeElement.basis_element(n, p)
+        # w_q a_{n-1} (or b_{n-1}): x g_i = u x holds for every i < n - 1,
+        # and g_i x = u x fails for some of them, where a right step alone
+        # would pass it.
+        q = (n,) + tuple(range(1, n))
+        one_sided = HeckeElement.basis_element(n, q) * build(n - 1).shift_embed(0, n)
+        for y in (planted, one_sided):
+            assert not _packed(y).iota_fixed()
+            verdicts = invariants._eigen_relations(y, u)
+            assert verdicts == two_table_verdicts(y, u) == product_verdicts(y, u)
+        right = [
+            one_sided * HeckeElement.generator(n, i) == one_sided.scale(u) for i in range(1, n)
+        ]
+        assert right == [True] * (n - 2) + [False]
+        assert invariants._eigen_relations(one_sided, u) != right
 
 
 class TestDiagramChecks:
@@ -144,22 +194,17 @@ def test_classical_predicate_against_oracle(k):
 # -- the classical check on coset tables ------------------------------------------
 
 
+def start_table(lam, row):
+    """The table of the start x = F w G of lam's row side (row) or sign side."""
+    return symmetrizers._start(symmetrizers._side(lam, row))
+
+
 def side_tables(lam):
     """
-    Both sides' tables of e_lambda at s = 1, as (row, table): e's coset table
-    in R H_n and f's in B H_n, from their own chains, whatever lam's side.
+    Both sides' starts at s = 1, as (row, table): the coset table of
+    e_lambda w_d in R H_n and of f w_{d^-1} in B H_n, whatever lam's side.
     """
-    e = symmetrizers.e_lambda(lam)
-    return [
-        (True, at_one(row_table(e, lam))),
-        (False, at_one(symmetrizers._table(symmetrizers._side(lam, False)))),
-    ]
-
-
-def row_table(e, lam):
-    """e's table on the row side, whatever lam's own side."""
-    blocks = symmetrizers._side(lam, True).first
-    return _packed(e) if blocks is None else hecke._chain_start(e)
+    return [(row, at_one(start_table(lam, row))) for row in (True, False)]
 
 
 def at_one(h):
@@ -167,37 +212,54 @@ def at_one(h):
     return _element(h.with_blocks(None)).specialize_at_one()
 
 
+def full_at_one(c, lam, row):
+    """The full table at s = 1 that the coset table c of lam's side stands for."""
+    if row:
+        return oracles.coset_expansion_at_one(c, lam.parts, 1)
+    return oracles.coset_expansion_at_one(c, lam.conjugate().parts, -1)
+
+
 def dense_verdict(c, lam, row):
     """
-    The dense oracle on the full table the coset table c stands for: R h at
-    s = 1 on the row side; on the sign side B h', taken back to
-    x = d iota(y) d^-1, since y = iota(d^-1 x d).
+    The dense oracle on the full table X the coset table c of a side's
+    start stands for, taken back to the side's symmetrizer y = X w^-1: on
+    the row side y itself, on the sign side x = d iota(y) d^-1, since
+    y = iota(d^-1 x d).
     """
-    if row:
-        return oracles.is_classical_symmetrizer(
-            oracles.coset_expansion_at_one(c, lam.parts, 1), lam.parts
-        )
-    y = oracles.coset_expansion_at_one(c, lam.conjugate().parts, -1)
-    x = oracles.unconjugated(y, lam.column_reading_permutation())
+    d = lam.column_reading_permutation()
+    w = d if row else oracles.inverse(d)
+    y = oracles.group_algebra_mul(full_at_one(c, lam, row), {oracles.inverse(w): 1})
+    x = y if row else oracles.unconjugated(y, d)
     return oracles.is_classical_symmetrizer(x, lam.parts)
 
 
 def check_against_the_oracle(lam, both_sides):
-    # The check on the table verify reads, and on both sides' tables when
-    # both_sides is set, against the oracle on e_lambda and on each table.
-    side, h = symmetrizers._own_table(lam)
-    row, c = side.row, symmetrizers._at_one(h)
+    # The check on the table verify reads, and on both sides' starts when
+    # both_sides is set, against the oracle: the group-algebra symmetrizer
+    # times w, and the dense predicate on the full table.
+    side, x = symmetrizers._own_table(lam)
     assert side == symmetrizers._own_side(lam)
-    assert invariants.is_classical_coset_table(c, lam, row)
-    assert dense_verdict(c, lam, row)
+    d = lam.column_reading_permutation()
+    for row in (True, False) if both_sides else (side.row,):
+        c = symmetrizers._at_one(start_table(lam, row))
+        if row == side.row:
+            assert c == symmetrizers._at_one(x)
+        assert invariants.is_classical_coset_table(c, lam, row)
+        assert full_at_one(c, lam, row) == oracles.classical_start(lam.parts, d, row)
+        assert dense_verdict(c, lam, row)
     e = symmetrizers.alpha_extract(lam).element
     assert oracles.is_classical_symmetrizer(e.specialize_at_one(), lam.parts)
-    for on_row, table in side_tables(lam) if both_sides else []:
-        assert invariants.is_classical_coset_table(table, lam, on_row)
-        assert dense_verdict(table, lam, on_row)
 
 
-@pytest.mark.parametrize("lam", [lam for k in range(1, 8) for lam in all_partitions(k)], ids=str)
+@pytest.mark.parametrize(
+    "lam",
+    [
+        pytest.param(lam, marks=[pytest.mark.slow] if k == 7 else [])
+        for k in range(1, 8)
+        for lam in all_partitions(k)
+    ],
+    ids=str,
+)
 def test_coset_check_agrees_with_the_dense_oracle(lam):
     check_against_the_oracle(lam, both_sides=True)
 
@@ -221,8 +283,8 @@ def perturbed(c, v, change):
 @pytest.mark.parametrize("change", ["changed", "dropped", "flipped"])
 @pytest.mark.parametrize("lam", [lam for k in range(1, 7) for lam in all_partitions(k)], ids=str)
 def test_coset_check_rejects_a_perturbed_table(lam, change):
-    # Up to seven entries of each side's table in turn, spread over it,
-    # the identity's among them; each verdict also the dense oracle's on
+    # Up to seven entries of each side's start in turn, spread over it,
+    # the one at w among them; each verdict also the dense oracle's on
     # the full table it stands for.
     for row, c in side_tables(lam):
         entries = sorted(c)
@@ -230,6 +292,27 @@ def test_coset_check_rejects_a_perturbed_table(lam, change):
             table = perturbed(c, v, change)
             assert not invariants.is_classical_coset_table(table, lam, row), (row, v)
             assert not dense_verdict(table, lam, row), (row, v)
+
+
+WORD_NOT_ONE = [
+    lam
+    for k in range(1, 8)
+    for lam in all_partitions(k)
+    if lam.column_reading_permutation() != tuple(range(1, k + 1))
+]
+
+
+@pytest.mark.parametrize("lam", WORD_NOT_ONE, ids=str)
+def test_coset_check_rejects_the_symmetrizers_own_table(lam):
+    # The rule reads x = y w, not y: y's own table, e_lambda's or f's, is
+    # rejected on both sides whenever w is not 1, and so is x with its
+    # largest entry changed.
+    for row in (True, False):
+        side = symmetrizers._side(lam, row)
+        own = at_one(symmetrizers._table(side))
+        assert not invariants.is_classical_coset_table(own, lam, row)
+        c = symmetrizers._at_one(start_table(lam, row))
+        assert not invariants.is_classical_coset_table(perturbed(c, max(c), "changed"), lam, row)
 
 
 def scaled(chain, factor):
@@ -249,12 +332,12 @@ def scaled(chain, factor):
 def test_a_fault_in_a_side_chain_is_named_by_the_classical_check(
     row, first, factor, monkeypatch, capsys
 ):
-    # A multiple of the side's table squares and twists with the right
+    # A multiple of the side's start squares and twists with the right
     # scalars, so only the classical limit can see it.
-    real = symmetrizers._table
+    real = symmetrizers._start
     faulty = scaled(real, factor)
     monkeypatch.setattr(
-        symmetrizers, "_table", lambda side: (faulty if side.row == row else real)(side)
+        symmetrizers, "_start", lambda side: (faulty if side.row == row else real)(side)
     )
     assert cli.main(["verify", "3"]) == 1
     name = f"classical limit vs group-algebra symmetrizer, lambda={first}"

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from qyoung import hecke
+from qyoung import central, hecke
 from qyoung import permutations as perms
 from qyoung import symmetrizers as sym
 from qyoung.central import twist_eigenvalue
@@ -216,6 +216,32 @@ class TestQuasiIdempotency:
         assert HeckeElement.from_machine(payload["element"]) == qi.element
 
 
+def check_scalars_on_the_start(lam):
+    # The square and the twist on the start x of lam's own side give the
+    # alpha of e e by the general product and the tau of e ft, the band
+    # chain on e's plain table: both read off e itself, not x.
+    side, x = sym._own_table(lam)
+    e = e_lambda(lam)
+    squared = extract_scalar(e, e * e)
+    twisted = hecke._extract(hecke._packed(e), central._mul_full_twist(hecke._packed(e)))
+    assert squared.proportional and twisted.proportional
+    assert sym._alpha(lam, side, x) == squared.scalar
+    assert central._twist(lam, side, x) == twisted.scalar
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [
+        pytest.param(lam, marks=[pytest.mark.slow] if k == 7 else [])
+        for k in range(1, 8)
+        for lam in all_partitions(k)
+    ],
+    ids=str,
+)
+def test_scalars_on_the_start_are_those_of_the_plain_products(lam):
+    check_scalars_on_the_start(lam)
+
+
 class TestClassicalLimit:
     @pytest.mark.parametrize("k", range(1, 6))
     def test_alpha_at_one_is_hook_product(self, k):
@@ -291,7 +317,7 @@ def expansions(monkeypatch):
 
 
 def check_public_element(lam, expansions):
-    # alpha_extract runs on the side's table alone: it never calls
+    # alpha_extract runs on the side's start alone: it never calls
     # e_lambda, and expands nothing but the build's one-entry start.  The
     # element is e_lambda, built by one call on its first read and kept.
     qi = alpha_extract(lam)

@@ -65,30 +65,32 @@ a difference between trees.  Compare ``at_ref_s`` between two trees.  The layers
 - ``one_dimensional_8``: ``symmetrizer(8)`` and ``antisymmetrizer(8)``,
   a_8 and b_8, each the unit's one-entry coset table for one block of 8
   strands expanded to its 40320 entries;
+- ``start_44`` / ``start_8`` / ``start_1x8`` / ``start_2x1x6``: the table
+  of the side's start x = F w G (``symmetrizers._own_table``) for (4,4),
+  (8), (1^8) and (2,1^6): one expansion of a one-entry table to w G's
+  |S_G| entries and one iota, with no step, as ``qyoung verify`` builds it;
 - ``square_44`` / ``square_8`` / ``square_1x8`` / ``square_2x1x6`` and
   ``twist_table_44`` / ``twist_table_8`` / ``twist_table_1x8`` /
-  ``twist_table_2x1x6``: squaring and twist-checking the table of the
-  diagram's side (``symmetrizers._own_table``) for (4,4), (8), (1^8) and
-  (2,1^6), from the table to the extracted scalar.  The square is what
-  ``alpha_extract`` runs after the build: the chain on that table and the
-  extraction against it, through ``symmetrizers._report_on_side``.  The
-  twist is ``central._twist`` on the same table, as ``qyoung verify``
-  runs it;
-- ``sign_table_2x2x2x2`` / ``sign_table_1x8``: the sign side's build, f's
-  coset table from its own build (``symmetrizers._table`` of the sign
-  side), for (2,2,2,2) and (1^8);
+  ``twist_table_2x1x6``: squaring and twist-checking on the same start
+  for the same diagrams, from x to the extracted scalar.  The square is
+  what ``alpha_extract`` runs after the build: the chain x w^-1 F w G
+  (``symmetrizers._mul_symmetrizer``) and the extraction against x,
+  through ``symmetrizers._report_on_side``.  The twist is
+  ``central._twist`` on x, as ``qyoung verify`` runs it;
+- ``sign_table_2x2x2x2`` / ``sign_table_1x8``: the sign side's build of
+  f's own coset table (``symmetrizers._table`` of the sign side, the
+  start and its length(d) inverse steps), for (2,2,2,2) and (1^8);
 - ``classical_4x4`` / ``classical_2x2x2x2``: the classical-limit check of
-  ``qyoung verify`` on the same table for (4,4) (row side) and
-  (2,2,2,2) (sign side): the side's table read at s = 1
-  (``symmetrizers._at_one``) and tested by
+  ``qyoung verify`` on the start for (4,4) (row side) and (2,2,2,2) (sign
+  side): x read at s = 1 (``symmetrizers._at_one``) and tested by
   ``invariants.is_classical_coset_table``;
 - ``strand_checks_5`` / ``strand_checks_8``: ``invariants.strand_checks``
   on 5 and 8 strands, the eigen-relations of a_n and b_n and the
   centrality of the full twist, each one generator step of a dense packed
-  table of n! entries: a_n's and b_n's, their iota (the left relations,
-  checked mirrored) and the full twist's (checked fixed by iota); every
-  call expands its a_n and b_n from one entry and builds its full twist
-  afresh, as ``qyoung verify`` does.
+  table of n! entries: a_n's and b_n's, each tested fixed by iota first,
+  so that one right step decides both relations, and the full twist's
+  (checked fixed by iota); every call expands its a_n and b_n from one
+  entry and builds its full twist afresh, as ``qyoung verify`` does.
 
 The chain layer starts from the element's kept packed table and ends in an
 element holding the result's (``hecke._packed`` and ``hecke._element``), so
@@ -170,19 +172,19 @@ def _lazy(make):
 
 
 def _square(lam):
-    """The square of e_lambda(lam) on its side's table, and its scalar."""
-    side, h = sym._own_table(lam)
-    return lambda: sym._report_on_side(lam, side, h, sym._mul_symmetrizer, lambda r: r.proportional)
+    """The square of lam's symmetrizer on its side's start x, and its scalar."""
+    side, x = sym._own_table(lam)
+    return lambda: sym._report_on_side(lam, side, x, sym._mul_symmetrizer, lambda r: r.proportional)
 
 
 def _twist(lam):
-    side, h = sym._own_table(lam)
-    return lambda: central._twist(lam, side, h)
+    side, x = sym._own_table(lam)
+    return lambda: central._twist(lam, side, x)
 
 
 def _classical(lam):
-    side, h = sym._own_table(lam)
-    return lambda: invariants.is_classical_coset_table(sym._at_one(h), lam, side.row)
+    side, x = sym._own_table(lam)
+    return lambda: invariants.is_classical_coset_table(sym._at_one(x), lam, side.row)
 
 
 def layers() -> dict:
@@ -225,6 +227,7 @@ def layers() -> dict:
     shapes = {"44": (4, 4), "8": (8,), "1x8": (1,) * 8, "2x1x6": (2,) + (1,) * 6}
     for tag, parts in shapes.items():
         lam = Partition(parts)
+        out[f"start_{tag}"] = lambda lam=lam: sym._own_table(lam)
         out[f"square_{tag}"] = _lazy(lambda lam=lam: _square(lam))
         out[f"twist_table_{tag}"] = _lazy(lambda lam=lam: _twist(lam))
     for tag, parts in {"2x2x2x2": (2, 2, 2, 2), "1x8": (1,) * 8}.items():
