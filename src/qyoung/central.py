@@ -75,8 +75,16 @@ def twist_eigenvalue(lam: Partition) -> LaurentPoly:
     The scalar by which the full twist multiplies the symmetrizer of the
     given diagram, read off the table of its side's start
     (``symmetrizers._own_table``) by ``_twist``: the symmetrizer is never
-    built.  For an element e already in hand, on the public API, the
-    scalar is ``extract_scalar(e, e * full_twist(n))``.
+    built, and it takes about half a millisecond at 7 cells.  For an
+    element e already in hand, on the public API, the scalar is
+    ``extract_scalar(e, full_twist(n) * e)``: the full twist's words
+    fold onto e's coset representatives before any step over e's table,
+    unless the side rule finds e's own words the cheaper walk (see
+    ``hecke``).  On one 2-core host that product took 0.02-0.4 s for every
+    6-cell diagram, at most 1.3 s for ten of the fifteen 7-cell diagrams
+    and 4.9 s for (2,2,2,1).  On (3,2,1,1), (3,1^4), (2,2,1^3) and
+    (2,1^5) it takes 10-23 s, and ``e * full_twist(n)`` is the faster
+    order there, at 2.4-14 s.
     """
     return _twist(lam, *_own_table(lam))
 

@@ -187,10 +187,12 @@ expanded directly when that bound is at most the mirrored one,
 L(x) min(n!, G(y)), and x through iota otherwise.  A long braid against a
 dense element is thus the factor expanded, on either side: the dense
 element's many words, walked over it, would grow the tables toward
-2^length terms.  A basis braid w_q expanded (one term, coefficient 1)
-costs its length(q) steps and nothing else: the chain of steps along its
-word is the product itself, with no sum to accumulate, and on the left the
-dense factor's iota is the one it keeps, so only the result is mirrored.
+2^length terms.  A one-term factor +-s^k w_q expanded (a basis braid
+w_q among them) costs its length(q) steps and nothing else: the chain of
+steps along its word, with s^k moving V and the sign negating the
+entries, is the product itself, with no sum to accumulate, and on the
+left the dense factor's iota is the one it keeps, so only the result is
+mirrored.
 
 When x keeps its own coset table h, x y = R (h y) (B (h y) on the sign
 side), so y's words are walked over h, whose tables hold at most
@@ -205,23 +207,48 @@ A lone step or rescaling of such an x runs on h too and keeps its
 result, so a chain of ``mul_generator`` calls on e_lambda steps h's
 entries, not e_lambda's.
 
+Left products fold onto the representatives.  Let y keep its own coset
+table h, with blocks F (R or B) and block unit u, so that y = F h.  iota
+fixes F, since S_F is closed under inverses and keeps lengths, so
+iota(y) = iota(h) F and x y = iota(iota(h) F iota(x)).  Write iota(x) =
+sum of c_q w_q.  Each q is u' v' with u' in S_F and v' a minimal coset
+representative, lengths adding, so F w_q = u^length(u') F w_v' and
+
+    F iota(x) = F z',   z' = sum over v' of (sum over u' in S_F of
+                             u^length(u') c_{u' v'}) w_v',
+
+with z' supported on the representatives.  Hence x y = iota(iota(h) F z')
+= iota(iota(y) z').  z' is the coset table of F iota(x), and the coset
+walk computes it: iota(x)'s words walked over F's one-entry unit table,
+every table of which is F w_u for a prefix u, one entry.  That walk is the
+fold, at most L(x) steps of one entry.  Then z''s words are walked over
+iota(y), the iota y keeps, and the result is mirrored.  z' has at most
+r = n!/|S_F| terms, each of length at most n(n-1)/2, and L(z') <= L(x),
+since a representative is no longer than the q folded onto it.  So the
+side rule prices the fold at
+
+    L(x) + min(L(x), r n(n-1)/2) min(n!, G(y)),
+
+against L(y) min(size, G(x)) for the direct walk; for a y that keeps no
+coset table the left factor goes through iota, at L(x) min(n!, G(y)).  A
+fold that comes out empty, such as (g_j - s) e_lambda for s_j inside a
+row block, gives zero with no walk over iota(y).  w_p e_lambda folds to
+one term u^k w_p', which the walk over iota(e_lambda) takes as the
+one-term chain above: length(p) steps of one entry, length(p') steps of
+iota(e_lambda)'s table and one iota of the result, with no sum.
+
 Call y c F when its own coset table has exactly one entry, at the
 identity (rank 0): a_n and b_n (``symmetrizer(n)`` and
 ``antisymmetrizer(n)`` keep the unit's one-entry table beside its
 expansion), e_lambda of (n) and (1^n), ``row_element``, and their
-rescalings.  iota fixes c F: it fixes F, since S_F is closed under
-inverses and keeps lengths, and c is a scalar.  So x y = iota(c F
-iota(x)): iota(x)'s words are walked over y's one entry, and the result
-is expanded once and mirrored once.  Every table of that walk is
-c F w_u for a prefix u, one coset, so the side rule prices the walk from
-y's table, at L(x) times G = 1, as it prices the right walk from x's.
-When the walk ends at one entry at the identity again, the result is
-c' F, which iota fixes: it is kept with its coset table and not
-mirrored.  For a single block, as for a_n and b_n, F H_n is
-Z[s, s^-1] F, so that is every nonzero result, and w_p a_6 steps one
-entry length(p) times and expands it once, as a_6 w_p does.  A left
-product by any other element, e_lambda of any other diagram among them,
-goes through iota as above.  The full twist keeps no coset table.
+rescalings.  Then the fold starts from y's own entry instead of the
+unit's, and is the coset table of c F iota(x) = iota(x y) itself: the
+whole product, priced L(x), expanded once and mirrored once.  When it ends
+at one entry at the identity again, the result is c' F, which iota fixes:
+it is kept with its coset table and not mirrored.  For a single block, as
+for a_n and b_n, F H_n is Z[s, s^-1] F, so that is every nonzero result,
+and w_p a_6 steps one entry length(p) times and expands it once, as
+a_6 w_p does.  The full twist keeps no coset table.
 
 Elements are immutable values.  ``coeffs`` is a read-only view keyed by
 permutation tuples, and the constructor rejects any key that is not a
@@ -400,14 +427,18 @@ class HeckeElement:
     def __mul__(self, other: HeckeElement) -> HeckeElement:
         """
         The algebra product.  Expands the factor whose walk has the smaller
-        bound on its term updates, L(expanded) min(size, G(walked)) with L
-        the sum of word lengths, G the sum of 2^length and size the entries
-        a table of the walk can hold (see the module docstring): the right
-        one directly, over self's own coset table when it keeps one, the
-        left one as iota(iota(other) * iota(self)), over other's one entry
-        when other is c F, whose walk holds one entry (G = 1).  A walk over
-        c F that ends at one entry at the identity is c' F, fixed by iota,
-        and is kept as it is, with its coset table.
+        bound on its term updates (see the module docstring): the right one
+        directly, over self's own coset table when it keeps one, priced
+        L(other) min(size, G(self)), with L the sum of word lengths, G the
+        sum of 2^length and size the entries a table of the walk can hold;
+        or the left one.  When other keeps its own coset table, F h, the
+        left one is folded (``_folded``): iota(self)'s words walked over one
+        entry with F's blocks, priced L(self), and then, unless other is
+        c F, whose own entry starts the fold and gives the whole product,
+        the fold's r or fewer terms walked over iota(other), priced
+        min(L(self), r n(n-1)/2) min(n!, G(other)) more, for r = n!/|S_F|
+        cosets.  Otherwise the left one goes through iota as
+        iota(iota(other) * iota(self)), priced L(self) min(n!, G(other)).
         """
         self._check_same_n(other)
         if self.is_zero() or other.is_zero():
@@ -419,22 +450,23 @@ class HeckeElement:
         if own is not None:
             walked //= len(_length_pattern(own.blocks.parts))
             spread_x = _word_costs(own)[1]
-        fixed = other._ck
-        if fixed is not None and fixed.table.keys() == {0}:
-            spread_y = 1  # other is c F: each table of the walk holds one entry
+        fold = other._ck
+        if fold is None:
+            left = words_x * min(size, spread_y)
+        elif fold.table.keys() == {0}:
+            left = words_x  # other is c F: the fold is the whole product
         else:
-            fixed = None
-        if words_y * min(walked, spread_x) <= words_x * min(size, spread_y):
+            cosets = size // len(_length_pattern(fold.blocks.parts))
+            terms = min(words_x, cosets * self.n * (self.n - 1) // 2)
+            left = words_x + terms * min(size, spread_y)
+        if words_y * min(walked, spread_x) <= left:
             if own is None:
                 return _element(_expand_right(_packed(self), other))
             h = _expand_right(_chain_start(self), other)
             return _element(h.expanded(), coset=h)
-        if fixed is None:
+        if fold is None:
             return _element(_expand_right(_mirrored(other), _iota(self)).iota())
-        h = _expand_right(_chain_start(other), _iota(self))
-        if h.table.keys() == {0}:
-            return _element(h.expanded(), coset=h)  # c' F, which iota fixes
-        return _element(h.expanded().iota())
+        return _folded(self, other)
 
     # -- embeddings and conjugation -------------------------------------------
 
@@ -599,18 +631,50 @@ def _iota(x: HeckeElement) -> HeckeElement:
 def _expand_right(x: _Packed, y: HeckeElement) -> _Packed:
     """
     x * y for a packed chain value x: y expanded through its reduced words,
-    one generator step per distinct word prefix.  For a basis braid w_q
-    (one term, coefficient 1) that is the chain of steps along q's word,
-    returned as it is: a sum would only copy it into a fresh table.
+    one generator step per distinct word prefix.  For one term +-s^k w_q
+    (a basis braid w_q among them) that is the chain of steps along q's
+    word, with s^k moving V and the sign negating the entries: a sum would
+    only copy it into a fresh table.
     """
     items = sorted((perms.reduced_word(q), c) for q, c in y.coeffs.items())
-    if len(items) == 1 and items[0][1] == ONE:
-        for letter in items[0][0]:
+    if len(items) == 1 and items[0][1].coeffs in ((1,), (-1,)):
+        word, c = items[0]
+        for letter in word:
             x = x.mul_generator(letter)
-        return x
+        if c == ONE:
+            return x
+        table = x.table
+        if c.coeffs[0] < 0:
+            table = dict(zip(table, map(operator.neg, table.values())))
+        return _Packed(x.n, table, x.val + c.val, x.k, x.bound, x.low, x.tidy, x.blocks)
     out = _Packed.zero(x.n)
     _descend(items, out, 0, len(items), 0, x)
     return out
+
+
+def _folded(x: HeckeElement, y: HeckeElement) -> HeckeElement:
+    """
+    x * y for a y that keeps its own coset table, y = F h, as
+    iota(iota(y) z'), where F iota(x) = F z' (see the module docstring):
+    the fold, iota(x)'s words walked over F's one-entry unit table, is the
+    coset table of F iota(x), whose entries are z' on the coset
+    representatives.  When y is c F the fold starts from y's own entry
+    instead and is the coset table of iota(x y) itself: kept as it is when
+    it ends at one entry at the identity, c' F, which iota fixes, and
+    otherwise expanded and mirrored.  A fold that comes out empty gives
+    zero, with no walk over iota(y).
+    """
+    own = y._ck
+    whole = own.table.keys() == {0}
+    start = _chain_start(y) if whole else _packed(HeckeElement.unit(x.n)).with_blocks(own.blocks)
+    h = _expand_right(start, _iota(x))
+    if not h.table:
+        return HeckeElement.zero(x.n)
+    if not whole:
+        return _element(_expand_right(_mirrored(y), _element(h.with_blocks(None))).iota())
+    if h.table.keys() == {0}:
+        return _element(h.expanded(), coset=h)
+    return _element(h.expanded().iota())
 
 
 def _descend(items: list, out: _Packed, lo: int, hi: int, depth: int, elem: _Packed) -> None:

@@ -31,7 +31,7 @@ from qyoung import permutations as perms
 from qyoung.central import full_twist, murphy, twist_eigenvalue
 from qyoung.hecke import HeckeElement, extract_scalar
 from qyoung.laurent import LaurentPoly, ONE, S
-from qyoung.partitions import all_partitions
+from qyoung.partitions import Partition, all_partitions
 from qyoung.symmetrizers import alpha_closed_form, alpha_extract, e_lambda
 
 
@@ -157,6 +157,21 @@ def test_performance_gate_eight_cells():
         assert alpha_extract(lam).alpha == alpha_closed_form(lam)
         assert twist_eigenvalue(lam) == LaurentPoly.monomial(2 * sum(lam.contents()))
     report("slow suite: quasi-idempotency and twist eigenvalues at 8 cells", started, 60)
+
+
+# full_twist(7) * e_(4,3): 0.29-0.36 s measured (2-core host, CPython
+# 3.11.7) with iota(ft_7)'s words folded onto (4,3)'s 35 coset
+# representatives first; 24.3 s while they were walked over iota(e) itself.
+LEFT_TWIST_SEVEN_S = 3
+
+
+@pytest.mark.slow
+def test_left_full_twist_on_a_seven_cell_symmetrizer():
+    started = time.monotonic()
+    lam = Partition((4, 3))
+    e = e_lambda(lam)
+    assert full_twist(7) * e == e.scale(twist_eigenvalue(lam))
+    report("slow suite: full_twist(7) * e_(4,3) = tau e_(4,3)", started, LEFT_TWIST_SEVEN_S)
 
 
 # The peak of `qyoung verify 8` in its own process: 103 MB measured (2-core

@@ -5,7 +5,8 @@ the package (``symmetrizers._block_action``, ``_side``, ``_table``,
 ``central._twist``, an element's ``_ck``), so a refactor that renames one
 must fail here rather than in the next timing run.  The ``start_*``,
 ``square_*``, ``twist_table_*`` and ``classical_*`` layers all run on the
-table of the side's start.
+table of the side's start, and ``left_fold_33`` and ``ft_left_33`` time the
+left products that fold onto coset representatives.
 """
 
 import importlib.util
@@ -28,6 +29,7 @@ def _tool():
 def test_every_layer_runs_once():
     layers = _tool().layers()
     assert DENSE <= set(layers)
+    assert {"left_fold_33", "ft_left_33"} <= set(layers)
     for tag in ("44", "8", "1x8", "2x1x6"):
         assert {f"start_{tag}", f"square_{tag}", f"twist_table_{tag}"} <= set(layers)
     for name, run in layers.items():

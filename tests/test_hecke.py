@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qyoung import hecke, invariants
+from qyoung import hecke, invariants, symmetrizers
 from qyoung import permutations as perms
 from qyoung.errors import TooLarge
 from qyoung.hecke import HeckeElement, Z, _element, _encode, _packed, _Packed, extract_scalar
@@ -674,6 +674,20 @@ def one_entry_branch(x, y):
     return h.expanded() if h.table.keys() == {0} else h.expanded().iota()
 
 
+def folded_branch(x, y):
+    """
+    x * y for a y = F h that keeps a coset table, c F among them, as
+    iota(iota(y) z'): iota(x)'s words walked over F's one-entry unit table
+    give the coset table of F iota(x) = F z', and z''s words are walked over
+    iota(y) and mirrored; an empty fold is zero.
+    """
+    unit_table = _packed(unit(x.n)).with_blocks(y._ck.blocks)
+    fold = hecke._expand_right(unit_table, hecke._iota(x))
+    if not fold.table:
+        return fold.with_blocks(None)
+    return hecke._expand_right(_packed(y).iota(), _element(fold.with_blocks(None))).iota()
+
+
 class TestSideRule:
     # The product expands one factor's reduced words over the other; the
     # tables of that walk grow toward 2^length of the unexpanded factor's
@@ -691,6 +705,8 @@ class TestSideRule:
                         branches = [direct_branch, iota_branch]
                         if one_entry(y):
                             branches.append(one_entry_branch)
+                        elif y._ck is not None and len(y._ck.table) > 1:
+                            branches.append(folded_branch)
                         steps = [term_steps(lambda: branch(x, y)) for branch in branches]
                         chosen = term_steps(lambda: x * y)
                         assert chosen in steps
@@ -791,6 +807,73 @@ class TestBranchesAgree:
         assert direct == (x * y).coeffs
         if n <= 4:
             assert direct == kernel_free_product(x, y).coeffs
+
+
+def fold_factors(lam, p, y):
+    """
+    The right factors of lam's strand count that keep their own coset
+    table, each made afresh: e_lambda, R w_p (one entry, off the identity
+    unless p lies in S_lambda), e_lambda y (the table a product keeps) and
+    the sign side's start F w G (``symmetrizers._start``).  A factor whose
+    blocks would all be single strands keeps no table and is left out.
+    """
+    n = lam.n
+    out = {"e_lambda": lambda: e_lambda(lam), "kept product": lambda: e_lambda(lam) * y}
+    if lam.parts[0] > 1:
+        out["row_element * w_p"] = lambda: row_element(lam) * basis(n, *p)
+    if len(lam.parts) > 1:
+
+        def start():
+            t = symmetrizers._start(symmetrizers._side(lam, False))
+            return _element(t.expanded(), coset=t)
+
+        out["sign start"] = start
+    return out
+
+
+class TestFoldedLeftProducts:
+    # x * y for a y = F h that keeps its own coset table is iota(iota(y) z'),
+    # with z' on the coset representatives and F iota(x) = F z': iota(x)'s
+    # words are folded over F's one-entry unit table first (c F starts from
+    # its own entry).  Each product is compared, as a decoded mapping, with
+    # the direct and iota branches and the fold itself, and with the
+    # kernel-free product while H_n is small.
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_the_fold_gives_the_product(self, data):
+        n = data.draw(st.integers(2, 6))
+        lam = data.draw(st.sampled_from(list(all_partitions(n))))
+        p = data.draw(st.permutations(range(1, n + 1)).map(tuple))
+        factors = fold_factors(lam, p, data.draw(mixed_element(n, False)))
+        y = factors[data.draw(st.sampled_from(sorted(factors)))]()
+        x = data.draw(mixed_element(n, n < 6 and data.draw(st.booleans())))
+        if x.is_zero() or y.is_zero():
+            return
+        product = (x * y).coeffs
+        assert _element(direct_branch(x, y)).coeffs == product
+        assert _element(iota_branch(x, y)).coeffs == product
+        if y._ck is not None:  # a product by a scalar keeps no coset table
+            assert _element(folded_branch(x, y)).coeffs == product
+        if one_entry(y):
+            assert _element(one_entry_branch(x, y)).coeffs == product
+        if n <= 4:
+            assert product == kernel_free_product(x, y).coeffs
+
+    @pytest.mark.parametrize(
+        "lam", [Partition(p) for p in ((2,), (3, 1), (2, 2), (3, 3), (4, 2), (2, 2, 1, 1))], ids=str
+    )
+    def test_a_fold_to_zero_walks_nothing_over_iota(self, kernel_calls, lam):
+        # g_j R = s R for s_j inside a row block, so (g_j - s) e_lambda = 0:
+        # the fold of g_j - s sums to an empty coset table, and nothing is
+        # stepped over iota(e_lambda) or mirrored.
+        e, n = e_lambda(lam), lam.n
+        for offset, part in zip(lam.row_reading_offsets(), lam.parts):
+            for j in range(offset + 1, offset + part):
+                kernel_calls.clear()
+                assert (gen(n, j) - unit(n).scale(S)) * e == HeckeElement.zero(n)
+                assert kernel_calls["widest"] <= 1 and kernel_calls["iota"] == 0
+        assert e._ik is None
 
 
 def row_coset_factors(lam):
@@ -954,22 +1037,23 @@ def mirrored(x):
 def braid_cases(draw):
     """
     An element of H_3..H_6, sparse or dense, and a one-term factor c w_q:
-    c = 1 (the chain of steps alone) or not (through add_times), q the
-    identity or any permutation.
+    c = +-s^k (the chain of steps alone, s^k and the sign applied after
+    it) or not (through add_times), q the identity or any permutation.
     """
     n = draw(st.integers(3, 6))
     x = draw(mixed_element(n, draw(st.booleans())))
     q = draw(st.one_of(st.just(perms.identity(n)), st.permutations(range(1, n + 1)).map(tuple)))
-    c = draw(st.sampled_from((ONE, LaurentPoly.monomial(0, -1), S, LaurentPoly(-1, (2, 0, -1)))))
+    monomials = (ONE, LaurentPoly.monomial(0, -1), S, LaurentPoly.monomial(-3, -1))
+    c = draw(st.sampled_from(monomials + (LaurentPoly.monomial(1, 2), LaurentPoly(-1, (2, 0, -1)))))
     return x, q, c
 
 
 class TestBasisBraidFactor:
-    # A right factor w_q with coefficient 1 is the chain of steps along q's
-    # word, with no accumulator; any other coefficient goes through
-    # add_times.  Each branch is checked on its own, whichever the side
-    # rule picks.  The left product is checked as iota(iota(x) c w_{q^-1})
-    # term by term, and also directly while H_n is small.
+    # A right factor +-s^k w_q is the chain of steps along q's word, with
+    # no accumulator; any other coefficient goes through add_times.  Each
+    # branch is checked on its own, whichever the side rule picks.  The
+    # left product is checked as iota(iota(x) c w_{q^-1}) term by term, and
+    # also directly while H_n is small.
 
     @given(braid_cases())
     @settings(max_examples=40, deadline=None)
@@ -985,6 +1069,16 @@ class TestBasisBraidFactor:
         if not x.is_zero():
             assert _element(direct_branch(x, braid)).coeffs == right
             assert _element(iota_branch(braid, x)).coeffs == left.coeffs
+
+    def test_a_monomial_factor_moves_the_valuation_and_the_sign(self, kernel_calls):
+        x = full_twist(4)
+        for c in (S**2, LaurentPoly.monomial(-1, -1)):
+            y = unit(4).scale(c)
+            kernel_calls.clear()
+            product = x * y
+            assert kernel_calls["add_times"] == kernel_calls["mul_generator"] == 0
+            assert product.coeffs == {p: v * c for p, v in x.coeffs.items()}
+        assert (x * unit(4).scale(S))._pk.table is _packed(x).table
 
     def test_product_with_the_unit_shares_the_table(self):
         x = e_lambda(Partition((2, 2)))
@@ -1104,6 +1198,10 @@ def test_strand_checks_pay_only_for_their_steps(kernel_calls, n, steps, iotas, s
 
 
 LONG_BRAID = (3, 6, 4, 1, 5, 2)  # length 9
+# ft_6 * e_(3,3): 719 steps of one entry fold ft_6's words onto (3,3)'s
+# 20 representatives, and 19 more walk them over iota(e).  Walking ft_6's
+# words over iota(e) itself took 683 steps reading 491,760 entries.
+FT_E_33_STEPS, FT_E_33_STEPPED = 738, 11_295
 
 
 def test_products_with_a_n_and_b_n_step_their_one_entry(kernel_calls):
@@ -1138,11 +1236,56 @@ def test_a_left_product_by_r_mirrors_only_its_result(kernel_calls):
 def test_one_entry_off_the_identity_is_not_taken_as_fixed_by_iota():
     # R w_p, p a minimal coset representative of (3,3) other than the
     # identity, keeps one entry, at rank(p): it is not c F, and iota does
-    # not fix it, so a left product by it goes through iota as before.
+    # not fix it, so a left product by it folds iota(w) over R's unit table
+    # and walks the folded term over iota(y), as for any other coset table.
     y = row_element(Partition((3, 3))) * basis(6, 1, 4, 2, 5, 3, 6)
     assert len(y._ck.table) == 1 and not one_entry(y)
     w = basis(6, *LONG_BRAID)
     assert (w * y).coeffs == kernel_free_product(w, y).coeffs
+
+
+def minimal_representative(p, parts):
+    """The minimal coset representative of S_lambda p: each block's values relabelled in position order."""
+    out, first = list(p), 1
+    for part in parts:
+        block = range(first, first + part)
+        for value, at in zip(block, sorted(p.index(v) for v in block)):
+            out[at] = value
+        first += part
+    return tuple(out)
+
+
+def test_a_left_product_by_e_lambda_folds_onto_one_representative(kernel_calls, monkeypatch):
+    # iota(w_p) = w_{p^-1} folds over R's unit table in length(p) steps of
+    # one entry, to s^k w_p' for the representative p' of p^-1's coset.
+    # That one term is walked over iota(e) as one chain, with no sum, and
+    # only the result is mirrored (e's iota is made beforehand).
+    lam, w = Partition((3, 3)), basis(6, *LONG_BRAID)
+    e = e_lambda(lam)
+    hecke._mirrored(e)
+    rep = minimal_representative(perms.inverse(LONG_BRAID), lam.parts)
+    sizes, spied = [], _Packed.mul_generator
+    monkeypatch.setattr(
+        _Packed, "mul_generator", lambda self, i, sign=1: sizes.append(len(self.table)) or spied(self, i, sign)
+    )
+    kernel_calls.clear()
+    product = w * e
+    ell = perms.length(LONG_BRAID)
+    assert (ell, perms.length(rep)) == (9, 7)
+    assert kernel_calls["mul_generator"] == len(sizes) == ell + perms.length(rep)
+    assert sizes[:ell] == [1] * ell and min(sizes[ell:]) > 1
+    assert kernel_calls["add_times"] == 0 and kernel_calls["iota"] == 1
+    assert product.coeffs == _element(iota_branch(w, e)).coeffs
+
+
+def test_the_full_twist_folded_onto_e_is_e_times_the_full_twist(kernel_calls):
+    # ft_6's 720 words fold over R's unit table for (3,3) onto its 20
+    # representatives before any step over iota(e).
+    ft, e = full_twist(6), e_lambda(Partition((3, 3)))
+    kernel_calls.clear()
+    left = ft * e
+    assert (kernel_calls["mul_generator"], kernel_calls["stepped"]) == (FT_E_33_STEPS, FT_E_33_STEPPED)
+    assert left == e * ft
 
 
 def test_alpha_extract_element_of_one_column_steps_its_one_entry(kernel_calls):

@@ -44,6 +44,11 @@ a difference between trees.  Compare ``at_ref_s`` between two trees.  The layers
   2 and 4 as in the benchmark's sparse factors.  y is expanded directly,
   its words walked over the 20-entry coset table that e_lambda keeps, and
   the result expanded once to its 504 entries;
+- ``left_fold_33`` / ``ft_left_33``: the left products y * e_lambda(3,3)
+  for the same y and ft_6 * e_lambda(3,3).  e_lambda keeps a coset table
+  of 20 entries, so iota(y)'s or iota(ft_6)'s words are first folded over
+  the unit's one-entry table with (3,3)'s row blocks, onto at most 20
+  coset representatives, and only those are walked over iota(e_lambda);
 - ``sparse_e1x6`` / ``e1x6_sparse``: the products y * e_lambda(1^6) and
   e_lambda(1^6) * y for the same y.  e_lambda(1^6) is b_6 and keeps its
   one-entry sign-side table, so y's words are walked over that one entry
@@ -208,6 +213,8 @@ def layers() -> dict:
         "ft6_long_braid": lambda: ft6 * w0,
         "e6_long_braid": lambda: e6 * w,
         "e6_sparse": lambda: e6 * y,
+        "left_fold_33": lambda: y * e6,
+        "ft_left_33": lambda: ft6 * e6,
         "sparse_e1x6": lambda: y * e1x6,
         "e1x6_sparse": lambda: e1x6 * y,
         "alpha_extract_43": lambda: sym.alpha_extract(lam7),
