@@ -20,11 +20,17 @@ Every command but ``mul`` refuses more than 8 strands or cells before it
 builds anything (``permutations.check_size``, the one size guard).
 
 Exit codes: 0 success, 1 a verified identity failed, 2 usage or parse error.
+
+``main`` builds its parser once per process and reuses it on every call;
+parsing keeps nothing from one call to the next.  Each command is bound
+by name and its ``_cmd_*`` function looked up when it runs, so a
+replaced one is the one reached.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -185,6 +191,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """
+    A fresh parser.  Every command's ``func`` calls its ``_cmd_*`` through
+    the module's globals, so that a parser built once reaches the function
+    bound at call time.
+    """
     common = _Parser(add_help=False)
     common.add_argument(
         "--format",
@@ -223,28 +234,33 @@ def build_parser() -> argparse.ArgumentParser:
         "twist", parents=[common], help="full-twist eigenvalue on a symmetrizer"
     )
     p.add_argument("partition")
-    p.set_defaults(func=_cmd_twist)
+    p.set_defaults(func=lambda a: _cmd_twist(a))
 
     p = sub.add_parser(
         "mul", parents=[common], help="multiply two machine-format elements"
     )
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=_cmd_mul)
+    p.set_defaults(func=lambda a: _cmd_mul(a))
 
     p = sub.add_parser(
         "verify", parents=[common], help="rerun the identity suite up to a size"
     )
     p.add_argument("max_n", type=int)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=lambda a: _cmd_verify(a))
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built on its first call in the process."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -274,6 +274,12 @@ from .permutations import Perm
 Z = LaurentPoly(-1, (-1, 0, 1))
 
 
+# The one writer of a HeckeElement's slots, past its immutability: the
+# constructors write every slot once (``_fill``), and the kernel keeps its
+# forms of an element (_coeffs, _pk, _ck, _ik, _wc) as it makes them.
+_keep = object.__setattr__
+
+
 def _acc(table: dict[Perm, LaurentPoly], key: Perm, value: LaurentPoly) -> None:
     """Accumulate into a coefficient table, pruning exact zeros."""
     cur = table.get(key)
@@ -291,11 +297,19 @@ class HeckeElement:
     """
     An element of H_n: a strand count plus a zero-free coefficient table
     keyed by permutations, held as a mapping, a packed table or both (see
-    the module docstring).  Instances are immutable; all operations return
-    new elements.
+    the module docstring).  Instances are immutable: assigning or deleting
+    an attribute raises AttributeError, and all operations return new
+    elements.  Only the constructors and the kernel's kept forms write the
+    slots, through ``_keep``.
     """
 
     __slots__ = ("n", "_coeffs", "_pk", "_ck", "_ik", "_wc")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"HeckeElement is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"HeckeElement is immutable: cannot delete {name!r}")
 
     def __init__(self, n: int, coeffs: Mapping[Perm, LaurentPoly]):
         if n < 1:
@@ -314,9 +328,7 @@ class HeckeElement:
         # all entries rules out every type but int.
         if not {int}.issuperset(map(type, itertools.chain.from_iterable(table))):
             raise ValueError(f"a key with a non-int entry is not a permutation of 1..{n}")
-        self.n = n
-        self._coeffs = MappingProxyType(table)
-        self._pk = self._ck = self._ik = self._wc = None
+        _fill(self, n, MappingProxyType(table))
 
     @property
     def coeffs(self) -> Mapping[Perm, LaurentPoly]:
@@ -326,7 +338,8 @@ class HeckeElement:
         """
         view = self._coeffs
         if view is None:
-            view = self._coeffs = MappingProxyType(_decode(_kept(self)))
+            view = MappingProxyType(_decode(_kept(self)))
+            _keep(self, "_coeffs", view)
         return view
 
     # -- constructors ------------------------------------------------------
@@ -606,9 +619,24 @@ def _trusted(n: int, table: dict[Perm, LaurentPoly]) -> HeckeElement:
     builds its keys as permutations by construction calls this.
     """
     elem = object.__new__(HeckeElement)
-    elem.n, elem._coeffs = n, MappingProxyType(table)
-    elem._pk = elem._ck = elem._ik = elem._wc = None
+    _fill(elem, n, MappingProxyType(table))
     return elem
+
+
+def _fill(
+    elem: HeckeElement,
+    n: int,
+    coeffs: Optional[Mapping[Perm, LaurentPoly]],
+    pk: Optional[_Packed] = None,
+    ck: Optional[_Packed] = None,
+) -> None:
+    """Every slot of a new element, written once: no mirror and no costs yet."""
+    _keep(elem, "n", n)
+    _keep(elem, "_coeffs", coeffs)
+    _keep(elem, "_pk", pk)
+    _keep(elem, "_ck", ck)
+    _keep(elem, "_ik", None)
+    _keep(elem, "_wc", None)
 
 
 def _machine_int(value: object) -> int:
@@ -817,8 +845,25 @@ def _inverse_rank(n: int, r: int) -> int:
     inverse = _inverse_memo(n)
     q = inverse.get(r)
     if q is None:
-        q = inverse[r] = _rank(perms.inverse(_unrank(n, r)))
+        q = inverse[r] = _rank_of_inverse(n, r)
         inverse[q] = r
+    return q
+
+
+def _rank_of_inverse(n: int, r: int) -> int:
+    """
+    The rank of p^-1 for the p of rank r in S_n, read off r's Lehmer
+    digits with no permutation built.  Digit j of r picks p[j] = v from the
+    values still unplaced, kept in order.  The Lehmer digit of p^-1 at v
+    counts the u > v with p^-1(u) < p^-1(v): the larger values placed
+    before v, which are the n - v larger values less those still unplaced
+    after v is, len(left) - d of them.  That digit weighs (n - v)!.
+    """
+    weights, left, q = _factorials(n), list(range(1, n + 1)), 0
+    for f in weights:
+        d, r = divmod(r, f)
+        v = left.pop(d)
+        q += (n - v - len(left) + d) * weights[v - 1]
     return q
 
 
@@ -839,7 +884,7 @@ def _costs(x: HeckeElement) -> tuple[int, int]:
             (words, spread), pattern = _word_costs(own), _length_pattern(own.blocks.parts)
             words = len(pattern) * words + len(own.table) * sum(pattern)
             wc = words, spread * sum(1 << ell for ell in pattern)
-        x._wc = wc
+        _keep(x, "_wc", wc)
     return wc
 
 
@@ -1279,7 +1324,8 @@ def _packed(x: HeckeElement) -> _Packed:
     """
     pk = _kept(x)
     if not pk.tidy:
-        pk = x._pk = pk._tidied()
+        pk = pk._tidied()
+        _keep(x, "_pk", pk)
     return pk
 
 
@@ -1290,7 +1336,8 @@ def _kept(x: HeckeElement) -> _Packed:
     """
     pk = x._pk
     if pk is None:
-        pk = x._pk = _encode(x)
+        pk = _encode(x)
+        _keep(x, "_pk", pk)
     return pk
 
 
@@ -1301,7 +1348,8 @@ def _mirrored(x: HeckeElement) -> _Packed:
     """
     ik = x._ik
     if ik is None:
-        ik = x._ik = _packed(x).iota()
+        ik = _packed(x).iota()
+        _keep(x, "_ik", ik)
     return ik
 
 
@@ -1318,8 +1366,7 @@ def _element(pk: _Packed, coset: Optional[_Packed] = None) -> HeckeElement:
     if coset is not None and coset.blocks is None:
         coset = None
     elem = object.__new__(HeckeElement)
-    elem.n, elem._coeffs, elem._pk, elem._ck = pk.n, None, pk, coset
-    elem._ik = elem._wc = None
+    _fill(elem, pk.n, None, pk, coset)
     return elem
 
 
@@ -1333,7 +1380,8 @@ def _chain_start(x: HeckeElement) -> _Packed:
     if ck is None:
         return _packed(x)
     if not ck.tidy:
-        ck = x._ck = ck._tidied()
+        ck = ck._tidied()
+        _keep(x, "_ck", ck)
     return ck
 
 

@@ -23,7 +23,7 @@ from .errors import NotDivisible
 MAX_EXPONENT_SPAN = 10_000
 
 
-@dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
+@dataclasses.dataclass(init=False, frozen=True)
 class LaurentPoly:
     """
     A Laurent polynomial over the integers, stored as a valuation and a dense
@@ -32,7 +32,10 @@ class LaurentPoly:
     equality is plain structural equality.  The zero polynomial is
     ``LaurentPoly(0, ())``.
 
-    Values are immutable once built; share them freely between threads.
+    Values are immutable once built: assigning ``val`` or ``coeffs`` raises
+    ``dataclasses.FrozenInstanceError``, so the shared constants (``ONE``,
+    ``S``, ``NEG_S_INV``) and the values that key a dict keep their hash.
+    Share them freely between threads.
 
     >>> LaurentPoly(-1, (1, 0, 1))
     LaurentPoly('s^-1 + s')
@@ -52,12 +55,13 @@ class LaurentPoly:
             val += 1
         while lo < hi and coeffs[hi - 1] == 0:
             hi -= 1
+        # Written once, past the frozen __setattr__, into the instance dict.
+        fields = self.__dict__
         if lo == hi:
-            self.val = 0
-            self.coeffs = ()
+            fields["val"], fields["coeffs"] = 0, ()
         else:
-            self.val = val
-            self.coeffs = tuple(coeffs) if hi - lo == len(coeffs) else tuple(coeffs[lo:hi])
+            fields["val"] = val
+            fields["coeffs"] = tuple(coeffs) if hi - lo == len(coeffs) else tuple(coeffs[lo:hi])
 
     # -- constructors ------------------------------------------------------
 

@@ -50,13 +50,20 @@ class Partition:
         return sum(self.parts)
 
     def conjugate(self) -> Partition:
-        """The transposed diagram: part j is the height of column j."""
-        return Partition(
-            tuple(
-                sum(1 for p in self.parts if p >= j)
-                for j in range(1, self.parts[0] + 1)
-            )
-        )
+        """
+        The transposed diagram: part j is the height of column j, the
+        number of rows of length at least j, read off the rows from the
+        bottom in one pass.
+
+        >>> Partition((3, 1)).conjugate()
+        Partition((2, 1, 1))
+        """
+        parts, heights, rows = self.parts, [], len(self.parts)
+        for j in range(1, parts[0] + 1):
+            while parts[rows - 1] < j:
+                rows -= 1
+            heights.append(rows)
+        return Partition(heights)
 
     def cells(self) -> Iterator[tuple[int, int]]:
         """All (row, column) cells in row-reading order."""
@@ -70,12 +77,18 @@ class Partition:
         return arm + leg + 1
 
     def hook_lengths(self) -> list[int]:
-        """Hook lengths in row-reading cell order.
+        """Hook lengths in row-reading cell order, each leg read off the
+        conjugate: cell (i, j) has leg lambda'_j - i.
 
         >>> Partition((2, 2)).hook_lengths()
         [3, 2, 2, 1]
         """
-        return [self.hook_length(i, j) for i, j in self.cells()]
+        heights = self.conjugate().parts
+        return [
+            p - j + heights[j - 1] - i + 1
+            for i, p in enumerate(self.parts, start=1)
+            for j in range(1, p + 1)
+        ]
 
     def contents(self) -> list[int]:
         """Cell contents j - i in row-reading cell order.

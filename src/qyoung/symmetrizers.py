@@ -138,7 +138,7 @@ from .hecke import (
     _packed,
     _Packed,
 )
-from .laurent import LaurentPoly, ONE, qint
+from .laurent import LaurentPoly
 from .partitions import Partition
 from .permutations import Perm
 
@@ -186,12 +186,11 @@ def _block_action(x: _Packed, k: int, offset: int, u: LaurentPoly) -> _Packed:
 
     x is a packed chain value (``hecke._packed``), and so is the result.
     Each sum is accumulated in one table, copied from a_{m-1} once, and
-    u^j * step is added into it, u^j read from one list of powers; the
-    steps themselves are never rescaled.
+    u^j * step is added into it, u^j read from one list of powers, each
+    written as a monomial (u is one); the steps themselves are never
+    rescaled.
     """
-    powers = [ONE]
-    for _ in range(k - 1):
-        powers.append(powers[-1] * u)
+    powers = [LaurentPoly.monomial(j * u.val, u.coeffs[0] ** j) for j in range(k)]
     for m in range(2, k + 1):
         step = x
         total = x.copy()
@@ -392,14 +391,32 @@ def alpha_closed_form(lam: Partition) -> LaurentPoly:
     s^content * [hook].  Cross-checked against alpha_extract by the test
     suite for every diagram it can afford to square.
 
+    It is computed as one integer product (Kronecker substitution).  With
+    q = s^2, [h] = s^(1-h) (q^h - 1)/(q - 1), so
+
+        alpha = s^(sum of contents - sum of (hook - 1)) * P(s),
+        P(s) = product over cells of 1 + s^2 + s^4 + ... + s^(2 (hook - 1)).
+
+    P's coefficients are nonnegative and sum to P(1), the hook product, so
+    each is at most that product and fits in K bits for K the bit length
+    of the hook product, rounded up to a multiple of 64.  At s = 2^K, P is
+    the integer product of the (2^(2 K hook) - 1)/(2^(2 K) - 1), each an
+    exact division, and its base-2^K digits, read back from its bytes,
+    are P's coefficients, zeros at the odd powers included.
+
     >>> from .laurent import qint
     >>> alpha_closed_form(Partition((2, 1))) == qint(3)
     True
     """
-    out = ONE
-    for content, hook in zip(lam.contents(), lam.hook_lengths()):
-        out = out * LaurentPoly.monomial(content) * qint(hook)
-    return out
+    hooks = lam.hook_lengths()
+    k = -(-math.prod(hooks).bit_length() // 64) * 64
+    packed, q = 1, 1 << (2 * k)
+    for hook in hooks:
+        packed *= ((1 << (2 * k * hook)) - 1) // (q - 1)
+    size = k // 8
+    raw = packed.to_bytes((2 * (sum(hooks) - len(hooks)) + 1) * size, "little")
+    digits = [int.from_bytes(raw[j : j + size], "little") for j in range(0, len(raw), size)]
+    return LaurentPoly(sum(lam.contents()) - sum(hooks) + len(hooks), digits)
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,21 @@ def poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
+def alpha_cell_by_cell(parts: Sequence[int]) -> dict[int, int]:
+    """
+    The closed form of the squaring scalar, the product over cells (i, j)
+    of s^(j - i) [hook], one cell at a time: [h] = s^(1-h) + s^(3-h) + ...
+    + s^(h-1), and the hook arm + leg + 1 counted from the rows.
+    """
+    out = {0: 1}
+    for i, part in enumerate(parts):
+        for j in range(part):
+            hook = part - j + sum(1 for below in parts[i + 1 :] if below > j)
+            cell = {j - i + 1 - hook + 2 * t: 1 for t in range(hook)}
+            out = poly_mul(out, cell)
+    return out
+
+
 def poly_exact_div(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
     """
     The q with q * b == a for a nonzero b, by long division from the lowest

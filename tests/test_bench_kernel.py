@@ -5,8 +5,10 @@ the package (``symmetrizers._block_action``, ``_side``, ``_table``,
 ``central._twist``, an element's ``_ck``), so a refactor that renames one
 must fail here rather than in the next timing run.  The ``start_*``,
 ``square_*``, ``twist_table_*`` and ``classical_*`` layers all run on the
-table of the side's start, and ``left_fold_33`` and ``ft_left_33`` time the
-left products that fold onto coset representatives.
+table of the side's start, ``left_fold_33`` and ``ft_left_33`` time the
+left products that fold onto coset representatives, ``closed_forms_8`` the
+closed forms of every diagram through 8 cells, and ``verify_main_5`` one
+in-process ``qyoung verify 5``.
 """
 
 import importlib.util
@@ -29,7 +31,9 @@ def _tool():
 def test_every_layer_runs_once():
     layers = _tool().layers()
     assert DENSE <= set(layers)
-    assert {"left_fold_33", "ft_left_33"} <= set(layers)
+    assert {"left_fold_33", "ft_left_33", "closed_forms_8", "verify_main_5"} <= set(layers)
+    assert len(layers["closed_forms_8"]()) == 66
+    assert layers["verify_main_5"]() == 0
     for tag in ("44", "8", "1x8", "2x1x6"):
         assert {f"start_{tag}", f"square_{tag}", f"twist_table_{tag}"} <= set(layers)
     for name, run in layers.items():

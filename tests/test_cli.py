@@ -3,13 +3,18 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qyoung import invariants
+import qyoung
+from qyoung import cli, invariants
 from qyoung.cli import main
 from qyoung.hecke import HeckeElement
 from qyoung.laurent import LaurentPoly
@@ -423,6 +428,59 @@ def test_verify_builds_each_symmetrizer_once(capsys, monkeypatch):
     # 1 + 2 + 3 + 5 diagrams of at most 4 cells, each built exactly once.
     assert len(builds) == len(set(builds)) == 11
     assert expanded == []
+
+
+def _masked(out: str) -> str:
+    """verify's stdout with its timings masked: text ``(0.01s)``, machine ``seconds``."""
+    out = re.sub(r"\(\d+\.\d+s\)", "(-s)", out)
+    return re.sub(r'"seconds": [0-9.e-]+', '"seconds": null', out)
+
+
+class TestOneParserPerProcess:
+    """main builds its parser once; each call reads only its own argv."""
+
+    SEQUENCE = (
+        ["verify", "3"],
+        ["verify", "3", "--format", "machine"],
+        ["verify", "x"],
+        ["--help"],
+        ["verify", "3"],
+    )
+
+    @staticmethod
+    def fresh(argv):
+        src = pathlib.Path(qyoung.__file__).resolve().parent.parent
+        env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "qyoung.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    def test_each_call_prints_what_a_fresh_process_prints(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        main(["verify", "2"])  # the parser exists before the sequence starts
+        capsys.readouterr()
+        for argv in self.SEQUENCE:
+            code, out, err = run(capsys, *argv)
+            want_code, want_out, want_err = self.fresh(argv)
+            assert (code, _masked(out)) == (want_code, _masked(want_out)), argv
+            assert err == want_err, argv
+        assert cli._parser() is cli._parser()
+
+    def test_a_usage_error_after_a_run_is_one_line(self, capsys):
+        assert run(capsys, "verify", "3")[0] == 0
+        code, out, err = run(capsys, "verify", "x")
+        assert code == 2
+        assert out == ""
+        assert err == "error: argument max_n: invalid int value: 'x'\n"
+
+    def test_a_command_replaced_after_the_first_call_is_the_one_run(self, capsys, monkeypatch):
+        assert run(capsys, "verify", "2")[0] == 0
+        reached = []
+        monkeypatch.setattr(cli, "_cmd_verify", lambda args: reached.append(args.max_n) or 0)
+        assert run(capsys, "verify", "3") == (0, "", "")
+        assert reached == [3]
 
 
 class TestUsage:

@@ -4,6 +4,7 @@ import ast
 import collections
 import concurrent.futures
 import itertools
+import math
 import pathlib
 import random
 import sys
@@ -392,6 +393,18 @@ class TestRankFormat:
         for r, p in enumerate(itertools.permutations(range(1, n + 1))):
             assert hecke._rank(p) == r
             assert hecke._unrank(n, r) == p
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_inverse_rank_from_lehmer_digits(self, n):
+        for r in range(math.factorial(n)):
+            want = hecke._rank(perms.inverse(hecke._unrank(n, r)))
+            assert hecke._rank_of_inverse(n, r) == want
+
+    def test_inverse_rank_from_lehmer_digits_on_sampled_ranks_of_s8(self):
+        for r in random.Random(8).sample(range(math.factorial(8)), 2000):
+            want = hecke._rank(perms.inverse(hecke._unrank(8, r)))
+            assert hecke._rank_of_inverse(8, r) == want
+            assert hecke._inverse_rank(8, want) == r
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_partner_shift_is_right_multiplication(self, n):
@@ -1336,7 +1349,7 @@ def test_every_kept_coset_table_is_the_elements_own(lam):
 # internals.
 PACKED_FIELDS = {"table", "k", "bound", "low", "tidy"}
 KEPT_TABLES = {"_pk", "_ck", "_ik", "_wc"}
-KERNEL_INTERNALS = {"_REBASE", "_inverse_memo", "_inverse_rank"}
+KERNEL_INTERNALS = {"_REBASE", "_inverse_memo", "_inverse_rank", "_rank_of_inverse", "_keep"}
 
 
 def test_only_hecke_builds_or_reads_packed_tables():
@@ -1644,6 +1657,40 @@ class TestReadOnlyCoeffs:
         with pytest.raises(TypeError):
             del x.coeffs[p]
         assert x.coeffs is x.coeffs
+
+
+class TestImmutable:
+    MAKERS = [
+        lambda: HeckeElement.unit(3),
+        lambda: gen(3, 1).mul_generator(2),
+        lambda: e_lambda(Partition((2, 1))),
+    ]
+
+    @pytest.mark.parametrize("make", MAKERS, ids=["constructed", "kernel result", "built"])
+    @pytest.mark.parametrize("slot", ["n", "_coeffs", "_pk", "_ck", "_ik", "_wc", "other"])
+    def test_assignment_and_deletion_raise(self, make, slot):
+        x = make()
+        before = (x.n, dict(x.coeffs))
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(x, slot, None)
+        if slot != "other":
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(x, slot)
+        assert (x.n, dict(x.coeffs)) == before
+
+    def test_unit_keeps_its_strand_count(self):
+        one = HeckeElement.unit(3)
+        with pytest.raises(AttributeError):
+            one.n = 5
+        assert one.n == 3 and one == HeckeElement.unit(3)
+
+    def test_kept_forms_are_still_made_and_kept(self):
+        # The kernel's own writes go past the guard: the decoded mapping,
+        # the mirrored table and the side rule's costs are kept on first use.
+        x = e_lambda(Partition((2, 1)))
+        assert x.coeffs is x.coeffs
+        assert hecke._mirrored(x) is hecke._mirrored(x)
+        assert hecke._costs(x) is hecke._costs(x)
 
 
 class TestConcurrency:

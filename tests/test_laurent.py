@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from qyoung.errors import NotDivisible
 from qyoung.laurent import (
     MAX_EXPONENT_SPAN,
+    NEG_S_INV,
     LaurentPoly,
     ONE,
     S,
@@ -54,6 +55,31 @@ class TestCanonicalForm:
             lp((0, 1), (MAX_EXPONENT_SPAN + 1, 1))
         # Cancelled terms do not count towards the span.
         assert lp((0, 1), (10**8, 1), (10**8, -1)) == ONE
+
+
+class TestImmutable:
+    @pytest.mark.parametrize("field", ["val", "coeffs"])
+    def test_assignment_and_deletion_raise(self, field):
+        x = LaurentPoly(0, (1, 2))
+        before = hash(x)
+        with pytest.raises(AttributeError):
+            setattr(x, field, 3)
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+        assert (x, hash(x)) == (LaurentPoly(0, (1, 2)), before)
+
+    def test_shared_constants_keep_their_value_and_hash(self):
+        for shared, pairs in ((ONE, ((0, 1),)), (S, ((1, 1),)), (NEG_S_INV, ((-1, -1),))):
+            with pytest.raises(AttributeError):
+                shared.val = 3
+            assert shared == lp(*pairs) and hash(shared) == hash(lp(*pairs))
+
+    def test_a_dict_key_stays_findable(self):
+        table = {LaurentPoly(0, (1, 2)): "found"}
+        key = next(iter(table))
+        with pytest.raises(AttributeError):
+            key.val = 3
+        assert table[LaurentPoly(0, (1, 2))] == "found"
 
 
 class TestMultiplication:

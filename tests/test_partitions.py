@@ -60,6 +60,11 @@ class TestHooksAndContents:
         assert Partition((1, 1, 1)).contents() == [0, -1, -2]
         assert Partition((2, 1)).contents() == [0, 1, -1]
 
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_hook_lengths_are_the_hooks_cell_by_cell(self, k):
+        for lam in all_partitions(k):
+            assert lam.hook_lengths() == [lam.hook_length(i, j) for i, j in lam.cells()]
+
     @pytest.mark.parametrize("k", range(1, 7))
     def test_hook_product_times_tableau_count(self, k):
         for lam in all_partitions(k):

@@ -6,6 +6,7 @@ independent checkpoints; the larger cases are gated by identities (squaring
 scalars, closed forms, classical limits against the group-algebra oracle).
 """
 
+import math
 import random
 
 import pytest
@@ -28,7 +29,7 @@ from qyoung.symmetrizers import (
     symmetrizer,
 )
 
-from .oracles import classical_young_symmetrizer
+from .oracles import alpha_cell_by_cell, classical_young_symmetrizer
 
 Q = S**2
 NEG_S_INV = LaurentPoly.monomial(-1, -1)
@@ -189,6 +190,21 @@ class TestQuasiIdempotency:
                 )
             assert alpha_closed_form(Partition((n,))) == q_factorial
             assert alpha_closed_form(Partition((1,) * n)) == q_factorial.invert_variable()
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_packed_closed_form_is_the_cell_by_cell_product(self, k):
+        for lam in all_partitions(k):
+            assert dict(alpha_closed_form(lam).terms()) == alpha_cell_by_cell(lam.parts)
+
+    @pytest.mark.parametrize("m", [21, 24])
+    def test_packed_closed_form_with_wide_digits(self, m):
+        # Hook product m! > 2^64, so the digits are 128 bits wide; from 22
+        # cells on, the largest coefficient itself exceeds 2^64.
+        for parts in ((m,), (1,) * m):
+            alpha = alpha_closed_form(Partition(parts))
+            assert dict(alpha.terms()) == alpha_cell_by_cell(parts)
+            assert alpha.eval_at_one() == math.factorial(m)
+            assert (max(alpha.coeffs) >= 1 << 64) == (m > 21)
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_conjugation_symmetry(self, k):

@@ -95,7 +95,14 @@ a difference between trees.  Compare ``at_ref_s`` between two trees.  The layers
   table of n! entries: a_n's and b_n's, each tested fixed by iota first,
   so that one right step decides both relations, and the full twist's
   (checked fixed by iota); every call expands its a_n and b_n from one
-  entry and builds its full twist afresh, as ``qyoung verify`` does.
+  entry and builds its full twist afresh, as ``qyoung verify`` does;
+- ``closed_forms_8``: ``symmetrizers.alpha_closed_form`` and
+  ``central.twist_exponent`` for all 66 diagrams of 1-8 cells, the closed
+  forms ``qyoung verify 8`` compares with, each alpha one packed product;
+- ``verify_main_5``: one in-process ``cli.main(["verify", "5"])`` with its
+  stdout captured, as the verify5 benchmark workload runs it: the parser
+  (built once per process, so the warm-up call builds it) and every check
+  of every strand count and diagram up to 5 cells.
 
 The chain layer starts from the element's kept packed table and ends in an
 element holding the result's (``hecke._packed`` and ``hecke._element``), so
@@ -105,17 +112,19 @@ results the layers never read are never decoded.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import multiprocessing
 import os
 import statistics
 from time import perf_counter
 
-from qyoung import central, hecke, invariants
+from qyoung import central, cli, hecke, invariants
 from qyoung import symmetrizers as sym
 from qyoung.hecke import HeckeElement
 from qyoung.laurent import LaurentPoly, S
-from qyoung.partitions import Partition
+from qyoung.partitions import Partition, all_partitions
 
 # A permutation of length 9 in S_6, and the longest one, of length 15.
 LONG_BRAID = (3, 6, 4, 1, 5, 2)
@@ -192,6 +201,17 @@ def _classical(lam):
     return lambda: invariants.is_classical_coset_table(sym._at_one(x), lam, side.row)
 
 
+def _closed_forms(cells: int):
+    """Every closed form verify compares with, for the diagrams of 1..cells cells."""
+    lams = [lam for k in range(1, cells + 1) for lam in all_partitions(k)]
+    return lambda: [(sym.alpha_closed_form(lam), central.twist_exponent(lam)) for lam in lams]
+
+
+def _verify_main(n: int) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["verify", str(n)])
+
+
 def layers() -> dict:
     lam6, lam7, lam8 = Partition((3, 3)), Partition((4, 3)), Partition((4, 4))
     e6, e7 = sym.e_lambda(lam6), sym.e_lambda(lam7)
@@ -230,6 +250,8 @@ def layers() -> dict:
         "one_dimensional_8": lambda: (sym.symmetrizer(8), sym.antisymmetrizer(8)),
         "strand_checks_5": lambda: invariants.strand_checks(5),
         "strand_checks_8": lambda: invariants.strand_checks(8),
+        "closed_forms_8": _closed_forms(8),
+        "verify_main_5": lambda: _verify_main(5),
     }
     shapes = {"44": (4, 4), "8": (8,), "1x8": (1,) * 8, "2x1x6": (2,) + (1,) * 6}
     for tag, parts in shapes.items():
