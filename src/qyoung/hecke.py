@@ -59,33 +59,42 @@ operation's growth, with room to spare; B is reset to that true value.
 K is derived from the data alone: an encoded table takes the smallest
 multiple of 64 that fits its largest coefficient.
 
-Two forms, each converted at most once.  An element holds its table as a
-mapping from permutation tuples to Laurent polynomials, as a packed table,
-or as both.  The public constructor fills only the mapping; every kernel
-result (a generator step, a product, a conjugation, a rescaling, and the
-chains that ``symmetrizers`` and ``central`` build) holds only its packed
-table.  The first kernel use of an element encodes its mapping and keeps
-the packed table; the first read of ``coeffs`` decodes the packed table and
-keeps the mapping.  A chain starts from the kept table and never writes
-into it: the only table written in place is an accumulator made fresh for
-one sum, so a result may share an input's table (x * 1 holds x's own).
-The first chain to start from a kernel result tidies the kept
-table, once: it drops the surplus zero low digits and resets B to the true
+Three forms, each converted at most once.  An element holds its table as
+a mapping from permutation tuples to Laurent polynomials, as a packed
+table, as its own coset table (``_ck``, below) when it lies in R H_n or
+B H_n, or as more than one of these.  The public constructor fills only
+the mapping.  A kernel result (a generator step, a product, a
+conjugation, a rescaling, and the chains that ``symmetrizers`` and
+``central`` build) holds one table: the coset table its build, step or
+product ran on, as for e_lambda, a_n, b_n, ``row_element`` and the steps,
+rescalings and right products of these, and otherwise its packed table.
+The first use of an element that needs a plain packed table makes it and
+keeps it (``_kept``): encoded from the mapping, or expanded from the
+coset table, which is tidied first.  The first read of ``coeffs`` decodes
+the packed table, or, on an element that holds only its coset table h,
+reads R h (or B h) straight off h, with no packed expansion; the mapping
+is kept.  ``is_zero`` reads whichever table the element holds.  A chain
+starts from the kept table and never writes into it: the only table
+written in place is an accumulator made fresh for one sum, so a result
+may share an input's table (x * 1 holds x's own).  The first chain to
+start from a kernel result tidies the table it starts from, once, and
+keeps it: it drops the surplus zero low digits and resets B to the true
 largest digit, as an encode would have left them, so that squaring
 e_lambda steps through no longer ints than it would from a fresh encode.
-Equality and scalar extraction read packed tables as they are kept:
-brought to one K and one valuation, two entries stand for the same
-polynomial exactly when they are equal ints, since balanced digits below
-2^(K-1) are unique.  So a result that is only compared is never decoded.
-Beside its table an element keeps, each made on its first use, the iota
-of its packed table (tidy, since iota moves entries without changing
-them) when a product expands the other factor through iota, and the word
-costs (L, G) of its table that the general product's side rule reads.
-So a dense factor used in many products is mirrored and scanned once.  A
+A coset table is tidied before it is expanded, on its own fewer entries,
+and its expansion is tidy.  Equality and scalar extraction read packed
+tables as they are kept: brought to one K and one valuation, two entries
+stand for the same polynomial exactly when they are equal ints, since
+balanced digits below 2^(K-1) are unique.  So a result that is only
+compared is never decoded, and two elements that keep coset tables with
+the same blocks are compared on those, with no expansion.  Beside its
+table an element keeps, each made on its first use, the iota of its
+packed table (tidy, since iota moves entries without changing them) when
+a product expands the other factor through iota, and the word costs
+(L, G) of its table that the general product's side rule reads.  So a
+dense factor used in many products is mirrored and scanned once.  A
 product's result starts with neither, not even the table it is the iota
-of, which would hold a second table as large as its own.  An element of
-R H_n or B H_n may also keep its own coset table (``_ck``, below): the
-table its build or product ran on, which expands to it.  Every table an
+of, which would hold a second table as large as its own.  Every table an
 element keeps is its own.
 
 Ranks.  Encoding turns each permutation into its rank and decoding turns
@@ -164,13 +173,14 @@ and the entry at u v' is c_v' << K length(u) on the row side.  On the
 sign side V drops by the longest length, top = sum of m(m-1)/2 over the
 block sizes m, and the entry is (-1)^length(u) (c_v' << K (top - length(u))).
 The digits are those of the c_v', so K, B, the zero low digits and a tidy
-table's tidiness carry over.  A coset table is never an element: iota,
-which does not keep the ideal, and ``_element`` refuse one, so it is
-expanded first.  An element of the ideal may keep its coset table beside
-its packed table: the one the chain that built it, or the product that
-made it, ran on, so a coset table comes from a build or a product
-alone.  A chain on an element starts from the table it keeps
-(``_chain_start``): that coset table, or else its packed table.
+table's tidiness carry over.  A coset table is never an element's packed
+table: iota, which does not keep the ideal, refuses one, and so does
+``_element`` as a packed table.  An element of the ideal keeps its coset
+table as its own: the one the chain that built it, or the product that
+made it, ran on, so a coset table comes from a build or a product alone.
+It is the element's only table until a plain one is needed (``_kept``).
+A chain on an element starts from the table it keeps (``_chain_start``):
+that coset table, or else its packed table.
 
 A general product expands one factor through reduced words, sharing common
 prefixes so that dense products cost one generator step per distinct
@@ -196,11 +206,11 @@ mirrored.
 
 When x keeps its own coset table h, x y = R (h y) (B (h y) on the sign
 side), so y's words are walked over h, whose tables hold at most
-n!/|S_lambda| entries, and the result is expanded once.  The bound of
+n!/|S_lambda| entries, and nothing is expanded.  The bound of
 that walk reads h: L(y) min(n!/|S_lambda|, G(h)), since w_v' w_u has at
 most 2^length(v') terms, so R w_v' w_u meets at most that many cosets.
 x's own (L, G) are read off h as well (``_costs``).  The result keeps
-h y beside its expansion, so a chain of right products stays on it.  A
+h y alone, so a chain of right products stays on it.  A
 scalar y (no word to walk) is left off this path: x * 1 holds x's own
 packed table.
 A lone step or rescaling of such an x runs on h too and keeps its
@@ -239,16 +249,16 @@ iota(e_lambda)'s table and one iota of the result, with no sum.
 
 Call y c F when its own coset table has exactly one entry, at the
 identity (rank 0): a_n and b_n (``symmetrizer(n)`` and
-``antisymmetrizer(n)`` keep the unit's one-entry table beside its
-expansion), e_lambda of (n) and (1^n), ``row_element``, and their
+``antisymmetrizer(n)`` keep the unit's one-entry table alone), e_lambda
+of (n) and (1^n), ``row_element``, and their
 rescalings.  Then the fold starts from y's own entry instead of the
 unit's, and is the coset table of c F iota(x) = iota(x y) itself: the
 whole product, priced L(x), expanded once and mirrored once.  When it ends
 at one entry at the identity again, the result is c' F, which iota fixes:
-it is kept with its coset table and not mirrored.  For a single block, as
-for a_n and b_n, F H_n is Z[s, s^-1] F, so that is every nonzero result,
-and w_p a_6 steps one entry length(p) times and expands it once, as
-a_6 w_p does.  The full twist keeps no coset table.
+it keeps that one-entry table alone, neither expanded nor mirrored.  For a
+single block, as for a_n and b_n, F H_n is Z[s, s^-1] F, so that is every
+nonzero result, and w_p a_6 steps one entry length(p) times and keeps it,
+as a_6 w_p does.  The full twist keeps no coset table.
 
 Elements are immutable values.  ``coeffs`` is a read-only view keyed by
 permutation tuples, and the constructor rejects any key that is not a
@@ -296,8 +306,8 @@ def _acc(table: dict[Perm, LaurentPoly], key: Perm, value: LaurentPoly) -> None:
 class HeckeElement:
     """
     An element of H_n: a strand count plus a zero-free coefficient table
-    keyed by permutations, held as a mapping, a packed table or both (see
-    the module docstring).  Instances are immutable: assigning or deleting
+    keyed by permutations, held as a mapping, a packed table, its own
+    coset table, or more than one of these (see the module docstring).  Instances are immutable: assigning or deleting
     an attribute raises AttributeError, and all operations return new
     elements.  Only the constructors and the kernel's kept forms write the
     slots, through ``_keep``.
@@ -334,11 +344,12 @@ class HeckeElement:
     def coeffs(self) -> Mapping[Perm, LaurentPoly]:
         """
         The read-only table from permutations to nonzero coefficients,
-        decoded from the packed table on the first read and kept.
+        decoded on the first read and kept: from the packed table, or
+        straight from the coset table of an element that holds only that.
         """
         view = self._coeffs
         if view is None:
-            view = MappingProxyType(_decode(_kept(self)))
+            view = MappingProxyType(_decode(self._pk or self._ck))
             _keep(self, "_coeffs", view)
         return view
 
@@ -369,7 +380,7 @@ class HeckeElement:
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        pk = self._pk
+        pk = self._pk or self._ck
         return not (self._coeffs if pk is None else pk.table)
 
     def support(self) -> list[Perm]:
@@ -383,10 +394,14 @@ class HeckeElement:
             return NotImplemented
         if self.n != other.n:
             return False
-        # Two mappings, neither packed: compare the mappings.
-        if not (self._pk or other._pk):
-            return self._coeffs == other._coeffs
-        a, b = _kept(self), _kept(other)
+        a, b = self._ck, other._ck
+        # Two coset tables of one ideal are compared as they are, since they
+        # are faithful; two mappings, neither packed, as mappings.
+        if a is None or b is None or a.blocks != b.blocks:
+            mine, theirs = self._coeffs, other._coeffs
+            if mine is not None and theirs is not None and not (self._pk or other._pk):
+                return mine == theirs
+            a, b = _kept(self), _kept(other)
         if len(a.table) != len(b.table):
             return False
         mine, theirs = _aligned(a, b)
@@ -420,7 +435,7 @@ class HeckeElement:
             return HeckeElement.zero(self.n)
         out = _Packed.zero(self.n)
         out.add_times(_chain_start(self), a)
-        return _element(out.expanded(), coset=out)
+        return _element(coset=out)
 
     # -- multiplication ------------------------------------------------------
 
@@ -434,8 +449,7 @@ class HeckeElement:
             raise IndexError(f"generator index {i} out of range for {self.n} strands")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        h = _chain_start(self).mul_generator(i, sign)
-        return _element(h.expanded(), coset=h)
+        return _element(coset=_chain_start(self).mul_generator(i, sign))
 
     def __mul__(self, other: HeckeElement) -> HeckeElement:
         """
@@ -475,8 +489,7 @@ class HeckeElement:
         if words_y * min(walked, spread_x) <= left:
             if own is None:
                 return _element(_expand_right(_packed(self), other))
-            h = _expand_right(_chain_start(self), other)
-            return _element(h.expanded(), coset=h)
+            return _element(coset=_expand_right(_chain_start(self), other))
         if fold is None:
             return _element(_expand_right(_mirrored(other), _iota(self)).iota())
         return _folded(self, other)
@@ -701,7 +714,7 @@ def _folded(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     if not whole:
         return _element(_expand_right(_mirrored(y), _element(h.with_blocks(None))).iota())
     if h.table.keys() == {0}:
-        return _element(h.expanded(), coset=h)
+        return _element(coset=h)
     return _element(h.expanded().iota())
 
 
@@ -1016,6 +1029,34 @@ def _length_pattern(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(pattern)
 
 
+def _expanded_ranks(h: _Packed) -> list[int]:
+    """
+    The ranks of R h's entries (B h's on the sign side) from its coset
+    table h, by the rank rule (see the module docstring): one run of h's
+    ranks, in h's order, per u in S_lambda, in the order of
+    ``_length_pattern``.  All representatives move one digit at a time:
+    each rank r so far becomes r + j w for j below the digit's range, w
+    the digit's weight in its representative.
+    """
+    n, parts = h.n, h.blocks.parts
+    memo = _weights_memo(parts)
+    ranks, weights = list(h.table), []
+    for r in ranks:
+        w = memo.get(r)
+        if w is None:
+            w = memo[r] = _movable_weights(parts, _perm_of(n, r))
+        weights.append(w)
+    # ranks holds one run of the representatives per choice of the digits
+    # so far, so the run for j at the next digit is the run for j - 1 plus
+    # that digit's weights, repeated once per run.
+    for (_, _, m), column in zip(_movable_digits(parts), zip(*weights)):
+        spread, run = column * (len(ranks) // len(column)), ranks
+        for _ in range(1, m):
+            run = list(map(operator.add, run, spread))
+            ranks += run
+    return ranks
+
+
 def _zero_low_digits(values: Iterable[int], k: int) -> int:
     """
     The fewest zero low K-bit digits among nonzero ints, read once off the
@@ -1128,34 +1169,18 @@ class _Packed:
     def expanded(self) -> _Packed:
         """
         R h (B h on the sign side) as a plain table, from its coset table
-        h; a plain table is its own expansion.  Each entry is written once, by the rank rule (see the
-        module docstring).  All representatives move one digit at a time:
-        each rank r so far becomes r + j w for j below the digit's range, w
-        the digit's weight in its representative.  The entry of u v' is c_v'
-        times the unit to the length(u), one int per representative and
-        length, shared by its entries.  On the sign side V drops by the
-        longest length, so that (-s^-1)^l is a shift left.  The digits are
-        those of h, so K, B, the zero low digits and ``tidy`` carry over.
+        h; a plain table is its own expansion.  Each entry is written once,
+        at the rank ``_expanded_ranks`` gives it (the rank rule of the
+        module docstring).  The entry of u v' is c_v' times the unit to the
+        length(u), one int per representative and length, shared by its
+        entries.  On the sign side V drops by the longest length, so that
+        (-s^-1)^l is a shift left.  The digits are those of h, so K, B, the
+        zero low digits and ``tidy`` carry over.
         """
         blocks = self.blocks
         if blocks is None:
             return self
-        n, k, parts = self.n, self.k, blocks.parts
-        memo = _weights_memo(parts)
-        ranks, weights = list(self.table), []
-        for r in ranks:
-            w = memo.get(r)
-            if w is None:
-                w = memo[r] = _movable_weights(parts, _perm_of(n, r))
-            weights.append(w)
-        # ranks holds one run of the representatives per choice of the
-        # digits so far, so the run for j at the next digit is the run for
-        # j - 1 plus that digit's weights, repeated once per run.
-        for (_, _, m), column in zip(_movable_digits(parts), zip(*weights)):
-            spread, run = column * (len(ranks) // len(column)), ranks
-            for _ in range(1, m):
-                run = list(map(operator.add, run, spread))
-                ranks += run
+        k, parts = self.k, blocks.parts
         top, entries, powers = sum(m * (m - 1) // 2 for m in parts), self.table.values(), []
         for ell in range(top + 1):
             shift = k * (ell if blocks.row else top - ell)
@@ -1165,7 +1190,8 @@ class _Packed:
             powers.append(power)
         values = itertools.chain.from_iterable(map(powers.__getitem__, _length_pattern(parts)))
         val = self.val if blocks.row else self.val - top
-        return _Packed(n, dict(zip(ranks, values)), val, k, self.bound, self.low, self.tidy)
+        table = dict(zip(_expanded_ranks(self), values))
+        return _Packed(self.n, table, val, k, self.bound, self.low, self.tidy)
 
     def mul_generator(self, i: int, sign: int = 1) -> _Packed:
         """
@@ -1331,12 +1357,14 @@ def _packed(x: HeckeElement) -> _Packed:
 
 def _kept(x: HeckeElement) -> _Packed:
     """
-    x's packed table as it is kept, for reading without a chain: encoded
-    from x's mapping on the first use.
+    x's packed table as it is kept, for reading without a chain, made on
+    the first use: encoded from x's mapping, or, for a kernel result that
+    holds only its own coset table, that table tidied (``_chain_start``)
+    and expanded, both kept.
     """
     pk = x._pk
     if pk is None:
-        pk = _encode(x)
+        pk = _encode(x) if x._ck is None else _chain_start(x).expanded()
         _keep(x, "_pk", pk)
     return pk
 
@@ -1353,20 +1381,21 @@ def _mirrored(x: HeckeElement) -> _Packed:
     return ik
 
 
-def _element(pk: _Packed, coset: Optional[_Packed] = None) -> HeckeElement:
+def _element(pk: Optional[_Packed] = None, coset: Optional[_Packed] = None) -> HeckeElement:
     """
-    The element a kernel result stands for, holding only its packed table,
-    and keeping ``coset``, when given, as its own coset table: the build
-    or product that expanded ``coset`` to pk passes it, and a plain one,
-    pk itself, is not kept.  A coset table stands for R h (or B h), not
-    for its own entries, so it is refused as pk.
+    The element a kernel result stands for, holding only the one table
+    given: its packed table pk, or ``coset``, its own coset table h, the
+    table a build, step or product of an element of R H_n (or B H_n) ran
+    on, expanded on the first need of a plain table (``_kept``).  A plain
+    h is the packed table.  A coset table stands for R h (or B h), not for
+    its own entries, so it is refused as pk.
     """
-    if pk.blocks is not None:
+    if coset is not None:
+        pk, coset = (coset, None) if coset.blocks is None else (None, coset)
+    elif pk.blocks is not None:
         raise ValueError("a coset table is not an element; expand it first")
-    if coset is not None and coset.blocks is None:
-        coset = None
     elem = object.__new__(HeckeElement)
-    _fill(elem, pk.n, None, pk, coset)
+    _fill(elem, (pk or coset).n, None, pk, coset)
     return elem
 
 
@@ -1421,20 +1450,38 @@ def _decode(pk: _Packed) -> dict[Perm, LaurentPoly]:
     """
     The mapping a packed table stands for: each rank back to its
     permutation, each int to its Laurent polynomial, equal ints to one
-    shared polynomial.
+    shared polynomial.  A coset table h stands for R h (B h on the sign
+    side), read straight off h: the entry of u v' is c_v' times the unit
+    to the length(u), at the rank ``_expanded_ranks`` gives it, one
+    polynomial per distinct entry and length, in the order of h's
+    expansion.
     """
     _check_readable(pk)
-    coeffs: dict[Perm, LaurentPoly] = {}
-    read = _digit_reader(pk.k)
-    polys: dict[int, LaurentPoly] = {}
-    n, val = pk.n, pk.val
-    for r, c in pk.table.items():
-        poly = polys.get(c)
-        if poly is None:
-            z, digits = read(c)
-            poly = polys[c] = LaurentPoly(val + z, digits)
-        coeffs[_perm_of(n, r)] = poly
-    return coeffs
+    read, n, val, blocks = _digit_reader(pk.k), pk.n, pk.val, pk.blocks
+    found = _perm_memo(n)  # read inline: a rank met before costs no call
+    if blocks is None:
+        coeffs: dict[Perm, LaurentPoly] = {}
+        polys: dict[int, LaurentPoly] = {}
+        for r, c in pk.table.items():
+            poly = polys.get(c)
+            if poly is None:
+                z, digits = read(c)
+                poly = polys[c] = LaurentPoly(val + z, digits)
+            coeffs[found.get(r) or _perm_of(n, r)] = poly
+        return coeffs
+    digits = {c: read(c) for c in set(pk.table.values())}
+    pattern, entries, runs = _length_pattern(blocks.parts), pk.table.values(), []
+    for ell in range(max(pattern) + 1):
+        # u^ell c for the unit u: s^ell on the row side, (-1)^ell s^-ell on the sign side.
+        shift, negated = (ell, False) if blocks.row else (-ell, ell % 2 == 1)
+        at = {
+            c: LaurentPoly(val + z + shift, [-d for d in ds] if negated else ds)
+            for c, (z, ds) in digits.items()
+        }
+        runs.append(list(map(at.__getitem__, entries)))
+    values = itertools.chain.from_iterable(map(runs.__getitem__, pattern))
+    ranks = _expanded_ranks(pk)
+    return {found.get(r) or _perm_of(n, r): poly for r, poly in zip(ranks, values)}
 
 
 def _aligned(a: _Packed, b: _Packed) -> tuple[dict[int, int], dict[int, int]]:

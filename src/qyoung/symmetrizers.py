@@ -57,12 +57,14 @@ blocks' k! entries and one iota on either side, tidy as built, and
 nothing of the other side's table.  ``_table`` makes the length(w)
 inverse steps from x to y's own table, for ``e_lambda`` alone:
 ``column_element`` is the row side's w_d B stepped back as a plain table,
-and ``row_element`` is R's one-entry coset table expanded.  ``e_lambda``
-expands the row side's table to R h in the same one pass, and the kept
-table is tidy from the build.  When F's subgroup is trivial, every part 1
-on the row side or (n) on the sign side, the tables are plain.  The coset
-table of an element of the ideal is faithful, so the verdict and any
-witness are those of the full tables, and nothing is decoded.
+and ``row_element`` is R's one-entry coset table.  ``e_lambda`` keeps its
+coset table, expanded on first need: the row side's table h as the
+steps left it, which the first chain on e_lambda tidies and the first
+need of a plain table expands to R h in one pass.  When F's subgroup is
+trivial, every part 1 on the row side or (n) on the sign side, the
+tables are plain.  The coset table of an element of the ideal is
+faithful, so the verdict and any witness are those of the full tables,
+and nothing is decoded.
 
 ``alpha_extract``, ``central.twist_eigenvalue`` and ``qyoung verify``
 build lam's side and its start once (``_own_table``) and read every
@@ -102,18 +104,18 @@ alone does.
 
 ``symmetrizer`` and ``antisymmetrizer`` are the sum of u^length(p) w_p
 over S_n, for u = s or -s^-1: the unit's one-entry coset table for the
-single block of n strands, expanded, as ``row_element`` expands R's.
-Each entry is written once by the rank arithmetic of the expansion,
-with none of the kernel's steps, sums or iota, so that the
-eigen-relations ``qyoung verify`` checks on them test the step against
-something built without it; and since every e_lambda is built by the
-same expansion, a fault in it fails those relations as well.  Both keep
-that one-entry table beside the expansion, as ``row_element`` does, so
-that a product with either, on either side, steps one entry and expands
-once (``hecke``); the strand checks step the expansion itself.
-``coeffs`` decodes the table on its first read, as for any kernel
-result.  a_8 takes 5-6 ms, and the process that builds it peaks at 20 MB
-(one 2-core host, CPython 3.11.7).
+single block of n strands, kept, as ``row_element`` keeps R's, and
+expanded on first need.  Each entry of the expansion is written once by
+its rank arithmetic, with none of the kernel's steps, sums or iota, so
+that the eigen-relations ``qyoung verify`` checks on them test the step
+against something built without it; and since every e_lambda's start is
+built by the same expansion, a fault in it fails those relations as
+well.  A product with either, on either side, steps the one entry and
+keeps the result's one-entry table (``hecke``); the strand checks expand
+the table and step the expansion itself.  ``coeffs`` reads the expansion
+straight off the one entry on its first read, as for any element that
+holds only its coset table.  a_8's expansion takes 5-6 ms, and the
+process that makes it peaks at 20 MB (one 2-core host, CPython 3.11.7).
 
 Every builder refuses more than 8 cells or strands through the one size
 guard, ``permutations.check_size``.
@@ -147,13 +149,14 @@ def _one_dimensional(n: int, row: bool) -> HeckeElement:
     """
     The sum of u^length(p) * w_p over S_n, u = s for the row side (``row``)
     and -s^-1 for the sign side, guarded first: the unit's one-entry coset
-    table for the single block of n strands, expanded and kept.
+    table for the single block of n strands, kept, and expanded on first
+    need.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     perms.check_size(f"the enumeration of S_{n}", n)
     one = _packed(HeckeElement.unit(n)).with_blocks(_Blocks.of((n,), row))
-    return _element(one.expanded(), coset=one)
+    return _element(coset=one)
 
 
 def symmetrizer(n: int) -> HeckeElement:
@@ -295,23 +298,22 @@ def _start(side: _Side) -> _Packed:
 
 def _table(side: _Side) -> _Packed:
     """
-    The side's symmetrizer as its own coset table, tidied: the start
-    (``_start``), then length(w_word) inverse steps, for ``e_lambda``
-    alone.
+    The side's symmetrizer as its own coset table: the start (``_start``),
+    then length(w_word) inverse steps, for ``e_lambda`` alone.  It is left
+    as the steps made it; the first chain on e_lambda tidies it.
     """
-    h = _mul_word_inverse(_start(side), side)
-    return h if h.blocks is None else h._tidied()
+    return _mul_word_inverse(_start(side), side)
 
 
 def row_element(lam: Partition) -> HeckeElement:
     """
     Product of row symmetrizers placed at the row-reading offsets: R's
-    one-entry coset table, R 1, expanded, with no step, and kept, so that
-    a product on either side steps that one entry.
+    one-entry coset table, R 1, with no step, kept and expanded on first
+    need, so that a product on either side steps that one entry.
     """
     perms.check_size(f"the row element of lambda={lam}", lam.n)
     one = _packed(HeckeElement.unit(lam.n)).with_blocks(_side(lam, True).first)
-    return _element(one.expanded(), coset=one)
+    return _element(coset=one)
 
 
 def column_element(lam: Partition) -> HeckeElement:
@@ -328,16 +330,15 @@ def column_element(lam: Partition) -> HeckeElement:
 def e_lambda(lam: Partition) -> HeckeElement:
     """
     The q-Young symmetrizer of the diagram, on exactly |diagram| strands:
-    the row side's table expanded and kept.  For (1^n), R = 1 and d = 1,
-    so e_lambda is B = b_n, and it is built and kept as b_n is, from B's
-    one-entry sign-side table.
+    it keeps the row side's coset table, expanded on first need.  For
+    (1^n), R = 1 and d = 1, so e_lambda is B = b_n, and it is built and
+    kept as b_n is, as B's one-entry sign-side table.
     """
     perms.check_size(f"the symmetrizer of lambda={lam}", lam.n)
     side = _side(lam, True)
     if side.first is None:
         side = _side(lam, False)  # (1^n): R = 1 and d = 1, so e_lambda = B = f
-    h = _table(side)
-    return _element(h.expanded(), coset=h)
+    return _element(coset=_table(side))
 
 
 def _own_table(lam: Partition) -> tuple[_Side, _Packed]:
@@ -356,7 +357,7 @@ def _at_one(h: _Packed) -> dict[Perm, int]:
     A side's table at s = 1, zeros dropped: on a coset table, the c_v'(1)
     of the representatives v'.
     """
-    at_one = {v: c.eval_at_one() for v, c in _decode(h).items()}
+    at_one = {v: c.eval_at_one() for v, c in _decode(h.with_blocks(None)).items()}
     return {v: c for v, c in at_one.items() if c}
 
 
@@ -477,7 +478,7 @@ def alpha_extract(lam: Partition) -> QuasiIdempotent:
     Build the table of the symmetrizer's start on its side, square the
     symmetrizer there and extract the scalar by exact division against the
     start (``_alpha``), a failure's witness a permutation of the start's
-    table.  The returned element is e_lambda, expanded, once, only when it
-    is read.
+    table.  The returned element is e_lambda, built, once, only when it is
+    read, and expanded only when a plain table of it is needed.
     """
     return QuasiIdempotent(lam, _alpha(lam, *_own_table(lam)))

@@ -465,14 +465,15 @@ def test_e_lambda_runs_no_iota_and_no_row_blocks(lam, monkeypatch):
         assert iotas == []
     else:
         assert iotas == [math.prod(map(math.factorial, lam.conjugate().parts))]
-    if lam.parts[0] > 1:
-        # Kept tidy from the build: the first chain on e tidies nothing.
-        kept = e._pk
-        assert kept.tidy and _packed(e) is kept
-        again = kept._tidied()
-        assert (again.table, again.val, again.k, again.bound, again.low) == (
-            kept.table, kept.val, kept.k, kept.bound, kept.low
-        )
+    if lam.n > 1:
+        # e holds only its coset table, as the steps left it, with no
+        # expansion; the first chain on e tidies it, once, and keeps it.
+        built = e._ck
+        assert e._pk is None and built.blocks is not None
+        start = hecke._chain_start(e)
+        assert start.tidy and hecke._chain_start(e) is start is e._ck
+        assert state(start) == state(built._tidied())
+        assert e._pk is None
 
 
 # -- the start: one expansion instead of the chain ----------------------------------
@@ -495,12 +496,11 @@ def state(pk):
 
 
 def check_table_from_the_start(side):
-    # The same ints, V, K, B and low: a plain table, which _table leaves
-    # as its steps made it, is compared tidied.  The start's own table,
-    # which verify reads, is tidy as built: tidying it changes nothing.
-    h = sym._table(side)
-    if h.blocks is None:
-        h = h._tidied()
+    # The same ints, V, K, B and low, compared tidied: _table leaves the
+    # table as its steps made it, and the first chain on e_lambda tidies
+    # it.  The start's own table, which verify reads, is tidy as built:
+    # tidying it changes nothing.
+    h = sym._table(side)._tidied()
     assert state(h) == state(chain_table(side))
     x = sym._start(side)
     assert x.tidy and x.blocks == side.first

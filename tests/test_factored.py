@@ -303,6 +303,8 @@ class TestOneConversionPerChain:
         assert conversions == collections.Counter(_encode=1)  # the start
         assert e.coeffs is e.coeffs  # the decoded view is kept
         assert conversions == collections.Counter(_encode=1, _decode=1)
+        # Decoded straight from the coset table; (1) has a plain one.
+        assert (e._pk is None) == (lam.n > 1)
 
     def test_alpha_extract_builds_then_squares(self, lam, conversions):
         alpha_extract(lam)

@@ -838,7 +838,7 @@ def fold_factors(lam, p, y):
 
         def start():
             t = symmetrizers._start(symmetrizers._side(lam, False))
-            return _element(t.expanded(), coset=t)
+            return _element(coset=t)
 
         out["sign start"] = start
     return out
@@ -1139,14 +1139,16 @@ def test_products_with_basis_braids_leave_kept_forms_alone(lam):
 class TestKeptIota:
     # An element keeps iota of its packed table, tidy, made on the first
     # use; a product's result does not keep the table it was iota of.
+    # tidy_before is None for an element that holds only its coset table:
+    # its packed table is made, tidy, on the first use.
 
     @pytest.mark.parametrize(
         "make, tidy_before",
         [
             (lambda: HeckeElement(4, {(2, 1, 4, 3): S, (1, 3, 4, 2): LaurentPoly(-2, (1, 0, 5))}), None),
-            (lambda: symmetrizer(4) * gen(4, 2), False),
+            (lambda: symmetrizer(4) * gen(4, 2), None),
             (lambda: (unit(4) + gen(4, 3)).scale(S), False),
-            (lambda: e_lambda(Partition((2, 1, 1))), True),
+            (lambda: e_lambda(Partition((2, 1, 1))), None),
         ],
         ids=["mapping", "step result", "sum result", "e_lambda"],
     )
@@ -1220,7 +1222,9 @@ FT_E_33_STEPS, FT_E_33_STEPPED = 738, 11_295
 def test_products_with_a_n_and_b_n_step_their_one_entry(kernel_calls):
     # a_6 and b_6 are c F: on the right w_p's 9 letters step the one-entry
     # coset table, on the left iota(w_p)'s do, and the walk ends at the
-    # identity alone, so nothing is mirrored; one expansion either way.
+    # identity alone, so nothing is mirrored.  The product holds only its
+    # coset table, and == compares it with the expected one's: nothing is
+    # expanded.
     a6, b6, w = symmetrizer(6), antisymmetrizer(6), basis(6, *LONG_BRAID)
     for x, y, expected in (
         (w, a6, a6.scale(S**9)),
@@ -1231,7 +1235,7 @@ def test_products_with_a_n_and_b_n_step_their_one_entry(kernel_calls):
         kernel_calls.clear()
         product = x * y
         assert kernel_calls["mul_generator"] == kernel_calls["stepped"] == 9
-        assert kernel_calls["expanded"] == 1 and kernel_calls["iota"] == 0
+        assert kernel_calls["expanded"] == 0 and kernel_calls["iota"] == 0
         assert product == expected and one_entry(product)
     assert a6._ik is None and b6._ik is None
 
@@ -1349,7 +1353,9 @@ def test_every_kept_coset_table_is_the_elements_own(lam):
 # internals.
 PACKED_FIELDS = {"table", "k", "bound", "low", "tidy"}
 KEPT_TABLES = {"_pk", "_ck", "_ik", "_wc"}
-KERNEL_INTERNALS = {"_REBASE", "_inverse_memo", "_inverse_rank", "_rank_of_inverse", "_keep"}
+KERNEL_INTERNALS = {
+    "_REBASE", "_inverse_memo", "_inverse_rank", "_rank_of_inverse", "_keep", "_expanded_ranks"
+}
 
 
 def test_only_hecke_builds_or_reads_packed_tables():

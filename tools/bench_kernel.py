@@ -25,15 +25,15 @@ a difference between trees.  Compare ``at_ref_s`` between two trees.  The layers
 - ``mul_generator_s6`` / ``mul_generator_s7``: g_i and g_i^-1 for every i,
   applied to e_lambda of (3,3) (504 of 720 terms) and of (4,3) (2016 of
   5040 terms), each as a lone ``HeckeElement.mul_generator`` call, which
-  steps the 14 entries of the coset table e_lambda keeps and expands the
-  result;
+  steps the 14 entries of the coset table e_lambda keeps; the result
+  keeps the stepped coset table alone and is never expanded;
 - ``block_action_43``: the first row block of squaring e_lambda (4,3), as
   one chain from the element to the element;
 - ``long_braid_a6`` / ``a6_long_braid`` and ``long_braid_b6`` /
   ``b6_long_braid``: the products w_p * a_6, a_6 * w_p, w_p * b_6 and
   b_6 * w_p for p = LONG_BRAID, of length 9.  a_6 and b_6 keep the unit's
   one-entry coset table, so on either side w_p's 9 letters step that one
-  entry and the result is expanded once, with no iota;
+  entry, with no iota, and the result keeps that one entry alone;
 - ``long_braid_ft6`` / ``ft6_long_braid``: the products w_p * ft_6 and
   ft_6 * w_p for the longest p, of length 15.  The full twist keeps no
   coset table, and the side rule expands the one-term w_p, through iota
@@ -43,7 +43,7 @@ a difference between trees.  Compare ``at_ref_s`` between two trees.  The layers
   p = LONG_BRAID and e_lambda(3,3) * y for SPARSE_Y, two terms of lengths
   2 and 4 as in the benchmark's sparse factors.  y is expanded directly,
   its words walked over the 20-entry coset table that e_lambda keeps, and
-  the result expanded once to its 504 entries;
+  the result keeps the walked table alone, never expanded;
 - ``left_fold_33`` / ``ft_left_33``: the left products y * e_lambda(3,3)
   for the same y and ft_6 * e_lambda(3,3).  e_lambda keeps a coset table
   of 20 entries, so iota(y)'s or iota(ft_6)'s words are first folded over
@@ -52,24 +52,29 @@ a difference between trees.  Compare ``at_ref_s`` between two trees.  The layers
 - ``sparse_e1x6`` / ``e1x6_sparse``: the products y * e_lambda(1^6) and
   e_lambda(1^6) * y for the same y.  e_lambda(1^6) is b_6 and keeps its
   one-entry sign-side table, so y's words are walked over that one entry
-  on either side and the result expanded once;
+  on either side, and B H_6 is Z[s, s^-1] b_6, so the walk ends at one
+  entry at the identity, which the result keeps alone;
 - ``alpha_extract_43`` / ``twist_eigenvalue_43``: the public calls;
 - ``alpha_extract_44`` / ``twist_44``: the same calls on the 8-cell diagram
   (4,4), whose e_lambda holds 24192 of the 40320 basis braids of H_8; the
   warm-up call fills the S_8 rank memos;
 - ``build_43`` / ``build_7`` / ``build_2x1x5`` / ``build_1x7``: ``e_lambda``
   of the 7-cell diagrams (4,3), (7), (2,1^5) and (1^7): the start w_d B
-  expanded from one entry, one iota, the length(d) inverse steps on R's
-  coset table and its expansion to R h, which writes all 5040 entries of
-  (7) and 1440 of (2,1^5) from one and 720 coset entries; (1^7) is the
-  start alone, all 5040 entries of b_7 written by the first expansion;
-- ``row_element_8``: ``row_element`` of (8), R's one-entry coset table
-  expanded to all 40320 entries of a_8, with no step;
-- ``expand_8``: the same expansion alone, from the coset table that
-  e_lambda's build of (8) kept (one entry) to its 40320 entries;
+  expanded from one entry, one iota and the length(d) inverse steps on
+  R's coset table, which e_lambda keeps as it is, with no tidy and no
+  expansion to R h; (7) and (1^7) are the one-entry start alone;
+- ``build_read_7``: ``e_lambda`` and then ``coeffs`` for all 15 diagrams
+  of 7 cells, timed together: each build and the decode of R h (B h for
+  (1^7)) straight from its coset table, as the benchmark's build7
+  workload builds and checks them;
+- ``row_element_8``: ``row_element`` of (8), R's one-entry coset table,
+  kept as it is, with no step and no expansion;
+- ``expand_8``: one expansion alone, from the coset table that
+  e_lambda's build of (8) keeps (one entry) to its 40320 entries, as the
+  first need of a plain table of a_8 runs it;
 - ``one_dimensional_8``: ``symmetrizer(8)`` and ``antisymmetrizer(8)``,
   a_8 and b_8, each the unit's one-entry coset table for one block of 8
-  strands expanded to its 40320 entries;
+  strands, kept with no expansion;
 - ``start_44`` / ``start_8`` / ``start_1x8`` / ``start_2x1x6``: the table
   of the side's start x = F w G (``symmetrizers._own_table``) for (4,4),
   (8), (1^8) and (2,1^6): one expansion of a one-entry table to w G's
@@ -106,7 +111,9 @@ a difference between trees.  Compare ``at_ref_s`` between two trees.  The layers
 
 The chain layer starts from the element's kept packed table and ends in an
 element holding the result's (``hecke._packed`` and ``hecke._element``), so
-results the layers never read are never decoded.
+results the layers never read are never decoded.  An element of R H_n or
+B H_n that the kernel made holds its coset table alone, so the layers
+that make one and never read it expand nothing.
 """
 
 from __future__ import annotations
@@ -201,6 +208,12 @@ def _classical(lam):
     return lambda: invariants.is_classical_coset_table(sym._at_one(x), lam, side.row)
 
 
+def _build_read(cells: int):
+    """e_lambda and its decoded coefficients, for every diagram of ``cells`` cells."""
+    lams = list(all_partitions(cells))
+    return lambda: [sym.e_lambda(lam).coeffs for lam in lams]
+
+
 def _closed_forms(cells: int):
     """Every closed form verify compares with, for the diagrams of 1..cells cells."""
     lams = [lam for k in range(1, cells + 1) for lam in all_partitions(k)]
@@ -245,6 +258,7 @@ def layers() -> dict:
         "build_7": lambda: sym.e_lambda(Partition((7,))),
         "build_2x1x5": lambda: sym.e_lambda(Partition((2, 1, 1, 1, 1, 1))),
         "build_1x7": lambda: sym.e_lambda(Partition((1,) * 7)),
+        "build_read_7": _build_read(7),
         "row_element_8": lambda: sym.row_element(Partition((8,))),
         "expand_8": _lazy(lambda: sym.e_lambda(Partition((8,)))._ck.expanded),
         "one_dimensional_8": lambda: (sym.symmetrizer(8), sym.antisymmetrizer(8)),
