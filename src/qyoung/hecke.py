@@ -90,8 +90,8 @@ compared is never decoded, and two elements that keep coset tables with
 the same blocks are compared on those, with no expansion.  Beside its
 table an element keeps, each made on its first use, the iota of its
 packed table (tidy, since iota moves entries without changing them) when
-a product expands the other factor through iota, and the word costs
-(L, G) of its table that the general product's side rule reads.  So a
+a left product's fold walks over it, and the word costs (L, G) of its
+table that the product's side rule reads.  So a
 dense factor used in many products is mirrored and scanned once.  A
 product's result starts with neither, not even the table it is the iota
 of, which would hold a second table as large as its own.  Every table an
@@ -182,47 +182,41 @@ It is the element's only table until a plain one is needed (``_kept``).
 A chain on an element starts from the table it keeps (``_chain_start``):
 that coset table, or else its packed table.
 
-A general product expands one factor through reduced words, sharing common
-prefixes so that dense products cost one generator step per distinct
-prefix rather than per term.  Only the right action is implemented: the
-anti-involution iota: w_p -> w_{p^-1} fixes each g_i and reverses
-products, so x * y = iota(iota(y) * iota(x)).  Which factor to expand is
-judged by a bound on the walk's work.  Walking y's words over x, every
-table is x w_u for a prefix u, and |w_p w_u| <= 2^length(p), since each
-letter of p, applied on the left, splits a term at most once.  So
-expanding y costs at most L(y) min(n!, G(x)) term updates, where L is the
-sum of the word lengths and G the sum of 2^length over the terms, both
-read off the ranks (a length is the sum of its Lehmer digits).  y is
-expanded directly when that bound is at most the mirrored one,
-L(x) min(n!, G(y)), and x through iota otherwise.  A long braid against a
-dense element is thus the factor expanded, on either side: the dense
-element's many words, walked over it, would grow the tables toward
-2^length terms.  A one-term factor +-s^k w_q expanded (a basis braid
-w_q among them) costs its length(q) steps and nothing else: the chain of
-steps along its word, with s^k moving V and the sign negating the
-entries, is the product itself, with no sum to accumulate, and on the
-left the dense factor's iota is the one it keeps, so only the result is
-mirrored.
+A product takes one of two paths, each a walk of one factor's reduced
+words over the other's table, sharing common prefixes so that dense
+products cost one generator step per distinct prefix rather than per term.
+Only the right action is implemented: the anti-involution iota:
+w_p -> w_{p^-1} fixes each g_i and reverses products, so the left factor
+is walked through iota.  Which path to take is judged by a bound on the
+walk's work.
 
-When x keeps its own coset table h, x y = R (h y) (B (h y) on the sign
-side), so y's words are walked over h, whose tables hold at most
-n!/|S_lambda| entries, and nothing is expanded.  The bound of
-that walk reads h: L(y) min(n!/|S_lambda|, G(h)), since w_v' w_u has at
-most 2^length(v') terms, so R w_v' w_u meets at most that many cosets.
-x's own (L, G) are read off h as well (``_costs``).  The result keeps
-h y alone, so a chain of right products stays on it.  A
-scalar y (no word to walk) is left off this path: x * 1 holds x's own
-packed table.
-A lone step or rescaling of such an x runs on h too and keeps its
-result, so a chain of ``mul_generator`` calls on e_lambda steps h's
-entries, not e_lambda's.
+The direct walk: y's words over the table x keeps (``_chain_start``).
+Every table of the walk is x w_u for a prefix u, and |w_p w_u| <=
+2^length(p), since each letter of p, applied on the left, splits a term at
+most once.  So it costs at most L(y) min(n!, G(x)) term updates, where L
+is the sum of the word lengths and G the sum of 2^length over the terms,
+both read off the ranks (a length is the sum of its Lehmer digits).  When
+x keeps its own coset table h, x y = R (h y) (B (h y) on the sign side),
+so the walk runs on h, whose tables hold at most n!/|S_lambda| entries,
+and nothing is expanded.  Its bound reads h: L(y) min(n!/|S_lambda|,
+G(h)), since w_v' w_u has at most 2^length(v') terms, so R w_v' w_u meets
+at most that many cosets; x's own (L, G) are read off h as well
+(``_costs``).  The result keeps h y alone, so a chain of right products
+stays on it, and x * 1, which walks no word, holds the very table x keeps.
+A lone step or rescaling of such an x runs on h too and keeps its result,
+so a chain of ``mul_generator`` calls on e_lambda steps h's entries, not
+e_lambda's.  A one-term factor +-s^k w_q walked (a basis braid w_q among
+them) costs its length(q) steps and nothing else: the chain of steps
+along its word, with s^k moving V and the sign negating the entries, is
+the product itself, with no sum to accumulate.
 
-Left products fold onto the representatives.  Let y keep its own coset
-table h, with blocks F (R or B) and block unit u, so that y = F h.  iota
-fixes F, since S_F is closed under inverses and keeps lengths, so
-iota(y) = iota(h) F and x y = iota(iota(h) F iota(x)).  Write iota(x) =
-sum of c_q w_q.  Each q is u' v' with u' in S_F and v' a minimal coset
-representative, lengths adding, so F w_q = u^length(u') F w_v' and
+The fold (``_folded``): x folded onto y's coset representatives.  Write
+y = F h, where F is y's block sum (R or B, with block unit u) and h its own
+coset table, or F = 1, with trivial blocks, for a y that keeps no coset
+table.  iota fixes F, since S_F is closed under inverses and keeps
+lengths, so iota(y) = iota(h) F and x y = iota(iota(h) F iota(x)).  Write
+iota(x) = sum of c_q w_q.  Each q is u' v' with u' in S_F and v' a minimal
+coset representative, lengths adding, so F w_q = u^length(u') F w_v' and
 
     F iota(x) = F z',   z' = sum over v' of (sum over u' in S_F of
                              u^length(u') c_{u' v'}) w_v',
@@ -231,20 +225,27 @@ with z' supported on the representatives.  Hence x y = iota(iota(h) F z')
 = iota(iota(y) z').  z' is the coset table of F iota(x), and the coset
 walk computes it: iota(x)'s words walked over F's one-entry unit table,
 every table of which is F w_u for a prefix u, one entry.  That walk is the
-fold, at most L(x) steps of one entry.  Then z''s words are walked over
-iota(y), the iota y keeps, and the result is mirrored.  z' has at most
-r = n!/|S_F| terms, each of length at most n(n-1)/2, and L(z') <= L(x),
-since a representative is no longer than the q folded onto it.  So the
-side rule prices the fold at
+fold, at most L(x) steps of one entry.  With trivial blocks every
+permutation is its own representative and z' = iota(x), with no walk.
+Then z''s words are walked over iota(y), the iota y keeps, and the result
+is mirrored.  z' has at most r = n!/|S_F| terms (n! for trivial blocks),
+each of length at most n(n-1)/2, and L(z') <= L(x), since a
+representative is no longer than the q folded onto it.  So the side rule
+prices the fold at
 
-    L(x) + min(L(x), r n(n-1)/2) min(n!, G(y)),
+    steps + min(L(x), r n(n-1)/2) min(n!, G(y)),
 
-against L(y) min(size, G(x)) for the direct walk; for a y that keeps no
-coset table the left factor goes through iota, at L(x) min(n!, G(y)).  A
-fold that comes out empty, such as (g_j - s) e_lambda for s_j inside a
-row block, gives zero with no walk over iota(y).  w_p e_lambda folds to
-one term u^k w_p', which the walk over iota(e_lambda) takes as the
-one-term chain above: length(p) steps of one entry, length(p') steps of
+with steps = L(x), or 0 for trivial blocks, against L(y) min(size, G(x))
+for the direct walk.  For trivial blocks L(x) <= n! n(n-1)/2, so the
+price is L(x) min(n!, G(y)), the bound of walking iota(x)'s words over
+iota(y).  A long braid against a dense element is thus the factor
+walked, on either side: the dense element's many words, walked over it,
+would grow the tables toward 2^length terms; on the left the dense
+factor's iota is the one it keeps, so only the result is mirrored.  A fold
+that comes out empty, such as (g_j - s) e_lambda for s_j inside a row
+block, gives zero with no walk over iota(y).  w_p e_lambda folds to one
+term u^k w_p', which the walk over iota(e_lambda) takes as the one-term
+chain above: length(p) steps of one entry, length(p') steps of
 iota(e_lambda)'s table and one iota of the result, with no sum.
 
 Call y c F when its own coset table has exactly one entry, at the
@@ -258,7 +259,8 @@ at one entry at the identity again, the result is c' F, which iota fixes:
 it keeps that one-entry table alone, neither expanded nor mirrored.  For a
 single block, as for a_n and b_n, F H_n is Z[s, s^-1] F, so that is every
 nonzero result, and w_p a_6 steps one entry length(p) times and keeps it,
-as a_6 w_p does.  The full twist keeps no coset table.
+as a_6 w_p does.  The full twist keeps no coset table, so a left product
+with it folds with trivial blocks.
 
 Elements are immutable values.  ``coeffs`` is a read-only view keyed by
 permutation tuples, and the constructor rejects any key that is not a
@@ -307,10 +309,11 @@ class HeckeElement:
     """
     An element of H_n: a strand count plus a zero-free coefficient table
     keyed by permutations, held as a mapping, a packed table, its own
-    coset table, or more than one of these (see the module docstring).  Instances are immutable: assigning or deleting
-    an attribute raises AttributeError, and all operations return new
-    elements.  Only the constructors and the kernel's kept forms write the
-    slots, through ``_keep``.
+    coset table, or more than one of these (see the module docstring).
+    Instances are immutable: assigning or deleting an attribute raises
+    AttributeError, and all operations return new elements.  Only the
+    constructors and the kernel's kept forms write the slots, through
+    ``_keep``.
     """
 
     __slots__ = ("n", "_coeffs", "_pk", "_ck", "_ik", "_wc")
@@ -453,19 +456,19 @@ class HeckeElement:
 
     def __mul__(self, other: HeckeElement) -> HeckeElement:
         """
-        The algebra product.  Expands the factor whose walk has the smaller
-        bound on its term updates (see the module docstring): the right one
-        directly, over self's own coset table when it keeps one, priced
-        L(other) min(size, G(self)), with L the sum of word lengths, G the
-        sum of 2^length and size the entries a table of the walk can hold;
-        or the left one.  When other keeps its own coset table, F h, the
-        left one is folded (``_folded``): iota(self)'s words walked over one
-        entry with F's blocks, priced L(self), and then, unless other is
-        c F, whose own entry starts the fold and gives the whole product,
+        The algebra product, by the path whose walk has the smaller bound
+        on its term updates (see the module docstring).  The direct walk
+        expands other over the table self keeps (``_chain_start``), its own
+        coset table when it keeps one, priced L(other) min(size, G(self)),
+        with L the sum of word lengths, G the sum of 2^length and size the
+        entries a table of the walk can hold.  The fold (``_folded``)
+        expands self onto other = F h's coset representatives: iota(self)'s
+        words walked over one entry with F's blocks, L(self) steps, none
+        for the trivial blocks of an other that keeps no coset table; then
         the fold's r or fewer terms walked over iota(other), priced
         min(L(self), r n(n-1)/2) min(n!, G(other)) more, for r = n!/|S_F|
-        cosets.  Otherwise the left one goes through iota as
-        iota(iota(other) * iota(self)), priced L(self) min(n!, G(other)).
+        cosets.  When other is c F, its own entry starts the fold, which
+        is then the whole product, priced L(self).
         """
         self._check_same_n(other)
         if self.is_zero() or other.is_zero():
@@ -473,25 +476,19 @@ class HeckeElement:
         words_x, spread_x = _costs(self)
         words_y, spread_y = _costs(other)
         size = walked = math.factorial(self.n)
-        own = self._ck if words_y else None  # x * 1 keeps x's own table
+        own = self._ck
         if own is not None:
             walked //= len(_length_pattern(own.blocks.parts))
             spread_x = _word_costs(own)[1]
         fold = other._ck
-        if fold is None:
-            left = words_x * min(size, spread_y)
-        elif fold.table.keys() == {0}:
+        steps, cosets = 0, size  # trivial blocks: n! cosets, and the fold takes no step
+        if fold is not None:
+            steps, cosets = words_x, size // len(_length_pattern(fold.blocks.parts))
+        left = steps + min(words_x, cosets * self.n * (self.n - 1) // 2) * min(size, spread_y)
+        if fold is not None and fold.table.keys() == {0}:
             left = words_x  # other is c F: the fold is the whole product
-        else:
-            cosets = size // len(_length_pattern(fold.blocks.parts))
-            terms = min(words_x, cosets * self.n * (self.n - 1) // 2)
-            left = words_x + terms * min(size, spread_y)
         if words_y * min(walked, spread_x) <= left:
-            if own is None:
-                return _element(_expand_right(_packed(self), other))
             return _element(coset=_expand_right(_chain_start(self), other))
-        if fold is None:
-            return _element(_expand_right(_mirrored(other), _iota(self)).iota())
         return _folded(self, other)
 
     # -- embeddings and conjugation -------------------------------------------
@@ -695,27 +692,27 @@ def _expand_right(x: _Packed, y: HeckeElement) -> _Packed:
 
 def _folded(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     """
-    x * y for a y that keeps its own coset table, y = F h, as
-    iota(iota(y) z'), where F iota(x) = F z' (see the module docstring):
-    the fold, iota(x)'s words walked over F's one-entry unit table, is the
-    coset table of F iota(x), whose entries are z' on the coset
-    representatives.  When y is c F the fold starts from y's own entry
-    instead and is the coset table of iota(x y) itself: kept as it is when
-    it ends at one entry at the identity, c' F, which iota fixes, and
-    otherwise expanded and mirrored.  A fold that comes out empty gives
-    zero, with no walk over iota(y).
+    x * y as iota(iota(y) z'), where y = F h and F iota(x) = F z' (see
+    the module docstring): the fold, iota(x)'s words walked over F's
+    one-entry unit table, is the coset table of F iota(x), whose entries
+    are z' on the coset representatives.  A y that keeps no coset table
+    has trivial blocks, F = 1, and z' = iota(x) with no walk.  When y is
+    c F the fold starts from y's own entry instead and is the coset table
+    of iota(x y) itself: kept as it is when it ends at one entry at the
+    identity, c' F, which iota fixes, and otherwise expanded and mirrored.
+    A fold that comes out empty gives zero, with no walk over iota(y).
     """
-    own = y._ck
-    whole = own.table.keys() == {0}
-    start = _chain_start(y) if whole else _packed(HeckeElement.unit(x.n)).with_blocks(own.blocks)
-    h = _expand_right(start, _iota(x))
-    if not h.table:
-        return HeckeElement.zero(x.n)
-    if not whole:
-        return _element(_expand_right(_mirrored(y), _element(h.with_blocks(None))).iota())
-    if h.table.keys() == {0}:
-        return _element(coset=h)
-    return _element(h.expanded().iota())
+    own, z = y._ck, _iota(x)
+    if own is not None:
+        whole = own.table.keys() == {0}
+        start = _chain_start(y) if whole else _packed(HeckeElement.unit(x.n)).with_blocks(own.blocks)
+        h = _expand_right(start, z)
+        if not h.table:
+            return HeckeElement.zero(x.n)
+        if whole:
+            return _element(coset=h) if h.table.keys() == {0} else _element(h.expanded().iota())
+        z = _element(h.with_blocks(None))
+    return _element(_expand_right(_mirrored(y), z).iota())
 
 
 def _descend(items: list, out: _Packed, lo: int, hi: int, depth: int, elem: _Packed) -> None:
@@ -1372,7 +1369,7 @@ def _kept(x: HeckeElement) -> _Packed:
 def _mirrored(x: HeckeElement) -> _Packed:
     """
     iota of x's packed table, as a chain starts from it, tidy and kept on x:
-    made on the first use, as the factor a product expands through iota.
+    made on the first use, as the right factor a fold's last walk runs on.
     """
     ik = x._ik
     if ik is None:

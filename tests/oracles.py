@@ -128,13 +128,22 @@ def coset_expansion_at_one(c: dict[Perm, int], parts: Sequence[int], unit: int) 
     The full table at s = 1 of the element whose coset table at s = 1 is c,
     for the contiguous value blocks of the given sizes: unit^length(u) c_v
     at u v for every u permuting the values within each block, unit 1 for
-    the row symmetrizers and -1 for the column antisymmetrizers.
+    the row symmetrizers and -1 for the column antisymmetrizers.  Every key
+    of c must be a minimal coset representative, each block's values
+    standing in increasing position order; any other key raises
+    ValueError, so a plain table passed for a coset table fails at once
+    instead of being expanded again, |S_lambda| times larger.
     """
     n = sum(parts)
     blocks, start = [], 1
     for part in parts:
         blocks.append(list(range(start, start + part)))
         start += part
+    for v in c:
+        position = {value: i for i, value in enumerate(v)}
+        for block in blocks:
+            if any(position[a] > position[b] for a, b in zip(block, block[1:])):
+                raise ValueError(f"{v} is not a minimal coset representative of blocks {parts}")
     out: dict[Perm, int] = {}
     for u in block_permutations(blocks, n):
         factor = unit ** length(u)

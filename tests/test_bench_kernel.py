@@ -6,7 +6,9 @@ the package (``symmetrizers._block_action``, ``_side``, ``_table``,
 must fail here rather than in the next timing run.  The ``start_*``,
 ``square_*``, ``twist_table_*`` and ``classical_*`` layers all run on the
 table of the side's start, ``left_fold_33`` and ``ft_left_33`` time the
-left products that fold onto coset representatives, ``build_read_7`` the
+left products that fold onto coset representatives, ``long_braid_ft6``
+and ``ft6_long_braid`` the two paths on a factor that keeps no coset
+table, the fold with trivial blocks and the direct walk, ``build_read_7`` the
 build and decode of every 7-cell e_lambda, ``closed_forms_8`` the closed
 forms of every diagram through 8 cells, and ``verify_main_5`` one
 in-process ``qyoung verify 5``.
@@ -35,6 +37,7 @@ def test_every_layer_runs_once():
     assert {"left_fold_33", "ft_left_33", "build_read_7", "closed_forms_8", "verify_main_5"} <= set(
         layers
     )
+    assert {"long_braid_ft6", "ft6_long_braid"} <= set(layers)
     assert len(layers["closed_forms_8"]()) == 66
     assert len(layers["build_read_7"]()) == 15
     assert layers["verify_main_5"]() == 0

@@ -587,7 +587,7 @@ def right_only_product(x, y):
 class TestProductBranches:
     # The side rule expands the factor whose walk is bounded by less work.
     # A long braid against a dense element is expanded itself: on the left
-    # through iota, on the right directly.
+    # by the fold with trivial blocks, through iota, on the right directly.
     SHORT, LONG = (0, 1, 1, 2, 2, 3), (7, 8, 8, 9, 9, 10)
 
     def test_both_branches_match_right_only_reference(self, monkeypatch):
@@ -654,9 +654,9 @@ def direct_branch(x, y):
     """
     x * y with y expanded through its reduced words, as a plain table: over
     x's own coset table and then expanded, as the product does, when x
-    keeps one and y is not a scalar, and over x's packed table otherwise.
+    keeps one, and over x's packed table otherwise.
     """
-    if x._ck is not None and hecke._costs(y)[0]:
+    if x._ck is not None:
         return hecke._expand_right(hecke._chain_start(x), y).expanded()
     return plain_branch(x, y)
 
@@ -822,16 +822,23 @@ class TestBranchesAgree:
             assert direct == kernel_free_product(x, y).coeffs
 
 
-def fold_factors(lam, p, y):
+def fold_factors(lam, p, y, dense):
     """
-    The right factors of lam's strand count that keep their own coset
-    table, each made afresh: e_lambda, R w_p (one entry, off the identity
-    unless p lies in S_lambda), e_lambda y (the table a product keeps) and
-    the sign side's start F w G (``symmetrizers._start``).  A factor whose
-    blocks would all be single strands keeps no table and is left out.
+    The right factors of lam's strand count, each made afresh.  Those that
+    keep their own coset table: e_lambda, R w_p (one entry, off the
+    identity unless p lies in S_lambda), e_lambda y (the table a product
+    keeps) and the sign side's start F w G (``symmetrizers._start``); a
+    factor whose blocks would all be single strands keeps no table and is
+    left out.  Those that keep none, folded with trivial blocks: the
+    mapping element dense and the full twist.
     """
     n = lam.n
-    out = {"e_lambda": lambda: e_lambda(lam), "kept product": lambda: e_lambda(lam) * y}
+    out = {
+        "e_lambda": lambda: e_lambda(lam),
+        "kept product": lambda: e_lambda(lam) * y,
+        "dense mapping": lambda: HeckeElement(n, dict(dense.coeffs)),
+        "full twist": lambda: full_twist(n),
+    }
     if lam.parts[0] > 1:
         out["row_element * w_p"] = lambda: row_element(lam) * basis(n, *p)
     if len(lam.parts) > 1:
@@ -848,9 +855,11 @@ class TestFoldedLeftProducts:
     # x * y for a y = F h that keeps its own coset table is iota(iota(y) z'),
     # with z' on the coset representatives and F iota(x) = F z': iota(x)'s
     # words are folded over F's one-entry unit table first (c F starts from
-    # its own entry).  Each product is compared, as a decoded mapping, with
-    # the direct and iota branches and the fold itself, and with the
-    # kernel-free product while H_n is small.
+    # its own entry).  A y that keeps no coset table is the fold with
+    # trivial blocks, F = 1: z' is iota(x) itself, with no walk.  Each
+    # product is compared, as a decoded mapping, with the direct and iota
+    # branches and the fold itself, and with the kernel-free product while
+    # H_n is small.
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -858,20 +867,38 @@ class TestFoldedLeftProducts:
         n = data.draw(st.integers(2, 6))
         lam = data.draw(st.sampled_from(list(all_partitions(n))))
         p = data.draw(st.permutations(range(1, n + 1)).map(tuple))
-        factors = fold_factors(lam, p, data.draw(mixed_element(n, False)))
+        sparse, dense = data.draw(mixed_element(n, False)), data.draw(mixed_element(n, True))
+        factors = fold_factors(lam, p, sparse, dense)
         y = factors[data.draw(st.sampled_from(sorted(factors)))]()
         x = data.draw(mixed_element(n, n < 6 and data.draw(st.booleans())))
         if x.is_zero() or y.is_zero():
             return
         product = (x * y).coeffs
+        assert hecke._folded(x, y).coeffs == product
         assert _element(direct_branch(x, y)).coeffs == product
         assert _element(iota_branch(x, y)).coeffs == product
-        if y._ck is not None:  # a product by a scalar keeps no coset table
+        if y._ck is not None:  # the dense mapping and the full twist keep none
             assert _element(folded_branch(x, y)).coeffs == product
         if one_entry(y):
             assert _element(one_entry_branch(x, y)).coeffs == product
         if n <= 4:
             assert product == kernel_free_product(x, y).coeffs
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_a_factor_without_a_coset_table_folds_with_trivial_blocks(self, term_steps, n):
+        # z' = iota(x) with no fold walk: the same steps as the iota branch.
+        rng = random.Random(n)
+        top = n * (n - 1) // 2
+        dense = seeded_element(rng, n, [rng.randint(0, top) for _ in range(math.factorial(n))])
+        for y in (dense, full_twist(n)):
+            for _ in range(4):
+                x = seeded_element(rng, n, [rng.randint(0, top) for _ in range(3)])
+                product = hecke._folded(x, y).coeffs
+                assert product == (x * y).coeffs == _element(iota_branch(x, y)).coeffs
+                if n <= 4:
+                    assert product == kernel_free_product(x, y).coeffs
+                folded = term_steps(lambda: hecke._folded(x, y))
+                assert folded == term_steps(lambda: iota_branch(x, y))
 
     @pytest.mark.parametrize(
         "lam", [Partition(p) for p in ((2,), (3, 1), (2, 2), (3, 3), (4, 2), (2, 2, 1, 1))], ids=str
@@ -1094,8 +1121,12 @@ class TestBasisBraidFactor:
         assert (x * unit(4).scale(S))._pk.table is _packed(x).table
 
     def test_product_with_the_unit_shares_the_table(self):
+        # x * 1 walks no word over the table x keeps, so it holds that very
+        # table: e_lambda's own coset table, never its expansion.
         x = e_lambda(Partition((2, 2)))
-        assert (x * unit(4))._pk is _packed(x)
+        product = x * unit(4)
+        assert product._ck is hecke._chain_start(x) and product._pk is None
+        assert x._pk is None
         assert x * unit(4) == x == unit(4) * x
 
 
@@ -1112,7 +1143,7 @@ def kept_forms(x):
 
 @pytest.mark.parametrize("lam", [Partition(p) for p in ((3,), (2, 1), (1, 1, 1), (3, 1), (2, 2))], ids=str)
 def test_products_with_basis_braids_leave_kept_forms_alone(lam):
-    # A product may share an input's tables (x * 1 holds x's packed table,
+    # A product may share an input's tables (x * 1 holds x's own table,
     # and a left product starts from the other factor's kept iota); chains,
     # sums and products run on the results must not write into them.
     n = lam.n
@@ -1163,7 +1194,7 @@ class TestKeptIota:
     def test_results_keep_no_iota(self):
         ft4, w = full_twist(4), basis(4, 3, 1, 4, 2)
         assert (w * ft4)._ik is None and (ft4 * w)._ik is None
-        assert ft4._ik is not None  # w * ft4 expanded w through iota
+        assert ft4._ik is not None  # w * ft4 folded w with trivial blocks over it
 
 
 @pytest.fixture

@@ -36,9 +36,10 @@ a difference between trees.  Compare ``at_ref_s`` between two trees.  The layers
   entry, with no iota, and the result keeps that one entry alone;
 - ``long_braid_ft6`` / ``ft6_long_braid``: the products w_p * ft_6 and
   ft_6 * w_p for the longest p, of length 15.  The full twist keeps no
-  coset table, and the side rule expands the one-term w_p, through iota
-  when it is the left factor and directly when it is the right one, so
-  these layers time both dense branches;
+  coset table, and the side rule expands the one-term w_p on either side:
+  as the left factor by the fold with trivial blocks, iota(w_p)'s 15
+  steps walked over iota(ft_6) with no fold walk before them, and as the
+  right factor directly, so these layers time both paths;
 - ``e6_long_braid`` / ``e6_sparse``: the products e_lambda(3,3) * w_p for
   p = LONG_BRAID and e_lambda(3,3) * y for SPARSE_Y, two terms of lengths
   2 and 4 as in the benchmark's sparse factors.  y is expanded directly,
