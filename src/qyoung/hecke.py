@@ -156,6 +156,29 @@ So the step tests the blocks only for a term whose partner is missing
 per (blocks, i) filled for the ranks met, and reads the unit once per
 step of a coset table; a plain table's step never reads it.
 
+Relabel runs (``_Packed.mul_word``).  A letter often only relabels a
+table: every term either moves to its partner's rank with no z term left
+behind (the lengthening way for g_i, the shortening way for g_i^-1, its
+partner absent) or stays in its block, times the unit for g_i and its
+inverse for g_i^-1.  When every term does one of these, no partner is
+present: of a present pair the shorter member moves the lengthening way
+and the longer the shortening way, so one of them moves the way that
+leaves a z term, and neither stays, since the partner of a term inside
+one block is not a representative.  Lengths add along such a letter,
+which is what makes the relabelling exact.  A run of such letters then
+needs no table per letter: the walk carries each entry's rank, and its
+count of in-block hits, through the run and writes the run's table once,
+each entry times the unit's power, s^(+-hits) negated once per hit on the
+sign side.  The digits are the entries' own, so B does not grow across a
+run, where each step would triple it, and K and the zero low digits stay.
+Each letter of a run is checked before it is taken.  The walk tries the
+first letter and every letter after a relabelled one or after a step
+that only moved entries, which it reads off the step's two tables: the
+entry count kept, and every rank they share an in-block hit.  Any other
+letter, and one whose try fails, is stepped.  e_lambda's build walks
+w_d^-1 this way: on the row side, once one letter only relabels, every
+later letter does too, and on the sign side runs end and resume.
+
 Expansion (``_Packed.expanded``) writes each entry of R h from its coset
 table once, by rank arithmetic, with no step and no iota.  u in
 S_lambda only relabels the values within each block, and a block's values
@@ -1246,6 +1269,109 @@ class _Packed:
                     zc = (c << k) - (c >> k)
                     out[p] = zc if plus else -zc
         return _Packed(pk.n, out, pk.val, k, 3 * pk.bound, pk.low - 1, blocks=blocks)
+
+    def mul_word(self, word: Iterable[int], sign: int = 1) -> _Packed:
+        """
+        Right multiplication by g_i (sign=+1) or g_i^-1 (sign=-1) for each
+        letter i of word in turn, in relabel runs (see the module
+        docstring).  The first letter, and each letter after one that only
+        moved entries, is tried as a relabelling of the ranks so far
+        (``_moved``), which carries every entry's count of in-block hits.
+        A letter that fails, or follows a step that did more, is stepped
+        (``mul_generator``) on the run's table, written once
+        (``_relabelled``), and so is the last run's at the end.
+        """
+        pk, ranks, hits, tried = self, None, None, True  # ranks is None while no run is open
+        for i in word:
+            moved = pk._moved(pk.table if ranks is None else ranks, i, sign) if tried else None
+            if moved is None:
+                if ranks is not None:
+                    pk, ranks, hits = pk._relabelled(ranks, hits, sign), None, None
+                before, pk = pk, pk.mul_generator(i, sign)
+                tried = pk._only_moved(before, i)
+                continue
+            ranks, inner = moved
+            if inner:
+                if hits is None:
+                    hits = [0] * len(ranks)
+                for j in inner:
+                    hits[j] += 1
+        return pk if ranks is None else pk._relabelled(ranks, hits, sign)
+
+    def _only_moved(self, before: _Packed, i: int) -> bool:
+        """
+        Whether this table, the step of before by letter i, met no pair and
+        left no z term, read off the two tables without a flag in the step:
+        such a step keeps the number of entries, and every rank the two
+        share is an in-block hit.  A z term leaves its rank shared, and so
+        does the longer member of a pair, which is never in-block.
+        """
+        if len(self.table) != len(before.table):
+            return False
+        shared = filter(before.table.__contains__, self.table)
+        if self.blocks is None:
+            return next(shared, None) is None
+        return all(map(_inside_memo(self.blocks, i).get, shared))
+
+    def _moved(
+        self, ranks: Iterable[int], i: int, sign: int
+    ) -> Optional[tuple[list[int], list[int]]]:
+        """
+        One letter of a relabel run on this table's entries, now at ranks:
+        where g_i^sign takes each, and the positions of those that stay in
+        their block, or None as soon as one entry would leave a z term, so
+        that the letter must be stepped.  A term that moves the lengthening
+        way for g_i, or the shortening way for g_i^-1, leaves none; when
+        every term does that or stays, no partner is present, since of a
+        present pair one member moves the other way and neither stays.
+        """
+        weight, size, shifts = _partner_shifts(self.n, i)
+        blocks, plus = self.blocks, sign == 1
+        inside = None if blocks is None else _inside_memo(blocks, i)
+        moved: list[int] = []
+        inner: list[int] = []
+        move = moved.append
+        for j, p in enumerate(ranks):
+            q = p + shifts[p // weight % size]
+            if q > p:
+                # Only a lengthening partner can lie in one block: a
+                # representative's block values stand in increasing order.
+                if inside is not None:
+                    within = inside.get(p)
+                    if within is None:
+                        within = inside[p] = _within_block(blocks, i, _perm_of(self.n, p))
+                    if within:
+                        move(p)
+                        inner.append(j)
+                        continue
+                if not plus:
+                    return None
+            elif plus:
+                return None
+            move(q)
+        return moved, inner
+
+    def _relabelled(self, ranks: list[int], hits: Optional[list[int]], sign: int) -> _Packed:
+        """
+        The table a relabel run ends at: this table's j-th entry at
+        ranks[j], times the block unit to the power hits[j] for g_i and
+        its inverse's for g_i^-1 (no power when hits is None), that is
+        s^(e hits[j]) with e = +-1, negated for each hit on the sign side.
+        V moves to the least power, so that every entry is shifted left,
+        and B, K and the zero low digits carry over: a relabelling writes
+        the digits unchanged.
+        """
+        entries, blocks, k = self.table.values(), self.blocks, self.k
+        if hits is None:
+            table = dict(zip(ranks, entries))
+            return _Packed(self.n, table, self.val, k, self.bound, self.low, self.tidy, blocks)
+        e = 1 if (sign == 1) == blocks.row else -1
+        base = min(hits) if e > 0 else -max(hits)
+        table = {}
+        for r, c, h in zip(ranks, entries, hits):
+            c <<= k * (e * h - base)
+            table[r] = -c if h & 1 and not blocks.row else c
+        return _Packed(self.n, table, self.val + base, k, self.bound, self.low, blocks=blocks)
 
     def add_times(self, other: _Packed, c: LaurentPoly) -> None:
         """

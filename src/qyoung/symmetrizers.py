@@ -54,8 +54,10 @@ pass to G w_{w^-1} = sum of u_G^length(v) w_{v w^-1} (``hecke._Packed.
 expanded``: each entry written by rank arithmetic, with no step), mirrors
 it by one iota to w G and reads that with F's blocks: the product of G's
 blocks' k! entries and one iota on either side, tidy as built, and
-nothing of the other side's table.  ``_table`` makes the length(w)
-inverse steps from x to y's own table, for ``e_lambda`` alone:
+nothing of the other side's table.  ``_table`` walks the length(w)
+letters of w^-1 from x to y's own table, for ``e_lambda`` alone,
+stepping a letter only where it meets a pair or leaves a z term and
+relabelling the entries in between (``hecke._Packed.mul_word``):
 ``column_element`` is the row side's w_d B stepped back as a plain table,
 and ``row_element`` is R's one-entry coset table.  ``e_lambda`` keeps its
 coset table, expanded on first need: the row side's table h as the
@@ -299,10 +301,11 @@ def _start(side: _Side) -> _Packed:
 def _table(side: _Side) -> _Packed:
     """
     The side's symmetrizer as its own coset table: the start (``_start``),
-    then length(w_word) inverse steps, for ``e_lambda`` alone.  It is left
-    as the steps made it; the first chain on e_lambda tidies it.
+    then the walk of w_word^-1's length(w_word) letters, each stepped or
+    relabelled (``hecke._Packed.mul_word``), for ``e_lambda`` alone.  It
+    is left as the walk made it; the first chain on e_lambda tidies it.
     """
-    return _mul_word_inverse(_start(side), side)
+    return _start(side).mul_word(reversed(side.word), -1)
 
 
 def row_element(lam: Partition) -> HeckeElement:

@@ -8,8 +8,9 @@ must fail here rather than in the next timing run.  The ``start_*``,
 table of the side's start, ``left_fold_33`` and ``ft_left_33`` time the
 left products that fold onto coset representatives, ``long_braid_ft6``
 and ``ft6_long_braid`` the two paths on a factor that keeps no coset
-table, the fold with trivial blocks and the direct walk, ``build_read_7`` the
-build and decode of every 7-cell e_lambda, ``closed_forms_8`` the closed
+table, the fold with trivial blocks and the direct walk, ``build_all_7``
+the build of every 7-cell e_lambda, ``build_2x1x6`` that of (2,1^6),
+``build_read_7`` the build and decode of every 7-cell e_lambda, ``closed_forms_8`` the closed
 forms of every diagram through 8 cells, and ``verify_main_5`` one
 in-process ``qyoung verify 5``.
 """
@@ -38,7 +39,9 @@ def test_every_layer_runs_once():
         layers
     )
     assert {"long_braid_ft6", "ft6_long_braid"} <= set(layers)
+    assert {"build_all_7", "build_2x1x6"} <= set(layers)
     assert len(layers["closed_forms_8"]()) == 66
+    assert len(layers["build_all_7"]()) == 15
     assert len(layers["build_read_7"]()) == 15
     assert layers["verify_main_5"]() == 0
     for tag in ("44", "8", "1x8", "2x1x6"):

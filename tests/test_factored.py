@@ -12,6 +12,7 @@ import math
 import pytest
 
 from qyoung import central, hecke
+from qyoung import permutations as perms
 from qyoung import symmetrizers as sym
 from qyoung.central import full_twist, twist_eigenvalue
 from qyoung.hecke import HeckeElement, _element, _packed, _Packed
@@ -151,23 +152,56 @@ class TestInputsUnchanged:
         assert state(_packed(e)) == fresh
 
 
+def spy_letters(monkeypatch, record):
+    """
+    Calls record("stepped") for each packed generator step and
+    record("relabelled") for each letter a word walk relabels
+    (``_Packed.mul_word``, through ``_Packed._moved`` when it returns the
+    moved ranks), so that every letter walked is recorded once.
+    """
+    step, moved = _Packed.mul_generator, _Packed._moved
+
+    def stepped(self, *args, **kwargs):
+        record("stepped")
+        return step(self, *args, **kwargs)
+
+    def relabelled(self, *args, **kwargs):
+        out = moved(self, *args, **kwargs)
+        if out is not None:
+            record("relabelled")
+        return out
+
+    monkeypatch.setattr(_Packed, "mul_generator", stepped)
+    monkeypatch.setattr(_Packed, "_moved", relabelled)
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """
-    Counts of packed generator steps, under "mul_generator", and of
-    HeckeElement.__mul__ calls.  Every chain steps through
-    _Packed.mul_generator; HeckeElement.mul_generator is the one-step chain.
+    Counts of generator letters walked, under "letters", and of
+    HeckeElement.__mul__ calls.  Every chain walks its letters through
+    _Packed.mul_generator, or, in e_lambda's build, relabels some of them
+    in a word walk (``spy_letters``); HeckeElement.mul_generator is the
+    one-step chain.
     """
     counts = collections.Counter()
-    for owner, name in ((_Packed, "mul_generator"), (HeckeElement, "__mul__")):
-        original = getattr(owner, name)
+    spy_letters(monkeypatch, lambda kind: counts.update(("letters",)))
+    original = HeckeElement.__mul__
 
-        def spy(self, *args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(self, *args, **kwargs)
+    def spy(self, *args, **kwargs):
+        counts["__mul__"] += 1
+        return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(owner, name, spy)
+    monkeypatch.setattr(HeckeElement, "__mul__", spy)
     return counts
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The letters walked, in order: "S" for a packed step, "R" for a relabelled letter."""
+    letters = []
+    spy_letters(monkeypatch, lambda kind: letters.append(kind[0].upper()))
+    return letters
 
 
 @pytest.fixture
@@ -229,10 +263,11 @@ def e_lambda_steps(lam):
 
 def build_steps(lam):
     """
-    The steps that build e_lambda's table: length(d) inverse steps from the
-    row side's start.  The start itself, its expansion to w_d B and
-    e_lambda's to R h take none, and the start is what the square and the
-    twist read.
+    The letters that build e_lambda's table: the length(d) letters of
+    w_d^-1 walked from the row side's start, each stepped or relabelled
+    (``hecke._Packed.mul_word``).  The start itself, its expansion to
+    w_d B and e_lambda's to R h take none, and the start is what the
+    square and the twist read.
     """
     return oracles.length(lam.column_reading_permutation())
 
@@ -241,18 +276,18 @@ def build_steps(lam):
 class TestGeneratorSteps:
     def test_square(self, lam, calls):
         e_lambda(lam)
-        assert calls == collections.Counter(mul_generator=build_steps(lam))
+        assert calls == collections.Counter(letters=build_steps(lam))
         calls.clear()
         side = sym._side(lam, True)
         x = sym._start(side)
         assert calls == collections.Counter()
         sym._mul_symmetrizer(x, side)
-        assert calls == collections.Counter(mul_generator=e_lambda_steps(lam))
+        assert calls == collections.Counter(letters=e_lambda_steps(lam))
 
     def test_alpha_extract_builds_then_squares(self, lam, calls, touched):
         alpha_extract(lam)
         assert calls["__mul__"] == 0
-        assert calls["mul_generator"] == e_lambda_steps(lam)
+        assert calls["letters"] == e_lambda_steps(lam)
         # The square steps the coset table of e w_d (row side) or of
         # f w_{d^-1} (sign side): each step touches the side's Young
         # subgroup order times fewer entries than the same step on the
@@ -269,11 +304,11 @@ class TestGeneratorSteps:
         x = _packed(e)
         calls.clear()
         central._mul_full_twist(x)
-        assert calls == collections.Counter(mul_generator=lam.n * (lam.n - 1))
+        assert calls == collections.Counter(letters=lam.n * (lam.n - 1))
         calls.clear()
         twist_eigenvalue(lam)
         assert calls["__mul__"] == 0
-        assert calls["mul_generator"] == lam.n * (lam.n - 1)
+        assert calls["letters"] == lam.n * (lam.n - 1)
 
     def test_twist_touches_the_coset_table(self, lam, touched):
         steps = lam.n * (lam.n - 1)
@@ -319,3 +354,149 @@ class TestOneConversionPerChain:
 def test_step_count_of_a_hook():
     # (2,1): one row block of 2, one column block of 2, d = (1,3,2) of length 1.
     assert e_lambda_steps(Partition((2, 1))) == 1 + 1 + 2
+
+
+# -- relabel runs: e_lambda's build walks w^-1 ---------------------------------------
+
+
+def state(pk):
+    return pk.table, pk.val, pk.k, pk.bound, pk.low, pk.blocks
+
+
+def check_inverse_walk(side):
+    """
+    The word walk of w^-1 from the side's start, on its coset table and on
+    the same entries read as a plain table, against the stepwise walk
+    (``symmetrizers._mul_word_inverse``): the same ints, V, K, B and low
+    once both are tidied, and the start unchanged.
+    """
+    x = sym._start(side)
+    for start in (x, x.with_blocks(None)):
+        table = dict(start.table)
+        walk = start.mul_word(reversed(side.word), -1)
+        assert state(walk._tidied()) == state(sym._mul_word_inverse(start, side)._tidied())
+        assert start.table == table
+
+
+BOTH_SIDES = pytest.mark.parametrize("on_row", [True, False], ids=["row", "sign"])
+SEVEN = list(partitions_up_to(7))
+
+
+@BOTH_SIDES
+@pytest.mark.parametrize("lam", SEVEN, ids=str)
+def test_word_walk_is_the_stepwise_walk(lam, on_row):
+    check_inverse_walk(sym._side(lam, on_row))
+
+
+@pytest.mark.slow
+@BOTH_SIDES
+@pytest.mark.parametrize("lam", list(all_partitions(8)), ids=str)
+def test_word_walk_is_the_stepwise_walk_eight_cells(lam, on_row):
+    check_inverse_walk(sym._side(lam, on_row))
+
+
+def pure_letters(side):
+    """
+    Which letters of the side's walk of w^-1 only relabel ("P") and which
+    must be stepped ("."), read off each stepwise table with permutations
+    alone: a letter is pure when every term moves the shortening way with
+    its partner absent, or has the letter's two values in one block.
+    """
+    blocks = side.first
+    block = {}
+    if blocks is not None:
+        for b, (part, offset) in enumerate(zip(blocks.parts, blocks.offsets)):
+            block.update((v, b) for v in range(offset + 1, offset + part + 1))
+    x, out = sym._start(side), ""
+    for i in reversed(side.word):
+        terms = {hecke._perm_of(x.n, r) for r in x.table}
+
+        def pure(p):
+            q = perms.right_mult_gen(p, i)
+            if perms.length(q) < perms.length(p):
+                return q not in terms
+            return p[i - 1] in block and block[p[i - 1]] == block.get(p[i])
+
+        out += "P" if all(map(pure, terms)) else "."
+        x = x.mul_generator(i, -1)
+    return out
+
+
+@pytest.mark.parametrize("lam", SEVEN, ids=str)
+def test_row_side_runs_last_to_the_end(lam):
+    # On the row side, once one letter only relabels, every later letter does too.
+    purity = pure_letters(sym._side(lam, True))
+    assert purity == "." * purity.count(".") + "P" * purity.count("P")
+
+
+# Sign-side walks whose relabel runs end and resume: which letters are pure
+# and how the walk took them ("R" relabelled, "S" stepped).  The first
+# letter is tried; a pure letter right after a stepped impure one is
+# stepped, and that step, found to have only moved entries, reopens a run.
+RUNS = [
+    ((2, 2, 1), "P.P", "RSS"),
+    ((2, 2, 1, 1), "PP.PP", "RRSSR"),
+    ((4, 3, 1), "...PP..PP.P", "SSSSRSSSRSS"),
+]
+
+
+@pytest.mark.parametrize("parts, purity, letters", RUNS, ids=[str(r[0]) for r in RUNS])
+def test_sign_side_runs_end_and_resume(parts, purity, letters, walked):
+    side = sym._side(Partition(parts), False)
+    assert pure_letters(side) == purity
+    del walked[:]
+    sym._table(side)
+    assert "".join(walked) == letters
+    check_inverse_walk(side)
+
+
+# (diagram, letters stepped, letters relabelled) of e_lambda's build for
+# every 7-cell diagram: 93 letters in all, 40 stepped and 53 relabelled.
+BUILD_SPLIT_7 = [
+    ((7,), 0, 0),
+    ((6, 1), 0, 5),
+    ((5, 2), 2, 5),
+    ((5, 1, 1), 0, 8),
+    ((4, 3), 4, 2),
+    ((4, 2, 1), 4, 5),
+    ((4, 1, 1, 1), 0, 9),
+    ((3, 3, 1), 7, 0),
+    ((3, 2, 2), 4, 3),
+    ((3, 2, 1, 1), 6, 3),
+    ((3, 1, 1, 1, 1), 0, 8),
+    ((2, 2, 2, 1), 6, 0),
+    ((2, 2, 1, 1, 1), 7, 0),
+    ((2, 1, 1, 1, 1, 1), 0, 5),
+    ((1, 1, 1, 1, 1, 1, 1), 0, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "parts, stepped, relabelled", BUILD_SPLIT_7, ids=[str(b[0]) for b in BUILD_SPLIT_7]
+)
+def test_seven_cell_builds_step_and_relabel(parts, stepped, relabelled, walked):
+    lam = Partition(parts)
+    e_lambda(lam)
+    assert (walked.count("S"), walked.count("R")) == (stepped, relabelled)
+    assert stepped + relabelled == build_steps(lam)
+
+
+@BOTH_SIDES
+@pytest.mark.parametrize("n", range(2, 8))
+def test_band_words_on_one_entry_tables_only_relabel(n, on_row, walked):
+    # The one-entry start of (n) on the row side and of (1^n) on the sign
+    # side: every letter of a forward band word is an in-block hit, by s
+    # on the row side and by -s^-1 on the sign side.
+    x = sym._start(sym._side(Partition((n,) if on_row else (1,) * n), on_row))
+    assert len(x.table) == 1
+    unit = S if on_row else NEG_S_INV
+    for j in range(2, n + 1):
+        word = central._band_word(j)
+        del walked[:]
+        walk = x.mul_word(word)
+        assert walked == ["R"] * len(word)
+        steps = x
+        for i in word:
+            steps = steps.mul_generator(i)
+        assert state(walk._tidied()) == state(steps._tidied())
+        assert _element(coset=walk) == _element(coset=x).scale(unit ** len(word))

@@ -61,9 +61,15 @@ a difference between trees.  Compare ``at_ref_s`` between two trees.  The layers
   warm-up call fills the S_8 rank memos;
 - ``build_43`` / ``build_7`` / ``build_2x1x5`` / ``build_1x7``: ``e_lambda``
   of the 7-cell diagrams (4,3), (7), (2,1^5) and (1^7): the start w_d B
-  expanded from one entry, one iota and the length(d) inverse steps on
-  R's coset table, which e_lambda keeps as it is, with no tidy and no
-  expansion to R h; (7) and (1^7) are the one-entry start alone;
+  expanded from one entry, one iota and the walk of w_d^-1's length(d)
+  letters on R's coset table, stepped or relabelled
+  (``hecke._Packed.mul_word``), which e_lambda keeps as it is, with no
+  tidy and no expansion to R h; (7) and (1^7) are the one-entry start
+  alone.  (4,3) steps 4 letters and relabels 2, (2,1^5) relabels all 5;
+- ``build_2x1x6``: the same build for the 8-cell diagram (2,1^6), whose 6
+  letters all relabel its 5040 entries;
+- ``build_all_7``: ``e_lambda`` of all 15 diagrams of 7 cells, with no
+  decode: the builds alone, as the benchmark's build7 workload times them;
 - ``build_read_7``: ``e_lambda`` and then ``coeffs`` for all 15 diagrams
   of 7 cells, timed together: each build and the decode of R h (B h for
   (1^7)) straight from its coset table, as the benchmark's build7
@@ -90,7 +96,8 @@ a difference between trees.  Compare ``at_ref_s`` between two trees.  The layers
   ``central._twist`` on x, as ``qyoung verify`` runs it;
 - ``sign_table_2x2x2x2`` / ``sign_table_1x8``: the sign side's build of
   f's own coset table (``symmetrizers._table`` of the sign side, the
-  start and its length(d) inverse steps), for (2,2,2,2) and (1^8);
+  start and the walk of its length(d) inverse letters), for (2,2,2,2) and
+  (1^8);
 - ``classical_4x4`` / ``classical_2x2x2x2``: the classical-limit check of
   ``qyoung verify`` on the start for (4,4) (row side) and (2,2,2,2) (sign
   side): x read at s = 1 (``symmetrizers._at_one``) and tested by
@@ -209,6 +216,12 @@ def _classical(lam):
     return lambda: invariants.is_classical_coset_table(sym._at_one(x), lam, side.row)
 
 
+def _build_all(cells: int):
+    """e_lambda, never read, for every diagram of ``cells`` cells."""
+    lams = list(all_partitions(cells))
+    return lambda: [sym.e_lambda(lam) for lam in lams]
+
+
 def _build_read(cells: int):
     """e_lambda and its decoded coefficients, for every diagram of ``cells`` cells."""
     lams = list(all_partitions(cells))
@@ -259,6 +272,8 @@ def layers() -> dict:
         "build_7": lambda: sym.e_lambda(Partition((7,))),
         "build_2x1x5": lambda: sym.e_lambda(Partition((2, 1, 1, 1, 1, 1))),
         "build_1x7": lambda: sym.e_lambda(Partition((1,) * 7)),
+        "build_2x1x6": lambda: sym.e_lambda(Partition((2,) + (1,) * 6)),
+        "build_all_7": _build_all(7),
         "build_read_7": _build_read(7),
         "row_element_8": lambda: sym.row_element(Partition((8,))),
         "expand_8": _lazy(lambda: sym.e_lambda(Partition((8,)))._ck.expanded),
