@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from . import permutations as perms
 from .errors import NotEigenvector
-from .hecke import HeckeElement, _element, _packed, _Packed
+from .hecke import HeckeElement, _element, _Packed
 from .laurent import LaurentPoly
 from .partitions import Partition
 # e_lambda is bound here too, as ``central.e_lambda``, for callers that
@@ -49,11 +49,12 @@ def _band_word(j: int) -> tuple[int, ...]:
 def murphy(n: int, j: int) -> HeckeElement:
     """
     The j-th nested band element g_{j-1} ... g_1 g_1 ... g_{j-1} on n
-    strands, for 2 <= j <= n.
+    strands, for 2 <= j <= n: the band word stepped from the unit's
+    one-entry table (``hecke._Packed.basis``).
     """
     if not 2 <= j <= n:
         raise IndexError(f"band index {j} out of range for {n} strands")
-    out = _packed(HeckeElement.unit(n))
+    out = _Packed.basis(n)
     for i in _band_word(j):
         out = out.mul_generator(i)
     return _element(out)

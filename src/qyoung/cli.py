@@ -59,9 +59,6 @@ def _print_element(elem: HeckeElement, fmt: str) -> None:
 
 
 def _cmd_symmetrizer(args: argparse.Namespace, anti: bool) -> int:
-    if args.n < 1:
-        print(f"error: need a strand count >= 1, got {args.n}", file=sys.stderr)
-        return 2
     build = symmetrizers.antisymmetrizer if anti else symmetrizers.symmetrizer
     _print_element(build(args.n), args.format)
     return 0

@@ -728,7 +728,7 @@ def _folded(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     own, z = y._ck, _iota(x)
     if own is not None:
         whole = own.table.keys() == {0}
-        start = _chain_start(y) if whole else _packed(HeckeElement.unit(x.n)).with_blocks(own.blocks)
+        start = _chain_start(y) if whole else _Packed.basis(x.n, blocks=own.blocks)
         h = _expand_right(start, z)
         if not h.table:
             return HeckeElement.zero(x.n)
@@ -1095,11 +1095,13 @@ class _Packed:
     the digit bound B, the guaranteed zero low digits, whether the table
     is tidy (as an encode leaves it, with exactly _REBASE zero low digits
     and B its true largest digit), and the blocks of a coset table (None
-    on a plain one).  Chains start from ``_packed(x)`` and end in
-    ``_element(result)``; only this module builds one or reads the
-    fields.  Steps return new tables; ``add_times`` accumulates into its
-    own table in place, so an accumulator starts as ``copy()`` or
-    ``zero(n)``, never as a table an element holds.
+    on a plain one).  Chains start from ``_packed(x)``, or from a basis
+    braid's one-entry table (``basis``), the start of every idempotent
+    and of every fold, and end in ``_element(result)``; only this module
+    builds one or reads the fields.  Steps return new tables;
+    ``add_times`` accumulates into its own table in place, so an
+    accumulator starts as ``copy()`` or ``zero(n)``, never as a table an
+    element holds.
     """
 
     __slots__ = ("n", "table", "val", "k", "bound", "low", "tidy", "blocks")
@@ -1127,6 +1129,18 @@ class _Packed:
     @staticmethod
     def zero(n: int) -> _Packed:
         return _Packed(n, {}, 0, 64, 0, _REBASE, tidy=True)
+
+    @staticmethod
+    def basis(n: int, p: Optional[Perm] = None, blocks: Optional[_Blocks] = None) -> _Packed:
+        """
+        The one-entry table of w_p, the identity for p None, read with
+        blocks, as an encode of w_p leaves it: K 64, _REBASE zero low
+        digits, B 1, tidy.  p is one the kernel computed, never checked,
+        and a minimal coset representative of blocks, so that the table
+        stands for F w_p for F the blocks' sum.
+        """
+        r = 0 if p is None else _rank(p)
+        return _Packed(n, {r: 1 << (64 * _REBASE)}, -_REBASE, 64, 1, _REBASE, True, blocks)
 
     def copy(self) -> _Packed:
         return _Packed(

@@ -142,7 +142,18 @@ class LaurentPoly:
             return other
         if not other.coeffs:
             return self
-        return _add_dense(other.val, list(other.coeffs), self)
+        # self added into a copy of other's coefficients in one dense list
+        # pass; the constructor trims, so the result is canonical.
+        val, dense, ac = other.val, list(other.coeffs), self.coeffs
+        lo = self.val - val
+        if lo < 0:
+            dense[:0] = [0] * -lo
+            val, lo = self.val, 0
+        hi = lo + len(ac)
+        if hi > len(dense):
+            dense.extend([0] * (hi - len(dense)))
+        dense[lo:hi] = [x + y for x, y in zip(dense[lo:hi], ac)]
+        return LaurentPoly(val, dense)
 
     __radd__ = __add__
 
@@ -279,28 +290,6 @@ ONE = LaurentPoly(0, (1,))
 S = LaurentPoly(1, (1,))
 # The eigenvalue of every generator on the one-column element.
 NEG_S_INV = LaurentPoly(-1, (-1,))
-
-
-# -- dense sums --------------------------------------------------------------------
-
-
-def _add_dense(val: int, dense: list[int], a: LaurentPoly) -> LaurentPoly:
-    """
-    The polynomial with coefficients ``dense`` from s^val, plus a, built in
-    one dense list pass; the result is canonical.  LaurentPoly.__add__ is
-    this on a copy of one summand.
-    """
-    ac = a.coeffs
-    if ac:
-        lo = a.val - val
-        if lo < 0:
-            dense[:0] = [0] * -lo
-            val, lo = a.val, 0
-        hi = lo + len(ac)
-        if hi > len(dense):
-            dense.extend([0] * (hi - len(dense)))
-        dense[lo:hi] = [x + y for x, y in zip(dense[lo:hi], ac)]
-    return LaurentPoly(val, dense)
 
 
 def qint(k: int) -> LaurentPoly:

@@ -49,12 +49,15 @@ S_F coset.  Hence, with u_G the unit of G's blocks,
     F w G = sum over v in S_G of u_G^length(v) F w_{w v}
 
 is the plain table w G read as a coset table of F, exactly, with |S_G|
-entries.  The build expands the one-entry coset table of G at w^-1 in one
-pass to G w_{w^-1} = sum of u_G^length(v) w_{v w^-1} (``hecke._Packed.
-expanded``: each entry written by rank arithmetic, with no step), mirrors
-it by one iota to w G and reads that with F's blocks: the product of G's
-blocks' k! entries and one iota on either side, tidy as built, and
-nothing of the other side's table.  ``_table`` walks the length(w)
+entries.  The build starts from the one-entry coset table of G at w^-1,
+which the kernel writes as an encode would leave it (``hecke._Packed.
+basis``: w^-1 is a minimal coset representative of S_G, and no element
+is built or checked for it), expands it in one pass to G w_{w^-1} = sum
+of u_G^length(v) w_{v w^-1} (``hecke._Packed.expanded``: each entry
+written by rank arithmetic, with no step), mirrors it by one iota to w G
+and reads that with F's blocks: the product of G's blocks' k! entries
+and one iota on either side, tidy as built, and nothing of the other
+side's table.  ``_table`` walks the length(w)
 letters of w^-1 from x to y's own table, for ``e_lambda`` alone,
 stepping a letter only where it meets a pair or leaves a z term and
 relabelling the entries in between (``hecke._Packed.mul_word``):
@@ -102,7 +105,7 @@ on its first read.  An element keeps only its own tables: e_lambda of
 other diagram the row side's, and a product or step of one of them the
 table its chain ran on.  This module sees a packed table only through its
 steps, sums, blocks, expansion and iota, and writes none: ``hecke``
-alone does.
+alone does, the one-entry starts included (``_Packed.basis``).
 
 ``symmetrizer`` and ``antisymmetrizer`` are the sum of u^length(p) w_p
 over S_n, for u = s or -s^-1: the unit's one-entry coset table for the
@@ -132,16 +135,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import permutations as perms
 from .errors import NotQuasiIdempotent
-from .hecke import (
-    HeckeElement,
-    ScalarReport,
-    _Blocks,
-    _decode,
-    _element,
-    _extract,
-    _packed,
-    _Packed,
-)
+from .hecke import HeckeElement, ScalarReport, _Blocks, _element, _extract, _Packed
 from .laurent import LaurentPoly
 from .partitions import Partition
 from .permutations import Perm
@@ -150,15 +144,16 @@ from .permutations import Perm
 def _one_dimensional(n: int, row: bool) -> HeckeElement:
     """
     The sum of u^length(p) * w_p over S_n, u = s for the row side (``row``)
-    and -s^-1 for the sign side, guarded first: the unit's one-entry coset
-    table for the single block of n strands, kept, and expanded on first
-    need.
+    and -s^-1 for the sign side, guarded first, the one check of the strand
+    count for ``symmetrizer``, ``antisymmetrizer`` and the CLI's ``sym``
+    and ``antisym``: the unit's one-entry coset table for the single block
+    of n strands, written by the kernel (``hecke._Packed.basis``), kept,
+    and expanded on first need.
     """
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise ValueError(f"need a strand count >= 1, got {n}")
     perms.check_size(f"the enumeration of S_{n}", n)
-    one = _packed(HeckeElement.unit(n)).with_blocks(_Blocks.of((n,), row))
-    return _element(coset=one)
+    return _element(coset=_Packed.basis(n, blocks=_Blocks.of((n,), row)))
 
 
 def symmetrizer(n: int) -> HeckeElement:
@@ -286,15 +281,16 @@ def _start(side: _Side) -> _Packed:
     as built: w_word second, read with the first blocks, exact since each
     w_word v is a minimal coset representative of their subgroup (see the
     module docstring).  w_word second is second w_word^-1, held as its
-    coset table of one entry at the inverse of ``at``, expanded in one
+    coset table of one entry at the inverse of ``at``, a minimal coset
+    representative of the second blocks' subgroup, written by the kernel
+    (``hecke._Packed.basis``) with no element built, expanded in one
     pass to the sum of u^length(v) w_{v w_word^-1} over the second blocks'
     subgroup, u their unit, and mirrored by one iota, which fixes the
     block sums and reverses the product.  An empty word, for (n) and
     (1^n), needs no iota: w_word second is the block sum itself.  When the
     first blocks are trivial the table is plain and is x itself.
     """
-    one = _packed(HeckeElement.basis_element(len(side.at), perms.inverse(side.at)))
-    start = one.with_blocks(side.second).expanded()
+    start = _Packed.basis(len(side.at), perms.inverse(side.at), side.second).expanded()
     return (start.iota() if side.word else start).with_blocks(side.first)
 
 
@@ -311,12 +307,12 @@ def _table(side: _Side) -> _Packed:
 def row_element(lam: Partition) -> HeckeElement:
     """
     Product of row symmetrizers placed at the row-reading offsets: R's
-    one-entry coset table, R 1, with no step, kept and expanded on first
-    need, so that a product on either side steps that one entry.
+    one-entry coset table, R 1, written by the kernel (``hecke._Packed.
+    basis``) with no step, kept and expanded on first need, so that a
+    product on either side steps that one entry.
     """
     perms.check_size(f"the row element of lambda={lam}", lam.n)
-    one = _packed(HeckeElement.unit(lam.n)).with_blocks(_side(lam, True).first)
-    return _element(coset=one)
+    return _element(coset=_Packed.basis(lam.n, blocks=_side(lam, True).first))
 
 
 def column_element(lam: Partition) -> HeckeElement:
@@ -358,10 +354,10 @@ def _own_table(lam: Partition) -> tuple[_Side, _Packed]:
 def _at_one(h: _Packed) -> dict[Perm, int]:
     """
     A side's table at s = 1, zeros dropped: on a coset table, the c_v'(1)
-    of the representatives v'.
+    of the representatives v', read as a plain table by the kernel's own
+    decode (``HeckeElement.specialize_at_one``).
     """
-    at_one = {v: c.eval_at_one() for v, c in _decode(h.with_blocks(None)).items()}
-    return {v: c for v, c in at_one.items() if c}
+    return _element(h.with_blocks(None)).specialize_at_one()
 
 
 def _report_on_side(

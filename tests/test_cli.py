@@ -52,6 +52,11 @@ class TestSymmetrizerCommands:
         assert code == 2
         assert "strand count" in err
 
+    @pytest.mark.parametrize("command, n", [("antisym", "0"), ("sym", "-3")])
+    def test_no_strands_is_one_usage_error(self, capsys, command, n):
+        # The builder's own check, turned into a usage error by main.
+        assert run(capsys, command, n) == (2, "", f"error: need a strand count >= 1, got {n}\n")
+
     def test_guard_exceeded(self, capsys):
         code, out, err = run(capsys, "sym", "9")
         assert code == 2

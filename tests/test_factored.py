@@ -15,7 +15,7 @@ from qyoung import central, hecke
 from qyoung import permutations as perms
 from qyoung import symmetrizers as sym
 from qyoung.central import full_twist, twist_eigenvalue
-from qyoung.hecke import HeckeElement, _element, _packed, _Packed
+from qyoung.hecke import HeckeElement, _Blocks, _element, _packed, _Packed
 from qyoung.laurent import NEG_S_INV, S
 from qyoung.partitions import Partition, all_partitions
 from qyoung.symmetrizers import (
@@ -333,22 +333,25 @@ class TestOneConversionPerChain:
     # compared is never decoded; a conversion per step would show here long
     # before it showed in timings.
 
+    # A start is no conversion: its one-entry table is written as the
+    # kernel's own (``_Packed.basis``), with no element encoded.
+
     def test_e_lambda(self, lam, conversions):
         e = e_lambda(lam)
-        assert conversions == collections.Counter(_encode=1)  # the start
+        assert conversions == collections.Counter()
         assert e.coeffs is e.coeffs  # the decoded view is kept
-        assert conversions == collections.Counter(_encode=1, _decode=1)
+        assert conversions == collections.Counter(_decode=1)
         # Decoded straight from the coset table; (1) has a plain one.
         assert (e._pk is None) == (lam.n > 1)
 
     def test_alpha_extract_builds_then_squares(self, lam, conversions):
         alpha_extract(lam)
-        assert conversions == collections.Counter(_encode=1)  # the start
+        assert conversions == collections.Counter()
 
     def test_twist_scalar(self, lam, conversions):
-        # The twist's scalar by twist_eigenvalue: the start, and nothing decoded.
+        # The twist's scalar by twist_eigenvalue: nothing encoded or decoded.
         central.twist_eigenvalue(lam)
-        assert conversions == collections.Counter(_encode=1)
+        assert conversions == collections.Counter()
 
 
 def test_step_count_of_a_hook():
@@ -500,3 +503,55 @@ def test_band_words_on_one_entry_tables_only_relabel(n, on_row, walked):
             steps = steps.mul_generator(i)
         assert state(walk._tidied()) == state(steps._tidied())
         assert _element(coset=walk) == _element(coset=x).scale(unit ** len(word))
+
+
+# -- starts: one-entry tables the kernel writes ----------------------------------------
+
+
+EIGHT = list(partitions_up_to(8))
+
+
+def fields(pk):
+    return pk.table, pk.val, pk.k, pk.bound, pk.low, pk.tidy, pk.blocks
+
+
+def encoded(n, p, blocks):
+    """The reference for ``_Packed.basis``: w_p as a public element, encoded, read with blocks."""
+    return hecke._encode(HeckeElement.basis_element(n, p)).with_blocks(blocks)
+
+
+@BOTH_SIDES
+@pytest.mark.parametrize("n", range(1, 9))
+def test_basis_of_one_block_is_the_encoded_identity(n, on_row):
+    blocks = _Blocks.of((n,), on_row)
+    assert fields(_Packed.basis(n, blocks=blocks)) == fields(encoded(n, perms.identity(n), blocks))
+
+
+@pytest.mark.parametrize("lam", EIGHT, ids=str)
+def test_basis_is_the_encoded_basis_braid(lam):
+    # The identity with the row blocks, as row_element starts, and the
+    # inverse of each side's w at the second blocks, as the start does.
+    n, rows = lam.n, _Blocks.of(lam.parts, True)
+    assert fields(_Packed.basis(n, blocks=rows)) == fields(encoded(n, perms.identity(n), rows))
+    for on_row in (True, False):
+        side = sym._side(lam, on_row)
+        p = perms.inverse(side.at)
+        assert fields(_Packed.basis(n, p, side.second)) == fields(encoded(n, p, side.second))
+
+
+def encoded_start(side):
+    """
+    The side's start made from a public element: w_p for p the inverse of
+    ``at`` encoded and read with the second blocks, expanded, mirrored
+    when the word is not empty, and read with the first blocks.
+    """
+    one = _packed(HeckeElement.basis_element(len(side.at), perms.inverse(side.at)))
+    start = one.with_blocks(side.second).expanded()
+    return (start.iota() if side.word else start).with_blocks(side.first)
+
+
+@BOTH_SIDES
+@pytest.mark.parametrize("lam", EIGHT, ids=str)
+def test_start_is_the_encoded_start(lam, on_row):
+    side = sym._side(lam, on_row)
+    assert fields(sym._start(side)) == fields(encoded_start(side))

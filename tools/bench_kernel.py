@@ -75,17 +75,21 @@ a difference between trees.  Compare ``at_ref_s`` between two trees.  The layers
   (1^7)) straight from its coset table, as the benchmark's build7
   workload builds and checks them;
 - ``row_element_8``: ``row_element`` of (8), R's one-entry coset table,
-  kept as it is, with no step and no expansion;
+  written by ``hecke._Packed.basis`` and kept as it is, with no element
+  encoded, no step and no expansion;
 - ``expand_8``: one expansion alone, from the coset table that
   e_lambda's build of (8) keeps (one entry) to its 40320 entries, as the
   first need of a plain table of a_8 runs it;
 - ``one_dimensional_8``: ``symmetrizer(8)`` and ``antisymmetrizer(8)``,
   a_8 and b_8, each the unit's one-entry coset table for one block of 8
-  strands, kept with no expansion;
+  strands, written by ``hecke._Packed.basis`` and kept with no element
+  encoded and no expansion;
 - ``start_44`` / ``start_8`` / ``start_1x8`` / ``start_2x1x6``: the table
   of the side's start x = F w G (``symmetrizers._own_table``) for (4,4),
-  (8), (1^8) and (2,1^6): one expansion of a one-entry table to w G's
-  |S_G| entries and one iota, with no step, as ``qyoung verify`` builds it;
+  (8), (1^8) and (2,1^6): a one-entry table written by
+  ``hecke._Packed.basis``, with no element encoded, one expansion of it
+  to w G's |S_G| entries and one iota, with no step, as ``qyoung verify``
+  builds it;
 - ``square_44`` / ``square_8`` / ``square_1x8`` / ``square_2x1x6`` and
   ``twist_table_44`` / ``twist_table_8`` / ``twist_table_1x8`` /
   ``twist_table_2x1x6``: squaring and twist-checking on the same start
